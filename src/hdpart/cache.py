@@ -68,18 +68,29 @@ def default_cache_dir() -> Optional[Path]:
 
 
 class CacheStore:
-    """Append-only store of exact count values."""
+    """Append-only store of exact count values.
+
+    A line that fails to parse or to match its checksum (a corrupt line, or
+    the torn tail of an interrupted write) is skipped and counted in
+    `skipped`; the other records stay usable.
+    """
 
     def __init__(self, directory: Path):
         self.directory = Path(directory)
         self.directory.mkdir(parents=True, exist_ok=True)
         self.path = self.directory / CACHE_FILENAME
         self._entries: dict[tuple[str, tuple[int, ...]], CacheRecord] = {}
+        self.skipped = 0
         if self.path.exists():
-            for line in self.path.read_text().splitlines():
+            text = self.path.read_text(encoding="utf-8", errors="replace")
+            for line in text.splitlines():
                 if not line.strip():
                     continue
-                record = CacheRecord.parse(line)
+                try:
+                    record = CacheRecord.parse(line)
+                except ValueError:
+                    self.skipped += 1
+                    continue
                 self._entries[(record.kind, record.index)] = record
 
     def get(self, kind: str, index: tuple[int, ...]) -> Optional[CacheRecord]:
@@ -95,8 +106,16 @@ class CacheStore:
                 )
             return existing
         record = CacheRecord(kind, index, value, provenance)
-        with self.path.open("a", encoding="utf-8") as fh:
-            fh.write(record.line() + "\n")
+        payload = (record.line() + "\n").encode("utf-8")
+        fd = os.open(self.path, os.O_RDWR | os.O_APPEND | os.O_CREAT, 0o644)
+        try:
+            end = os.fstat(fd).st_size
+            if end and os.pread(fd, 1, end - 1) != b"\n":
+                payload = b"\n" + payload  # start after a torn tail
+            # one write per record, so concurrent appenders never interleave
+            os.write(fd, payload)
+        finally:
+            os.close(fd)
         self._entries[(kind, index)] = record
         return record
 
@@ -146,8 +165,8 @@ def load_golden_collisions() -> list[tuple[int, int, int, int, int]]:
 # --- resumable alpha runs -----------------------------------------------------
 
 
-def _query_id(k: int, q: int, m: int, length: Optional[int]) -> str:
-    payload = json.dumps({"k": k, "q": q, "m": m, "length": length}, sort_keys=True)
+def _query_id(query: dict) -> str:
+    payload = json.dumps(query, sort_keys=True)
     return hashlib.sha256(payload.encode()).hexdigest()[:16]
 
 
@@ -173,7 +192,8 @@ class CheckpointedAlphaRun:
     Each stable-orbit representative is one task; after a task finishes its
     bucket table is flushed to the checkpoint file. Resuming skips completed
     tasks, so the final aggregate is identical however often the run is
-    interrupted.
+    interrupted. A checkpoint file that is not JSON, or was written for another
+    query or under another search-format version, is recomputed, never resumed.
     """
 
     def __init__(
@@ -184,18 +204,29 @@ class CheckpointedAlphaRun:
         m: int,
         length: Optional[int] = None,
         node_ceiling: Optional[int] = mpart.DEFAULT_NODE_CEILING,
+        workers: int = 1,
     ):
         self.k, self.q, self.m, self.length = k, q, m, length
         self.node_ceiling = node_ceiling
+        self.workers = workers
         self.directory = Path(directory)
         self.directory.mkdir(parents=True, exist_ok=True)
-        self.path = self.directory / f"alpha-{_query_id(k, q, m, length)}.json"
+        self.query = {"k": k, "q": q, "m": m, "length": length}
+        self.path = self.directory / f"alpha-{_query_id(self.query)}.json"
         self.reps = mpart.full_support_reps(k, q)
         self.completed: dict[int, mpart.BucketTable] = {}
         if self.path.exists():
-            data = json.loads(self.path.read_text())
-            for idx, table in data["tables"].items():
-                self.completed[int(idx)] = _decode_table(table)
+            try:
+                data = json.loads(self.path.read_text())
+            except ValueError:  # not JSON: recomputed like a stale file
+                data = None
+            if (
+                isinstance(data, dict)
+                and data.get("version") == mpart.SEARCH_FORMAT_VERSION
+                and data.get("query") == self.query
+            ):
+                for idx, table in data["tables"].items():
+                    self.completed[int(idx)] = _decode_table(table)
 
     @property
     def pending(self) -> list[int]:
@@ -203,7 +234,8 @@ class CheckpointedAlphaRun:
 
     def _flush(self):
         data = {
-            "query": {"k": self.k, "q": self.q, "m": self.m, "length": self.length},
+            "version": mpart.SEARCH_FORMAT_VERSION,
+            "query": self.query,
             "tables": {str(i): _encode_table(t) for i, t in sorted(self.completed.items())},
         }
         tmp = self.path.with_suffix(".tmp")
@@ -213,17 +245,13 @@ class CheckpointedAlphaRun:
     def run(self, task_limit: Optional[int] = None) -> Optional[int]:
         """Execute up to task_limit pending tasks; return the count once every
         task is complete, else None."""
-        done = 0
-        length_cap = self.length if self.length is not None else self.m + 2
-        for idx in self.pending:
-            if task_limit is not None and done >= task_limit:
-                break
-            table = mpart._rep_table(
-                self.k, self.reps[idx].rep, self.m, length_cap, self.node_ceiling
-            )
+        todo = self.pending if task_limit is None else self.pending[: max(task_limit, 0)]
+        tables = mpart.rep_tables(
+            [self.reps[i] for i in todo], self.m, self.length, self.workers, self.node_ceiling
+        )
+        for idx, table in zip(todo, tables):
             self.completed[idx] = table
             self._flush()
-            done += 1
         if self.pending:
             return None
         return self.total()
@@ -231,12 +259,5 @@ class CheckpointedAlphaRun:
     def total(self) -> int:
         if self.pending:
             raise RuntimeError("run is not complete")
-        total = 0
-        for idx, orbit in enumerate(self.reps):
-            for (size, maxdeg, _), v in self.completed[idx].items():
-                if size != self.m:
-                    continue
-                if self.length is not None and maxdeg != self.length:
-                    continue
-                total += orbit.orbit_size * v
-        return total
+        tables = (self.completed[i] for i in range(len(self.reps)))
+        return mpart.select(mpart.weighted_table(self.reps, tables), self.m, self.length)

@@ -79,7 +79,7 @@ def _count_value(args, resolver: Resolver) -> int:
         if args.checkpoint_dir:
             run = cache_mod.CheckpointedAlphaRun(
                 Path(args.checkpoint_dir), args.k, args.q, args.m,
-                length=args.length, node_ceiling=args.node_ceiling,
+                length=args.length, node_ceiling=args.node_ceiling, workers=args.workers,
             )
             if mpart._trivial_alpha(args.k, args.q, args.m) is None:
                 value = run.run(task_limit=args.task_limit)

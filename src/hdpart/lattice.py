@@ -169,10 +169,6 @@ class ConstraintSpec:
 # --- enumeration core --------------------------------------------------------
 
 
-def _initial_candidates(n: int) -> tuple[Point, ...]:
-    return ((0,) * n,)
-
-
 def _fresh_candidates(chosen: set[Point], c: Point) -> list[Point]:
     out = []
     for i in range(len(c)):
@@ -281,8 +277,11 @@ class _ConstraintChecker:
         return True
 
 
+# the pool splits the search at this depth; each prefix is one task
+_SPLIT_DEPTH = 2
+
+
 def _count_dfs(
-    n: int,
     target_size: int,
     checker: Optional[_ConstraintChecker],
     budget: _Budget,
@@ -290,8 +289,10 @@ def _count_dfs(
     chosen_set: set[Point],
     cands: Sequence[Point],
     visitor: Optional[Callable[[tuple[Point, ...]], None]] = None,
+    prefixes: Optional[list[tuple[tuple[Point, ...], tuple[Point, ...]]]] = None,
 ) -> int:
-    total = 0
+    """Count the leaves below a state. With prefixes given, states of
+    _SPLIT_DEPTH points are appended to it instead of being walked."""
     size = len(chosen)
     if size == target_size:
         if checker is None or checker.accepts_leaf(chosen, chosen_set):
@@ -299,6 +300,10 @@ def _count_dfs(
                 visitor(tuple(chosen))
             return 1
         return 0
+    if prefixes is not None and size == _SPLIT_DEPTH:
+        prefixes.append((tuple(chosen), tuple(cands)))
+        return 0
+    total = 0
     layers = [0] * (target_size + 2)
     for p in chosen:
         layers[degree(p)] += 1
@@ -310,7 +315,6 @@ def _count_dfs(
         chosen_set.add(c)
         fresh = _fresh_candidates(chosen_set, c)
         total += _count_dfs(
-            n,
             target_size,
             checker,
             budget,
@@ -318,57 +322,18 @@ def _count_dfs(
             chosen_set,
             _merge(cands[idx + 1 :], fresh) if fresh else cands[idx + 1 :],
             visitor,
+            prefixes,
         )
         chosen.pop()
         chosen_set.remove(c)
     return total
 
 
-def _frontier_states(
-    n: int, split_size: int, target_size: int, checker: Optional[_ConstraintChecker]
-) -> tuple[list[tuple[tuple[Point, ...], tuple[Point, ...]]], int]:
-    """All DFS states of exactly split_size points, plus the count of smaller leaves."""
-    states: list[tuple[tuple[Point, ...], tuple[Point, ...]]] = []
-    small = 0
-
-    def walk(chosen: list[Point], chosen_set: set[Point], cands: Sequence[Point]):
-        nonlocal small
-        if len(chosen) == target_size:
-            if checker is None or checker.accepts_leaf(chosen, chosen_set):
-                small += 1
-            return
-        if len(chosen) == split_size:
-            states.append((tuple(chosen), tuple(cands)))
-            return
-        layers = [0] * (target_size + 2)
-        for p in chosen:
-            layers[degree(p)] += 1
-        for idx, c in enumerate(cands):
-            if checker is not None and not checker.admits(layers, c):
-                continue
-            chosen.append(c)
-            chosen_set.add(c)
-            fresh = _fresh_candidates(chosen_set, c)
-            walk(chosen, chosen_set, _merge(cands[idx + 1 :], fresh))
-            chosen.pop()
-            chosen_set.remove(c)
-
-    walk([], set(), _initial_candidates(n))
-    return states, small
-
-
 def _subtree_task(args) -> int:
-    n, target_size, spec, max_nodes, chosen, cands = args
+    target_size, spec, max_nodes, chosen, cands = args
     checker = _ConstraintChecker(spec) if spec is not None else None
-    budget = _Budget(max_nodes)
     return _count_dfs(
-        n,
-        target_size,
-        checker,
-        budget,
-        list(chosen),
-        set(chosen),
-        list(cands),
+        target_size, checker, _Budget(max_nodes), list(chosen), set(chosen), cands
     )
 
 
@@ -380,30 +345,23 @@ def _count(
     max_nodes: Optional[int] = None,
     visitor: Optional[Callable[[tuple[Point, ...]], None]] = None,
 ) -> int:
-    if target_size == 0:
-        if spec is None:
-            return 1
-        return 1 if _ConstraintChecker(spec).accepts_leaf([], set()) else 0
-    if workers <= 1 or visitor is not None:
-        checker = _ConstraintChecker(spec) if spec is not None else None
-        budget = _Budget(max_nodes)
-        return _count_dfs(
-            n,
-            target_size,
-            checker,
-            budget,
-            [],
-            set(),
-            _initial_candidates(n),
-            visitor,
-        )
     checker = _ConstraintChecker(spec) if spec is not None else None
-    split = min(2, target_size)
-    states, small = _frontier_states(n, split, target_size, checker)
-    tasks = [(n, target_size, spec, max_nodes, chosen, cands) for chosen, cands in states]
-    with ProcessPoolExecutor(max_workers=workers) as ex:
-        parts = list(ex.map(_subtree_task, tasks, chunksize=8))
-    return small + sum(parts)
+    prefixes: Optional[list] = [] if workers > 1 and visitor is None else None
+    total = _count_dfs(
+        target_size,
+        checker,
+        _Budget(max_nodes),
+        [],
+        set(),
+        ((0,) * n,),
+        visitor,
+        prefixes,
+    )
+    if prefixes:
+        tasks = [(target_size, spec, max_nodes, chosen, cands) for chosen, cands in prefixes]
+        with ProcessPoolExecutor(max_workers=workers) as ex:
+            total += sum(ex.map(_subtree_task, tasks, chunksize=8))
+    return total
 
 
 def count_partitions(
@@ -442,6 +400,11 @@ def permute_point(p: Point, perm: Sequence[int]) -> Point:
     return tuple(p[perm[i]] for i in range(len(perm)))
 
 
+def transpose(points: Iterable[Point], i: int) -> tuple[Point, ...]:
+    """Sorted image of a point set under swapping coordinates i and i+1."""
+    return tuple(sorted((p[:i] + (p[i + 1], p[i]) + p[i + 2 :] for p in points), key=point_key))
+
+
 def canonical_orbit(
     points: Iterable[Point], n: int, ceiling: int = 12
 ) -> tuple[tuple[Point, ...], int]:
@@ -461,9 +424,7 @@ def canonical_orbit(
     while queue:
         cur = queue.pop()
         for i in range(n - 1):
-            perm = list(range(n))
-            perm[i], perm[i + 1] = perm[i + 1], perm[i]
-            img = tuple(sorted((permute_point(p, perm) for p in cur), key=point_key))
+            img = transpose(cur, i)
             if img not in seen:
                 seen.add(img)
                 queue.append(img)

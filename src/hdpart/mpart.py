@@ -4,24 +4,29 @@ The count alpha(k, q, m) of such partitions with k variables, q quadrics and m
 boxes of degree >= 3 is computed orbitwise: enumerate stable quadric
 configurations up to coordinate permutation, bound the reachable cells for each
 configuration, then run an exact DFS over downward-closed cell subsets.
+
+`_RegionSearch.sweep` is the only region walker; every alpha count, and every
+checkpointed run in `cache` (which honours `workers` too), selects from the
+orbit-weighted sum of its tables. The lattice oracle stays a separate walker
+on purpose: it is the independent route that checks this one.
 """
 
 from __future__ import annotations
 
 import itertools
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Iterator, Optional, Sequence
 
-from .intmath import binom, macaulay_growth
 from .lattice import (
     Point,
     ResourceCeilingError,
+    canonical_orbit,
     degree,
     lower_covers,
-    permute_point,
     point_key,
+    transpose,
 )
 
 DEFAULT_NODE_CEILING = 10**9
@@ -119,46 +124,23 @@ class QuadricOrbit:
     support: int
 
 
-def _orbit(points: tuple[Point, ...], k: int) -> set[tuple[Point, ...]]:
-    seen = {points}
-    stack = [points]
-    while stack:
-        cur = stack.pop()
-        for i in range(k - 1):
-            perm = list(range(k))
-            perm[i], perm[i + 1] = perm[i + 1], perm[i]
-            img = tuple(sorted((permute_point(p, perm) for p in cur), key=point_key))
-            if img not in seen:
-                seen.add(img)
-                stack.append(img)
-    return seen
-
-
 @lru_cache(maxsize=None)
 def orbit_reps(k: int, q: int) -> tuple[QuadricOrbit, ...]:
     """One canonical representative per S_k-orbit of stable q-element quadric sets."""
     quads, _, _ = _space(k)
     if q < 1 or q > len(quads):
         return ()
-    transpositions = [
-        tuple(range(i)) + (i + 1, i) + tuple(range(i + 2, k)) for i in range(k - 1)
-    ]
     reps = []
     for combo in itertools.combinations(quads, q):
         if not is_m_stable(combo, k):
             continue
         # cheap local-minimum filter before the exact orbit walk
-        if any(
-            tuple(sorted((permute_point(p, t) for p in combo), key=point_key)) < combo
-            for t in transpositions
-        ):
+        if any(transpose(combo, i) < combo for i in range(k - 1)):
             continue
-        orbit = _orbit(combo, k)
-        if min(orbit) != combo:
+        rep, size = canonical_orbit(combo, k)
+        if rep != combo:
             continue
-        reps.append(
-            QuadricOrbit(k, combo, len(orbit), len(support_variables(combo)))
-        )
+        reps.append(QuadricOrbit(k, combo, size, len(support_variables(combo))))
     return tuple(sorted(reps, key=lambda o: o.rep))
 
 
@@ -241,43 +223,39 @@ class AlphaQuery:
 BucketTable = dict[tuple[int, int, tuple[int, ...]], int]
 # key: (size m, length, layer profile h3..h_length), value: count for one representative
 
+# Bump when the order of full_support_reps or the meaning of a BucketTable
+# changes: checkpoints store tables by representative index, and the cache
+# recomputes any checkpoint written under another version.
+SEARCH_FORMAT_VERSION = 1
+
 
 class _RegionSearch:
     """Exact DFS over downward-closed cell subsets of one bounding region."""
 
     def __init__(self, region: BoundingRegion, node_ceiling: Optional[int]):
-        self.k = region.k
-        self.region = region
-        quads = region.quadrics
-        qindex = {p: i for i, p in enumerate(quads)}
+        qindex = {p: i for i, p in enumerate(region.quadrics)}
         cells = region.cells
         self.cells = cells
         self.degrees = [degree(p) for p in cells]
+        self.n_cubics = self.degrees.count(3)
+        self.full_mask = (1 << len(qindex)) - 1
         cellindex = {p: i for i, p in enumerate(cells)}
-        self.parents: list[tuple[int, ...]] = []
+        # bit j of parent_mask[i]: cell j is a lower cover of cell i
+        self.parent_mask: list[int] = []
+        # bit u of covers[i]: quadric u is a lower cover of cubic i
         self.covers: list[int] = []
-        for p in cells:
-            g = degree(p)
-            if g == 3:
-                self.parents.append(())
-                mask = 0
-                for d in quadric_divisors(p):
-                    mask |= 1 << qindex[d]
-                self.covers.append(mask)
-            else:
-                self.parents.append(
-                    tuple(cellindex[c] for c in lower_covers(p) if degree(c) >= 3)
-                )
-                self.covers.append(0)
-        self.n_cubics = sum(1 for g in self.degrees if g == 3)
-        self.full_mask = (1 << len(quads)) - 1
         # highest cubic index covering each quadric, for dead-branch detection
-        self.last_cover = [-1] * len(quads)
-        for i in range(self.n_cubics):
-            m = self.covers[i]
-            for u in range(len(quads)):
-                if m >> u & 1:
-                    self.last_cover[u] = i
+        self.last_cover = [-1] * len(qindex)
+        for i, p in enumerate(cells):
+            parents = cover = 0
+            for c in lower_covers(p):
+                if degree(c) == 2:
+                    cover |= 1 << qindex[c]
+                    self.last_cover[qindex[c]] = i
+                else:
+                    parents |= 1 << cellindex[c]
+            self.parent_mask.append(parents)
+            self.covers.append(cover)
         self.node_ceiling = node_ceiling
         self.nodes = 0
 
@@ -292,10 +270,10 @@ class _RegionSearch:
         """Count every valid subset of size <= m_max, bucketed by
         (size, length, layer profile)."""
         table: BucketTable = {}
-        chosen: list[bool] = [False] * len(self.cells)
         layer_counts: dict[int, int] = {}
+        parent_mask, degrees, covers = self.parent_mask, self.degrees, self.covers
 
-        def rec(last: int, size: int, cover: int, maxdeg: int):
+        def rec(last: int, size: int, cover: int, maxdeg: int, chosen: int):
             if cover == self.full_mask and size >= 1:
                 profile = tuple(layer_counts.get(g, 0) for g in range(3, maxdeg + 1))
                 key = (size, maxdeg, profile)
@@ -312,94 +290,20 @@ class _RegionSearch:
             else:
                 limit = len(self.cells)
             for i in range(last + 1, limit):
-                if any(not chosen[p] for p in self.parents[i]):
+                if parent_mask[i] & ~chosen:
                     continue
                 self._spend()
-                chosen[i] = True
-                g = self.degrees[i]
+                g = degrees[i]
                 layer_counts[g] = layer_counts.get(g, 0) + 1
-                rec(i, size + 1, cover | self.covers[i], max(maxdeg, g))
+                rec(i, size + 1, cover | covers[i], max(maxdeg, g), chosen | 1 << i)
                 layer_counts[g] -= 1
-                chosen[i] = False
 
-        rec(-1, 0, 0, 2)
+        rec(-1, 0, 0, 2, 0)
         return table
 
-    def count(self, m: int, use_macaulay: bool = True) -> int:
-        """Count valid subsets of exactly m cells (all lengths), with an optional
-        Macaulay-growth bound on the remaining capacity used only for pruning."""
-        cells_n = len(self.cells)
-        suffix_by_degree: list[dict[int, int]] = [dict() for _ in range(cells_n + 1)]
-        for i in range(cells_n - 1, -1, -1):
-            d = dict(suffix_by_degree[i + 1])
-            d[self.degrees[i]] = d.get(self.degrees[i], 0) + 1
-            suffix_by_degree[i] = d
-        suffix_total = [sum(d.values()) for d in suffix_by_degree]
-        q = len(self.region.quadrics)
-        chosen = [False] * cells_n
-        layer_counts: dict[int, int] = {}
-        total = 0
-
-        def capacity(last: int) -> int:
-            """Admissible bound on the final subset size: per-layer availability
-            capped by the Macaulay growth chain starting from the quadric count."""
-            remaining = suffix_by_degree[last + 1]
-            cap = 0
-            prev = q
-            for g in range(3, self.region.max_degree + 1):
-                allowed = macaulay_growth(prev, g - 1)
-                ub = min(layer_counts.get(g, 0) + remaining.get(g, 0), allowed)
-                cap += ub
-                prev = ub
-            return cap
-
-        def rec(last: int, size: int, cover: int):
-            nonlocal total
-            if size == m:
-                if cover == self.full_mask:
-                    total += 1
-                return
-            if size + suffix_total[last + 1] < m:
-                return
-            if use_macaulay and capacity(last) < m:
-                return
-            if cover != self.full_mask:
-                missing = self.full_mask & ~cover
-                u = missing.bit_length() - 1
-                if self.last_cover[u] <= last:
-                    return
-            for i in range(last + 1, cells_n):
-                if any(not chosen[p] for p in self.parents[i]):
-                    continue
-                self._spend()
-                chosen[i] = True
-                g = self.degrees[i]
-                layer_counts[g] = layer_counts.get(g, 0) + 1
-                rec(i, size + 1, cover | self.covers[i])
-                layer_counts[g] -= 1
-                chosen[i] = False
-
-        rec(-1, 0, 0)
-        return total
-
-
-def _rep_table(
-    k: int,
-    rep: tuple[Point, ...],
-    m_max: int,
-    length_cap: Optional[int],
-    node_ceiling: Optional[int],
-) -> BucketTable:
-    max_degree = length_cap if length_cap is not None else m_max + 2
-    region = bounding_region(rep, max_degree)
-    search = _RegionSearch(region, node_ceiling)
-    return search.sweep(m_max)
-
-
-def _rep_task(args) -> tuple[int, dict]:
-    idx, k, rep, m_max, length_cap, node_ceiling = args
-    table = _rep_table(k, rep, m_max, length_cap, node_ceiling)
-    return idx, table
+    def count(self, m: int) -> int:
+        """Count valid subsets of exactly m cells (all lengths)."""
+        return select(self.sweep(m), m)
 
 
 def _trivial_alpha(k: int, q: int, m: int) -> Optional[int]:
@@ -423,6 +327,60 @@ def full_support_reps(k: int, q: int) -> tuple[QuadricOrbit, ...]:
     return tuple(o for o in orbit_reps(k, q) if o.support == k)
 
 
+def _rep_search(args) -> BucketTable:
+    """Bucket table of one representative; a process-pool task."""
+    rep, m_max, length_cap, node_ceiling = args
+    return _RegionSearch(bounding_region(rep, length_cap), node_ceiling).sweep(m_max)
+
+
+def rep_tables(
+    reps: Sequence[QuadricOrbit],
+    m_max: int,
+    length_cap: Optional[int],
+    workers: int,
+    node_ceiling: Optional[int],
+) -> Iterator[BucketTable]:
+    """Unweighted bucket table of each representative, yielded in order."""
+    max_degree = length_cap if length_cap is not None else m_max + 2
+    tasks = [(o.rep, m_max, max_degree, node_ceiling) for o in reps]
+    if workers > 1 and len(tasks) > 1:
+        with ProcessPoolExecutor(max_workers=workers) as ex:
+            yield from ex.map(_rep_search, tasks)
+    else:
+        yield from map(_rep_search, tasks)
+
+
+def weighted_table(
+    reps: Sequence[QuadricOrbit], tables: Iterable[BucketTable]
+) -> BucketTable:
+    """Sum of the representatives' tables, each weighted by its orbit size."""
+    out: BucketTable = {}
+    for orbit, table in zip(reps, tables, strict=True):
+        for key, val in sorted(table.items()):
+            out[key] = out.get(key, 0) + orbit.orbit_size * val
+    return out
+
+
+def select(
+    table: BucketTable,
+    m: int,
+    length: Optional[int] = None,
+    profile: Optional[tuple[int, ...]] = None,
+) -> int:
+    """Total of the buckets of size m, optionally of one length and one
+    layer profile (h_0, ..., h_length)."""
+    total = 0
+    for (size, maxdeg, tail), val in table.items():
+        if size != m:
+            continue
+        if length is not None and maxdeg != length:
+            continue
+        if profile is not None and tail != tuple(profile[3:]):
+            continue
+        total += val
+    return total
+
+
 def alpha_tables(
     k: int,
     q: int,
@@ -430,40 +388,15 @@ def alpha_tables(
     length_cap: Optional[int] = None,
     workers: int = 1,
     node_ceiling: Optional[int] = DEFAULT_NODE_CEILING,
-    progress=None,
-    precomputed: Optional[dict[int, BucketTable]] = None,
 ) -> BucketTable:
     """Orbit-weighted bucket table for all sizes up to m_max at once.
 
     Keys are (m, length, profile); the value already includes orbit weights.
-    progress, when given, is called with (rep_index, rep, table) after each
-    representative finishes; precomputed maps rep_index to an already-known
-    table (resume support).
     """
     reps = full_support_reps(k, q)
-    tables: dict[int, BucketTable] = dict(precomputed or {})
-    todo = [
-        (i, k, o.rep, m_max, length_cap, node_ceiling)
-        for i, o in enumerate(reps)
-        if i not in tables
-    ]
-    if workers > 1 and len(todo) > 1:
-        with ProcessPoolExecutor(max_workers=workers) as ex:
-            for idx, table in ex.map(_rep_task, todo):
-                tables[idx] = table
-                if progress is not None:
-                    progress(idx, reps[idx], table)
-    else:
-        for args in todo:
-            idx, table = _rep_task(args)
-            tables[idx] = table
-            if progress is not None:
-                progress(idx, reps[idx], table)
-    out: BucketTable = {}
-    for i, orbit in enumerate(reps):
-        for key, val in sorted(tables[i].items()):
-            out[key] = out.get(key, 0) + orbit.orbit_size * val
-    return out
+    return weighted_table(
+        reps, rep_tables(reps, m_max, length_cap, workers, node_ceiling)
+    )
 
 
 def alpha(
@@ -483,20 +416,10 @@ def alpha(
         return 1 if ok_len and ok_prof else 0
     if query.length is not None and not (3 <= query.length <= m + 2):
         return 0
-    length_cap = query.length if query.length is not None else m + 2
     table = alpha_tables(
-        k, q, m, length_cap=length_cap, workers=workers, node_ceiling=node_ceiling
+        k, q, m, length_cap=query.length, workers=workers, node_ceiling=node_ceiling
     )
-    total = 0
-    for (size, maxdeg, profile), val in table.items():
-        if size != m:
-            continue
-        if query.length is not None and maxdeg != query.length:
-            continue
-        if query.profile is not None and profile != tuple(query.profile[3:]):
-            continue
-        total += val
-    return total
+    return select(table, m, query.length, query.profile)
 
 
 def alpha_count(
@@ -518,9 +441,7 @@ def alpha_by_hilbert(
     node_ceiling: Optional[int] = DEFAULT_NODE_CEILING,
 ) -> int:
     """Count with the entire layer profile prescribed."""
-    h = tuple(h)
-    if not h or h[0] != 1:
-        raise ValueError("layer profile must start with 1")
+    h = tuple(h)  # AlphaQuery validates it
     k = h[1] if len(h) > 1 else 0
     q = h[2] if len(h) > 2 else 0
     m = sum(h[3:])
@@ -544,8 +465,7 @@ def alpha_without_orbit_reduction(
         if len(support_variables(combo)) != k or not is_m_stable(combo, k):
             continue
         region = bounding_region(combo, m + 2)
-        table = _RegionSearch(region, node_ceiling).sweep(m)
-        total += sum(v for (size, _, _), v in table.items() if size == m)
+        total += _RegionSearch(region, node_ceiling).count(m)
     return total
 
 
@@ -553,16 +473,11 @@ def alpha_targeted(
     k: int,
     q: int,
     m: int,
-    use_macaulay: bool = True,
     node_ceiling: Optional[int] = DEFAULT_NODE_CEILING,
 ) -> int:
-    """Single-size search path (exercises the capacity pruning bound)."""
+    """Total over all lengths and profiles of one size, in one process;
+    equals alpha_count(k, q, m)."""
     trivial = _trivial_alpha(k, q, m)
     if trivial is not None:
         return trivial
-    total = 0
-    for orbit in full_support_reps(k, q):
-        region = bounding_region(orbit.rep, m + 2)
-        search = _RegionSearch(region, node_ceiling)
-        total += orbit.orbit_size * search.count(m, use_macaulay=use_macaulay)
-    return total
+    return select(alpha_tables(k, q, m, node_ceiling=node_ceiling), m)

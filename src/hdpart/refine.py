@@ -102,7 +102,7 @@ def p_from_y(y: CountTable, n: int, d: int) -> int:
     """p(n, d) from the exact-embedding-dimension refinement."""
     if d == 0:
         return 1
-    return sum(binom(n, k) * y.get((k, d)) for k in range(d))
+    return sum(binom(n, k) * y.get((k, d)) for k in range(min(n, d - 1) + 1))
 
 
 def y_from_p(p: CountTable, n: int, d: int) -> int:
@@ -112,7 +112,7 @@ def y_from_p(p: CountTable, n: int, d: int) -> int:
 
 def y_from_c(c: CountTable, k: int, e: int) -> int:
     """y(k, k+e+1) from the no-unit-socle refinement."""
-    return sum(binom(k, x) * c.get((x, e)) for x in range(2 * e + 1))
+    return sum(binom(k, x) * c.get((x, e)) for x in range(min(k, 2 * e) + 1))
 
 
 def c_from_y(y: CountTable, k: int, e: int) -> int:
@@ -457,7 +457,8 @@ class Resolver:
             return tab.get((n, d))
         if self.use_closed_forms and n in (2, 3):
             return tab.set((n, d), self._low_dim_p(n, d), CLOSED_FORM)
-        value = sum(binom(n, k) * self.y(k, d) for k in range(d))
+        # skip zero terms (binom(n, k) = 0 for k > n): they would still be searched
+        value = sum(binom(n, k) * self.y(k, d) for k in range(min(n, d - 1) + 1))
         return tab.set((n, d), value, INVERSION)
 
     def _p2(self, d: int) -> int:
@@ -479,7 +480,8 @@ class Resolver:
         e = d - 1 - k
         if e < 0:
             return 0
-        value = sum(binom(k, x) * self.c(x, e) for x in range(2 * e + 1))
+        # binom(k, x) = 0 for x > k and c(x, e) = 0 for x > 2e
+        value = sum(binom(k, x) * self.c(x, e) for x in range(min(k, 2 * e) + 1))
         return tab.set((k, d), value, INVERSION)
 
     def c(self, k: int, e: int) -> int:

@@ -31,10 +31,14 @@ def test_cache_round_trip_large_values(tmp_path):
 def test_cache_rejects_corruption(tmp_path):
     store = CacheStore(tmp_path)
     store.put("Y", (2, 5), 5, "test")
+    store.put("Y", (2, 9), 28, "test")
     text = store.path.read_text().replace("\t5\t", "\t6\t")
     store.path.write_text(text)
     with pytest.raises(ValueError):
-        CacheStore(tmp_path)
+        CacheRecord.parse(text.splitlines()[0])
+    reloaded = CacheStore(tmp_path)
+    assert reloaded.get("Y", (2, 5)) is None  # the bad line is never served
+    assert reloaded.get("Y", (2, 9)).value == 28 and reloaded.skipped == 1
 
 
 def test_cache_conflict_detection(tmp_path):
@@ -75,6 +79,24 @@ def test_checkpoint_resume_identical(tmp_path):
     resumed = CheckpointedAlphaRun(tmp_path, k, q, m)
     assert resumed.pending == []
     assert resumed.total() == fresh
+
+
+def test_checkpoint_ignores_other_search_version(tmp_path):
+    k, q, m = 3, 4, 5
+    run = CheckpointedAlphaRun(tmp_path, k, q, m)
+    run.run(task_limit=1)
+    data = json.loads(run.path.read_text())
+    data["tables"]["0"] = {"5|3|": 10**6}  # a table that would change the total
+    data["version"] += 1
+    run.path.write_text(json.dumps(data))
+    stale = CheckpointedAlphaRun(tmp_path, k, q, m)
+    assert stale.completed == {}
+    assert stale.run() == alpha_count(k, q, m)
+    data["version"] -= 1
+    data["query"]["m"] = 6
+    for text in (json.dumps(data), "[1]", '{"tables": '):
+        run.path.write_text(text)
+        assert CheckpointedAlphaRun(tmp_path, k, q, m).completed == {}
 
 
 def test_checkpoint_partial_state_is_persisted(tmp_path):
@@ -185,6 +207,24 @@ def test_cli_cache_write_and_reuse(tmp_path):
     assert store.get("Y", (2, 9)).value == 28
     rc2, out2, _ = run_cli(*args)  # second run served from cache
     assert rc2 == 0 and out2.strip() == "28"
+
+
+def test_cli_survives_corrupt_cache(tmp_path):
+    store = CacheStore(tmp_path)
+    store.put("Y", (2, 9), 28, "test")
+    store.put("Y", (2, 5), 5, "test")
+    lines = store.path.read_text().splitlines()
+    lines[1] = lines[1].replace("\t5\t", "\t6\t")
+    store.path.write_text("\n".join(lines) + "\nY\t3,7")
+    before = store.path.read_text()
+    rc, out, err = run_cli("--cache-dir", str(tmp_path), "count", "y", "--k", "2", "--d", "9")
+    assert (rc, out.strip()) == (0, "28"), err
+    assert store.path.read_text() == before  # a hit: nothing recomputed or appended
+    rc, out, err = run_cli("--cache-dir", str(tmp_path), "count", "y", "--k", "2", "--d", "5")
+    assert (rc, out.strip()) == (0, "5"), err
+    reloaded = CacheStore(tmp_path)
+    assert reloaded.get("Y", (2, 5)).value == 5
+    assert reloaded.skipped == 2
 
 
 def test_cli_checkpointed_alpha(tmp_path):

@@ -4,6 +4,7 @@ import itertools
 
 import pytest
 
+from hdpart.cache import CheckpointedAlphaRun
 from hdpart.lattice import ConstraintSpec, ResourceCeilingError, count_constrained
 from hdpart.mpart import (
     AlphaQuery,
@@ -166,16 +167,19 @@ def test_alpha_by_hilbert_examples():
 
 
 def test_macaulay_pruning_is_conservative():
+    # the single-size entry point agrees with the bucketed sweep
     for k, q, m in [(2, 3, 4), (3, 4, 5), (3, 5, 4)]:
-        with_bound = alpha_targeted(k, q, m, use_macaulay=True)
-        without = alpha_targeted(k, q, m, use_macaulay=False)
-        assert with_bound == without == alpha_count(k, q, m)
+        assert alpha_targeted(k, q, m) == alpha_count(k, q, m)
 
 
-def test_parallel_determinism():
+def test_parallel_determinism(tmp_path):
     base = alpha_count(3, 4, 6)
     assert alpha_count(3, 4, 6, workers=2) == base
     assert alpha_count(3, 4, 6, workers=4) == base
+    parallel = CheckpointedAlphaRun(tmp_path / "2", 3, 4, 6, workers=2)
+    serial = CheckpointedAlphaRun(tmp_path / "1", 3, 4, 6)
+    assert parallel.run() == serial.run() == base
+    assert parallel.path.read_text() == serial.path.read_text()
 
 
 def test_node_ceiling():

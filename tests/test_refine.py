@@ -304,6 +304,16 @@ def test_resolver_pipeline_vs_oracle_small():
             assert raw.p(n, d) == R.p(n, d) == raw.p_oracle(n, d), (n, d)
 
 
+def test_resolver_skips_zero_terms():
+    # binom(4, x) = 0 for x > 4, so y(4, 12) needs c(x, 7) only for x <= 4
+    r = Resolver()
+    r.y(4, 12)
+    assert max(x for x, e in r.tables["C"].entries if e == 7) == 4
+    # binom(4, k) = 0 for k > 4, so p(4, 9) needs y(k, 9) only for k <= 4
+    r.p(4, 9)
+    assert max(k for k, d in r.tables["Y"].entries if d == 9) == 4
+
+
 def test_size_series_fitting():
     num4 = R.size_numerator(4)
     assert num4 == Polynomial([1, 1, -1])
