@@ -9,14 +9,13 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
 from pathlib import Path
 
 from . import cache as cache_mod
 from . import hydral, macmahon, mpart
 from .lattice import ConstraintSpec, ResourceCeilingError, count_constrained, count_partitions
-from .refine import IntegrityError, Resolver, c_diagonal_series, y_diagonal_series
+from .refine import IntegrityError, Resolver, c_degree_bound, c_diagonal_series, y_diagonal_series
 from .series import (
     NumeratorFitError,
     RationalFunction,
@@ -166,7 +165,7 @@ def cmd_series(args) -> int:
             _print_expansion(series_of(rf, args.expand - 1).coeffs)
         return EXIT_OK
     if args.family == "C":
-        bound = 2 * args.x - math.ceil(args.x / 2)
+        bound = c_degree_bound(args.x)
         if args.golden_seeds and args.x == 6:
             _, diag = cache_mod.load_golden_c6()
         else:

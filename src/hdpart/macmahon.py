@@ -9,59 +9,36 @@ from fractions import Fraction
 from typing import Optional
 
 from .intmath import binom
-from .refine import IntegrityError, Resolver
+from .refine import IntegrityError, Resolver, product_column, product_exponent, y_from_p
 from .series import (
     ONE,
     NumeratorFitError,
     Polynomial,
     PowerSeries,
     Q,
-    euler_product,
     fit_numerator,
     inverse_euler,
 )
-
-
-def product_exponent(n: int, m: int) -> int:
-    """Exponent of (1-t^m)^-1 in the conjectured product for dimension n.
-
-    Written with the fixed lower index m-1 so that the product specializes
-    correctly down to n = 0 and 1 (where it reproduces the true counts).
-    """
-    return binom(m + n - 3, m - 1)
 
 
 def product_series(n: int, order: int) -> PowerSeries:
     """The conjectured partition series for dimension n, truncated exactly."""
     if n < 0 or order < 0:
         raise ValueError("need n >= 0 and order >= 0")
-    exps = [product_exponent(n, m) for m in range(1, order + 1)]
-    series = euler_product(exps, order)
-    if any(c.denominator != 1 for c in series.coeffs):
-        raise IntegrityError("product series must have integer coefficients")
-    return series
+    return PowerSeries(product_column(n).head(order), order)
 
 
 class ProductTable:
-    """Cached coefficients of the conjectured product, per dimension."""
-
-    def __init__(self):
-        self._cols: dict[int, list[int]] = {}
+    """Coefficients of the conjectured product, per dimension, read off the
+    process-wide product columns."""
 
     def value(self, n: int, d: int) -> int:
-        col = self._cols.get(n)
-        if col is None or len(col) <= d:
-            order = max(d, 8)
-            col = [int(c) for c in product_series(n, order).coeffs]
-            self._cols[n] = col
-        return col[d]
+        return product_column(n)[d]
 
     def refined(self, d: int, k: int) -> int:
         """The embedding-dimension refinement of the product counts, by the
         same alternating inversion that refines the true counts."""
-        return sum(
-            (-1) ** (k + j) * binom(k, j) * self.value(j, d) for j in range(k + 1)
-        )
+        return y_from_p(self.value, k, d)
 
 
 @dataclass(frozen=True)
@@ -360,9 +337,13 @@ def search_value_collisions(
         sizes = sorted({d for d, _ in entries})
         if len(sizes) > 1:
             collisions.append({"value": value, "entries": entries})
+    # the second route shares no table entry and no closed form with the first
+    checker = Resolver(
+        use_closed_forms=False, workers=resolver.workers, node_ceiling=resolver.node_ceiling
+    )
     for col in collisions:
         for d, n in col["entries"]:
-            check = _independent_value(d, n, resolver)
+            check = _independent_value(d, n, checker)
             if check != col["value"]:
                 raise IntegrityError(
                     f"collision entry p({n},{d}) failed re-verification: "
@@ -381,11 +362,12 @@ def search_value_collisions(
     return report
 
 
-def _independent_value(d: int, n: int, resolver: Resolver) -> int:
-    """Second-route recomputation of one collision side."""
+def _independent_value(d: int, n: int, checker: Resolver) -> int:
+    """Second-route recomputation of one collision side: the recurrences for
+    n = 2 and 3, else the raw pipeline of a checker built with
+    use_closed_forms=False (inversions, socle recursion, search)."""
     if n == 2:
         return partition_numbers(d)[d]
     if n == 3:
         return plane_partition_numbers(d)[d]
-    # inversion route, forced through the refined table
-    return sum(binom(n, k) * resolver.y(k, d) for k in range(d))
+    return checker.p(n, d)

@@ -8,6 +8,7 @@ be cross-checked; a disagreement raises IntegrityError rather than warning.
 
 from __future__ import annotations
 
+import functools
 import math
 from fractions import Fraction
 from typing import Callable, Optional, Sequence
@@ -15,14 +16,15 @@ from typing import Callable, Optional, Sequence
 from . import lattice, mpart, socle
 from .intmath import binom, double_factorial
 from .series import (
+    EulerColumn,
     HalfPower,
+    IntegrityError,
     ONE,
     Polynomial,
     PowerSeries,
     Q,
     RationalFunction,
     borel,
-    euler_product,
     expand_half_power,
     fit_numerator,
     one_minus_t_power,
@@ -38,9 +40,8 @@ CACHE = "cache"
 
 KINDS = ("P", "Y", "C", "D", "ALPHA")
 
-
-class IntegrityError(RuntimeError):
-    """Two supposedly equal routes disagreed, or a structural identity failed."""
+# a count as a function of its two indices: a CountTable, or a Resolver method
+Count = Callable[[int, int], int]
 
 
 class CountTable:
@@ -94,36 +95,49 @@ class CountTable:
     def __contains__(self, idx) -> bool:
         return self.forced_zero(self.kind, tuple(idx)) or tuple(idx) in self.entries
 
+    def __call__(self, *idx: int) -> int:
+        """The table as a count function: table(k, d) == table.get((k, d))."""
+        return self.get(idx)
+
 
 # --- inversion formulas -------------------------------------------------------
 
 
-def p_from_y(y: CountTable, n: int, d: int) -> int:
+# The binomial transforms between the refinements. Each sum stops where its
+# terms vanish (binom(n, k) = 0 for k > n, y(k, d) = 0 for k >= d, c(x, e) = 0
+# for x > 2e), so no vanishing term is ever computed.
+
+
+def p_from_y(y: Count, n: int, d: int) -> int:
     """p(n, d) from the exact-embedding-dimension refinement."""
     if d == 0:
         return 1
-    return sum(binom(n, k) * y.get((k, d)) for k in range(min(n, d - 1) + 1))
+    return sum(binom(n, k) * y(k, d) for k in range(min(n, d - 1) + 1))
 
 
-def y_from_p(p: CountTable, n: int, d: int) -> int:
+def y_from_p(p: Count, n: int, d: int) -> int:
     """Alternating inversion of p_from_y."""
-    return sum((-1) ** (n + j) * binom(n, j) * p.get((j, d)) for j in range(n + 1))
+    return sum((-1) ** (n + j) * binom(n, j) * p(j, d) for j in range(n + 1))
 
 
-def y_from_c(c: CountTable, k: int, e: int) -> int:
+def y_from_c(c: Count, k: int, e: int) -> int:
     """y(k, k+e+1) from the no-unit-socle refinement."""
-    return sum(binom(k, x) * c.get((x, e)) for x in range(min(k, 2 * e) + 1))
+    return sum(binom(k, x) * c(x, e) for x in range(min(k, 2 * e) + 1))
 
 
-def c_from_y(y: CountTable, k: int, e: int) -> int:
+def c_from_y(y: Count, k: int, e: int) -> int:
     """Alternating inversion of y_from_c."""
-    return sum(
-        (-1) ** (k + j) * binom(k, j) * y.get((j, e + j + 1)) for j in range(k + 1)
-    )
+    return sum((-1) ** (k + j) * binom(k, j) * y(j, e + j + 1) for j in range(k + 1))
+
+
+def c_degree_bound(x: int) -> int:
+    """2x - ceil(x/2): the numerator degree bound of the x-th C diagonal, and
+    the largest k of the d table at e = x."""
+    return 2 * x - (x + 1) // 2
 
 
 def _check_d_range(k: int, e: int):
-    if not (0 <= k <= 2 * e - math.ceil(e / 2)):
+    if not (0 <= k <= c_degree_bound(e)):
         raise ValueError(f"d-table index (k={k}, e={e}) outside 0 <= k <= 2e - ceil(e/2)")
 
 
@@ -147,7 +161,7 @@ def c_from_d(d: CountTable, k: int, e: int) -> int:
     if x < 0:
         raise ValueError("require k <= 2e")
     total = 0
-    for y in range(math.ceil(x / 2), min(e, 2 * x) + 1):
+    for y in range((x + 1) // 2, min(e, 2 * x) + 1):
         _check_d_range(2 * y - x, y)
         total += (
             math.factorial(2 * e - x)
@@ -176,7 +190,7 @@ def y_recurrence(seed: Sequence[int], e: int, k: int) -> int:
 def c_recurrence(seed: Sequence[int], x: int, e: int) -> int:
     """c(2e-x, e) for e > 2x from the leading diagonal values
     seed[z] = c(2z-x, z), z = ceil(x/2)..2x (indexed from z = ceil(x/2))."""
-    lo = math.ceil(x / 2)
+    lo = (x + 1) // 2
     if len(seed) < 2 * x - lo + 1:
         raise MissingDataError(f"need {2 * x - lo + 1} seed values, got {len(seed)}")
     if e <= 2 * x:
@@ -276,6 +290,30 @@ def limit_value(
     return None
 
 
+# --- the product column -----------------------------------------------------------
+
+
+def product_exponent(n: int, m: int) -> int:
+    """Exponent of (1-t^m)^-1 in the conjectured product for dimension n.
+
+    Written with the fixed lower index m-1 so that the product specializes
+    correctly down to n = 0 and 1 (where it reproduces the true counts).
+    """
+    return binom(m + n - 3, m - 1)
+
+
+@functools.cache
+def product_column(n: int) -> EulerColumn:
+    """The process-wide column of prod_m (1-t^m)^-product_exponent(n, m): the
+    partition counts for n <= 3 (MacMahon), the conjectured ones above.
+
+    Its coefficients depend on n alone, so every caller shares and extends it.
+    """
+    if n < 0:
+        raise ValueError("need n >= 0")
+    return EulerColumn(functools.partial(product_exponent, n))
+
+
 # --- generating functions -------------------------------------------------------
 
 
@@ -309,7 +347,7 @@ def y_diagonal_series(e: int, seed: Sequence[int]) -> RationalFunction:
 
 
 def c_diagonal_exponent(x: int) -> Fraction:
-    return Q(3, 2) + 2 * x - math.ceil(x / 2)
+    return Q(3, 2) + c_degree_bound(x)
 
 
 def _c_numerator_even(alpha: int, diag: Sequence[int]) -> list[Fraction]:
@@ -372,7 +410,7 @@ def c_diagonal_series(x: int, diag: Sequence[int]) -> tuple[Polynomial, Fraction
     if x < 0:
         raise ValueError("diagonal index must be nonnegative")
     exponent = c_diagonal_exponent(x)
-    deg_bound = 2 * x - math.ceil(x / 2)
+    deg_bound = c_degree_bound(x)
     if x == 0:
         numerator = ONE
     else:
@@ -424,24 +462,6 @@ class Resolver:
         self.node_ceiling = node_ceiling
         self.oracle_max_nodes = oracle_max_nodes
         self.tables = {kind: CountTable(kind) for kind in KINDS}
-        self._series_cache: dict[int, list[int]] = {}
-
-    # dimension <= 3 counts via the exact product formulas (valid there)
-    def _low_dim_p(self, n: int, d: int) -> int:
-        key = n
-        have = self._series_cache.get(key)
-        if have is None or len(have) <= d:
-            order = max(d, 16)
-            exps = [binom(m + n - 3, m - 1) for m in range(1, order + 1)]
-            series = euler_product(exps, order)
-            vals = []
-            for c in series.coeffs:
-                if c.denominator != 1:
-                    raise IntegrityError("product series produced a non-integer")
-                vals.append(int(c))
-            self._series_cache[key] = vals
-            have = vals
-        return have[d]
 
     def p(self, n: int, d: int) -> int:
         if n < 0 or d < 0:
@@ -456,16 +476,15 @@ class Resolver:
         if (n, d) in tab:
             return tab.get((n, d))
         if self.use_closed_forms and n in (2, 3):
-            return tab.set((n, d), self._low_dim_p(n, d), CLOSED_FORM)
-        # skip zero terms (binom(n, k) = 0 for k > n): they would still be searched
-        value = sum(binom(n, k) * self.y(k, d) for k in range(min(n, d - 1) + 1))
-        return tab.set((n, d), value, INVERSION)
+            # the product is exact in dimension <= 3
+            return tab.set((n, d), product_column(n)[d], CLOSED_FORM)
+        return tab.set((n, d), p_from_y(self.y, n, d), INVERSION)
 
     def _p2(self, d: int) -> int:
-        return self._low_dim_p(2, d)
+        return product_column(2)[d]
 
     def _p3(self, d: int) -> int:
-        return self._low_dim_p(3, d)
+        return product_column(3)[d]
 
     def y(self, k: int, d: int) -> int:
         if k < 0 or d < 1:
@@ -480,9 +499,7 @@ class Resolver:
         e = d - 1 - k
         if e < 0:
             return 0
-        # binom(k, x) = 0 for x > k and c(x, e) = 0 for x > 2e
-        value = sum(binom(k, x) * self.c(x, e) for x in range(min(k, 2 * e) + 1))
-        return tab.set((k, d), value, INVERSION)
+        return tab.set((k, d), y_from_c(self.c, k, e), INVERSION)
 
     def c(self, k: int, e: int) -> int:
         if k < 0 or e < 0:

@@ -9,11 +9,13 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Sequence
-
-from .intmath import binom
+from typing import Callable, Iterable, Sequence
 
 Q = Fraction
+
+
+class IntegrityError(RuntimeError):
+    """Two supposedly equal routes disagreed, or a structural identity failed."""
 
 
 def _normalize(coeffs: Iterable) -> tuple[Fraction, ...]:
@@ -266,11 +268,6 @@ class PowerSeries:
                     out[i + j] += a * self.coeffs[j]
         return PowerSeries(out, self.order)
 
-    def truncate(self, order: int) -> "PowerSeries":
-        if order > self.order:
-            raise ValueError("cannot extend a truncated series")
-        return PowerSeries(self.coeffs[: order + 1], order)
-
     def scale(self, c) -> "PowerSeries":
         c = Q(c)
         return PowerSeries([a * c for a in self.coeffs], self.order)
@@ -291,10 +288,6 @@ def series_of(r: RationalFunction, order: int) -> PowerSeries:
             acc -= r.den[i] * out[k - i]
         out.append(acc / d0)
     return PowerSeries(out, order)
-
-
-def polynomial_series(p: Polynomial, order: int) -> PowerSeries:
-    return PowerSeries(list(p.coeffs), order)
 
 
 def borel(s: PowerSeries) -> PowerSeries:
@@ -378,77 +371,78 @@ def fit_numerator(
     return Polynomial(prod.coeffs[: deg_bound + 1])
 
 
-def euler_product(exponents: Sequence, order: int) -> PowerSeries:
-    """prod_{m=1}^{M} (1 - t^m)^(-w_m) truncated at the given order.
+def _divisors(n: int) -> list[int]:
+    return [m for m in range(1, n + 1) if n % m == 0]
 
-    Integer exponents of either sign stay exact and run on plain integers;
-    rational exponents expand via the generalized binomial series.
+
+def _exact_quotient(total, n: int):
+    """total / n, kept in plain ints when total is an int (and then exact)."""
+    if isinstance(total, int):
+        q, r = divmod(total, n)
+        if r:
+            raise IntegrityError(f"integer Euler column: {total} is not divisible by {n}")
+        return q
+    return Q(total, n)
+
+
+class EulerColumn:
+    """Coefficients a_0, a_1, ... of prod_{m>=1} (1 - t^m)^(-w_m), append-only.
+
+    Each new coefficient comes from the ones before it by the Euler-transform
+    recurrence n*a_n = sum_{k=1..n} s_k*a_{n-k} with s_k = sum_{m|k} m*w_m
+    (Bernstein-Sloane, "Some canonical sequences of integers", 1995). The
+    callable gives w_m. Integer weights keep the column in plain ints, where an
+    inexact division raises IntegrityError; rational weights give Fractions.
     """
+
+    __slots__ = ("_weight", "_w", "_s", "_a")
+
+    def __init__(self, weight: Callable[[int], int | Fraction]):
+        self._weight = weight
+        self._w = [0]  # w_0 and s_0 are placeholders
+        self._s = [0]
+        self._a = [1]
+
+    def __getitem__(self, n: int):
+        if n < 0:
+            raise IndexError(f"coefficient index {n} is negative")
+        a, s, w = self._a, self._s, self._w
+        while len(a) <= n:
+            k = len(a)
+            w.append(self._weight(k))
+            s.append(sum(m * w[m] for m in _divisors(k)))
+            a.append(_exact_quotient(sum(s[j] * a[k - j] for j in range(1, k + 1)), k))
+        return a[n]
+
+    def head(self, order: int) -> list:
+        """a_0..a_order."""
+        return [self[n] for n in range(order + 1)]
+
+
+def euler_product(exponents: Sequence, order: int) -> PowerSeries:
+    """prod_{m=1}^{M} (1 - t^m)^(-w_m) truncated at the given order."""
     ws = list(exponents)
-    if all(Q(w).denominator == 1 for w in ws):
-        acc = [1] + [0] * order
-        for m, w in enumerate(ws, start=1):
-            if m > order:
-                break
-            w = int(w)
-            if w == 0:
-                continue
-            # coefficients of (1-u)^-w: C(w+j-1, j), exact ints for either sign
-            fac = [1]
-            c = 1
-            for j in range(1, order // m + 1):
-                c = c * (w + j - 1) // j if w > 0 else c
-                if w > 0:
-                    fac.append(c)
-                else:
-                    fac.append(binom(-w, j) * (-1) ** j)
-            out = [0] * (order + 1)
-            for j, b in enumerate(fac):
-                if b == 0:
-                    continue
-                base = j * m
-                for i in range(base, order + 1):
-                    a = acc[i - base]
-                    if a:
-                        out[i] += a * b
-            acc = out
-        return PowerSeries(acc, order)
-    result = PowerSeries([1], order)
-    for m, w in enumerate(ws, start=1):
-        if m > order:
-            break
-        w = Q(w)
-        if w == 0:
-            continue
-        factor_t = binomial_series(-w, -1, order // m)  # (1-u)^-w in u
-        factor = [Q(0)] * (order + 1)
-        for j, c in enumerate(factor_t.coeffs):
-            factor[j * m] = c
-        result = result * PowerSeries(factor, order)
-    return result
+    column = EulerColumn(lambda m: ws[m - 1] if m <= len(ws) else 0)
+    return PowerSeries(column.head(order), order)
 
 
 def inverse_euler(s: PowerSeries) -> list[Fraction]:
-    """Exponents w_1..w_N with s = prod (1-t^m)^(-w_m), peeled iteratively.
+    """Exponents w_1..w_N with s = prod (1-t^m)^(-w_m): the EulerColumn
+    recurrence run backwards, s_n = n*a_n - sum_{k<n} s_k*a_{n-k} and
+    n*w_n = s_n - sum_{j|n, j<n} j*w_j.
 
     Requires s(0) = 1. Returns exact rationals; they are integers whenever the
     input is an integer series that genuinely is such a product.
     """
     if s[0] != 1:
         raise ValueError("constant coefficient must be 1")
-    current = s
-    exps: list[Fraction] = []
-    for m in range(1, s.order + 1):
-        w = current[m]
-        exps.append(w)
-        if w != 0:
-            # multiply by (1-t^m)^w to clear the coefficient of t^m
-            factor_t = binomial_series(w, -1, s.order // m)
-            factor = [Q(0)] * (s.order + 1)
-            for j, c in enumerate(factor_t.coeffs):
-                factor[j * m] = c
-            current = current * PowerSeries(factor, s.order)
-    return exps
+    a = s.coeffs
+    sums: list[Fraction] = [Q(0)]
+    ws: list[Fraction] = [Q(0)]
+    for n in range(1, s.order + 1):
+        sums.append(n * a[n] - sum(sums[k] * a[n - k] for k in range(1, n)))
+        ws.append(Q(sums[n] - sum(j * ws[j] for j in _divisors(n)[:-1]), n))
+    return ws[1:]
 
 
 def q_binomial(a: int, b: int) -> Polynomial:

@@ -20,7 +20,7 @@ from hdpart.macmahon import (
     search_value_collisions,
     stirling_denominator,
 )
-from hdpart.refine import Resolver
+from hdpart.refine import IntegrityError, Resolver
 from hdpart.series import NumeratorFitError, PowerSeries, Q, fit_numerator
 
 R = Resolver()
@@ -139,6 +139,10 @@ def test_true_diagonal_is_negative_control():
 def test_recurrence_columns_match_products():
     assert partition_numbers(12) == [int(c) for c in product_series(2, 12).coeffs]
     assert plane_partition_numbers(10) == [int(c) for c in product_series(3, 10).coeffs]
+    # exact far out: a float anywhere in the column would lose these digits
+    assert product_series(2, 100)[100] == partition_numbers(100)[100] == 190569292
+    assert product_series(3, 100)[100] == plane_partition_numbers(100)[100]
+    assert type(ProductTable().value(4, 40)) is int
 
 
 def test_sparsity_search_small():
@@ -158,3 +162,12 @@ def test_sparsity_search_without_extension():
     assert report.verdict == "holds"
     values = {c["value"] for c in report.evidence["collisions"]}
     assert {15, 45, 105, 120, 2145} <= values  # pairs with both sizes <= 8
+
+
+def test_sparsity_reverification_is_independent():
+    # one wrong Y entry turns p(4,3) = 10 into 22 = p(2,8), a collision; the
+    # second route must not read the same table and agree with the error
+    bad = Resolver()
+    bad.tables["Y"].set((2, 3), 3, "test")
+    with pytest.raises(IntegrityError, match=r"p\(4,3\)"):
+        search_value_collisions(8, 100, bad)

@@ -10,13 +10,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hdpart.intmath import binom, double_factorial, macaulay_growth
+from hdpart import series as series_mod
 from hdpart.series import (
     HalfPower,
+    IntegrityError,
     NumeratorFitError,
     ONE,
     Polynomial,
     PowerSeries,
     RationalFunction,
+    binomial_series,
     borel,
     euler_product,
     expand_half_power,
@@ -154,6 +157,20 @@ def test_euler_product_examples():
     assert [int(c) for c in planes.coeffs] == [1, 1, 3, 6, 13, 24, 48, 86]
     geom = series_of(RationalFunction(ONE, one_minus_t_power(1)), 8)
     assert inverse_euler(geom) == [1] + [0] * 7
+    # negative exponents: prod (1 - t^m) is Euler's pentagonal series
+    pentagonal = [0] * 41
+    for k in range(-5, 6):
+        pentagonal[k * (3 * k - 1) // 2] = (-1) ** k
+    assert euler_product([-1] * 40, 40) == PowerSeries(pentagonal, 40)
+    assert inverse_euler(PowerSeries(pentagonal, 40)) == [-1] * 40
+    # a rational exponent: (1 - t^2)^(-1/3) is the binomial series in t^2
+    cube_root = binomial_series(Q(-1, 3), -1, 10)
+    spread = [cube_root[j // 2] if j % 2 == 0 else 0 for j in range(21)]
+    assert euler_product([0, Q(1, 3)], 20) == PowerSeries(spread, 20)
+    assert inverse_euler(PowerSeries(spread, 20)) == [0, Q(1, 3)] + [0] * 18
+    # an integer column divides exactly or raises
+    with pytest.raises(IntegrityError):
+        series_mod._exact_quotient(7, 2)
 
 
 def test_euler_round_trip_random_series():
@@ -164,6 +181,8 @@ def test_euler_round_trip_random_series():
         s = PowerSeries(coeffs, order)
         exps = inverse_euler(s)
         assert euler_product(exps, order) == s
+        rational = PowerSeries([1] + [Q(rng.randint(-6, 6), rng.randint(1, 5)) for _ in coeffs[1:]])
+        assert euler_product(inverse_euler(rational), order) == rational
 
 
 def test_q_binomial_examples():
