@@ -2,15 +2,28 @@
 
 Points of N^n are plain int tuples ordered by (degree, lex). A partition is a
 finite downward-closed set of points; enumeration proceeds by appending points
-in strictly increasing order, which visits every partition exactly once.
+in strictly increasing order, which visits every partition exactly once
+(Bratley–McKay, CACM Algorithm 313; Knuth, Math. Comp. 24, 1970).
+
+The oracle walks an integer-indexed universe: every point whose down-set fits
+the target size, numbered in (degree, lex) order, with its upper covers and a
+lower-cover mask. A state is a chosen-set mask, its layer counts and the sorted
+list of addable indices; points become tuples again only for the constraint
+checker's leaf test and for `iter_partitions`. Without a checker or visitor the
+last level is counted, not walked: a state one point short of the target has
+one leaf per candidate, and the node budget is charged for each of them, so
+node ceilings mean what they meant for a walk that visits every leaf. Only the
+node counter `_Budget` is shared with `mpart`'s region search; the walk itself
+is separate code, so it stays an independent route.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from typing import Callable, Iterable, Iterator, Optional, Sequence
+from typing import Callable, Iterable, Iterator, NamedTuple, Optional, Sequence
 
 Point = tuple[int, ...]
 
@@ -169,54 +182,102 @@ class ConstraintSpec:
 # --- enumeration core --------------------------------------------------------
 
 
-def _fresh_candidates(chosen: set[Point], c: Point) -> list[Point]:
-    out = []
-    for i in range(len(c)):
-        q = c[:i] + (c[i] + 1,) + c[i + 1 :]
-        if all(cov in chosen for cov in lower_covers(q)):
-            out.append(q)
-    return out
-
-
-def _merge(a: Sequence[Point], b: Sequence[Point]) -> list[Point]:
-    return sorted(itertools.chain(a, b), key=point_key)
-
-
 class _Budget:
+    """Node counter of a search walker; raises once it passes its ceiling."""
+
     __slots__ = ("nodes", "ceiling")
 
     def __init__(self, ceiling: Optional[int]):
         self.nodes = 0
         self.ceiling = ceiling
 
-    def spend(self):
-        self.nodes += 1
+    def spend(self, nodes: int = 1):
+        self.nodes += nodes
         if self.ceiling is not None and self.nodes > self.ceiling:
-            raise ResourceCeilingError(
-                f"enumeration exceeded the {self.ceiling}-state ceiling"
-            )
+            raise ResourceCeilingError(f"search exceeded the {self.ceiling}-node ceiling")
+
+
+class _Universe(NamedTuple):
+    """Every point of N^n whose down-set has at most `size` points.
+
+    Points are numbered in (degree, lex) order, so a sorted list of indices is
+    a list of points in enumeration order. For point j of degree g, bit
+    i - start[g-1] of need[j] marks lower cover i: all lower covers lie in the
+    layer below, so each mask is only as wide as that layer.
+    """
+
+    points: tuple[Point, ...]
+    degrees: tuple[int, ...]
+    start: tuple[int, ...]  # index of the first point of each degree
+    up: tuple[tuple[int, ...], ...]  # indices of the upper covers
+    need: tuple[int, ...]
+
+    def decode(self, chosen: int) -> tuple[Point, ...]:
+        """The points of a chosen-set mask, in enumeration order."""
+        out = []
+        while chosen:
+            low = chosen & -chosen
+            out.append(self.points[low.bit_length() - 1])
+            chosen ^= low
+        return tuple(out)
+
+
+@functools.lru_cache(maxsize=16)
+def _universe(n: int, size: int, ceiling: Optional[int] = None) -> _Universe:
+    """The point universe of a walk to `size` points in N^n.
+
+    Point p is the last point of the partition down(p), so an unconstrained
+    walk visits at least one node per point; a universe larger than its node
+    ceiling raises before any table is built.
+    """
+    budget = _Budget(ceiling)
+    points: list[Point] = []
+    start: list[int] = []
+    layer = {(0,) * n: 1} if size >= 1 else {}  # point -> down-set size
+    while layer:
+        budget.spend(len(layer))
+        start.append(len(points))
+        points.extend(sorted(layer))
+        above = {}
+        for p, cells in layer.items():
+            for i, v in enumerate(p):
+                q_cells = cells // (v + 1) * (v + 2)
+                if q_cells <= size:
+                    above[p[:i] + (v + 1,) + p[i + 1 :]] = q_cells
+        layer = above
+    index = {p: i for i, p in enumerate(points)}
+    degrees = tuple(sum(p) for p in points)
+    up: list[tuple[int, ...]] = []
+    need = [0] * len(points)
+    for i, p in enumerate(points):
+        covers = []
+        for k, v in enumerate(p):
+            j = index.get(p[:k] + (v + 1,) + p[k + 1 :])
+            if j is not None:
+                covers.append(j)
+                need[j] |= 1 << (i - start[degrees[i]])
+        up.append(tuple(covers))
+    return _Universe(tuple(points), degrees, tuple(start), tuple(up), tuple(need))
 
 
 class _ConstraintChecker:
     """Incremental admissibility for the ordered DFS.
 
     Additions arrive in increasing (degree, lex) order, so when a point of
-    degree g is appended every layer below g-0 is final except layer g itself.
+    degree g is appended every layer below g is final except layer g itself.
     """
 
     def __init__(self, spec: ConstraintSpec):
         self.spec = spec
         self.hs_target = spec.hilbert_samuel
-        self.impossible = self.hs_target is not None and (
-            not self.hs_target or self.hs_target[0] != 1
-        )
+        # only the empty partition has the empty Hilbert function
+        self.impossible = bool(self.hs_target) and self.hs_target[0] != 1
 
-    def admits(self, layers: list[int], p: Point) -> bool:
-        """May p be appended to a state with the given layer counts?"""
+    def admits(self, layers: list[int], g: int) -> bool:
+        """May a point of degree g be appended to a state with these layer counts?"""
         if self.impossible:
             return False
         s = self.spec
-        g = degree(p)
         if s.length is not None and g > s.length:
             return False
         if s.embedding_dim is not None and g == 1 and layers[1] + 1 > s.embedding_dim:
@@ -282,59 +343,76 @@ _SPLIT_DEPTH = 2
 
 
 def _count_dfs(
+    universe: _Universe,
     target_size: int,
     checker: Optional[_ConstraintChecker],
     budget: _Budget,
-    chosen: list[Point],
-    chosen_set: set[Point],
-    cands: Sequence[Point],
+    chosen: int,
+    size: int,
+    layers: list[int],
+    cands: list[int],
     visitor: Optional[Callable[[tuple[Point, ...]], None]] = None,
-    prefixes: Optional[list[tuple[tuple[Point, ...], tuple[Point, ...]]]] = None,
+    prefixes: Optional[list[tuple[int, list[int]]]] = None,
 ) -> int:
-    """Count the leaves below a state. With prefixes given, states of
-    _SPLIT_DEPTH points are appended to it instead of being walked."""
-    size = len(chosen)
+    """Count the leaves below a state: `chosen` is a mask of universe indices,
+    `layers` its points per degree, `cands` the addable indices in order.
+    With prefixes given, states of _SPLIT_DEPTH points are appended to it
+    instead of being walked."""
     if size == target_size:
-        if checker is None or checker.accepts_leaf(chosen, chosen_set):
+        points = universe.decode(chosen)
+        if checker is None or checker.accepts_leaf(points, set(points)):
             if visitor is not None:
-                visitor(tuple(chosen))
+                visitor(points)
             return 1
         return 0
+    if size == target_size - 1 and checker is None and visitor is None:
+        # every candidate completes a leaf: count them without visiting
+        budget.spend(len(cands))
+        return len(cands)
     if prefixes is not None and size == _SPLIT_DEPTH:
-        prefixes.append((tuple(chosen), tuple(cands)))
+        prefixes.append((chosen, cands))
         return 0
+    degrees, start, up, need = universe.degrees, universe.start, universe.up, universe.need
     total = 0
-    layers = [0] * (target_size + 2)
-    for p in chosen:
-        layers[degree(p)] += 1
     for idx, c in enumerate(cands):
-        if checker is not None and not checker.admits(layers, c):
+        g = degrees[c]
+        if checker is not None and not checker.admits(layers, g):
             continue
         budget.spend()
-        chosen.append(c)
-        chosen_set.add(c)
-        fresh = _fresh_candidates(chosen_set, c)
+        mask = chosen | 1 << c
+        below = mask >> start[g]
+        fresh = [j for j in up[c] if need[j] & below == need[j]]
+        rest = cands[idx + 1 :]
+        layers[g] += 1
         total += _count_dfs(
+            universe,
             target_size,
             checker,
             budget,
-            chosen,
-            chosen_set,
-            _merge(cands[idx + 1 :], fresh) if fresh else cands[idx + 1 :],
+            mask,
+            size + 1,
+            layers,
+            sorted(rest + fresh) if fresh else rest,
             visitor,
             prefixes,
         )
-        chosen.pop()
-        chosen_set.remove(c)
+        layers[g] -= 1
     return total
 
 
-def _subtree_task(args) -> int:
-    target_size, spec, max_nodes, chosen, cands = args
+def _subtree_task(args) -> tuple[int, int]:
+    """Leaves and nodes below one prefix state; a process-pool task."""
+    n, target_size, spec, max_nodes, chosen, cands = args
+    universe = _universe(n, target_size)
     checker = _ConstraintChecker(spec) if spec is not None else None
-    return _count_dfs(
-        target_size, checker, _Budget(max_nodes), list(chosen), set(chosen), cands
+    budget = _Budget(max_nodes)
+    layers = [0] * (target_size + 2)
+    for p in universe.decode(chosen):
+        layers[degree(p)] += 1
+    count = _count_dfs(
+        universe, target_size, checker, budget, chosen, _SPLIT_DEPTH, layers, cands
     )
+    return count, budget.nodes
 
 
 def _count(
@@ -346,21 +424,32 @@ def _count(
     visitor: Optional[Callable[[tuple[Point, ...]], None]] = None,
 ) -> int:
     checker = _ConstraintChecker(spec) if spec is not None else None
+    # a checker can prune below one node per point: only an unconstrained walk
+    # may refuse a universe larger than its ceiling
+    universe = _universe(n, target_size, max_nodes if checker is None else None)
+    budget = _Budget(max_nodes)
     prefixes: Optional[list] = [] if workers > 1 and visitor is None else None
     total = _count_dfs(
+        universe,
         target_size,
         checker,
-        _Budget(max_nodes),
-        [],
-        set(),
-        ((0,) * n,),
+        budget,
+        0,
+        0,
+        [0] * (target_size + 2),
+        [0] if universe.points else [],
         visitor,
         prefixes,
     )
     if prefixes:
-        tasks = [(target_size, spec, max_nodes, chosen, cands) for chosen, cands in prefixes]
+        # one ceiling for the whole walk: each task may spend what the prefix
+        # walk left, and the tasks' nodes are charged here in a fixed order
+        left = None if max_nodes is None else max_nodes - budget.nodes
+        tasks = [(n, target_size, spec, left, chosen, cands) for chosen, cands in prefixes]
         with ProcessPoolExecutor(max_workers=workers) as ex:
-            total += sum(ex.map(_subtree_task, tasks, chunksize=8))
+            for count, nodes in ex.map(_subtree_task, tasks, chunksize=8):
+                budget.spend(nodes)
+                total += count
     return total
 
 

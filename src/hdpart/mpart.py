@@ -21,7 +21,7 @@ from typing import Iterable, Iterator, Optional, Sequence
 
 from .lattice import (
     Point,
-    ResourceCeilingError,
+    _Budget,
     canonical_orbit,
     degree,
     lower_covers,
@@ -256,15 +256,11 @@ class _RegionSearch:
                     parents |= 1 << cellindex[c]
             self.parent_mask.append(parents)
             self.covers.append(cover)
-        self.node_ceiling = node_ceiling
-        self.nodes = 0
+        self.budget = _Budget(node_ceiling)
 
-    def _spend(self):
-        self.nodes += 1
-        if self.node_ceiling is not None and self.nodes > self.node_ceiling:
-            raise ResourceCeilingError(
-                f"search exceeded the {self.node_ceiling}-node ceiling"
-            )
+    @property
+    def nodes(self) -> int:
+        return self.budget.nodes
 
     def sweep(self, m_max: int) -> BucketTable:
         """Count every valid subset of size <= m_max, bucketed by
@@ -272,6 +268,7 @@ class _RegionSearch:
         table: BucketTable = {}
         layer_counts: dict[int, int] = {}
         parent_mask, degrees, covers = self.parent_mask, self.degrees, self.covers
+        spend = self.budget.spend
 
         def rec(last: int, size: int, cover: int, maxdeg: int, chosen: int):
             if cover == self.full_mask and size >= 1:
@@ -292,7 +289,7 @@ class _RegionSearch:
             for i in range(last + 1, limit):
                 if parent_mask[i] & ~chosen:
                     continue
-                self._spend()
+                spend()
                 g = degrees[i]
                 layer_counts[g] = layer_counts.get(g, 0) + 1
                 rec(i, size + 1, cover | covers[i], max(maxdeg, g), chosen | 1 << i)

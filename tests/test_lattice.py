@@ -1,9 +1,11 @@
 """Ground-truth layer: lattice types, apolarity, and the enumeration oracle."""
 
+import functools
 import itertools
+import math
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from hdpart.lattice import (
@@ -18,6 +20,7 @@ from hdpart.lattice import (
     embedding_dimension,
     hilbert_samuel,
     is_antichain,
+    is_downward_closed,
     iter_partitions,
     permute_point,
     socle,
@@ -123,6 +126,23 @@ def test_resource_guard():
         count_partitions(3, 9, max_nodes=50)
 
 
+@pytest.mark.parametrize("workers", [1, 2])
+def test_counted_last_level_keeps_node_accounting(workers):
+    # 623 nodes: one per partition of size 1..9 in N^3, the last level counted
+    assert count_partitions(3, 9, workers=workers, max_nodes=623) == 282
+    with pytest.raises(ResourceCeilingError):
+        count_partitions(3, 9, workers=workers, max_nodes=622)
+
+
+def test_node_ceiling_is_global_under_workers():
+    # the serial walk needs 1231 nodes; every subtree fits 899 on its own
+    with pytest.raises(ResourceCeilingError):
+        count_partitions(4, 8, workers=1, max_nodes=899)
+    with pytest.raises(ResourceCeilingError):
+        count_partitions(4, 8, workers=2, max_nodes=899)
+    assert count_partitions(4, 8, workers=2, max_nodes=1231) == 684
+
+
 def test_permutation_invariance_of_enumeration():
     # permuting coordinates maps the set of partitions to itself
     for n, d in [(3, 5), (4, 4)]:
@@ -213,6 +233,68 @@ def test_socle_type_and_embedding_dimension():
     part = apolar_closure([(2, 1), (0, 2)], 2)
     assert embedding_dimension(part) == 2
     assert socle_type(part) == (0, 0, 1, 1)
+
+
+@functools.cache
+def _brute_partitions(n: int, size: int) -> tuple[Partition, ...]:
+    """Every partition of N^n with `size` points, from all subsets of a box.
+
+    A down-set holding p holds the prod(p_i + 1) points below it, so the box
+    keeps only the points with that product at most `size`.
+    """
+    box = [
+        p
+        for p in itertools.product(range(size), repeat=n)
+        if math.prod(v + 1 for v in p) <= size
+    ]
+    return tuple(
+        Partition(n, subset)
+        for subset in itertools.combinations(box, size)
+        if is_downward_closed(subset)
+    )
+
+
+def _matches(part: Partition, spec: ConstraintSpec) -> bool:
+    hs = hilbert_samuel(part)
+    checks = [
+        (spec.embedding_dim, embedding_dimension(part)),
+        (spec.hilbert_samuel, hs),
+        (spec.quadric_count, hs[2] if len(hs) > 2 else 0),
+        (spec.tail_mass, sum(hs[3:])),
+        (spec.length, part.length),
+    ]
+    if any(want is not None and got != want for want, got in checks):
+        return False
+    low = spec.min_socle_degree
+    return low is None or not any(socle_type(part)[:low])
+
+
+@st.composite
+def small_specs(draw):
+    n = draw(st.integers(min_value=0, max_value=3))
+    spec = ConstraintSpec(
+        size=draw(st.integers(min_value=0, max_value=6)),
+        embedding_dim=draw(st.none() | st.integers(min_value=0, max_value=3)),
+        min_socle_degree=draw(st.none() | st.integers(min_value=0, max_value=4)),
+        hilbert_samuel=draw(
+            st.none() | st.lists(st.integers(min_value=0, max_value=3), max_size=5).map(tuple)
+        ),
+        quadric_count=draw(st.none() | st.integers(min_value=0, max_value=4)),
+        tail_mass=draw(st.none() | st.integers(min_value=0, max_value=4)),
+        length=draw(st.none() | st.integers(min_value=0, max_value=5)),
+    )
+    return n, spec
+
+
+@given(small_specs())
+@example((2, ConstraintSpec(size=0, hilbert_samuel=())))
+@example((3, ConstraintSpec(size=6, embedding_dim=3, min_socle_degree=2)))
+@settings(max_examples=150, deadline=None)
+def test_oracle_matches_subset_brute_force(data):
+    n, spec = data
+    brute = _brute_partitions(n, spec.size)
+    assert count_constrained(n, spec) == sum(_matches(p, spec) for p in brute)
+    assert set(iter_partitions(n, spec.size)) == {p.points for p in brute}
 
 
 def test_parallel_determinism():
