@@ -14,7 +14,7 @@ from pathlib import Path
 
 from . import cache as cache_mod
 from . import hydral, macmahon, mpart
-from .lattice import ConstraintSpec, ResourceCeilingError, count_constrained, count_partitions
+from .lattice import ResourceCeilingError, count_constrained
 from .refine import IntegrityError, Resolver, c_degree_bound, c_diagonal_series, y_diagonal_series
 from .series import (
     NumeratorFitError,
@@ -56,63 +56,49 @@ def _golden_lookup(kind: str, index: tuple[int, ...]) -> int | None:
 # --- count -----------------------------------------------------------------------
 
 
-def _count_value(args, resolver: Resolver) -> int:
+def _alpha_query(args) -> mpart.AlphaQuery:
+    if args.table == "hydral":
+        return mpart.AlphaQuery(args.n, args.n, args.m)
+    if args.hilbert:
+        return mpart.AlphaQuery.from_profile(int(x) for x in args.hilbert.split(","))
+    return mpart.AlphaQuery(args.k, args.q, args.m, length=args.length)
+
+
+def _count_value(args, resolver: Resolver, oracle: bool) -> int:
+    """The requested count, from the pipeline or from the brute-force oracle."""
     if args.table == "p":
-        if args.oracle:
-            return count_partitions(args.n, args.d, workers=args.workers, max_nodes=args.max_nodes)
-        return resolver.p(args.n, args.d)
+        return resolver.p_oracle(args.n, args.d) if oracle else resolver.p(args.n, args.d)
     if args.table == "y":
-        if args.oracle:
-            return resolver.y_oracle(args.k, args.d)
-        return resolver.y(args.k, args.d)
+        return resolver.y_oracle(args.k, args.d) if oracle else resolver.y(args.k, args.d)
     if args.table == "c":
-        if args.oracle:
-            return resolver.c_oracle(args.k, args.e)
-        return resolver.c(args.k, args.e)
-    if args.table == "alpha":
-        if args.hilbert:
-            profile = tuple(int(x) for x in args.hilbert.split(","))
-            return mpart.alpha_by_hilbert(profile, workers=args.workers, node_ceiling=args.node_ceiling)
-        if args.oracle:
-            return resolver.alpha_oracle(args.k, args.q, args.m)
-        if args.checkpoint_dir:
-            run = cache_mod.CheckpointedAlphaRun(
-                Path(args.checkpoint_dir), args.k, args.q, args.m,
-                length=args.length, node_ceiling=args.node_ceiling, workers=args.workers,
-            )
-            if mpart._trivial_alpha(args.k, args.q, args.m) is None:
-                value = run.run(task_limit=args.task_limit)
-                if value is None:
-                    raise ResourceCeilingError(
-                        f"checkpointed run paused with {len(run.pending)} tasks pending"
-                    )
-                return value
-        return mpart.alpha_count(
-            args.k, args.q, args.m, length=args.length,
-            workers=args.workers, node_ceiling=args.node_ceiling,
+        return resolver.c_oracle(args.k, args.e) if oracle else resolver.c(args.k, args.e)
+    query = _alpha_query(args)
+    if oracle:
+        # the query's own spec, so a refined count never fills the ALPHA(k, q, m) entry
+        return count_constrained(
+            query.k, query.constraint_spec(), workers=args.workers, max_nodes=args.max_nodes
         )
     if args.table == "hydral":
         return hydral.hydral_count(args.n, args.m)
-    raise ValueError(args.table)
-
-
-def _count_oracle_twin(args, resolver: Resolver) -> int:
-    """Second-provenance value for --verify."""
-    if args.table == "p":
-        return count_partitions(args.n, args.d, workers=args.workers, max_nodes=args.max_nodes)
-    if args.table == "y":
-        return resolver.y_oracle(args.k, args.d)
-    if args.table == "c":
-        return resolver.c_oracle(args.k, args.e)
-    if args.table == "alpha":
-        return resolver.alpha_oracle(args.k, args.q, args.m)
-    if args.table == "hydral":
-        return resolver.alpha_oracle(args.n, args.n, args.m)
-    raise ValueError(args.table)
+    if args.checkpoint_dir and query.profile is None:
+        run = cache_mod.CheckpointedAlphaRun(
+            Path(args.checkpoint_dir), query.k, query.q, query.m,
+            length=query.length, node_ceiling=args.node_ceiling, workers=args.workers,
+        )
+        if mpart._trivial_alpha(query.k, query.q, query.m) is None:
+            value = run.run(task_limit=args.task_limit)
+            if value is None:
+                raise ResourceCeilingError(
+                    f"checkpointed run paused with {len(run.pending)} tasks pending"
+                )
+            return value
+    return mpart.alpha(query, workers=args.workers, node_ceiling=args.node_ceiling)
 
 
 def cmd_count(args) -> int:
-    resolver = Resolver(workers=args.workers, node_ceiling=args.node_ceiling)
+    resolver = Resolver(
+        workers=args.workers, node_ceiling=args.node_ceiling, oracle_max_nodes=args.max_nodes
+    )
     store = _cache_store(args)
     kind_index = {
         "p": ("P", lambda: (args.n, args.d)),
@@ -132,9 +118,9 @@ def cmd_count(args) -> int:
         if seeded is not None:
             print(seeded)
             return EXIT_OK
-    value = _count_value(args, resolver)
+    value = _count_value(args, resolver, args.oracle)
     if args.verify:
-        twin = _count_oracle_twin(args, resolver)
+        twin = _count_value(args, resolver, True)
         if twin != value:
             return _fail("verification-mismatch", pipeline=str(value), oracle=str(twin))
     if store is not None and simple_query and not args.oracle:

@@ -265,12 +265,9 @@ def _triple_factor(i: int) -> int:
     return math.factorial(3 * i) // (6**i * math.factorial(i))
 
 
-def hydral_count(n: int, m: int) -> int:
-    """Number of partitions with n variables, n quadrics, m deep boxes and
-    socle in degree >= 3."""
-    if n < 1 or m < 1:
-        return 0
-    total = 0
+def _terms(n: int) -> Iterator[tuple[int, Parts, int]]:
+    """The nonzero terms (i, rho, w) of the count in n variables: i square-free
+    triples, the block profile rho they leave, and its weight w."""
     for lam in partitions_of(n):
         rho = lam
         for i in range(triple_count(lam) + 1):
@@ -278,8 +275,15 @@ def hydral_count(n: int, m: int) -> int:
                 rho = strip_triple(rho)
             w = binom(n, 3 * i) * _triple_factor(i) * marked_block_count(rho)
             if w:
-                total += w * block_weight_count(rho, m - i)
-    return total
+                yield i, rho, w
+
+
+def hydral_count(n: int, m: int) -> int:
+    """Number of partitions with n variables, n quadrics, m deep boxes and
+    socle in degree >= 3."""
+    if n < 1 or m < 1:
+        return 0
+    return sum(w * block_weight_count(rho, m - i) for i, rho, w in _terms(n))
 
 
 def hydral_series(n: int, order: int | None = None) -> RationalFunction:
@@ -294,18 +298,11 @@ def hydral_series(n: int, order: int | None = None) -> RationalFunction:
             closed_cache[p] = head_block_closed(p)
         return closed_cache[p]
 
-    for lam in partitions_of(n):
-        rho = lam
-        for i in range(triple_count(lam) + 1):
-            if i:
-                rho = strip_triple(rho)
-            w = binom(n, 3 * i) * _triple_factor(i) * marked_block_count(rho)
-            if w == 0:
-                continue
-            term = RationalFunction(Polynomial([0] * i + [w]), ONE)
-            for p in rho:
-                term = term * closed(p)
-            total = (total + term).reduced()
+    for i, rho, w in _terms(n):
+        term = RationalFunction(Polynomial([0] * i + [w]), ONE)
+        for p in rho:
+            term = term * closed(p)
+        total = (total + term).reduced()
     result = total.reduced()
     if order is not None:
         got = series_of(result, order)

@@ -8,17 +8,22 @@ in strictly increasing order, which visits every partition exactly once
 The oracle walks an integer-indexed universe: every point whose down-set fits
 the target size, numbered in (degree, lex) order, with its upper covers and a
 lower-cover mask. A state is a chosen-set mask, its layer counts and the sorted
-list of addable indices; points become tuples again only for the constraint
-checker's leaf test and for `iter_partitions`. Without a checker or visitor the
-last level is counted, not walked: a state one point short of the target has
-one leaf per candidate, and the node budget is charged for each of them, so
-node ceilings mean what they meant for a walk that visits every leaf. Only the
-node counter `_Budget` is shared with `mpart`'s region search; the walk itself
-is separate code, so it stays an independent route.
+list of addable indices; points become tuples again only for `iter_partitions`.
+The constraint checker reads that state too: layer counts for the layer
+targets, upper-cover indices for the socle test. Since the layer below the
+degree being filled is settled, every point that can still join that layer is
+already a candidate, so a layer whose target its remaining candidates cannot
+reach is cut at once. Without a checker or visitor the last level is counted,
+not walked: a state one point short of the target has one leaf per candidate,
+and the node budget is charged for each of them, so node ceilings mean what
+they meant for a walk that visits every leaf. Only the node counter `_Budget`
+is shared with `mpart`'s region search; the walk itself is separate code, so it
+stays an independent route.
 """
 
 from __future__ import annotations
 
+import bisect
 import functools
 import itertools
 from concurrent.futures import ProcessPoolExecutor
@@ -261,80 +266,72 @@ def _universe(n: int, size: int, ceiling: Optional[int] = None) -> _Universe:
 
 
 class _ConstraintChecker:
-    """Incremental admissibility for the ordered DFS.
+    """Incremental admissibility for the ordered DFS over one universe.
 
     Additions arrive in increasing (degree, lex) order, so when a point of
     degree g is appended every layer below g is final except layer g itself.
     """
 
-    def __init__(self, spec: ConstraintSpec):
+    def __init__(self, spec: ConstraintSpec, universe: _Universe):
         self.spec = spec
-        self.hs_target = spec.hilbert_samuel
-        # only the empty partition has the empty Hilbert function
-        self.impossible = bool(self.hs_target) and self.hs_target[0] != 1
+        hs = spec.hilbert_samuel
+        # equality targets (degree, size) of single layers, by degree; a degree may repeat
+        pairs = [(1, spec.embedding_dim), (2, spec.quadric_count), *enumerate(hs or ())]
+        self.targets = sorted(p for p in pairs if p[1] is not None)
+        # the highest degree a point may have; every nonempty partition has h_0 = 1
+        tops = [spec.length, None if hs is None else len(hs) - 1 if hs[:1] == (1,) else -1]
+        self.top = min((t for t in tops if t is not None), default=len(universe.start))
+        # ends[g] is the first index of degree >= g, for g up to one past the last degree
+        self.ends = ends = universe.start + (len(universe.points),)
+        msd = spec.min_socle_degree
+        # the mask of every point of degree below the minimal socle degree
+        self.socle_low = 0 if msd is None else (1 << ends[min(max(msd, 0), len(ends) - 1)]) - 1
+        self.up = universe.up
+        self.degrees = universe.degrees
 
-    def admits(self, layers: list[int], g: int) -> bool:
-        """May a point of degree g be appended to a state with these layer counts?"""
-        if self.impossible:
-            return False
-        s = self.spec
-        if s.length is not None and g > s.length:
-            return False
-        if s.embedding_dim is not None and g == 1 and layers[1] + 1 > s.embedding_dim:
-            return False
-        if s.quadric_count is not None and g == 2 and layers[2] + 1 > s.quadric_count:
-            return False
-        if s.tail_mass is not None and g >= 3:
-            tail = sum(layers[3:]) if len(layers) > 3 else 0
-            if tail + 1 > s.tail_mass:
+    def settled(self, layers: list[int], top: int) -> bool:
+        """Do the equality targets of the layers below degree top all hold?"""
+        for g, target in self.targets:
+            if g >= top:
+                return True
+            if layers[g] != target:
                 return False
-        if self.hs_target is not None:
-            if g >= len(self.hs_target):
-                return False
-            if layers[g] + 1 > self.hs_target[g]:
-                return False
-        # layers strictly below g can no longer grow: equality targets must hold
-        if g >= 2 and s.embedding_dim is not None and layers[1] != s.embedding_dim:
-            return False
-        if g >= 3 and s.quadric_count is not None and layers[2] != s.quadric_count:
-            return False
-        if self.hs_target is not None:
-            for i in range(g):
-                if layers[i] != self.hs_target[i]:
-                    return False
         return True
 
-    def accepts_leaf(self, chosen: Sequence[Point], chosen_set: set[Point]) -> bool:
+    def admits(self, layers: list[int], g: int, cands: list[int], idx: int) -> bool:
+        """May cands[idx], of degree g, be appended to a state with these layer counts?"""
+        if g > self.top:
+            return False
+        have, end = layers[g], self.ends[g + 1]
+        for i, target in self.targets:
+            # the layer below g is settled: layer g can gain only its candidates from here on
+            if i == g and not have < target <= have + bisect.bisect_left(cands, end, idx) - idx:
+                return False
+        tail = self.spec.tail_mass
+        if tail is not None and g >= 3 and sum(layers[3:]) + 1 > tail:
+            return False
+        return self.settled(layers, g)
+
+    def accepts_leaf(self, chosen: int, layers: list[int]) -> bool:
+        """Does the complete state (chosen-set mask, layer counts) match the spec?"""
         s = self.spec
-        if self.impossible:
+        length = self.degrees[chosen.bit_length() - 1] if chosen else None
+        if s.length is not None and length != s.length:
             return False
-        layers: dict[int, int] = {}
-        max_deg = 0
-        for p in chosen:
-            g = degree(p)
-            layers[g] = layers.get(g, 0) + 1
-            max_deg = max(max_deg, g)
-        if s.embedding_dim is not None and layers.get(1, 0) != s.embedding_dim:
+        hs = s.hilbert_samuel
+        if hs is not None and len(hs) != (0 if length is None else length + 1):
             return False
-        if s.quadric_count is not None and layers.get(2, 0) != s.quadric_count:
+        if s.tail_mass is not None and sum(layers[3:]) != s.tail_mass:
             return False
-        if s.tail_mass is not None:
-            if sum(v for g, v in layers.items() if g >= 3) != s.tail_mass:
+        if not self.settled(layers, len(layers)):
+            return False
+        # a point below the minimal socle degree needs an upper cover in the set
+        low = chosen & self.socle_low
+        while low:
+            bit = low & -low
+            if not any(chosen >> j & 1 for j in self.up[bit.bit_length() - 1]):
                 return False
-        if s.length is not None and (not chosen or max_deg != s.length):
-            return False
-        if self.hs_target is not None:
-            actual = tuple(layers.get(i, 0) for i in range(max_deg + 1)) if chosen else ()
-            if actual != self.hs_target:
-                return False
-        if s.min_socle_degree is not None:
-            n = len(chosen[0]) if chosen else 0
-            for p in chosen:
-                if degree(p) < s.min_socle_degree:
-                    if not any(
-                        p[:i] + (p[i] + 1,) + p[i + 1 :] in chosen_set for i in range(n)
-                    ):
-                        return False
+            low ^= bit
         return True
 
 
@@ -352,17 +349,16 @@ def _count_dfs(
     layers: list[int],
     cands: list[int],
     visitor: Optional[Callable[[tuple[Point, ...]], None]] = None,
-    prefixes: Optional[list[tuple[int, list[int]]]] = None,
+    prefixes: Optional[list[tuple[int, list[int], list[int]]]] = None,
 ) -> int:
     """Count the leaves below a state: `chosen` is a mask of universe indices,
     `layers` its points per degree, `cands` the addable indices in order.
     With prefixes given, states of _SPLIT_DEPTH points are appended to it
     instead of being walked."""
     if size == target_size:
-        points = universe.decode(chosen)
-        if checker is None or checker.accepts_leaf(points, set(points)):
+        if checker is None or checker.accepts_leaf(chosen, layers):
             if visitor is not None:
-                visitor(points)
+                visitor(universe.decode(chosen))
             return 1
         return 0
     if size == target_size - 1 and checker is None and visitor is None:
@@ -370,13 +366,13 @@ def _count_dfs(
         budget.spend(len(cands))
         return len(cands)
     if prefixes is not None and size == _SPLIT_DEPTH:
-        prefixes.append((chosen, cands))
+        prefixes.append((chosen, layers[:], cands))
         return 0
     degrees, start, up, need = universe.degrees, universe.start, universe.up, universe.need
     total = 0
     for idx, c in enumerate(cands):
         g = degrees[c]
-        if checker is not None and not checker.admits(layers, g):
+        if checker is not None and not checker.admits(layers, g, cands, idx):
             continue
         budget.spend()
         mask = chosen | 1 << c
@@ -402,13 +398,10 @@ def _count_dfs(
 
 def _subtree_task(args) -> tuple[int, int]:
     """Leaves and nodes below one prefix state; a process-pool task."""
-    n, target_size, spec, max_nodes, chosen, cands = args
+    n, target_size, spec, max_nodes, chosen, layers, cands = args
     universe = _universe(n, target_size)
-    checker = _ConstraintChecker(spec) if spec is not None else None
+    checker = _ConstraintChecker(spec, universe) if spec is not None else None
     budget = _Budget(max_nodes)
-    layers = [0] * (target_size + 2)
-    for p in universe.decode(chosen):
-        layers[degree(p)] += 1
     count = _count_dfs(
         universe, target_size, checker, budget, chosen, _SPLIT_DEPTH, layers, cands
     )
@@ -423,10 +416,10 @@ def _count(
     max_nodes: Optional[int] = None,
     visitor: Optional[Callable[[tuple[Point, ...]], None]] = None,
 ) -> int:
-    checker = _ConstraintChecker(spec) if spec is not None else None
     # a checker can prune below one node per point: only an unconstrained walk
     # may refuse a universe larger than its ceiling
-    universe = _universe(n, target_size, max_nodes if checker is None else None)
+    universe = _universe(n, target_size, max_nodes if spec is None else None)
+    checker = _ConstraintChecker(spec, universe) if spec is not None else None
     budget = _Budget(max_nodes)
     prefixes: Optional[list] = [] if workers > 1 and visitor is None else None
     total = _count_dfs(
@@ -436,7 +429,7 @@ def _count(
         budget,
         0,
         0,
-        [0] * (target_size + 2),
+        [0] * max(target_size + 2, 3),  # the leaf test reads layers 0..2
         [0] if universe.points else [],
         visitor,
         prefixes,
@@ -445,7 +438,7 @@ def _count(
         # one ceiling for the whole walk: each task may spend what the prefix
         # walk left, and the tasks' nodes are charged here in a fixed order
         left = None if max_nodes is None else max_nodes - budget.nodes
-        tasks = [(n, target_size, spec, left, chosen, cands) for chosen, cands in prefixes]
+        tasks = [(n, target_size, spec, left, *prefix) for prefix in prefixes]
         with ProcessPoolExecutor(max_workers=workers) as ex:
             for count, nodes in ex.map(_subtree_task, tasks, chunksize=8):
                 budget.spend(nodes)

@@ -20,6 +20,7 @@ from functools import lru_cache
 from typing import Iterable, Iterator, Optional, Sequence
 
 from .lattice import (
+    ConstraintSpec,
     Point,
     _Budget,
     canonical_orbit,
@@ -218,6 +219,26 @@ class AlphaQuery:
                 raise ValueError("profile tail must sum to m")
             if self.length is not None and self.length != len(h) - 1:
                 raise ValueError("length must match the profile")
+
+    @classmethod
+    def from_profile(cls, h: Iterable[int]) -> AlphaQuery:
+        """The query that prescribes the whole layer profile h = (1, k, q, ...)."""
+        h = tuple(h)  # __post_init__ validates it
+        k = h[1] if len(h) > 1 else 0
+        q = h[2] if len(h) > 2 else 0
+        return cls(k, q, sum(h[3:]), length=len(h) - 1, profile=h)
+
+    def constraint_spec(self) -> ConstraintSpec:
+        """The same count for the brute-force oracle in dimension k."""
+        return ConstraintSpec(
+            size=1 + self.k + self.q + self.m,
+            embedding_dim=self.k,
+            quadric_count=self.q,
+            tail_mass=self.m,
+            min_socle_degree=3,
+            length=self.length,
+            hilbert_samuel=self.profile,
+        )
 
 
 BucketTable = dict[tuple[int, int, tuple[int, ...]], int]
@@ -438,15 +459,7 @@ def alpha_by_hilbert(
     node_ceiling: Optional[int] = DEFAULT_NODE_CEILING,
 ) -> int:
     """Count with the entire layer profile prescribed."""
-    h = tuple(h)  # AlphaQuery validates it
-    k = h[1] if len(h) > 1 else 0
-    q = h[2] if len(h) > 2 else 0
-    m = sum(h[3:])
-    return alpha(
-        AlphaQuery(k, q, m, length=len(h) - 1, profile=h),
-        workers=workers,
-        node_ceiling=node_ceiling,
-    )
+    return alpha(AlphaQuery.from_profile(h), workers=workers, node_ceiling=node_ceiling)
 
 
 def alpha_without_orbit_reduction(

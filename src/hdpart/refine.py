@@ -553,13 +553,7 @@ class Resolver:
         return self.tables["C"].set((k, e), value, ORACLE)
 
     def alpha_oracle(self, k: int, q: int, m: int) -> int:
-        spec = lattice.ConstraintSpec(
-            size=1 + k + q + m,
-            embedding_dim=k,
-            quadric_count=q,
-            tail_mass=m,
-            min_socle_degree=3,
-        )
+        spec = mpart.AlphaQuery(k, q, m).constraint_spec()
         value = lattice.count_constrained(
             k, spec, workers=self.workers, max_nodes=self.oracle_max_nodes
         )

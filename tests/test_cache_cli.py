@@ -153,6 +153,29 @@ def test_cli_error_is_machine_readable():
     assert payload["error"] == "resource-ceiling"
 
 
+@pytest.mark.parametrize(
+    "query",
+    [
+        ["y", "--k", "3", "--d", "9"],
+        ["alpha", "--k", "3", "--q", "4", "--m", "8", "--length", "4"],
+        ["alpha", "--hilbert", "1,3,4,5,3"],
+    ],
+)
+def test_cli_max_nodes_bounds_every_oracle_route(query):
+    rc, _, err = run_cli("--max-nodes", "5", "count", *query, "--oracle")
+    assert rc == 1
+    assert json.loads(err.strip())["error"] == "resource-ceiling"
+
+
+@pytest.mark.parametrize("flag", ["--oracle", "--verify"])
+def test_cli_refined_alpha_oracle(flag):
+    # a length or profile query is checked against the oracle count of the same refinement
+    rc, out, _ = run_cli("count", "alpha", "--k", "3", "--q", "4", "--m", "8", "--length", "4", flag)
+    assert rc == 0 and out.strip() == "216"
+    rc, out, _ = run_cli("count", "alpha", "--hilbert", "1,3,4,5,3", flag)
+    assert rc == 0 and out.strip() == "180"
+
+
 def test_cli_series_outputs():
     rc, out, _ = run_cli("series", "hydral", "--n", "2")
     assert rc == 0

@@ -100,17 +100,22 @@ def test_alpha_known_small_values():
 
 
 def test_alpha_against_oracle_small():
-    for k in (1, 2, 3):
-        for q in range(1, 5):
-            for m in range(1, 5):
-                spec = ConstraintSpec(
-                    size=1 + k + q + m,
-                    embedding_dim=k,
-                    quadric_count=q,
-                    tail_mass=m,
-                    min_socle_degree=3,
-                )
-                assert alpha_count(k, q, m) == count_constrained(k, spec), (k, q, m)
+    queries = [
+        AlphaQuery(k, q, m, length=length)
+        for k in (1, 2, 3)
+        for q in range(1, 5)
+        for m in range(1, 5)
+        for length in (None, *range(3, m + 3))
+    ]
+    # every layer profile of one triple: the compositions of m over degrees >= 3
+    k, q, m = 3, 4, 5
+    for cuts in itertools.product((0, 1), repeat=m - 1):
+        tail = [1]
+        for cut in cuts:
+            tail[-1:] = [tail[-1], 1] if cut else [tail[-1] + 1]
+        queries.append(AlphaQuery.from_profile((1, k, q, *tail)))
+    for query in queries:
+        assert alpha(query) == count_constrained(query.k, query.constraint_spec()), query
 
 
 @pytest.mark.slow
