@@ -14,7 +14,7 @@ from pathlib import Path
 
 from . import cache as cache_mod
 from . import hydral, macmahon, mpart
-from .lattice import ResourceCeilingError, count_constrained
+from .lattice import ResourceCeilingError
 from .refine import IntegrityError, Resolver, c_degree_bound, c_diagonal_series, y_diagonal_series
 from .series import (
     NumeratorFitError,
@@ -74,10 +74,7 @@ def _count_value(args, resolver: Resolver, oracle: bool) -> int:
         return resolver.c_oracle(args.k, args.e) if oracle else resolver.c(args.k, args.e)
     query = _alpha_query(args)
     if oracle:
-        # the query's own spec, so a refined count never fills the ALPHA(k, q, m) entry
-        return count_constrained(
-            query.k, query.constraint_spec(), workers=args.workers, max_nodes=args.max_nodes
-        )
+        return resolver.alpha_oracle(query)
     if args.table == "hydral":
         return hydral.hydral_count(args.n, args.m)
     if args.checkpoint_dir and query.profile is None:

@@ -552,12 +552,14 @@ class Resolver:
         )
         return self.tables["C"].set((k, e), value, ORACLE)
 
-    def alpha_oracle(self, k: int, q: int, m: int) -> int:
-        spec = mpart.AlphaQuery(k, q, m).constraint_spec()
+    def alpha_oracle(self, query: mpart.AlphaQuery) -> int:
         value = lattice.count_constrained(
-            k, spec, workers=self.workers, max_nodes=self.oracle_max_nodes
+            query.k, query.constraint_spec(), workers=self.workers, max_nodes=self.oracle_max_nodes
         )
-        return self.tables["ALPHA"].set((k, q, m), value, ORACLE)
+        if query.length is None and query.profile is None:
+            # a refined count never fills the ALPHA(k, q, m) entry
+            self.tables["ALPHA"].set((query.k, query.q, query.m), value, ORACLE)
+        return value
 
     # --- derived series -------------------------------------------------------
 

@@ -134,6 +134,16 @@ def test_counted_last_level_keeps_node_accounting(workers):
         count_partitions(3, 9, workers=workers, max_nodes=622)
 
 
+@pytest.mark.parametrize("workers", [1, 2])
+def test_dead_layer_prune_node_total(workers):
+    # without the prune the walk needs 1079 nodes: an embedding-dimension layer
+    # that can no longer reach 10 points is cut as soon as it falls short
+    spec = ConstraintSpec(size=12, embedding_dim=10)
+    assert count_constrained(10, spec, workers=workers, max_nodes=66) == 55
+    with pytest.raises(ResourceCeilingError):
+        count_constrained(10, spec, workers=workers, max_nodes=65)
+
+
 def test_node_ceiling_is_global_under_workers():
     # the serial walk needs 1231 nodes; every subtree fits 899 on its own
     with pytest.raises(ResourceCeilingError):
