@@ -77,18 +77,17 @@ def _count_value(args, resolver: Resolver, oracle: bool) -> int:
         return resolver.alpha_oracle(query)
     if args.table == "hydral":
         return hydral.hydral_count(args.n, args.m)
-    if args.checkpoint_dir and query.profile is None:
+    if args.checkpoint_dir and query.profile is None and query.trivial_count() is None:
         run = cache_mod.CheckpointedAlphaRun(
             Path(args.checkpoint_dir), query.k, query.q, query.m,
             length=query.length, node_ceiling=args.node_ceiling, workers=args.workers,
         )
-        if mpart._trivial_alpha(query.k, query.q, query.m) is None:
-            value = run.run(task_limit=args.task_limit)
-            if value is None:
-                raise ResourceCeilingError(
-                    f"checkpointed run paused with {len(run.pending)} tasks pending"
-                )
-            return value
+        value = run.run(task_limit=args.task_limit)
+        if value is None:
+            raise ResourceCeilingError(
+                f"checkpointed run paused with {len(run.pending)} tasks pending"
+            )
+        return value
     return mpart.alpha(query, workers=args.workers, node_ceiling=args.node_ceiling)
 
 

@@ -5,6 +5,10 @@ boxes of degree >= 3 is computed orbitwise: enumerate stable quadric
 configurations up to coordinate permutation, bound the reachable cells for each
 configuration, then run an exact DFS over downward-closed cell subsets.
 
+Which quadrics lie below a cell is worked out once, in one cell table per
+dimension (`_cell_table`). Stability, bounding regions and the region search
+all read its indices. It is not the oracle's universe in `lattice`.
+
 `_RegionSearch.sweep` is the only region walker; every alpha count, and every
 checkpointed run in `cache` (which honours `workers` too), selects from the
 orbit-weighted sum of its tables. The lattice oracle stays a separate walker
@@ -13,6 +17,7 @@ on purpose: it is the independent route that checks this one.
 
 from __future__ import annotations
 
+import bisect
 import itertools
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
@@ -24,7 +29,6 @@ from .lattice import (
     Point,
     _Budget,
     canonical_orbit,
-    degree,
     lower_covers,
     point_key,
     transpose,
@@ -45,43 +49,54 @@ def quadric_points(k: int) -> tuple[Point, ...]:
     return tuple(sorted(out))
 
 
-def quadric_divisors(p: Point) -> list[Point]:
-    """Degree-2 points below p."""
-    k = len(p)
-    out = []
-    for i in range(k):
-        if p[i] >= 2:
-            q = [0] * k
-            q[i] = 2
-            out.append(tuple(q))
-        for j in range(i + 1, k):
-            if p[i] >= 1 and p[j] >= 1:
-                q = [0] * k
-                q[i] = 1
-                q[j] = 1
-                out.append(tuple(q))
-    return out
+class _CellTable:
+    """The points of N^k of degree 2..top in (degree, lex) order, grown a degree
+    at a time and never renumbered, so quadric u is entry u. divisors[i] masks
+    the quadrics below entry i (a quadric's own bit, else the OR of its lower
+    covers' masks); lower[i] lists its lower covers' entries; start[g] is the
+    first entry of degree g.
+    """
+
+    def __init__(self, k: int):
+        quads = quadric_points(k)
+        self.k = k
+        self.points = list(quads)
+        self.index = {p: u for u, p in enumerate(quads)}
+        self.divisors = [1 << u for u in range(len(quads))]
+        self.lower: list[tuple[int, ...]] = [()] * len(quads)
+        self.start = [0, 0, 0, len(quads)]
+
+    def end(self, top: int) -> int:
+        """One past the last entry of degree <= top, growing the table to top."""
+        while len(self.start) < top + 2:
+            layer = self.points[self.start[-2] :]
+            grown = {z[:i] + (z[i] + 1,) + z[i + 1 :] for z in layer for i in range(self.k)}
+            for p in sorted(grown):
+                low = tuple(self.index[c] for c in lower_covers(p))
+                mask = 0
+                for c in low:
+                    mask |= self.divisors[c]
+                self.index[p] = len(self.points)
+                self.points.append(p)
+                self.divisors.append(mask)
+                self.lower.append(low)
+            self.start.append(len(self.points))
+        return self.start[max(top, 2) + 1]
+
+    def quadric_mask(self, U: Iterable[Point]) -> int:
+        """Bit u set for each quadric entry u in U."""
+        mask = 0
+        for p in U:
+            u = self.index.get(tuple(p))
+            if u is None or u >= self.start[3]:
+                raise ValueError(f"{p} is not a degree-2 point of N^{self.k}")
+            mask |= 1 << u
+        return mask
 
 
 @lru_cache(maxsize=None)
-def _space(k: int):
-    """Per-dimension tables: quadrics with index map, cubics with divisor masks."""
-    quads = quadric_points(k)
-    qindex = {p: i for i, p in enumerate(quads)}
-    cubics = []
-    seen = set()
-    for q in quads:
-        for i in range(k):
-            c = q[:i] + (q[i] + 1,) + q[i + 1 :]
-            if c in seen:
-                continue
-            seen.add(c)
-            mask = 0
-            for d in quadric_divisors(c):
-                mask |= 1 << qindex[d]
-            cubics.append((c, mask))
-    cubics.sort(key=lambda cm: point_key(cm[0]))
-    return quads, qindex, tuple(cubics)
+def _cell_table(k: int) -> _CellTable:
+    return _CellTable(k)
 
 
 def support_variables(points: Iterable[Point]) -> frozenset[int]:
@@ -100,19 +115,13 @@ def is_m_stable(U: Iterable[Point], k: int) -> bool:
     certifying cubics is itself a partition with quadric layer exactly U and
     socle in degree 3.
     """
-    quads, qindex, cubics = _space(k)
-    pts = {tuple(p) for p in U}
-    for p in pts:
-        if p not in qindex:
-            raise ValueError(f"{p} is not a degree-2 point of N^{k}")
-    umask = 0
-    for p in pts:
-        umask |= 1 << qindex[p]
-    for p in pts:
-        bit = 1 << qindex[p]
-        if not any(mask & bit and mask & ~umask == 0 for _, mask in cubics):
-            return False
-    return True
+    table = _cell_table(k)
+    umask = table.quadric_mask(U)
+    certified = 0
+    for mask in table.divisors[table.start[3] : table.end(3)]:
+        if mask & ~umask == 0:
+            certified |= mask
+    return certified == umask
 
 
 @dataclass(frozen=True)
@@ -128,7 +137,7 @@ class QuadricOrbit:
 @lru_cache(maxsize=None)
 def orbit_reps(k: int, q: int) -> tuple[QuadricOrbit, ...]:
     """One canonical representative per S_k-orbit of stable q-element quadric sets."""
-    quads, _, _ = _space(k)
+    quads = quadric_points(k)
     if q < 1 or q > len(quads):
         return ()
     reps = []
@@ -149,56 +158,60 @@ def orbit_reps(k: int, q: int) -> tuple[QuadricOrbit, ...]:
 class BoundingRegion:
     """All cells reachable by partitions of bounded length with a fixed quadric layer.
 
-    cells holds the degree >= 3 points, sorted by (degree, lex); the degree <= 2
-    part is the k unit points, the origin, and the quadric set itself.
+    quadric_mask has bit u for each quadric entry u of the layer in the cell
+    table; entries are the table entries of degree 3..max_degree whose quadric
+    divisors all lie in the layer, in (degree, lex) order.
     """
 
     k: int
-    quadrics: tuple[Point, ...]
     max_degree: int
-    cells: tuple[Point, ...]
+    quadric_mask: int
+    entries: tuple[int, ...]
+
+    @property
+    def cells(self) -> tuple[Point, ...]:
+        """The degree >= 3 points, sorted by (degree, lex)."""
+        points = _cell_table(self.k).points
+        return tuple(points[i] for i in self.entries)
 
     def all_points(self) -> tuple[Point, ...]:
+        """The cells with the origin, the k unit points and the quadric layer."""
+        points = _cell_table(self.k).points
         low: list[Point] = [(0,) * self.k]
         for i in range(self.k):
             e = [0] * self.k
             e[i] = 1
             low.append(tuple(e))
-        return tuple(sorted(low + list(self.quadrics) + list(self.cells), key=point_key))
+        mask = self.quadric_mask
+        quads = [points[u] for u in range(mask.bit_length()) if mask >> u & 1]
+        return tuple(sorted(low + quads + list(self.cells), key=point_key))
 
 
 def bounding_region(U: Iterable[Point], max_degree: int) -> BoundingRegion:
     """Materialize the region: every cell of degree 3..max_degree whose full set
     of quadric divisors lies inside U."""
-    pts = tuple(sorted({tuple(p) for p in U}, key=point_key))
+    pts = {tuple(p) for p in U}
     if not pts:
         raise ValueError("empty quadric layer")
-    k = len(pts[0])
-    uset = set(pts)
-    _, _, cubics = _space(k)
-    layers: list[list[Point]] = []
-    layer3 = [c for c, _ in cubics if all(d in uset for d in quadric_divisors(c))]
-    layers.append(sorted(layer3))
-    for g in range(4, max_degree + 1):
-        prev = layers[-1]
-        cand = set()
-        for z in prev:
-            for i in range(k):
-                cand.add(z[:i] + (z[i] + 1,) + z[i + 1 :])
-        layer = [c for c in sorted(cand) if all(d in uset for d in quadric_divisors(c))]
-        layers.append(layer)
-        if not layer:
-            break
-    cells = tuple(
-        p for layer in layers for p in layer if degree(p) <= max_degree
+    k = len(next(iter(pts)))
+    table = _cell_table(k)
+    umask = table.quadric_mask(pts)
+    divisors = table.divisors
+    entries = tuple(
+        i for i in range(table.start[3], table.end(max_degree)) if divisors[i] & ~umask == 0
     )
-    return BoundingRegion(k, pts, max_degree, cells)
+    return BoundingRegion(k, max_degree, umask, entries)
 
 
 @dataclass(frozen=True)
 class AlphaQuery:
     """A request for one count: type (k, q, m), optionally refined by length or
-    by the full layer-size profile."""
+    by the full layer-size profile.
+
+    Socles lie in degree >= 3, save one convention: the zero type (0, 0, 0)
+    counts the origin-only partition once (socle.c_from_alpha needs
+    alpha(0, 0, 0) = 1), in `trivial_count` and in `constraint_spec`.
+    """
 
     k: int
     q: int
@@ -235,10 +248,31 @@ class AlphaQuery:
             embedding_dim=self.k,
             quadric_count=self.q,
             tail_mass=self.m,
-            min_socle_degree=3,
+            min_socle_degree=3 if self.k else None,
             length=self.length,
             hilbert_samuel=self.profile,
         )
+
+    def trivial_count(self) -> Optional[int]:
+        """The count when it is decided without search (boundary conventions and
+        vanishing cases), else None."""
+        k, q, m = self.k, self.q, self.m
+        if k < 0 or q < 0 or m < 0:
+            return 0
+        if k == 0:  # the zero-type convention: the origin-only partition
+            origin = q == m == 0 and self.length in (None, 0) and self.profile in (None, (1,))
+            return 1 if origin else 0
+        if q == 0 or m == 0:
+            return 0
+        if q < k:  # each variable needs a quadric above it and a cubic above that
+            return 0
+        if q > k * (k + 1) // 2:
+            return 0
+        if q > 3 * m:  # a cubic dominates at most three quadrics
+            return 0
+        if self.length is not None and not 3 <= self.length <= m + 2:
+            return 0
+        return None
 
 
 BucketTable = dict[tuple[int, int, tuple[int, ...]], int]
@@ -254,27 +288,27 @@ class _RegionSearch:
     """Exact DFS over downward-closed cell subsets of one bounding region."""
 
     def __init__(self, region: BoundingRegion, node_ceiling: Optional[int]):
-        qindex = {p: i for i, p in enumerate(region.quadrics)}
-        cells = region.cells
-        self.cells = cells
-        self.degrees = [degree(p) for p in cells]
+        table = _cell_table(region.k)
+        entries = region.entries
+        local = {e: i for i, e in enumerate(entries)}
+        self.degrees = [bisect.bisect_right(table.start, e) - 1 for e in entries]
         self.n_cubics = self.degrees.count(3)
-        self.full_mask = (1 << len(qindex)) - 1
-        cellindex = {p: i for i, p in enumerate(cells)}
+        self.full_mask = region.quadric_mask
         # bit j of parent_mask[i]: cell j is a lower cover of cell i
         self.parent_mask: list[int] = []
-        # bit u of covers[i]: quadric u is a lower cover of cubic i
+        # bit u of covers[i]: quadric entry u is a lower cover of cubic i
         self.covers: list[int] = []
         # highest cubic index covering each quadric, for dead-branch detection
-        self.last_cover = [-1] * len(qindex)
-        for i, p in enumerate(cells):
+        self.last_cover = [-1] * table.start[3]
+        for i, e in enumerate(entries):
             parents = cover = 0
-            for c in lower_covers(p):
-                if degree(c) == 2:
-                    cover |= 1 << qindex[c]
-                    self.last_cover[qindex[c]] = i
-                else:
-                    parents |= 1 << cellindex[c]
+            if i < self.n_cubics:
+                cover = table.divisors[e]
+                for u in table.lower[e]:
+                    self.last_cover[u] = i
+            else:
+                for c in table.lower[e]:
+                    parents |= 1 << local[c]
             self.parent_mask.append(parents)
             self.covers.append(cover)
         self.budget = _Budget(node_ceiling)
@@ -306,7 +340,7 @@ class _RegionSearch:
                 if self.last_cover[u] <= last:
                     return
             else:
-                limit = len(self.cells)
+                limit = len(degrees)
             for i in range(last + 1, limit):
                 if parent_mask[i] & ~chosen:
                     continue
@@ -322,23 +356,6 @@ class _RegionSearch:
     def count(self, m: int) -> int:
         """Count valid subsets of exactly m cells (all lengths)."""
         return select(self.sweep(m), m)
-
-
-def _trivial_alpha(k: int, q: int, m: int) -> Optional[int]:
-    """Boundary conventions and vanishing cases decided without search."""
-    if k < 0 or q < 0 or m < 0:
-        return 0
-    if k == 0:
-        return 1 if (q == 0 and m == 0) else 0
-    if q == 0 or m == 0:
-        return 0
-    if q < k:  # each variable needs a quadric above it and a cubic above that
-        return 0
-    if q > k * (k + 1) // 2:
-        return 0
-    if q > 3 * m:  # a cubic dominates at most three quadrics
-        return 0
-    return None
 
 
 def full_support_reps(k: int, q: int) -> tuple[QuadricOrbit, ...]:
@@ -423,17 +440,10 @@ def alpha(
     node_ceiling: Optional[int] = DEFAULT_NODE_CEILING,
 ) -> int:
     """Exact number of partitions matching the query (socle degree >= 3 built in)."""
-    k, q, m = query.k, query.q, query.m
-    trivial = _trivial_alpha(k, q, m)
+    trivial = query.trivial_count()
     if trivial is not None:
-        if trivial == 0:
-            return 0
-        # the single conventional object (k=q=m=0): the origin-only partition
-        ok_len = query.length in (None, 0)
-        ok_prof = query.profile in (None, (1,))
-        return 1 if ok_len and ok_prof else 0
-    if query.length is not None and not (3 <= query.length <= m + 2):
-        return 0
+        return trivial
+    k, q, m = query.k, query.q, query.m
     table = alpha_tables(
         k, q, m, length_cap=query.length, workers=workers, node_ceiling=node_ceiling
     )
@@ -466,10 +476,10 @@ def alpha_without_orbit_reduction(
     k: int, q: int, m: int, node_ceiling: Optional[int] = DEFAULT_NODE_CEILING
 ) -> int:
     """Reference implementation iterating every stable subset, no symmetry quotient."""
-    trivial = _trivial_alpha(k, q, m)
+    trivial = AlphaQuery(k, q, m).trivial_count()
     if trivial is not None:
         return trivial
-    quads, _, _ = _space(k)
+    quads = quadric_points(k)
     total = 0
     for combo in itertools.combinations(quads, q):
         if len(support_variables(combo)) != k or not is_m_stable(combo, k):
@@ -487,7 +497,7 @@ def alpha_targeted(
 ) -> int:
     """Total over all lengths and profiles of one size, in one process;
     equals alpha_count(k, q, m)."""
-    trivial = _trivial_alpha(k, q, m)
+    trivial = AlphaQuery(k, q, m).trivial_count()
     if trivial is not None:
         return trivial
     return select(alpha_tables(k, q, m, node_ceiling=node_ceiling), m)

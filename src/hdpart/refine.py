@@ -239,16 +239,11 @@ def y_depth6_diagonal(d: int) -> int:
     return int(val)
 
 
-def limit_value(
-    kind: str,
-    idx: tuple,
-    p2: Optional[Callable[[int], int]] = None,
-    p3: Optional[Callable[[int], int]] = None,
-) -> Optional[int]:
+def limit_value(kind: str, idx: tuple) -> Optional[int]:
     """Closed value for the index when a stable formula applies, else None.
 
-    p2/p3 supply the dimension-2/3 partition counts needed by the low-k forms;
-    without them those forms are skipped.
+    The low-k forms read the dimension-2/3 partition counts from the product
+    columns, which are exact there.
     """
     if kind == "Y":
         k, d = idx
@@ -258,10 +253,10 @@ def limit_value(
             return 1
         if k == 1 and d >= 2:
             return 1
-        if k == 2 and d >= 2 and p2 is not None:
-            return p2(d) - 2
-        if k == 3 and d >= 2 and p3 is not None and p2 is not None:
-            return p3(d) - 3 * (p2(d) - 2 + 1)
+        if k == 2 and d >= 2:
+            return product_column(2)[d] - 2
+        if k == 3 and d >= 2:
+            return product_column(3)[d] - 3 * (product_column(2)[d] - 2 + 1)
         s = _quadric_dim(k)
         if k == d - 2:
             return s
@@ -284,8 +279,8 @@ def limit_value(
             return double_factorial(2 * e - 1)
         if k == 2 * e - 1 and e > 0:
             return e * double_factorial(2 * e - 1)
-        if k == 2 and e >= 1 and p2 is not None:
-            return p2(e + 3) - 4
+        if k == 2 and e >= 1:
+            return product_column(2)[e + 3] - 4
         return None
     return None
 
@@ -480,12 +475,6 @@ class Resolver:
             return tab.set((n, d), product_column(n)[d], CLOSED_FORM)
         return tab.set((n, d), p_from_y(self.y, n, d), INVERSION)
 
-    def _p2(self, d: int) -> int:
-        return product_column(2)[d]
-
-    def _p3(self, d: int) -> int:
-        return product_column(3)[d]
-
     def y(self, k: int, d: int) -> int:
         if k < 0 or d < 1:
             raise ValueError("need k >= 0 and d >= 1")
@@ -493,7 +482,7 @@ class Resolver:
         if (k, d) in tab:
             return tab.get((k, d))
         if self.use_closed_forms:
-            closed = limit_value("Y", (k, d), p2=self._p2, p3=self._p3)
+            closed = limit_value("Y", (k, d))
             if closed is not None:
                 return tab.set((k, d), closed, CLOSED_FORM)
         e = d - 1 - k
@@ -508,7 +497,7 @@ class Resolver:
         if (k, e) in tab:
             return tab.get((k, e))
         if self.use_closed_forms:
-            closed = limit_value("C", (k, e), p2=self._p2)
+            closed = limit_value("C", (k, e))
             if closed is not None:
                 return tab.set((k, e), closed, CLOSED_FORM)
         if e == 0:

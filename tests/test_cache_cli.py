@@ -176,6 +176,13 @@ def test_cli_refined_alpha_oracle(flag):
     assert rc == 0 and out.strip() == "180"
 
 
+@pytest.mark.parametrize("query", [["--k", "0", "--q", "0", "--m", "0"], ["--hilbert", "1"]])
+def test_cli_zero_type_verifies(query):
+    # both routes count the origin-only partition of the zero type once
+    rc, out, err = run_cli("count", "alpha", *query, "--verify")
+    assert (rc, out.strip()) == (0, "1"), err
+
+
 def test_cli_series_outputs():
     rc, out, _ = run_cli("series", "hydral", "--n", "2")
     assert rc == 0

@@ -3,6 +3,8 @@
 import itertools
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from hdpart.cache import CheckpointedAlphaRun
 from hdpart.lattice import ConstraintSpec, ResourceCeilingError, count_constrained
@@ -116,6 +118,32 @@ def test_alpha_against_oracle_small():
         queries.append(AlphaQuery.from_profile((1, k, q, *tail)))
     for query in queries:
         assert alpha(query) == count_constrained(query.k, query.constraint_spec()), query
+
+
+@st.composite
+def small_queries(draw):
+    k = draw(st.integers(min_value=0, max_value=3))
+    q = draw(st.integers(min_value=k, max_value=k * (k + 1) // 2))  # q < k is trivially 0
+    refinement = draw(st.sampled_from(("none", "length", "profile")))
+    if refinement == "profile":
+        tails = st.lists(st.integers(min_value=0, max_value=3), max_size=4)
+        tail = draw(tails.filter(lambda t: sum(t) <= 5))
+        return AlphaQuery.from_profile((1, k, q, *tail))
+    m = draw(st.integers(min_value=0, max_value=5))
+    length = draw(st.integers(min_value=2, max_value=m + 3)) if refinement == "length" else None
+    return AlphaQuery(k, q, m, length=length)
+
+
+@given(small_queries())
+@example(AlphaQuery(0, 0, 0))
+@example(AlphaQuery(0, 0, 0, length=0))
+@example(AlphaQuery.from_profile((1,)))
+@example(AlphaQuery.from_profile((1, 2)))
+@example(AlphaQuery(3, 2, 5))
+@example(AlphaQuery(3, 6, 5))
+@settings(max_examples=300, deadline=None)
+def test_region_search_matches_oracle(query):
+    assert alpha(query) == count_constrained(query.k, query.constraint_spec())
 
 
 @pytest.mark.slow

@@ -167,13 +167,11 @@ def test_c_recurrence():
 
 
 def test_limit_values_y():
-    p2 = R._p2
-    p3 = R._p3
     assert limit_value("Y", (4, 5)) == 1  # k = d-1
-    assert limit_value("Y", (1, 9), p2=p2) == 1
-    assert limit_value("Y", (3, 5), p2=p2, p3=p3) == 6  # s_3 via k = d-2
-    assert limit_value("Y", (3, 6), p2=p2, p3=p3) == 18  # C(s_3,2)+3
-    assert limit_value("Y", (2, 7), p2=p2) == 13
+    assert limit_value("Y", (1, 9)) == 1
+    assert limit_value("Y", (3, 5)) == 6  # s_3 via k = d-2
+    assert limit_value("Y", (3, 6)) == 18  # C(s_3,2)+3
+    assert limit_value("Y", (2, 7)) == 13
     assert limit_value("Y", (9, 9)) == 0
 
 
@@ -181,13 +179,13 @@ def test_limit_values_match_inversion_route():
     raw = Resolver(use_closed_forms=False)
     for d in range(2, 9):
         for k in range(d):
-            closed = limit_value("Y", (k, d), p2=R._p2, p3=R._p3)
+            closed = limit_value("Y", (k, d))
             if closed is not None:
                 assert closed == raw.y(k, d), (k, d)
     # the shallow diagonals further out (cheap: the complement index stays small)
     for d in range(9, 13):
         for k in (d - 2, d - 3, d - 4, d - 5):
-            closed = limit_value("Y", (k, d), p2=R._p2, p3=R._p3)
+            closed = limit_value("Y", (k, d))
             assert closed == raw.y(k, d), (k, d)
 
 
@@ -207,7 +205,7 @@ def test_limit_values_c():
     assert limit_value("C", (2, 1)) == 1
     assert limit_value("C", (8, 4)) == 105
     assert limit_value("C", (7, 4)) == 420
-    assert limit_value("C", (2, 3), p2=R._p2) == R._p2(6) - 4
+    assert limit_value("C", (2, 3)) == R.p(2, 6) - 4
     assert limit_value("C", (3, 7)) is None
 
 
@@ -293,7 +291,7 @@ def test_c_diagonal_series_rejects_corrupt_diagonal():
 def test_resolver_prop_values():
     assert [R.c(2 * e, e) for e in range(1, 5)] == [1, 3, 15, 105]
     assert [R.c(2 * e - 1, e) for e in range(1, 5)] == [1, 6, 45, 420]
-    assert R.c(2, 6) == R._p2(9) - 4
+    assert R.c(2, 6) == R.p(2, 9) - 4
     assert [R.c(1, e) for e in range(1, 6)] == [1] * 5
 
 

@@ -42,7 +42,7 @@ def test_c_total_closed_values():
     ]
     assert [c_from_alpha(e, 1, alpha_of) for e in range(1, 6)] == [1] * 5
     # size-9 family at embedding dimension 2
-    assert c_from_alpha(4, 2, alpha_of) == R._p2(7) - 4 == 11
+    assert c_from_alpha(4, 2, alpha_of) == R.p(2, 7) - 4 == 11
 
 
 def test_c_total_matches_oracle():
