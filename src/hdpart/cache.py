@@ -213,7 +213,7 @@ class CheckpointedAlphaRun:
         self.directory.mkdir(parents=True, exist_ok=True)
         self.query = {"k": k, "q": q, "m": m, "length": length}
         self.path = self.directory / f"alpha-{_query_id(self.query)}.json"
-        self.reps = mpart.full_support_reps(k, q)
+        self.reps = mpart.orbit_reps(k, q)
         self.completed: dict[int, mpart.BucketTable] = {}
         if self.path.exists():
             try:

@@ -480,35 +480,3 @@ def iter_partitions(n: int, size: int) -> Iterator[tuple[Point, ...]]:
 def permute_point(p: Point, perm: Sequence[int]) -> Point:
     """Coordinate i of the image reads coordinate perm[i] of p."""
     return tuple(p[perm[i]] for i in range(len(perm)))
-
-
-def transpose(points: Iterable[Point], i: int) -> tuple[Point, ...]:
-    """Sorted image of a point set under swapping coordinates i and i+1."""
-    return tuple(sorted((p[:i] + (p[i + 1], p[i]) + p[i + 2 :] for p in points), key=point_key))
-
-
-def canonical_orbit(
-    points: Iterable[Point], n: int, ceiling: int = 12
-) -> tuple[tuple[Point, ...], int]:
-    """Lexicographically least coordinate-permutation image and the orbit size.
-
-    The orbit is grown by adjacent transpositions, so only n and the actual
-    number of distinct images bound the work; n above the ceiling is refused.
-    """
-    if n > ceiling:
-        raise ResourceCeilingError(f"ambient dimension {n} above permutation ceiling {ceiling}")
-    base = tuple(sorted({tuple(p) for p in points}, key=point_key))
-    for p in base:
-        if len(p) != n:
-            raise ValueError(f"point {p} does not live in dimension {n}")
-    seen = {base}
-    queue = [base]
-    while queue:
-        cur = queue.pop()
-        for i in range(n - 1):
-            img = transpose(cur, i)
-            if img not in seen:
-                seen.add(img)
-                queue.append(img)
-    rep = min(seen)
-    return rep, len(seen)

@@ -5,6 +5,12 @@ boxes of degree >= 3 is computed orbitwise: enumerate stable quadric
 configurations up to coordinate permutation, bound the reachable cells for each
 configuration, then run an exact DFS over downward-closed cell subsets.
 
+A quadric layer is a looped graph on the k variables (x_i x_j is the edge ij,
+x_i^2 a loop at i); it is stable exactly when every non-loop edge has a looped
+end or lies in a triangle. `orbit_reps` generates the stable layers that touch
+every variable, one canonical graph per isomorphism class, by orderly
+generation with bitmask edges; no subset of the quadrics is scanned.
+
 Which quadrics lie below a cell is worked out once, in one cell table per
 dimension (`_cell_table`). Stability, bounding regions and the region search
 all read its indices. It is not the oracle's universe in `lattice`.
@@ -19,6 +25,7 @@ from __future__ import annotations
 
 import bisect
 import itertools
+import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from functools import lru_cache
@@ -28,10 +35,8 @@ from .lattice import (
     ConstraintSpec,
     Point,
     _Budget,
-    canonical_orbit,
     lower_covers,
     point_key,
-    transpose,
 )
 
 DEFAULT_NODE_CEILING = 10**9
@@ -53,8 +58,9 @@ class _CellTable:
     """The points of N^k of degree 2..top in (degree, lex) order, grown a degree
     at a time and never renumbered, so quadric u is entry u. divisors[i] masks
     the quadrics below entry i (a quadric's own bit, else the OR of its lower
-    covers' masks); lower[i] lists its lower covers' entries; start[g] is the
-    first entry of degree g.
+    covers' masks); lower[i] and upper[i] list its lower and upper covers'
+    entries (upper is complete below the top degree); start[g] is the first
+    entry of degree g.
     """
 
     def __init__(self, k: int):
@@ -64,6 +70,7 @@ class _CellTable:
         self.index = {p: u for u, p in enumerate(quads)}
         self.divisors = [1 << u for u in range(len(quads))]
         self.lower: list[tuple[int, ...]] = [()] * len(quads)
+        self.upper: list[list[int]] = [[] for _ in quads]
         self.start = [0, 0, 0, len(quads)]
 
     def end(self, top: int) -> int:
@@ -76,10 +83,12 @@ class _CellTable:
                 mask = 0
                 for c in low:
                     mask |= self.divisors[c]
+                    self.upper[c].append(len(self.points))
                 self.index[p] = len(self.points)
                 self.points.append(p)
                 self.divisors.append(mask)
                 self.lower.append(low)
+                self.upper.append([])
             self.start.append(len(self.points))
         return self.start[max(top, 2) + 1]
 
@@ -124,6 +133,119 @@ def is_m_stable(U: Iterable[Point], k: int) -> bool:
     return certified == umask
 
 
+# --- stable layers as looped graphs ----------------------------------------------
+#
+# Quadric entry u = a(a+1)/2 + b (a >= b) of the cell table is x_{k-1-a} x_{k-1-b}:
+# an edge ab of a looped graph on the vertices 0..k-1, a loop when a == b. Read
+# in entry order, the edges come column by column, (0,0), (1,0), (1,1), (2,0), ...
+# The least sorted entry tuple of an S_k-orbit is its greatest column string:
+# column a of a labelling is the bits (a, 0), ..., (a, a), first bit highest.
+
+
+def _relabellings(adj: list[int], early: bool) -> tuple[list[int], int]:
+    """The greatest column string over all relabellings of the graph, and the
+    number of relabellings that read it (|Aut|).
+
+    adj[v] has bit w for each edge vw, bit v for a loop at v. The search fixes
+    new vertex 0, 1, ... in turn and drops a branch as soon as its column falls
+    below the best string so far. Twins (vertices whose transposition is an
+    automorphism) are tried once per level, weighted by how many are left.
+    With early, it returns count 0 as soon as a labelling beats the given one.
+    """
+    n = len(adj)
+    classes: list[int] = []  # twin classes as vertex masks
+    for v in range(n):
+        for i, cls in enumerate(classes):
+            w = cls.bit_length() - 1
+            both = 1 << v | 1 << w
+            if (adj[v] >> v & 1) == (adj[w] >> w & 1) and adj[v] & ~both == adj[w] & ~both:
+                classes[i] |= 1 << v
+                break
+        else:
+            classes.append(1 << v)
+    best = []  # the given labelling's columns to begin with
+    for a, row in enumerate(adj):
+        col = 0
+        for b in range(a + 1):
+            col = col << 1 | (row >> b & 1)
+        best.append(col)
+    count = 0
+
+    def rec(a: int, used: int, weight: int, read: list[int]) -> bool:
+        # read[v]: v's bits towards the vertices placed so far, in order
+        nonlocal count
+        if a == n:
+            count += weight
+            return True
+        for cls in classes:
+            free = cls & ~used
+            if not free:
+                continue
+            v = (free & -free).bit_length() - 1
+            col = read[v] << 1 | (adj[v] >> v & 1)
+            if col < best[a]:
+                continue
+            if col > best[a]:
+                if early:
+                    return False
+                best[a:] = [col] + [-1] * (n - a - 1)
+                count = 0
+            bits = [r << 1 | (row >> v & 1) for r, row in zip(read, adj)]
+            if not rec(a + 1, used | 1 << v, weight * free.bit_count(), bits):
+                return False
+        return True
+
+    found = rec(0, 0, 1, [0] * n)
+    return best, count if found else 0
+
+
+def _graph(k: int, mask: int) -> list[int]:
+    """Adjacency rows of the looped graph whose edges are the quadric entries in mask."""
+    adj = [0] * k
+    u = 0
+    for a in range(k):
+        for b in range(a + 1):
+            if mask >> u & 1:
+                adj[a] |= 1 << b
+                adj[b] |= 1 << a
+            u += 1
+    return adj
+
+
+def _certifiable(adj: list[int], future: Sequence[int]) -> bool:
+    """Whether every non-loop edge has a looped end or lies in a triangle, once
+    the edges in future (adjacency rows like adj) are added as needed.
+
+    These are the three certifying cubics: x_i^3, x_i^2 x_j and x_i x_j x_l.
+    """
+    able = [row | more for row, more in zip(adj, future)]
+    for a, row in enumerate(adj):
+        if able[a] >> a & 1:
+            continue
+        below = row & ((1 << a) - 1)
+        while below:
+            b = below.bit_length() - 1
+            below ^= 1 << b
+            # past the loop tests, a common neighbour is a third vertex
+            if not able[b] >> b & 1 and not able[a] & able[b]:
+                return False
+    return True
+
+
+def canonical_orbit(U: Iterable[Point], k: int) -> tuple[tuple[Point, ...], int]:
+    """The lexicographically least S_k-image of a quadric set, and its orbit size."""
+    table = _cell_table(k)
+    best, aut = _relabellings(_graph(k, table.quadric_mask(U)), early=False)
+    rep = []
+    u = 0
+    for a, col in enumerate(best):
+        for b in range(a + 1):
+            if col >> (a - b) & 1:
+                rep.append(table.points[u])
+            u += 1
+    return tuple(rep), math.factorial(k) // aut
+
+
 @dataclass(frozen=True)
 class QuadricOrbit:
     """Canonical quadric configuration with its orbit size under S_k."""
@@ -131,27 +253,48 @@ class QuadricOrbit:
     k: int
     rep: tuple[Point, ...]
     orbit_size: int
-    support: int
 
 
 @lru_cache(maxsize=None)
 def orbit_reps(k: int, q: int) -> tuple[QuadricOrbit, ...]:
-    """One canonical representative per S_k-orbit of stable q-element quadric sets."""
-    quads = quadric_points(k)
-    if q < 1 or q > len(quads):
+    """One canonical representative per S_k-orbit of stable q-element quadric
+    sets that touch every variable, in the order of their sorted entry tuples.
+
+    Orderly generation (Read, Ann. Discrete Math. 2, 1978): a canonical graph
+    less its last edge is canonical, so each one grows from its parent by one
+    later edge. A branch stops when its uncovered vertices outnumber what the
+    edges left can touch, or when an edge can no longer be certified.
+    """
+    n_quads = k * (k + 1) // 2
+    if k < 1 or q < 1 or q > n_quads:
         return ()
-    reps = []
-    for combo in itertools.combinations(quads, q):
-        if not is_m_stable(combo, k):
-            continue
-        # cheap local-minimum filter before the exact orbit walk
-        if any(transpose(combo, i) < combo for i in range(k - 1)):
-            continue
-        rep, size = canonical_orbit(combo, k)
-        if rep != combo:
-            continue
-        reps.append(QuadricOrbit(k, combo, size, len(support_variables(combo))))
-    return tuple(sorted(reps, key=lambda o: o.rep))
+    points = _cell_table(k).points
+    ends = [(a, b) for a in range(k) for b in range(a + 1)]
+    # future[x][v]: the edges at v with entry x or later
+    future = [_graph(k, ((1 << n_quads) - 1) >> x << x) for x in range(n_quads + 1)]
+    adj = [0] * k
+    found = []
+
+    def grow(last: int, mask: int, left: int, touched: int):
+        # left: the edges still to add after the next one
+        for x in range(last + 1, n_quads - left):
+            a, b = ends[x]
+            adj[a] |= 1 << b
+            adj[b] |= 1 << a
+            reached = touched | 1 << a | 1 << b
+            later = future[x + 1 if left else n_quads]
+            if k - reached.bit_count() <= 2 * left and _certifiable(adj, later):
+                _, aut = _relabellings(adj, early=True)
+                if aut and left:
+                    grow(x, mask | 1 << x, left - 1, reached)
+                elif aut:
+                    rep = tuple(points[u] for u in range(x + 1) if (mask | 1 << x) >> u & 1)
+                    found.append(QuadricOrbit(k, rep, math.factorial(k) // aut))
+            adj[a] &= ~(1 << b)
+            adj[b] &= ~(1 << a)
+
+    grow(-1, 0, q - 1, 0)
+    return tuple(found)
 
 
 @dataclass(frozen=True)
@@ -189,18 +332,29 @@ class BoundingRegion:
 
 def bounding_region(U: Iterable[Point], max_degree: int) -> BoundingRegion:
     """Materialize the region: every cell of degree 3..max_degree whose full set
-    of quadric divisors lies inside U."""
+    of quadric divisors lies inside U.
+
+    Above the cubics a cell qualifies exactly when all its lower covers do, so
+    each degree is read from the upper covers of the last one's kept cells.
+    """
     pts = {tuple(p) for p in U}
     if not pts:
         raise ValueError("empty quadric layer")
     k = len(next(iter(pts)))
     table = _cell_table(k)
     umask = table.quadric_mask(pts)
-    divisors = table.divisors
-    entries = tuple(
-        i for i in range(table.start[3], table.end(max_degree)) if divisors[i] & ~umask == 0
-    )
-    return BoundingRegion(k, max_degree, umask, entries)
+    table.end(max_degree)
+    layer = [i for i in range(table.start[3], table.end(3)) if table.divisors[i] & ~umask == 0]
+    entries: list[int] = []
+    for g in range(3, max_degree + 1):
+        if g > 3:
+            kept_below: dict[int, int] = {}
+            for i in layer:
+                for j in table.upper[i]:
+                    kept_below[j] = kept_below.get(j, 0) + 1
+            layer = sorted(j for j, n in kept_below.items() if n == len(table.lower[j]))
+        entries += layer
+    return BoundingRegion(k, max_degree, umask, tuple(entries))
 
 
 @dataclass(frozen=True)
@@ -278,7 +432,7 @@ class AlphaQuery:
 BucketTable = dict[tuple[int, int, tuple[int, ...]], int]
 # key: (size m, length, layer profile h3..h_length), value: count for one representative
 
-# Bump when the order of full_support_reps or the meaning of a BucketTable
+# Bump when the order of orbit_reps or the meaning of a BucketTable
 # changes: checkpoints store tables by representative index, and the cache
 # recomputes any checkpoint written under another version.
 SEARCH_FORMAT_VERSION = 1
@@ -358,10 +512,6 @@ class _RegionSearch:
         return select(self.sweep(m), m)
 
 
-def full_support_reps(k: int, q: int) -> tuple[QuadricOrbit, ...]:
-    return tuple(o for o in orbit_reps(k, q) if o.support == k)
-
-
 def _rep_search(args) -> BucketTable:
     """Bucket table of one representative; a process-pool task."""
     rep, m_max, length_cap, node_ceiling = args
@@ -428,7 +578,7 @@ def alpha_tables(
 
     Keys are (m, length, profile); the value already includes orbit weights.
     """
-    reps = full_support_reps(k, q)
+    reps = orbit_reps(k, q)
     return weighted_table(
         reps, rep_tables(reps, m_max, length_cap, workers, node_ceiling)
     )

@@ -14,7 +14,6 @@ from hdpart.lattice import (
     Partition,
     ResourceCeilingError,
     apolar_closure,
-    canonical_orbit,
     count_constrained,
     count_partitions,
     embedding_dimension,
@@ -26,6 +25,7 @@ from hdpart.lattice import (
     socle,
     socle_type,
 )
+from hdpart.mpart import canonical_orbit
 
 CLASSICAL = [1, 1, 2, 3, 5, 7, 11, 15, 22, 30]  # dimension 2
 PLANE = [1, 1, 3, 6, 13, 24, 48, 86, 160]  # dimension 3
@@ -187,19 +187,33 @@ def test_canonical_orbit_examples():
     assert a == b
 
 
-def test_canonical_orbit_regeneration_consistency():
-    for pts, n in [([(2, 0, 0), (1, 1, 0)], 3), ([(1, 0, 1), (0, 1, 1), (2, 0, 0)], 3)]:
-        rep, size = canonical_orbit(pts, n)
-        images = {
-            tuple(sorted((permute_point(p, perm) for p in rep), key=lambda q: (sum(q), q)))
-            for perm in itertools.permutations(range(n))
-        }
-        assert len(images) == size
-        assert min(images) == rep
+@st.composite
+def quadric_layers(draw):
+    n = draw(st.integers(min_value=1, max_value=4))
+    quads = [p for p in itertools.product(range(3), repeat=n) if sum(p) == 2]
+    return draw(st.lists(st.sampled_from(quads), unique=True)), n
+
+
+@given(quadric_layers())
+@example(([(2, 0, 0), (1, 1, 0)], 3))
+@example(([(1, 0, 1), (0, 1, 1), (2, 0, 0)], 3))
+@settings(max_examples=200, deadline=None)
+def test_canonical_orbit_regeneration_consistency(layer):
+    pts, n = layer
+    rep, size = canonical_orbit(pts, n)
+    images = {
+        tuple(sorted((permute_point(p, perm) for p in pts), key=lambda q: (sum(q), q)))
+        for perm in itertools.permutations(range(n))
+    }
+    assert len(images) == size
+    assert min(images) == rep
 
 
 def test_canonical_orbit_ceiling():
-    with pytest.raises(ResourceCeilingError):
+    # the looped-graph canonical form has no permutation ceiling, only a domain
+    rep, size = canonical_orbit([(2,) + (0,) * 12], 13)
+    assert rep == ((0,) * 12 + (2,),) and size == 13
+    with pytest.raises(ValueError):
         canonical_orbit([(1,) + (0,) * 12], 13)
 
 

@@ -1,6 +1,9 @@
 """The deep-socle search engine: stability, orbits, regions, and exact counts."""
 
 import itertools
+import math
+import pathlib
+from collections import Counter
 
 import pytest
 from hypothesis import example, given, settings
@@ -10,6 +13,8 @@ from hdpart.cache import CheckpointedAlphaRun
 from hdpart.lattice import ConstraintSpec, ResourceCeilingError, count_constrained
 from hdpart.mpart import (
     AlphaQuery,
+    _certifiable,
+    _graph,
     alpha,
     alpha_by_hilbert,
     alpha_count,
@@ -17,7 +22,6 @@ from hdpart.mpart import (
     alpha_targeted,
     alpha_without_orbit_reduction,
     bounding_region,
-    full_support_reps,
     is_m_stable,
     orbit_reps,
     quadric_points,
@@ -41,6 +45,23 @@ def test_stability_rejects_non_quadrics():
         is_m_stable([(1, 0)], 2)
 
 
+def test_looped_graph_reading_of_stability():
+    # entry a(a+1)/2 + b is x_{k-1-a} x_{k-1-b}; stable iff every non-loop edge
+    # has a looped end or lies in a triangle
+    total = 0
+    for k in range(1, 5):
+        quads = quadric_points(k)
+        for u, p in enumerate(quads):
+            a = next(a for a in range(k) if u < (a + 1) * (a + 2) // 2)
+            b = u - a * (a + 1) // 2
+            assert p == tuple((i == k - 1 - a) + (i == k - 1 - b) for i in range(k))
+        for mask in range(1 << len(quads)):
+            subset = [p for u, p in enumerate(quads) if mask >> u & 1]
+            assert _certifiable(_graph(k, mask), [0] * k) == is_m_stable(subset, k), subset
+            total += 1
+    assert total == 2 + 8 + 64 + 1024
+
+
 def test_orbit_reps_k2_q2():
     reps = orbit_reps(2, 2)
     assert len(reps) == 2
@@ -56,13 +77,56 @@ def test_orbit_reps_k1():
 
 
 def test_orbit_rep_counts_against_direct_enumeration():
-    for k, q in [(2, 1), (2, 2), (3, 2), (3, 3), (3, 4)]:
+    # a stable set touches some j <= k variables: choose them, then a full-support orbit
+    for k, q in [(2, 1), (2, 2), (3, 2), (3, 3), (3, 4), (4, 5)]:
         stable = [
             c
             for c in itertools.combinations(quadric_points(k), q)
             if is_m_stable(c, k)
         ]
-        assert sum(o.orbit_size for o in orbit_reps(k, q)) == len(stable), (k, q)
+        by_support = sum(
+            math.comb(k, j) * sum(o.orbit_size for o in orbit_reps(j, q)) for j in range(k + 1)
+        )
+        assert by_support == len(stable), (k, q)
+
+
+def _subset_scan_table() -> dict[tuple[int, int], tuple[int, str]]:
+    # columns: k, q, representatives, orbit sizes as size x multiplicity
+    rows = {}
+    path = pathlib.Path(__file__).parent / "data" / "orbit_reps.tsv"
+    for line in path.read_text().splitlines():
+        if line and not line.startswith("#"):
+            k, q, count, sizes = line.split("\t")
+            rows[int(k), int(q)] = (int(count), sizes)
+    return rows
+
+
+def _orbit_row(k, q):
+    reps = orbit_reps(k, q)
+    assert list(reps) == sorted(reps, key=lambda o: o.rep)  # checkpoints index this order
+    sizes = sorted(Counter(o.orbit_size for o in reps).items())
+    return len(reps), " ".join(f"{s}x{n}" for s, n in sizes) or "-"
+
+
+def _small(k, q):
+    return k <= 5 or (k == 6 and q <= 8)
+
+
+def test_orbit_reps_match_subset_scan():
+    table = _subset_scan_table()
+    small = [(k, q) for k, q in table if _small(k, q)]
+    assert len(small) == 35 + 8
+    for kq in small:
+        assert _orbit_row(*kq) == table[kq], kq
+
+
+@pytest.mark.slow
+def test_orbit_reps_match_subset_scan_wide():
+    table = _subset_scan_table()
+    wide = [(k, q) for k, q in table if not _small(k, q)]
+    assert wide == [(6, q) for q in range(9, 22)] + [(7, 7)]
+    for kq in wide:
+        assert _orbit_row(*kq) == table[kq], kq
 
 
 def test_bounding_region_examples():
@@ -222,9 +286,11 @@ def test_node_ceiling():
 
 def test_support_filtering():
     # configurations not touching every variable contribute nothing at level k
-    reps2 = orbit_reps(2, 1)
-    assert any(o.support == 1 for o in reps2)  # the lone square is stable
-    assert all(o.support == 2 for o in full_support_reps(2, 1)) and not full_support_reps(2, 1)
+    assert orbit_reps(2, 1) == ()
+    # the lone square is stable: the one-variable orbit, placed on either variable
+    stable = [c for c in itertools.combinations(quadric_points(2), 1) if is_m_stable(c, 2)]
+    assert stable == [((0, 2),), ((2, 0),)]
+    assert math.comb(2, 1) * sum(o.orbit_size for o in orbit_reps(1, 1)) == len(stable)
     assert alpha_count(2, 1, 5) == 0
 
 

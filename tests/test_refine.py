@@ -2,6 +2,7 @@
 the demand-driven resolver with provenance cross-checks."""
 
 import math
+import pathlib
 import random
 from fractions import Fraction as Q
 
@@ -38,6 +39,7 @@ from hdpart.series import (
 from hdpart.socle import MissingDataError
 
 R = Resolver()
+DATA = pathlib.Path(__file__).parent / "data"
 
 
 def test_count_table_boundaries():
@@ -320,3 +322,25 @@ def test_size_series_fitting():
         assert num.degree <= max(0, d - 2)
         if d <= 3:
             assert num == ONE
+
+
+def _frontier_rows() -> dict[int, list[int]]:
+    # columns: d, the row y(0..d-1, d), the commit and the command that computed it
+    rows = {}
+    for line in (DATA / "frontier_rows.tsv").read_text().splitlines():
+        if line and not line.startswith("#"):
+            d, values, _commit, _command = line.split("\t")
+            rows[int(d)] = [int(v) for v in values.split()]
+    return rows
+
+
+@pytest.mark.parametrize("d", [16, 17])
+def test_frontier_rows(d):
+    resolver = Resolver()
+    assert [resolver.y(k, d) for k in range(d)] == _frontier_rows()[d]
+
+
+@pytest.mark.slow
+def test_frontier_row_18():
+    resolver = Resolver()
+    assert [resolver.y(k, 18) for k in range(18)] == _frontier_rows()[18]
