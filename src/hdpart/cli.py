@@ -76,7 +76,8 @@ def _count_value(args, resolver: Resolver, oracle: bool) -> int:
     if oracle:
         return resolver.alpha_oracle(query)
     if args.table == "hydral":
-        return hydral.hydral_count(args.n, args.m)
+        trivial = query.trivial_count()
+        return hydral.hydral_count(args.n, args.m) if trivial is None else trivial
     if args.checkpoint_dir and query.profile is None and query.trivial_count() is None:
         run = cache_mod.CheckpointedAlphaRun(
             Path(args.checkpoint_dir), query.k, query.q, query.m,

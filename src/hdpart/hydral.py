@@ -11,7 +11,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 from typing import Iterator, Sequence
 
 from .intmath import binom
@@ -109,30 +108,14 @@ def headstrong_tuples(m: int, n: int) -> list[tuple[int, ...]]:
 # --- the block series ------------------------------------------------------------
 
 
-@lru_cache(maxsize=None)
-def _phi_coeffs(n: int, order: int) -> tuple[Fraction, ...]:
-    if n == 1:
-        return tuple(Q(int(m >= 1)) for m in range(order + 1))
-    acc = Polynomial()
-    geom_pows: dict[int, Polynomial] = {}
-    for i in range(1, order + 1):
-        shift = i + n - 2
-        if shift > order:
-            break
-        geom = Polynomial([1] * i)  # (1 - t^i)/(1 - t)
-        acc = acc + (geom ** (n - 1)).shift(shift)
-    return tuple(acc[m] for m in range(order + 1))
-
-
 def head_block_count(n: int, m: int) -> int:
     """Partitions with quadric layer {e_1 + e_i : i <= n} and m deep boxes:
     exactly the headstrong compositions after an index shift."""
-    c = _phi_coeffs(n, m)[m] if m >= 0 else 0
-    return int(c)
+    return headstrong_count(m - min_weight((n,)), n)
 
 
 def head_block_series(n: int, order: int) -> PowerSeries:
-    return PowerSeries(list(_phi_coeffs(n, order)), order)
+    return PowerSeries([head_block_count(n, m) for m in range(order + 1)], order)
 
 
 def head_block_closed(n: int) -> RationalFunction:

@@ -365,7 +365,7 @@ def search_value_collisions(
 def _independent_value(d: int, n: int, checker: Resolver) -> int:
     """Second-route recomputation of one collision side: the recurrences for
     n = 2 and 3, else the raw pipeline of a checker built with
-    use_closed_forms=False (inversions, socle recursion, search)."""
+    use_closed_forms=False (the p-from-y inversion, the socle sum, search)."""
     if n == 2:
         return partition_numbers(d)[d]
     if n == 3:

@@ -363,8 +363,9 @@ class AlphaQuery:
     by the full layer-size profile.
 
     Socles lie in degree >= 3, save one convention: the zero type (0, 0, 0)
-    counts the origin-only partition once (socle.c_from_alpha needs
-    alpha(0, 0, 0) = 1), in `trivial_count` and in `constraint_spec`.
+    counts the origin-only partition once (socle.y_from_alpha needs
+    alpha(0, 0, 0) = 1 for the partitions with no socle in degree >= 3), in
+    `trivial_count` and in `constraint_spec`.
     """
 
     k: int

@@ -439,9 +439,10 @@ def c_diagonal_series(x: int, diag: Sequence[int]) -> tuple[Polynomial, Fraction
 class Resolver:
     """Demand-driven computation of the P/Y/C/ALPHA tables.
 
-    Route preference is closed form > recurrence > inversion > search, with
-    use_closed_forms=False forcing the raw pipeline (inversions + socle
-    recursion + search) end to end. All values land in provenance-tagged
+    Route preference is closed form, then the raw pipeline: p from y by
+    inversion, y from alpha by the socle sum (`socle.y_from_alpha`), alpha by
+    search, and c, off that path, inverted from y. use_closed_forms=False
+    forces the raw pipeline end to end. All values land in provenance-tagged
     tables, so any second route for the same index must agree exactly.
     """
 
@@ -485,10 +486,7 @@ class Resolver:
             closed = limit_value("Y", (k, d))
             if closed is not None:
                 return tab.set((k, d), closed, CLOSED_FORM)
-        e = d - 1 - k
-        if e < 0:
-            return 0
-        return tab.set((k, d), y_from_c(self.c, k, e), INVERSION)
+        return tab.set((k, d), socle.y_from_alpha(d - 1 - k, k, self.alpha), RECURRENCE)
 
     def c(self, k: int, e: int) -> int:
         if k < 0 or e < 0:
@@ -500,10 +498,7 @@ class Resolver:
             closed = limit_value("C", (k, e))
             if closed is not None:
                 return tab.set((k, e), closed, CLOSED_FORM)
-        if e == 0:
-            return tab.set((k, 0), 1 if k == 0 else 0, CLOSED_FORM)
-        value = socle.c_from_alpha(e, k, self.alpha)
-        return tab.set((k, e), value, RECURRENCE)
+        return tab.set((k, e), c_from_y(self.y, k, e), INVERSION)
 
     def alpha(self, k: int, q: int, m: int) -> int:
         tab = self.tables["ALPHA"]

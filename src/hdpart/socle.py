@@ -1,9 +1,12 @@
-"""Reduction of no-unit-socle counts to deep-socle counts.
+"""Reduction of embedding-dimension counts to deep-socle counts.
 
-c(k, e) counts partitions of size 1+k+e with embedding dimension k and socle in
-degrees >= 2. Splitting by the type (k', q, m) of the subpartition generated by
-the socle part of degree >= 3 turns c into finitely many alpha values plus a
-prefix recursion over the embedding dimension.
+A partition of size 1+a+e with embedding dimension a is built exactly once
+from the type (k, q, m) of the subpartition generated by its socle part of
+degree >= 3: an M-partition of that type placed on k of the a variables and
+padded with e-q-m free quadrics. Summed over the finitely many contributing
+types this gives y(a, a+e+1) straight from alpha values. c(a, e), the count
+with socle in degrees >= 2, is the binomial inversion of the same placements
+over the embedding dimension.
 """
 
 from __future__ import annotations
@@ -21,46 +24,39 @@ class MissingDataError(KeyError):
     """A required table entry is unavailable; the message names the indices."""
 
 
-def refined_count(
-    e: int,
-    triple: Triple,
-    a: int,
-    alpha_of: AlphaProvider,
-    _memo: dict | None = None,
-) -> int:
+def placements(e: int, triple: Triple, a: int) -> int:
+    """Ways to place one M-partition of the given type on a variables: choose
+    its k variables, then e-q-m of the quadrics it leaves free."""
+    k, q, m = triple
+    return binom(a, k) * binom(binom(a + 1, 2) - q, e - q - m)
+
+
+def y_from_alpha(e: int, a: int, alpha_of: AlphaProvider) -> int:
+    """y(a, a+e+1): every contributing type, placed on the a variables."""
+    return sum(
+        alpha_of(*triple) * placements(e, triple, a) for triple in contributing_triples(e, a)
+    )
+
+
+def refined_count(e: int, triple: Triple, a: int, alpha_of: AlphaProvider) -> int:
     """Partitions counted by c(a, e) whose degree->=3 socle part has the given type.
 
-    Prefix recursion: the unrestricted construction (choose k of a variables,
-    drop in an M-partition, pad with free quadrics) overcounts by the same
-    quantity at every smaller embedding dimension.
+    Each placement on j variables is such a partition on the x variables that
+    carry a point above them, together with j-x linear socle variables, so
+    alpha * placements(j) = sum over x >= 1 of binom(j, x) * refined(x); the
+    alternating sum over j inverts that binomial transform.
     """
-    k, q, m = triple
     if a < 0:
         raise ValueError("embedding dimension must be >= 0")
-    memo = _memo if _memo is not None else {}
-
-    def rec(av: int) -> int:
-        if av == 0:
-            return 0
-        key = (e, k, q, m, av)
-        if key in memo:
-            return memo[key]
-        total = (
-            alpha_of(k, q, m)
-            * binom(av, k)
-            * binom(binom(av + 1, 2) - q, e - q - m)
-        )
-        for i in range(1, av):
-            total -= binom(av, i) * rec(i)
-        memo[key] = total
-        return total
-
-    return rec(a)
+    return alpha_of(*triple) * sum(
+        (-1) ** (a - j) * binom(a, j) * placements(e, triple, j) for j in range(1, a + 1)
+    )
 
 
 def contributing_triples(e: int, a: int) -> Iterable[Triple]:
-    """All types that can appear inside c(a, e): the zero type plus every
-    positive (k, q, m) with k <= a, q + m <= e."""
+    """All types that can appear in a partition of size 1+a+e with embedding
+    dimension a: the zero type plus every positive (k, q, m) with k <= a,
+    q + m <= e."""
     yield (0, 0, 0)
     for q in range(1, e):
         for m in range(1, e - q + 1):
@@ -74,8 +70,4 @@ def c_from_alpha(e: int, a: int, alpha_of: AlphaProvider) -> int:
         return 1 if a == 0 else 0
     if a == 0:
         return 0
-    memo: dict = {}
-    total = 0
-    for triple in contributing_triples(e, a):
-        total += refined_count(e, triple, a, alpha_of, _memo=memo)
-    return total
+    return sum(refined_count(e, triple, a, alpha_of) for triple in contributing_triples(e, a))

@@ -183,6 +183,16 @@ def test_cli_zero_type_verifies(query):
     assert (rc, out.strip()) == (0, "1"), err
 
 
+def test_cli_hydral_zero_type(tmp_path):
+    # hydral(0, 0) is the zero type: one origin-only partition, as in alpha(0, 0, 0)
+    rc, out, err = run_cli("count", "hydral", "--n", "0", "--m", "0", "--verify")
+    assert (rc, out.strip()) == (0, "1"), err
+    cache = ("--cache-dir", str(tmp_path), "count")
+    run_cli(*cache, "hydral", "--n", "0", "--m", "0")
+    rc, out, err = run_cli(*cache, "alpha", "--k", "0", "--q", "0", "--m", "0")
+    assert (rc, out.strip()) == (0, "1"), err
+
+
 def test_cli_series_outputs():
     rc, out, _ = run_cli("series", "hydral", "--n", "2")
     assert rc == 0

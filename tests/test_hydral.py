@@ -63,10 +63,10 @@ def test_headstrong_counts():
 def test_head_block_series_values():
     assert [head_block_count(1, m) for m in range(5)] == [0, 1, 1, 1, 1]
     assert [head_block_count(2, m) for m in range(1, 6)] == [1, 1, 2, 2, 3]
-    # the block count is the shifted headstrong count
+    # the block count is the shifted headstrong count, enumerated
     for n in range(2, 6):
         for m in range(12):
-            assert head_block_count(n, m) == headstrong_count(m - n + 1, n), (n, m)
+            assert head_block_count(n, m) == len(headstrong_tuples(m - n + 1, n)), (n, m)
 
 
 @pytest.mark.parametrize("n", range(1, 7))

@@ -305,10 +305,20 @@ def test_resolver_pipeline_vs_oracle_small():
 
 
 def test_resolver_skips_zero_terms():
-    # binom(4, x) = 0 for x > 4, so y(4, 12) needs c(x, 7) only for x <= 4
+    # y comes from the alpha counts, so y(4, 12) fills no c entry
     r = Resolver()
     r.y(4, 12)
-    assert max(x for x, e in r.tables["C"].entries if e == 7) == 4
+    assert not r.tables["C"].entries
+    # binom(k, x) = 0 for x > k and c(x, e) = 0 for x > 2e: y_from_c reads x <= min(k, 2e)
+    for k, e in [(4, 7), (5, 2)]:
+        read = []
+
+        def c(x, e):
+            read.append(x)
+            return r.c(x, e)
+
+        assert y_from_c(c, k, e) == r.y(k, k + e + 1)
+        assert read == list(range(min(k, 2 * e) + 1)), (k, e)
     # binom(4, k) = 0 for k > 4, so p(4, 9) needs y(k, 9) only for k <= 4
     r.p(4, 9)
     assert max(k for k, d in r.tables["Y"].entries if d == 9) == 4

@@ -1,12 +1,14 @@
-"""The recursion expressing no-unit-socle counts through deep-socle counts."""
+"""The reduction of embedding-dimension counts to deep-socle counts."""
+
+import functools
 
 import pytest
 
-from hdpart.intmath import double_factorial
+from hdpart.intmath import binom, double_factorial
 from hdpart.lattice import ConstraintSpec, count_constrained
 from hdpart.mpart import alpha_count
-from hdpart.refine import Resolver
-from hdpart.socle import c_from_alpha, contributing_triples, refined_count
+from hdpart.refine import Resolver, y_from_c
+from hdpart.socle import c_from_alpha, contributing_triples, refined_count, y_from_alpha
 
 R = Resolver()
 
@@ -70,8 +72,27 @@ def test_zero_type_counts_socle_exactly_in_degree_two():
         assert got == manual, (e, a)
 
 
-def test_memoization_consistency_with_fresh_runs():
-    memo = {}
-    v1 = refined_count(4, (2, 2, 2), 5, alpha_of, _memo=memo)
-    v2 = refined_count(4, (2, 2, 2), 5, alpha_of)
-    assert v1 == v2
+@functools.cache
+def _prefix_recursion(e, triple, a):
+    # the unrestricted construction on a variables overcounts by the same
+    # quantity at every smaller embedding dimension
+    if a == 0:
+        return 0
+    k, q, m = triple
+    placed = alpha_of(*triple) * binom(a, k) * binom(binom(a + 1, 2) - q, e - q - m)
+    return placed - sum(binom(a, i) * _prefix_recursion(e, triple, i) for i in range(1, a))
+
+
+def test_refined_count_solves_prefix_recursion():
+    for e in range(1, 7):
+        for a in range(2 * e + 2):
+            for triple in contributing_triples(e, a):
+                assert refined_count(e, triple, a, alpha_of) == _prefix_recursion(e, triple, a)
+
+
+def test_y_from_alpha_matches_c_route():
+    raw = Resolver(use_closed_forms=False)
+    for e in range(1, 7):
+        for a in range(2 * e + 3):
+            via_c = y_from_c(lambda x, e: c_from_alpha(e, x, raw.alpha), a, e)
+            assert y_from_alpha(e, a, raw.alpha) == via_c, (e, a)
