@@ -171,19 +171,14 @@ def _query_id(query: dict) -> str:
 
 
 def _encode_table(table: mpart.BucketTable) -> dict[str, int]:
-    return {
-        f"{m}|{length}|{','.join(map(str, profile))}": v
-        for (m, length, profile), v in sorted(table.items())
-    }
+    return {",".join(map(str, profile)): v for profile, v in sorted(table.items())}
 
 
-def _decode_table(data: dict[str, int]) -> mpart.BucketTable:
-    out: mpart.BucketTable = {}
-    for key, v in data.items():
-        m, length, profile = key.split("|")
-        prof = tuple(int(x) for x in profile.split(",")) if profile else ()
-        out[(int(m), int(length), prof)] = v
-    return out
+def _decode_table(data) -> mpart.BucketTable:
+    """The table _encode_table wrote; ValueError for anything else."""
+    if not isinstance(data, dict) or not all(type(v) is int for v in data.values()):
+        raise ValueError("malformed checkpoint table")
+    return {tuple(int(x) for x in key.split(",")): v for key, v in data.items()}
 
 
 class CheckpointedAlphaRun:
@@ -192,8 +187,9 @@ class CheckpointedAlphaRun:
     Each stable-orbit representative is one task; after a task finishes its
     bucket table is flushed to the checkpoint file. Resuming skips completed
     tasks, so the final aggregate is identical however often the run is
-    interrupted. A checkpoint file that is not JSON, or was written for another
-    query or under another search-format version, is recomputed, never resumed.
+    interrupted. A checkpoint file that is not JSON, holds a malformed table, or
+    was written for another query or under another search-format version, is
+    recomputed, never resumed. node_ceiling bounds the nodes of each run() call.
     """
 
     def __init__(
@@ -218,15 +214,15 @@ class CheckpointedAlphaRun:
         if self.path.exists():
             try:
                 data = json.loads(self.path.read_text())
-            except ValueError:  # not JSON: recomputed like a stale file
-                data = None
-            if (
-                isinstance(data, dict)
-                and data.get("version") == mpart.SEARCH_FORMAT_VERSION
-                and data.get("query") == self.query
-            ):
-                for idx, table in data["tables"].items():
-                    self.completed[int(idx)] = _decode_table(table)
+                if (
+                    isinstance(data, dict)
+                    and data.get("version") == mpart.SEARCH_FORMAT_VERSION
+                    and data.get("query") == self.query
+                    and isinstance(data.get("tables"), dict)
+                ):
+                    self.completed = {int(i): _decode_table(t) for i, t in data["tables"].items()}
+            except ValueError:  # not JSON, or a malformed table: recomputed like a stale file
+                pass
 
     @property
     def pending(self) -> list[int]:

@@ -15,10 +15,13 @@ Which quadrics lie below a cell is worked out once, in one cell table per
 dimension (`_cell_table`). Stability, bounding regions and the region search
 all read its indices. It is not the oracle's universe in `lattice`.
 
-`_RegionSearch.sweep` is the only region walker; every alpha count, and every
-checkpointed run in `cache` (which honours `workers` too), selects from the
-orbit-weighted sum of its tables. The lattice oracle stays a separate walker
-on purpose: it is the independent route that checks this one.
+`_RegionSearch.sweep` is the only region walker. It buckets the subsets it
+finds by layer profile (h_3, ..., h_length), which fixes their size and
+length, so one sweep to size m_max holds every count with m <= m_max. Every
+alpha count, and every checkpointed run in `cache` (which honours `workers`
+too), selects from the orbit-weighted sum of its tables. The lattice oracle
+stays a separate walker on purpose: it is the independent route that checks
+this one.
 """
 
 from __future__ import annotations
@@ -430,13 +433,14 @@ class AlphaQuery:
         return None
 
 
-BucketTable = dict[tuple[int, int, tuple[int, ...]], int]
-# key: (size m, length, layer profile h3..h_length), value: count for one representative
+BucketTable = dict[tuple[int, ...], int]
+# key: the layer profile (h_3, ..., h_length), so size m is its sum and the
+# length is 2 + its length; value: the count for one representative
 
 # Bump when the order of orbit_reps or the meaning of a BucketTable
 # changes: checkpoints store tables by representative index, and the cache
 # recomputes any checkpoint written under another version.
-SEARCH_FORMAT_VERSION = 1
+SEARCH_FORMAT_VERSION = 2
 
 
 class _RegionSearch:
@@ -473,17 +477,16 @@ class _RegionSearch:
         return self.budget.nodes
 
     def sweep(self, m_max: int) -> BucketTable:
-        """Count every valid subset of size <= m_max, bucketed by
-        (size, length, layer profile)."""
+        """Count every valid subset of size <= m_max, bucketed by layer profile."""
         table: BucketTable = {}
-        layer_counts: dict[int, int] = {}
         parent_mask, degrees, covers = self.parent_mask, self.degrees, self.covers
+        layers = [0] * (max(degrees, default=2) + 1)  # chosen cells per degree
         spend = self.budget.spend
 
-        def rec(last: int, size: int, cover: int, maxdeg: int, chosen: int):
+        def rec(last: int, size: int, cover: int, chosen: int):
             if cover == self.full_mask and size >= 1:
-                profile = tuple(layer_counts.get(g, 0) for g in range(3, maxdeg + 1))
-                key = (size, maxdeg, profile)
+                # cells arrive in degree order, so the last one has the top degree
+                key = tuple(layers[3 : degrees[last] + 1])
                 table[key] = table.get(key, 0) + 1
             if size == m_max:
                 return
@@ -500,12 +503,11 @@ class _RegionSearch:
                 if parent_mask[i] & ~chosen:
                     continue
                 spend()
-                g = degrees[i]
-                layer_counts[g] = layer_counts.get(g, 0) + 1
-                rec(i, size + 1, cover | covers[i], max(maxdeg, g), chosen | 1 << i)
-                layer_counts[g] -= 1
+                layers[degrees[i]] += 1
+                rec(i, size + 1, cover | covers[i], chosen | 1 << i)
+                layers[degrees[i]] -= 1
 
-        rec(-1, 0, 0, 2, 0)
+        rec(-1, 0, 0, 0)
         return table
 
     def count(self, m: int) -> int:
@@ -513,10 +515,11 @@ class _RegionSearch:
         return select(self.sweep(m), m)
 
 
-def _rep_search(args) -> BucketTable:
-    """Bucket table of one representative; a process-pool task."""
+def _rep_search(args) -> tuple[BucketTable, int]:
+    """Bucket table and node count of one representative; a process-pool task."""
     rep, m_max, length_cap, node_ceiling = args
-    return _RegionSearch(bounding_region(rep, length_cap), node_ceiling).sweep(m_max)
+    search = _RegionSearch(bounding_region(rep, length_cap), node_ceiling)
+    return search.sweep(m_max), search.nodes
 
 
 def rep_tables(
@@ -526,14 +529,24 @@ def rep_tables(
     workers: int,
     node_ceiling: Optional[int],
 ) -> Iterator[BucketTable]:
-    """Unweighted bucket table of each representative, yielded in order."""
+    """Unweighted bucket table of each representative, yielded in order.
+
+    node_ceiling is one ceiling for all of them: each task's nodes are
+    charged to one budget in representative order, so the count fails
+    exactly when the serial walk does, under any number of workers.
+    """
     max_degree = length_cap if length_cap is not None else m_max + 2
     tasks = [(o.rep, m_max, max_degree, node_ceiling) for o in reps]
+    budget = _Budget(node_ceiling)
     if workers > 1 and len(tasks) > 1:
         with ProcessPoolExecutor(max_workers=workers) as ex:
-            yield from ex.map(_rep_search, tasks)
+            for table, nodes in ex.map(_rep_search, tasks):
+                budget.spend(nodes)
+                yield table
     else:
-        yield from map(_rep_search, tasks)
+        for table, nodes in map(_rep_search, tasks):
+            budget.spend(nodes)
+            yield table
 
 
 def weighted_table(
@@ -555,16 +568,13 @@ def select(
 ) -> int:
     """Total of the buckets of size m, optionally of one length and one
     layer profile (h_0, ..., h_length)."""
-    total = 0
-    for (size, maxdeg, tail), val in table.items():
-        if size != m:
-            continue
-        if length is not None and maxdeg != length:
-            continue
-        if profile is not None and tail != tuple(profile[3:]):
-            continue
-        total += val
-    return total
+    return sum(
+        val
+        for tail, val in table.items()
+        if sum(tail) == m
+        and (length is None or len(tail) + 2 == length)
+        and (profile is None or tail == tuple(profile[3:]))
+    )
 
 
 def alpha_tables(
@@ -575,10 +585,8 @@ def alpha_tables(
     workers: int = 1,
     node_ceiling: Optional[int] = DEFAULT_NODE_CEILING,
 ) -> BucketTable:
-    """Orbit-weighted bucket table for all sizes up to m_max at once.
-
-    Keys are (m, length, profile); the value already includes orbit weights.
-    """
+    """Orbit-weighted bucket table for all sizes up to m_max at once, from
+    one sweep per representative; the values include the orbit weights."""
     reps = orbit_reps(k, q)
     return weighted_table(
         reps, rep_tables(reps, m_max, length_cap, workers, node_ceiling)

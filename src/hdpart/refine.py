@@ -24,6 +24,7 @@ from .series import (
     PowerSeries,
     Q,
     RationalFunction,
+    binomial_series,
     borel,
     expand_half_power,
     fit_numerator,
@@ -323,13 +324,9 @@ def y_diagonal_numerator(e: int, seed: Sequence[int]) -> Polynomial:
         raise ValueError("diagonal index must be positive")
     if len(seed) < 2 * e:
         raise MissingDataError(f"need {2 * e} seed values, got {len(seed)}")
-    gammas = [
-        sum(
-            (-1) ** (h + j) * binom(2 * e + 1, h - j) * seed[j]
-            for j in range(h + 1)
-        )
-        for h in range(2 * e)
-    ]
+    # the first 2e coefficients of seed(t) * (1-t)^(2e+1)
+    denominator = one_minus_t_power(1) ** (2 * e + 1)
+    gammas = PowerSeries(seed, 2 * e - 1).mul_polynomial(denominator).coeffs
     if sum(gammas) != double_factorial(2 * e - 1):
         raise IntegrityError("numerator coefficients fail the sum identity")
     if sum((i + 1) * g for i, g in enumerate(gammas)) != e * double_factorial(2 * e - 1):
@@ -370,30 +367,6 @@ def _c_numerator_even(alpha: int, diag: Sequence[int]) -> list[Fraction]:
     return out
 
 
-def _c_numerator_odd(alpha: int, diag: Sequence[int]) -> list[Fraction]:
-    """Coefficients for x = 2*alpha - 1; diag[z] = c(2z+1, z+alpha)."""
-    out = []
-    for h in range(3 * alpha - 1):
-        acc = Q(0)
-        for z in range(h + 1):
-            inner = Q(0)
-            for y in range(z, h + 1):
-                b = binom(3 * alpha - 2 - y, h - y)
-                if b == 0:
-                    continue
-                inner += Q(
-                    b * double_factorial(2 * y + 1) * 2 ** (h - y),
-                    math.factorial(y - z),
-                )
-            acc += (
-                Q((-1) ** (z + h) * diag[z])
-                / (double_factorial(2 * z + 1) * math.factorial(z))
-                * inner
-            )
-        out.append(acc)
-    return out
-
-
 def c_diagonal_series(x: int, diag: Sequence[int]) -> tuple[Polynomial, Fraction]:
     """Numerator polynomial and half-integer denominator exponent for the
     Borel-resummed diagonal c series.
@@ -415,8 +388,8 @@ def c_diagonal_series(x: int, diag: Sequence[int]) -> tuple[Polynomial, Fraction
             )
         if x % 2 == 0:
             coeffs = _c_numerator_even(x // 2, diag)
-        else:
-            coeffs = _c_numerator_odd((x + 1) // 2, diag)
+        else:  # the Borel series times (1-2t)^exponent, cut at the degree bound
+            coeffs = (borel(PowerSeries(diag)) * binomial_series(exponent, -2, deg_bound)).coeffs
         numerator = Polynomial(coeffs)
     if numerator.degree > deg_bound:
         raise IntegrityError(
@@ -441,9 +414,10 @@ class Resolver:
 
     Route preference is closed form, then the raw pipeline: p from y by
     inversion, y from alpha by the socle sum (`socle.y_from_alpha`), alpha by
-    search, and c, off that path, inverted from y. use_closed_forms=False
-    forces the raw pipeline end to end. All values land in provenance-tagged
-    tables, so any second route for the same index must agree exactly.
+    search (one sweep per (k, q), which fills every smaller m), and c, off that
+    path, inverted from y. use_closed_forms=False forces the raw pipeline end to
+    end. All values land in provenance-tagged tables, so any second route for
+    the same index must agree exactly.
     """
 
     def __init__(
@@ -509,10 +483,14 @@ class Resolver:
 
             value = hydral.hydral_count(k, m)
             return tab.set((k, q, m), value, CLOSED_FORM)
-        value = mpart.alpha_count(
-            k, q, m, workers=self.workers, node_ceiling=self.node_ceiling
-        )
-        return tab.set((k, q, m), value, SEARCH)
+        trivial = mpart.AlphaQuery(k, q, m).trivial_count()
+        if trivial is not None:
+            return tab.set((k, q, m), trivial, SEARCH)
+        # one sweep to size m holds every smaller size of the same (k, q)
+        table = mpart.alpha_tables(k, q, m, workers=self.workers, node_ceiling=self.node_ceiling)
+        for size in range(1, m + 1):
+            tab.set((k, q, size), mpart.select(table, size), SEARCH)
+        return tab.get((k, q, m))
 
     # --- oracle routes (brute force) -----------------------------------------
 

@@ -56,10 +56,11 @@ def refined_count(e: int, triple: Triple, a: int, alpha_of: AlphaProvider) -> in
 def contributing_triples(e: int, a: int) -> Iterable[Triple]:
     """All types that can appear in a partition of size 1+a+e with embedding
     dimension a: the zero type plus every positive (k, q, m) with k <= a,
-    q + m <= e."""
+    q + m <= e. Each (k, q) comes first with its largest m, which a single
+    search of that size answers for every smaller m too."""
     yield (0, 0, 0)
     for q in range(1, e):
-        for m in range(1, e - q + 1):
+        for m in range(e - q, 0, -1):
             for k in range(1, min(a, q) + 1):
                 yield (k, q, m)
 

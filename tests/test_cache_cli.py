@@ -15,7 +15,7 @@ from hdpart.cache import (
     load_golden_records,
 )
 from hdpart.cli import main
-from hdpart.mpart import alpha_count
+from hdpart.mpart import SEARCH_FORMAT_VERSION, alpha_count
 from hdpart.series import parse_polynomial
 
 
@@ -86,7 +86,7 @@ def test_checkpoint_ignores_other_search_version(tmp_path):
     run = CheckpointedAlphaRun(tmp_path, k, q, m)
     run.run(task_limit=1)
     data = json.loads(run.path.read_text())
-    data["tables"]["0"] = {"5|3|": 10**6}  # a table that would change the total
+    data["tables"]["0"] = {"5": 10**6}  # a table that would change the total
     data["version"] += 1
     run.path.write_text(json.dumps(data))
     stale = CheckpointedAlphaRun(tmp_path, k, q, m)
@@ -97,6 +97,17 @@ def test_checkpoint_ignores_other_search_version(tmp_path):
     for text in (json.dumps(data), "[1]", '{"tables": '):
         run.path.write_text(text)
         assert CheckpointedAlphaRun(tmp_path, k, q, m).completed == {}
+
+
+@pytest.mark.parametrize("table", [{"x|3|": 5}, {"zero": 5}, [5], {"1,2": "5"}])
+def test_checkpoint_with_malformed_table_is_recomputed(tmp_path, table):
+    k, q, m = 3, 4, 5
+    run = CheckpointedAlphaRun(tmp_path, k, q, m)
+    data = {"version": SEARCH_FORMAT_VERSION, "query": run.query, "tables": {"0": table}}
+    run.path.write_text(json.dumps(data))
+    stale = CheckpointedAlphaRun(tmp_path, k, q, m)
+    assert stale.completed == {}
+    assert stale.run() == alpha_count(k, q, m)
 
 
 def test_checkpoint_partial_state_is_persisted(tmp_path):

@@ -243,15 +243,14 @@ def test_profile_additivity():
     k, q, m, length = 3, 5, 6, 4
     table = alpha_tables(k, q, m, length_cap=length)
     refined = alpha_count(k, q, m, length=length)
+    # a bucket's key is its profile (h_3, ..., h_length): size is the sum
     by_profile = sum(
-        v
-        for (size, maxdeg, profile), v in table.items()
-        if size == m and maxdeg == length
+        v for profile, v in table.items() if sum(profile) == m and len(profile) + 2 == length
     )
     assert by_profile == refined
     # and each bucket matches the direct profile query
-    for (size, maxdeg, profile), v in sorted(table.items()):
-        if size != m or maxdeg != length:
+    for profile, v in sorted(table.items()):
+        if sum(profile) != m or len(profile) + 2 != length:
             continue
         h = (1, k, q) + profile
         assert alpha_by_hilbert(h) == v, h
@@ -282,6 +281,11 @@ def test_parallel_determinism(tmp_path):
 def test_node_ceiling():
     with pytest.raises(ResourceCeilingError):
         alpha_count(3, 4, 8, node_ceiling=100)
+    # one ceiling per count: the representatives' searches walk 811 nodes together
+    for workers in (1, 2):
+        with pytest.raises(ResourceCeilingError):
+            alpha_count(3, 4, 8, workers=workers, node_ceiling=810)
+        assert alpha_count(3, 4, 8, workers=workers, node_ceiling=811) == 1302
 
 
 def test_support_filtering():

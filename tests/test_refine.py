@@ -8,6 +8,7 @@ from fractions import Fraction as Q
 
 import pytest
 
+from hdpart import mpart
 from hdpart.intmath import binom, double_factorial
 from hdpart.refine import (
     CountTable,
@@ -284,10 +285,11 @@ def test_c_diagonal_series_matches_pipeline(x):
 
 
 def test_c_diagonal_series_rejects_corrupt_diagonal():
-    diag = R.c_diagonal(2, 6)
-    diag[4] += 1
-    with pytest.raises(IntegrityError):
-        c_diagonal_series(2, diag)
+    for x in (2, 3):
+        diag = R.c_diagonal(x, 6)
+        diag[4] += 1
+        with pytest.raises(IntegrityError):
+            c_diagonal_series(x, diag)
 
 
 def test_resolver_prop_values():
@@ -348,6 +350,21 @@ def _frontier_rows() -> dict[int, list[int]]:
 def test_frontier_rows(d):
     resolver = Resolver()
     assert [resolver.y(k, d) for k in range(d)] == _frontier_rows()[d]
+
+
+def test_resolver_sweeps_once_per_pair(monkeypatch):
+    # one search to the largest m of each (k, q) fills every smaller m
+    calls = []
+    search = mpart.alpha_tables
+
+    def counted(k, q, m, **kwargs):
+        calls.append((k, q))
+        return search(k, q, m, **kwargs)
+
+    monkeypatch.setattr(mpart, "alpha_tables", counted)
+    resolver = Resolver()
+    assert [resolver.y(k, 17) for k in range(17)] == _frontier_rows()[17]
+    assert len(calls) == len(set(calls)) == 13
 
 
 @pytest.mark.slow
