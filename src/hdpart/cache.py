@@ -21,6 +21,8 @@ from pathlib import Path
 from typing import Iterable, Optional
 
 from . import mpart
+from .lattice import _Budget
+from .series import IntegrityError
 
 FORMAT_VERSION = "1"
 CACHE_ENV_VAR = "HDPART_CACHE_DIR"
@@ -100,8 +102,8 @@ class CacheStore:
         index = tuple(index)
         existing = self._entries.get((kind, index))
         if existing is not None:
-            if existing.value != value:
-                raise ValueError(
+            if existing.value != value:  # two routes disagree
+                raise IntegrityError(
                     f"cache conflict at {kind}{index}: {existing.value} vs {value}"
                 )
             return existing
@@ -242,9 +244,9 @@ class CheckpointedAlphaRun:
         """Execute up to task_limit pending tasks; return the count once every
         task is complete, else None."""
         todo = self.pending if task_limit is None else self.pending[: max(task_limit, 0)]
-        tables = mpart.rep_tables(
-            [self.reps[i] for i in todo], self.m, self.length, self.workers, self.node_ceiling
-        )
+        reps = [self.reps[i] for i in todo]
+        budget = _Budget(self.node_ceiling)
+        tables = mpart.rep_tables(reps, self.m, self.length, self.workers, budget)
         for idx, table in zip(todo, tables):
             self.completed[idx] = table
             self._flush()

@@ -83,19 +83,12 @@ def _count_value(args, resolver: Resolver, oracle: bool) -> int:
             Path(args.checkpoint_dir), query.k, query.q, query.m,
             length=query.length, node_ceiling=args.node_ceiling, workers=args.workers,
         )
-        value = run.run(task_limit=args.task_limit)
-        if value is None:
-            raise ResourceCeilingError(
-                f"checkpointed run paused with {len(run.pending)} tasks pending"
-            )
-        return value
+        return run.run()
     return mpart.alpha(query, workers=args.workers, node_ceiling=args.node_ceiling)
 
 
 def cmd_count(args) -> int:
-    resolver = Resolver(
-        workers=args.workers, node_ceiling=args.node_ceiling, oracle_max_nodes=args.max_nodes
-    )
+    resolver = Resolver(workers=args.workers, node_ceiling=args.node_ceiling)
     store = _cache_store(args)
     kind_index = {
         "p": ("P", lambda: (args.n, args.d)),
@@ -234,9 +227,8 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--workers", type=int, default=1, help="parallelism degree")
     parser.add_argument(
         "--node-ceiling", type=int, default=mpart.DEFAULT_NODE_CEILING,
-        help="search node budget before aborting",
+        help="node budget of a command's searches, and of each oracle count",
     )
-    parser.add_argument("--max-nodes", type=int, default=None, help="oracle state budget")
     parser.add_argument("--cache-dir", default=None, help="cache directory (or $HDPART_CACHE_DIR)")
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -253,7 +245,6 @@ def build_parser() -> argparse.ArgumentParser:
     count.add_argument("--oracle", action="store_true", help="brute force only")
     count.add_argument("--verify", action="store_true", help="pipeline and oracle must agree")
     count.add_argument("--checkpoint-dir", default=None)
-    count.add_argument("--task-limit", type=int, default=None)
     count.set_defaults(func=cmd_count)
 
     series = sub.add_parser("series", help="print a generating function")

@@ -1,9 +1,8 @@
-"""Shared integer combinatorics: generalized binomials, double factorials, Macaulay growth."""
+"""Shared integer combinatorics: generalized binomials and double factorials."""
 
 from __future__ import annotations
 
 import math
-from functools import lru_cache
 
 
 def binom(n: int, k: int) -> int:
@@ -33,28 +32,3 @@ def double_factorial(n: int) -> int:
         n -= 2
     return result
 
-
-@lru_cache(maxsize=None)
-def macaulay_growth(h: int, i: int) -> int:
-    """Largest admissible next value of a Hilbert function after h in degree i.
-
-    Writes h = C(a_i, i) + C(a_{i-1}, i-1) + ... + C(a_j, j) with
-    a_i > a_{i-1} > ... > a_j >= j >= 1 (the i-th Macaulay representation)
-    and returns C(a_i+1, i+1) + ... + C(a_j+1, j+1), an upper bound for the
-    degree-(i+1) value of any monomial-ideal Hilbert function.
-    """
-    if h < 0 or i < 1:
-        raise ValueError("need h >= 0 and degree i >= 1")
-    if h == 0:
-        return 0
-    rest = h
-    deg = i
-    bound = 0
-    while rest > 0 and deg >= 1:
-        a = deg
-        while math.comb(a + 1, deg) <= rest:
-            a += 1
-        rest -= math.comb(a, deg)
-        bound += math.comb(a + 1, deg + 1)
-        deg -= 1
-    return bound

@@ -16,9 +16,10 @@ already a candidate, so a layer whose target its remaining candidates cannot
 reach is cut at once. Without a checker or visitor the last level is counted,
 not walked: a state one point short of the target has one leaf per candidate,
 and the node budget is charged for each of them, so node ceilings mean what
-they meant for a walk that visits every leaf. Only the node counter `_Budget`
-is shared with `mpart`'s region search; the walk itself is separate code, so it
-stays an independent route.
+they meant for a walk that visits every leaf. `mpart`'s region search shares
+the node counter `_Budget` and the task runner `charged_map` with this module;
+the walks themselves are separate code, so the oracle stays an independent
+route.
 """
 
 from __future__ import annotations
@@ -200,6 +201,36 @@ class _Budget:
         self.nodes += nodes
         if self.ceiling is not None and self.nodes > self.ceiling:
             raise ResourceCeilingError(f"search exceeded the {self.ceiling}-node ceiling")
+
+    @property
+    def left(self) -> Optional[int]:
+        """The nodes still allowed, or None without a ceiling."""
+        return None if self.ceiling is None else self.ceiling - self.nodes
+
+
+def charged_map(
+    fn: Callable, tasks: Sequence, workers: int, budget: _Budget, chunksize: int = 1
+) -> Iterator:
+    """Yield the value of each fn(task) -> (value, nodes) in task order, and
+    charge its nodes to budget in that order.
+
+    A process pool runs the tasks when workers > 1 and there is more than one.
+    A task whose own ceiling is budget.left when it is built then fails
+    exactly when the serial walk does, under any number of workers, and its
+    error names the budget's ceiling.
+    """
+    try:
+        if workers > 1 and len(tasks) > 1:
+            with ProcessPoolExecutor(max_workers=workers) as ex:
+                for value, nodes in ex.map(fn, tasks, chunksize=chunksize):
+                    budget.spend(nodes)
+                    yield value
+        else:
+            for value, nodes in map(fn, tasks):
+                budget.spend(nodes)
+                yield value
+    except ResourceCeilingError:
+        raise ResourceCeilingError(f"search exceeded the {budget.ceiling}-node ceiling") from None
 
 
 class _Universe(NamedTuple):
@@ -435,14 +466,9 @@ def _count(
         prefixes,
     )
     if prefixes:
-        # one ceiling for the whole walk: each task may spend what the prefix
-        # walk left, and the tasks' nodes are charged here in a fixed order
-        left = None if max_nodes is None else max_nodes - budget.nodes
-        tasks = [(n, target_size, spec, left, *prefix) for prefix in prefixes]
-        with ProcessPoolExecutor(max_workers=workers) as ex:
-            for count, nodes in ex.map(_subtree_task, tasks, chunksize=8):
-                budget.spend(nodes)
-                total += count
+        # one ceiling for the whole walk: each task may spend what the prefix walk left
+        tasks = [(n, target_size, spec, budget.left, *prefix) for prefix in prefixes]
+        total += sum(charged_map(_subtree_task, tasks, workers, budget, chunksize=8))
     return total
 
 

@@ -19,9 +19,10 @@ all read its indices. It is not the oracle's universe in `lattice`.
 finds by layer profile (h_3, ..., h_length), which fixes their size and
 length, so one sweep to size m_max holds every count with m <= m_max. Every
 alpha count, and every checkpointed run in `cache` (which honours `workers`
-too), selects from the orbit-weighted sum of its tables. The lattice oracle
-stays a separate walker on purpose: it is the independent route that checks
-this one.
+too), selects from the orbit-weighted sum of its tables. The sweeps run
+through the oracle's task runner `lattice.charged_map` and charge its node
+counter `lattice._Budget`; the oracle stays a separate walker on purpose: it
+is the independent route that checks this one.
 """
 
 from __future__ import annotations
@@ -29,7 +30,6 @@ from __future__ import annotations
 import bisect
 import itertools
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable, Iterator, Optional, Sequence
@@ -38,6 +38,7 @@ from .lattice import (
     ConstraintSpec,
     Point,
     _Budget,
+    charged_map,
     lower_covers,
     point_key,
 )
@@ -444,9 +445,10 @@ SEARCH_FORMAT_VERSION = 2
 
 
 class _RegionSearch:
-    """Exact DFS over downward-closed cell subsets of one bounding region."""
+    """Exact DFS over downward-closed cell subsets of one bounding region,
+    charging its nodes to budget."""
 
-    def __init__(self, region: BoundingRegion, node_ceiling: Optional[int]):
+    def __init__(self, region: BoundingRegion, budget: _Budget):
         table = _cell_table(region.k)
         entries = region.entries
         local = {e: i for i, e in enumerate(entries)}
@@ -470,7 +472,7 @@ class _RegionSearch:
                     parents |= 1 << local[c]
             self.parent_mask.append(parents)
             self.covers.append(cover)
-        self.budget = _Budget(node_ceiling)
+        self.budget = budget
 
     @property
     def nodes(self) -> int:
@@ -518,7 +520,7 @@ class _RegionSearch:
 def _rep_search(args) -> tuple[BucketTable, int]:
     """Bucket table and node count of one representative; a process-pool task."""
     rep, m_max, length_cap, node_ceiling = args
-    search = _RegionSearch(bounding_region(rep, length_cap), node_ceiling)
+    search = _RegionSearch(bounding_region(rep, length_cap), _Budget(node_ceiling))
     return search.sweep(m_max), search.nodes
 
 
@@ -527,26 +529,17 @@ def rep_tables(
     m_max: int,
     length_cap: Optional[int],
     workers: int,
-    node_ceiling: Optional[int],
+    budget: _Budget,
 ) -> Iterator[BucketTable]:
     """Unweighted bucket table of each representative, yielded in order.
 
-    node_ceiling is one ceiling for all of them: each task's nodes are
-    charged to one budget in representative order, so the count fails
-    exactly when the serial walk does, under any number of workers.
+    Every representative's nodes are charged to budget in representative
+    order (`lattice.charged_map`), so the count fails exactly when the serial
+    walk does, under any number of workers.
     """
     max_degree = length_cap if length_cap is not None else m_max + 2
-    tasks = [(o.rep, m_max, max_degree, node_ceiling) for o in reps]
-    budget = _Budget(node_ceiling)
-    if workers > 1 and len(tasks) > 1:
-        with ProcessPoolExecutor(max_workers=workers) as ex:
-            for table, nodes in ex.map(_rep_search, tasks):
-                budget.spend(nodes)
-                yield table
-    else:
-        for table, nodes in map(_rep_search, tasks):
-            budget.spend(nodes)
-            yield table
+    tasks = [(o.rep, m_max, max_degree, budget.left) for o in reps]
+    return charged_map(_rep_search, tasks, workers, budget)
 
 
 def weighted_table(
@@ -583,14 +576,14 @@ def alpha_tables(
     m_max: int,
     length_cap: Optional[int] = None,
     workers: int = 1,
-    node_ceiling: Optional[int] = DEFAULT_NODE_CEILING,
+    budget: Optional[_Budget] = None,
 ) -> BucketTable:
     """Orbit-weighted bucket table for all sizes up to m_max at once, from
-    one sweep per representative; the values include the orbit weights."""
+    one sweep per representative; the values include the orbit weights.
+    The sweeps are charged to budget, or to a fresh default-ceiling one."""
     reps = orbit_reps(k, q)
-    return weighted_table(
-        reps, rep_tables(reps, m_max, length_cap, workers, node_ceiling)
-    )
+    budget = _Budget(DEFAULT_NODE_CEILING) if budget is None else budget
+    return weighted_table(reps, rep_tables(reps, m_max, length_cap, workers, budget))
 
 
 def alpha(
@@ -604,7 +597,7 @@ def alpha(
         return trivial
     k, q, m = query.k, query.q, query.m
     table = alpha_tables(
-        k, q, m, length_cap=query.length, workers=workers, node_ceiling=node_ceiling
+        k, q, m, length_cap=query.length, workers=workers, budget=_Budget(node_ceiling)
     )
     return select(table, m, query.length, query.profile)
 
@@ -639,12 +632,13 @@ def alpha_without_orbit_reduction(
     if trivial is not None:
         return trivial
     quads = quadric_points(k)
+    budget = _Budget(node_ceiling)
     total = 0
     for combo in itertools.combinations(quads, q):
         if len(support_variables(combo)) != k or not is_m_stable(combo, k):
             continue
         region = bounding_region(combo, m + 2)
-        total += _RegionSearch(region, node_ceiling).count(m)
+        total += _RegionSearch(region, budget).count(m)
     return total
 
 
@@ -659,4 +653,4 @@ def alpha_targeted(
     trivial = AlphaQuery(k, q, m).trivial_count()
     if trivial is not None:
         return trivial
-    return select(alpha_tables(k, q, m, node_ceiling=node_ceiling), m)
+    return select(alpha_tables(k, q, m, budget=_Budget(node_ceiling)), m)

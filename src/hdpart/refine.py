@@ -13,7 +13,7 @@ import math
 from fractions import Fraction
 from typing import Callable, Optional, Sequence
 
-from . import lattice, mpart, socle
+from . import hydral, lattice, mpart, socle
 from .intmath import binom, double_factorial
 from .series import (
     EulerColumn,
@@ -37,7 +37,6 @@ INVERSION = "inversion"
 RECURRENCE = "recurrence"
 CLOSED_FORM = "closed-form"
 SEARCH = "search"
-CACHE = "cache"
 
 KINDS = ("P", "Y", "C", "D", "ALPHA")
 
@@ -418,6 +417,10 @@ class Resolver:
     path, inverted from y. use_closed_forms=False forces the raw pipeline end to
     end. All values land in provenance-tagged tables, so any second route for
     the same index must agree exactly.
+
+    node_ceiling bounds the nodes of every search this resolver runs: they are
+    all charged to one budget. Each oracle count gets a fresh budget with the
+    same ceiling.
     """
 
     def __init__(
@@ -425,12 +428,11 @@ class Resolver:
         use_closed_forms: bool = True,
         workers: int = 1,
         node_ceiling: Optional[int] = mpart.DEFAULT_NODE_CEILING,
-        oracle_max_nodes: Optional[int] = None,
     ):
         self.use_closed_forms = use_closed_forms
         self.workers = workers
         self.node_ceiling = node_ceiling
-        self.oracle_max_nodes = oracle_max_nodes
+        self.budget = lattice._Budget(node_ceiling)
         self.tables = {kind: CountTable(kind) for kind in KINDS}
 
     def p(self, n: int, d: int) -> int:
@@ -479,15 +481,13 @@ class Resolver:
         if (k, q, m) in tab:
             return tab.get((k, q, m))
         if self.use_closed_forms and q == k and k >= 1 and m >= 1:
-            from . import hydral  # deferred: hydral depends on this module's series
-
             value = hydral.hydral_count(k, m)
             return tab.set((k, q, m), value, CLOSED_FORM)
         trivial = mpart.AlphaQuery(k, q, m).trivial_count()
         if trivial is not None:
             return tab.set((k, q, m), trivial, SEARCH)
         # one sweep to size m holds every smaller size of the same (k, q)
-        table = mpart.alpha_tables(k, q, m, workers=self.workers, node_ceiling=self.node_ceiling)
+        table = mpart.alpha_tables(k, q, m, workers=self.workers, budget=self.budget)
         for size in range(1, m + 1):
             tab.set((k, q, size), mpart.select(table, size), SEARCH)
         return tab.get((k, q, m))
@@ -495,29 +495,24 @@ class Resolver:
     # --- oracle routes (brute force) -----------------------------------------
 
     def p_oracle(self, n: int, d: int) -> int:
-        value = lattice.count_partitions(
-            n, d, workers=self.workers, max_nodes=self.oracle_max_nodes
-        )
+        value = lattice.count_partitions(n, d, workers=self.workers, max_nodes=self.node_ceiling)
         return self.tables["P"].set((n, d), value, ORACLE)
 
+    def _constrained(self, n: int, spec: lattice.ConstraintSpec) -> int:
+        return lattice.count_constrained(n, spec, workers=self.workers, max_nodes=self.node_ceiling)
+
     def y_oracle(self, k: int, d: int) -> int:
-        spec = lattice.ConstraintSpec(size=d, embedding_dim=k)
-        value = lattice.count_constrained(
-            k, spec, workers=self.workers, max_nodes=self.oracle_max_nodes
-        )
+        value = self._constrained(k, lattice.ConstraintSpec(size=d, embedding_dim=k))
         return self.tables["Y"].set((k, d), value, ORACLE)
 
     def c_oracle(self, k: int, e: int) -> int:
-        spec = lattice.ConstraintSpec(size=1 + k + e, embedding_dim=k, min_socle_degree=2)
-        value = lattice.count_constrained(
-            k, spec, workers=self.workers, max_nodes=self.oracle_max_nodes
-        )
-        return self.tables["C"].set((k, e), value, ORACLE)
+        # the zero type counts the origin-only partition, as in AlphaQuery.constraint_spec
+        msd = 2 if k else None
+        spec = lattice.ConstraintSpec(size=1 + k + e, embedding_dim=k, min_socle_degree=msd)
+        return self.tables["C"].set((k, e), self._constrained(k, spec), ORACLE)
 
     def alpha_oracle(self, query: mpart.AlphaQuery) -> int:
-        value = lattice.count_constrained(
-            query.k, query.constraint_spec(), workers=self.workers, max_nodes=self.oracle_max_nodes
-        )
+        value = self._constrained(query.k, query.constraint_spec())
         if query.length is None and query.profile is None:
             # a refined count never fills the ALPHA(k, q, m) entry
             self.tables["ALPHA"].set((query.k, query.q, query.m), value, ORACLE)

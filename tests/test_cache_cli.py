@@ -16,7 +16,7 @@ from hdpart.cache import (
 )
 from hdpart.cli import main
 from hdpart.mpart import SEARCH_FORMAT_VERSION, alpha_count
-from hdpart.series import parse_polynomial
+from hdpart.series import IntegrityError, parse_polynomial
 
 
 def test_cache_round_trip_large_values(tmp_path):
@@ -45,7 +45,7 @@ def test_cache_conflict_detection(tmp_path):
     store = CacheStore(tmp_path)
     store.put("C", (2, 1), 1, "test")
     store.put("C", (2, 1), 1, "again")  # same value is idempotent
-    with pytest.raises(ValueError):
+    with pytest.raises(IntegrityError):
         store.put("C", (2, 1), 2, "bad")
 
 
@@ -157,7 +157,7 @@ def test_cli_count_oracle():
 
 def test_cli_error_is_machine_readable():
     rc, _, err = run_cli(
-        "--max-nodes", "10", "count", "p", "--n", "3", "--d", "9", "--oracle"
+        "--node-ceiling", "10", "count", "p", "--n", "3", "--d", "9", "--oracle"
     )
     assert rc == 1
     payload = json.loads(err.strip())
@@ -173,9 +173,37 @@ def test_cli_error_is_machine_readable():
     ],
 )
 def test_cli_max_nodes_bounds_every_oracle_route(query):
-    rc, _, err = run_cli("--max-nodes", "5", "count", *query, "--oracle")
+    rc, _, err = run_cli("--node-ceiling", "5", "count", *query, "--oracle")
     assert rc == 1
     assert json.loads(err.strip())["error"] == "resource-ceiling"
+
+
+@pytest.mark.parametrize("workers", ["1", "2"])
+def test_cli_node_ceiling_is_one_per_command(workers):
+    # the searches behind y(5, 12) walk 65 nodes together
+    argv = ("--workers", workers, "--node-ceiling")
+    rc, _, err = run_cli(*argv, "64", "count", "y", "--k", "5", "--d", "12")
+    assert rc == 1
+    assert json.loads(err.strip())["error"] == "resource-ceiling"
+    rc, out, err = run_cli(*argv, "65", "count", "y", "--k", "5", "--d", "12")
+    assert (rc, out.strip()) == (0, "23860"), err
+
+
+@pytest.mark.parametrize("flag", ["--oracle", "--verify"])
+def test_cli_c_zero_type(flag):
+    # c(0, 0) counts the origin-only partition on the oracle route too
+    rc, out, err = run_cli("count", "c", "--k", "0", "--e", "0", flag)
+    assert (rc, out.strip()) == (0, "1"), err
+
+
+def test_cli_cache_conflict_is_integrity(tmp_path):
+    # a checksummed line that disagrees with the live count
+    CacheStore(tmp_path).put("Y", (2, 9), 27, "test")
+    rc, _, err = run_cli(
+        "--cache-dir", str(tmp_path), "count", "y", "--k", "2", "--d", "9", "--verify"
+    )
+    assert rc == 1
+    assert json.loads(err.strip())["error"] == "integrity"
 
 
 @pytest.mark.parametrize("flag", ["--oracle", "--verify"])

@@ -288,6 +288,13 @@ def test_node_ceiling():
         assert alpha_count(3, 4, 8, workers=workers, node_ceiling=811) == 1302
 
 
+def test_node_ceiling_without_orbit_reduction():
+    # one ceiling per count: the stable subsets' searches walk 667 nodes together
+    with pytest.raises(ResourceCeilingError):
+        alpha_without_orbit_reduction(3, 4, 5, node_ceiling=666)
+    assert alpha_without_orbit_reduction(3, 4, 5, node_ceiling=667) == 252
+
+
 def test_support_filtering():
     # configurations not touching every variable contribute nothing at level k
     assert orbit_reps(2, 1) == ()

@@ -10,6 +10,7 @@ import pytest
 
 from hdpart import mpart
 from hdpart.intmath import binom, double_factorial
+from hdpart.lattice import ResourceCeilingError
 from hdpart.refine import (
     CountTable,
     IntegrityError,
@@ -365,6 +366,14 @@ def test_resolver_sweeps_once_per_pair(monkeypatch):
     resolver = Resolver()
     assert [resolver.y(k, 17) for k in range(17)] == _frontier_rows()[17]
     assert len(calls) == len(set(calls)) == 13
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_resolver_node_ceiling_is_one_budget(workers):
+    # every search behind y(5, 12) is charged to one budget: 65 nodes in all
+    with pytest.raises(ResourceCeilingError):
+        Resolver(workers=workers, node_ceiling=64).y(5, 12)
+    assert Resolver(workers=workers, node_ceiling=65).y(5, 12) == 23860
 
 
 @pytest.mark.slow

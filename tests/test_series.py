@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hdpart.intmath import binom, double_factorial, macaulay_growth
+from hdpart.intmath import binom, double_factorial
 from hdpart import series as series_mod
 from hdpart.series import (
     HalfPower,
@@ -50,14 +50,6 @@ def test_double_factorial_conventions():
     assert double_factorial(-1) == 1
     assert double_factorial(0) == 1
     assert [double_factorial(2 * e - 1) for e in range(1, 5)] == [1, 3, 15, 105]
-
-
-def test_macaulay_growth_values():
-    # h=3 in degree 1 -> all of degree 2: C(4,2)
-    assert macaulay_growth(3, 1) == 6
-    assert macaulay_growth(6, 2) == 10
-    assert macaulay_growth(4, 2) == 5
-    assert macaulay_growth(0, 3) == 0
 
 
 def test_series_of_examples():
