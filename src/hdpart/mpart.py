@@ -3,7 +3,8 @@
 The count alpha(k, q, m) of such partitions with k variables, q quadrics and m
 boxes of degree >= 3 is computed orbitwise: enumerate stable quadric
 configurations up to coordinate permutation, bound the reachable cells for each
-configuration, then run an exact DFS over downward-closed cell subsets.
+configuration, then count its downward-closed cell subsets exactly, a degree
+at a time.
 
 A quadric layer is a looped graph on the k variables (x_i x_j is the edge ij,
 x_i^2 a loop at i); it is stable exactly when every non-loop edge has a looped
@@ -15,14 +16,18 @@ Which quadrics lie below a cell is worked out once, in one cell table per
 dimension (`_cell_table`). Stability, bounding regions and the region search
 all read its indices. It is not the oracle's universe in `lattice`.
 
-`_RegionSearch.sweep` is the only region walker. It buckets the subsets it
-finds by layer profile (h_3, ..., h_length), which fixes their size and
-length, so one sweep to size m_max holds every count with m <= m_max. Every
-alpha count, and every checkpointed run in `cache` (which honours `workers`
-too), selects from the orbit-weighted sum of its tables. The sweeps run
-through the oracle's task runner `lattice.charged_map` and charge its node
-counter `lattice._Budget`; the oracle stays a separate walker on purpose: it
-is the independent route that checks this one.
+`_RegionSearch.sweep` is the only region walker. It walks the cubic layer set
+by set and counts the layers above it by the transfer-matrix method (Stanley,
+EC1, §4.7): what can stand above a chosen degree-g layer depends only on the
+degree-(g+1) cells it allows, so the tails above are memoised per sweep on
+(allowed mask, size left). It buckets the subsets by layer profile
+(h_3, ..., h_length), which fixes their size and length, so one sweep to size
+m_max holds every count with m <= m_max. Every alpha count, and every
+checkpointed run in `cache` (which honours `workers` too), selects from the
+orbit-weighted sum of its tables. The sweeps run through the oracle's task
+runner `lattice.charged_map` and charge its node counter `lattice._Budget`;
+the oracle stays a separate walker on purpose: it is the independent route
+that checks this one.
 """
 
 from __future__ import annotations
@@ -445,18 +450,24 @@ SEARCH_FORMAT_VERSION = 2
 
 
 class _RegionSearch:
-    """Exact DFS over downward-closed cell subsets of one bounding region,
-    charging its nodes to budget."""
+    """Exact count of the downward-closed cell subsets of one bounding region
+    whose cubics cover its quadric layer, charging its nodes to budget.
+
+    parent_mask and upper hold each cell's lower and upper covers as local
+    indices; cells stay in (degree, lex) order, so the cells of one degree
+    are a run of bits and a mask of them implies their degree.
+    """
 
     def __init__(self, region: BoundingRegion, budget: _Budget):
         table = _cell_table(region.k)
         entries = region.entries
         local = {e: i for i, e in enumerate(entries)}
-        self.degrees = [bisect.bisect_right(table.start, e) - 1 for e in entries]
-        self.n_cubics = self.degrees.count(3)
+        self.n_cubics = bisect.bisect_left(entries, table.start[4])
         self.full_mask = region.quadric_mask
-        # bit j of parent_mask[i]: cell j is a lower cover of cell i
+        # bit j of parent_mask[i]: cell j is a lower cover of cell i (above the cubics)
         self.parent_mask: list[int] = []
+        # upper[i]: the region's cells that cover cell i
+        self.upper: list[list[int]] = [[] for _ in entries]
         # bit u of covers[i]: quadric entry u is a lower cover of cubic i
         self.covers: list[int] = []
         # highest cubic index covering each quadric, for dead-branch detection
@@ -470,6 +481,7 @@ class _RegionSearch:
             else:
                 for c in table.lower[e]:
                     parents |= 1 << local[c]
+                    self.upper[local[c]].append(i)
             self.parent_mask.append(parents)
             self.covers.append(cover)
         self.budget = budget
@@ -479,38 +491,90 @@ class _RegionSearch:
         return self.budget.nodes
 
     def sweep(self, m_max: int) -> BucketTable:
-        """Count every valid subset of size <= m_max, bucketed by layer profile."""
-        table: BucketTable = {}
-        parent_mask, degrees, covers = self.parent_mask, self.degrees, self.covers
-        layers = [0] * (max(degrees, default=2) + 1)  # chosen cells per degree
+        """Count every valid subset of size <= m_max, bucketed by layer profile.
+
+        The cubics are walked set by set, with the cover test and the
+        last_cover prune; each set that covers the quadric layer is a start,
+        and the degree-4 cells it allows are read from its upper covers. Above
+        that, what can follow a chosen degree-g layer depends only on the
+        degree-(g+1) cells whose lower covers it holds, so `above` is memoised
+        for this sweep on (allowed mask, size left): the transfer-matrix
+        method over the graded region (Stanley, EC1, §4.7). One node is one
+        cubic step, one memo state or one layer-set transition.
+        """
+        parent_mask, upper, covers, last_cover = (
+            self.parent_mask, self.upper, self.covers, self.last_cover
+        )
+        full, n_cubics = self.full_mask, self.n_cubics
         spend = self.budget.spend
+        memo: dict[tuple[int, int], BucketTable] = {}
+        # one shared tuple per profile tail keeps the memo small
+        profiles: dict[tuple[int, ...], tuple[int, ...]] = {}
 
-        def rec(last: int, size: int, cover: int, chosen: int):
-            if cover == self.full_mask and size >= 1:
-                # cells arrive in degree order, so the last one has the top degree
-                key = tuple(layers[3 : degrees[last] + 1])
-                table[key] = table.get(key, 0) + 1
-            if size == m_max:
-                return
-            if cover != self.full_mask:
-                # only further cubics can complete the quadric cover
-                missing = self.full_mask & ~cover
-                u = missing.bit_length() - 1
-                limit = self.n_cubics
-                if self.last_cover[u] <= last:
-                    return
-            else:
-                limit = len(degrees)
-            for i in range(last + 1, limit):
-                if parent_mask[i] & ~chosen:
-                    continue
-                spend()
-                layers[degrees[i]] += 1
-                rec(i, size + 1, cover | covers[i], chosen | 1 << i)
-                layers[degrees[i]] -= 1
+        def stack(steps: dict[tuple[int, int], int], left: int) -> BucketTable:
+            """Profile tails of the layers in steps, (size, allowed mask above
+            it) -> ways, with at most left cells in all."""
+            tails: BucketTable = {}
+            for (size, allowed), ways in steps.items():
+                tails[(size,)] = tails.get((size,), 0) + ways
+                if allowed and size < left:
+                    for tail, n in above(allowed, left - size).items():
+                        key = (size, *tail)
+                        key = profiles.setdefault(key, key)
+                        tails[key] = tails.get(key, 0) + ways * n
+            return tails
 
-        rec(-1, 0, 0, 0)
-        return table
+        def above(allowed: int, left: int) -> BucketTable:
+            """Profile tails of the non-empty layers that can follow a layer
+            allowing these cells, with at most left cells in all."""
+            tails = memo.get((allowed, left))
+            if tails is not None:
+                return tails
+            spend()
+            cells = [j for j in range(allowed.bit_length()) if allowed >> j & 1]
+            steps: dict[tuple[int, int], int] = {}
+
+            def layer(pos: int, size: int, chosen: int, nxt: int):
+                for x in range(pos, len(cells)):
+                    c = cells[x]
+                    spend()
+                    s = chosen | 1 << c
+                    n = nxt
+                    for j in upper[c]:
+                        if not parent_mask[j] & ~s:
+                            n |= 1 << j
+                    steps[size + 1, n] = steps.get((size + 1, n), 0) + 1
+                    if size + 1 < left:
+                        layer(x + 1, size + 1, s, n)
+
+            layer(0, 0, 0, 0)
+            tails = memo[allowed, left] = stack(steps, left)
+            return tails
+
+        starts: dict[tuple[int, int], int] = {}
+
+        def cubics(last: int, size: int, cover: int, chosen: int):
+            if cover == full:
+                # the degree-4 cells whose lower covers are all chosen
+                allowed = 0
+                if size < m_max:
+                    bits = chosen
+                    while bits:
+                        c = bits.bit_length() - 1
+                        bits ^= 1 << c
+                        for j in upper[c]:
+                            if not parent_mask[j] & ~chosen:
+                                allowed |= 1 << j
+                starts[size, allowed] = starts.get((size, allowed), 0) + 1
+            elif last_cover[(full & ~cover).bit_length() - 1] <= last:
+                return  # only further cubics can complete the quadric cover
+            if size < m_max:
+                for i in range(last + 1, n_cubics):
+                    spend()
+                    cubics(i, size + 1, cover | covers[i], chosen | 1 << i)
+
+        cubics(-1, 0, 0, 0)
+        return stack(starts, m_max)
 
     def count(self, m: int) -> int:
         """Count valid subsets of exactly m cells (all lengths)."""

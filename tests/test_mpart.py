@@ -1,5 +1,6 @@
 """The deep-socle search engine: stability, orbits, regions, and exact counts."""
 
+import hashlib
 import itertools
 import math
 import pathlib
@@ -10,7 +11,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from hdpart.cache import CheckpointedAlphaRun
-from hdpart.lattice import ConstraintSpec, ResourceCeilingError, count_constrained
+from hdpart.lattice import ConstraintSpec, ResourceCeilingError, _Budget, count_constrained
 from hdpart.mpart import (
     AlphaQuery,
     _certifiable,
@@ -25,6 +26,7 @@ from hdpart.mpart import (
     is_m_stable,
     orbit_reps,
     quadric_points,
+    rep_tables,
     support_variables,
 )
 
@@ -210,6 +212,27 @@ def test_region_search_matches_oracle(query):
     assert alpha(query) == count_constrained(query.k, query.constraint_spec())
 
 
+def _sweep_record() -> dict[tuple[int, int, int], list[str]]:
+    # columns: k, q, m, one sha256 per representative, the commit and the command
+    rows = {}
+    path = pathlib.Path(__file__).parent / "data" / "sweep_tables.tsv"
+    for line in path.read_text().splitlines():
+        if line and not line.startswith("#"):
+            k, q, m, hashes, _commit, _command = line.split("\t")
+            rows[int(k), int(q), int(m)] = hashes.split()
+    return rows
+
+
+def test_sweep_tables_match_record():
+    # every representative's bucket table, sizes far past the oracle's reach
+    record = _sweep_record()
+    assert len(record) == 17
+    for (k, q, m), hashes in record.items():
+        tables = rep_tables(orbit_reps(k, q), m, None, 1, _Budget(None))
+        got = [hashlib.sha256(repr(sorted(t.items())).encode()).hexdigest() for t in tables]
+        assert got == hashes, (k, q, m)
+
+
 @pytest.mark.slow
 def test_alpha_against_oracle_full_range():
     for k in (1, 2, 3):
@@ -281,18 +304,18 @@ def test_parallel_determinism(tmp_path):
 def test_node_ceiling():
     with pytest.raises(ResourceCeilingError):
         alpha_count(3, 4, 8, node_ceiling=100)
-    # one ceiling per count: the representatives' searches walk 811 nodes together
+    # one ceiling per count: the representatives' searches walk 773 nodes together
     for workers in (1, 2):
         with pytest.raises(ResourceCeilingError):
-            alpha_count(3, 4, 8, workers=workers, node_ceiling=810)
-        assert alpha_count(3, 4, 8, workers=workers, node_ceiling=811) == 1302
+            alpha_count(3, 4, 8, workers=workers, node_ceiling=772)
+        assert alpha_count(3, 4, 8, workers=workers, node_ceiling=773) == 1302
 
 
 def test_node_ceiling_without_orbit_reduction():
-    # one ceiling per count: the stable subsets' searches walk 667 nodes together
+    # one ceiling per count: the stable subsets' searches walk 781 nodes together
     with pytest.raises(ResourceCeilingError):
-        alpha_without_orbit_reduction(3, 4, 5, node_ceiling=666)
-    assert alpha_without_orbit_reduction(3, 4, 5, node_ceiling=667) == 252
+        alpha_without_orbit_reduction(3, 4, 5, node_ceiling=780)
+    assert alpha_without_orbit_reduction(3, 4, 5, node_ceiling=781) == 252
 
 
 def test_support_filtering():

@@ -370,13 +370,20 @@ def test_resolver_sweeps_once_per_pair(monkeypatch):
 
 @pytest.mark.parametrize("workers", [1, 2])
 def test_resolver_node_ceiling_is_one_budget(workers):
-    # every search behind y(5, 12) is charged to one budget: 65 nodes in all
+    # every search behind y(5, 12) is charged to one budget: 68 nodes in all
     with pytest.raises(ResourceCeilingError):
-        Resolver(workers=workers, node_ceiling=64).y(5, 12)
-    assert Resolver(workers=workers, node_ceiling=65).y(5, 12) == 23860
+        Resolver(workers=workers, node_ceiling=67).y(5, 12)
+    assert Resolver(workers=workers, node_ceiling=68).y(5, 12) == 23860
 
 
 @pytest.mark.slow
 def test_frontier_row_18():
     resolver = Resolver()
     assert [resolver.y(k, 18) for k in range(18)] == _frontier_rows()[18]
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("d", [19, 20])
+def test_frontier_rows_deep(d):
+    resolver = Resolver()
+    assert [resolver.y(k, d) for k in range(d)] == _frontier_rows()[d]
