@@ -16,8 +16,9 @@ Which quadrics lie below a cell is worked out once, in one cell table per
 dimension (`_cell_table`). Stability, bounding regions and the region search
 all read its indices. It is not the oracle's universe in `lattice`.
 
-`_RegionSearch.sweep` is the only region walker. It walks the cubic layer set
-by set and counts the layers above it by the transfer-matrix method (Stanley,
+`_RegionSearch.sweep` is the only region walker. One subset walker takes every
+layer, the cubics too: a cubic set counts once it covers the quadric layer, and
+the layers above it are counted by the transfer-matrix method (Stanley,
 EC1, §4.7): what can stand above a chosen degree-g layer depends only on the
 degree-(g+1) cells it allows, so the tails above are memoised per sweep on
 (allowed mask, size left). It buckets the subsets by layer profile
@@ -25,9 +26,9 @@ degree-(g+1) cells it allows, so the tails above are memoised per sweep on
 m_max holds every count with m <= m_max. Every alpha count, and every
 checkpointed run in `cache` (which honours `workers` too), selects from the
 orbit-weighted sum of its tables. The sweeps run through the oracle's task
-runner `lattice.charged_map` and charge its node counter `lattice._Budget`;
-the oracle stays a separate walker on purpose: it is the independent route
-that checks this one.
+runner `lattice.charged_map` and charge its node counter `lattice._Budget`,
+one node per memo state or layer-set transition; the oracle stays a separate
+walker on purpose: it is the independent route that checks this one.
 """
 
 from __future__ import annotations
@@ -468,22 +469,26 @@ class _RegionSearch:
         self.parent_mask: list[int] = []
         # upper[i]: the region's cells that cover cell i
         self.upper: list[list[int]] = [[] for _ in entries]
-        # bit u of covers[i]: quadric entry u is a lower cover of cubic i
+        # bit u of covers[i]: quadric entry u is a lower cover of cell i (0 above the cubics)
         self.covers: list[int] = []
-        # highest cubic index covering each quadric, for dead-branch detection
-        self.last_cover = [-1] * table.start[3]
+        # the highest cubic covering each quadric, -1 for none
+        last_cover = [-1] * table.start[3]
         for i, e in enumerate(entries):
             parents = cover = 0
             if i < self.n_cubics:
                 cover = table.divisors[e]
                 for u in table.lower[e]:
-                    self.last_cover[u] = i
+                    last_cover[u] = i
             else:
                 for c in table.lower[e]:
                     parents |= 1 << local[c]
                     self.upper[local[c]].append(i)
             self.parent_mask.append(parents)
             self.covers.append(cover)
+        # (last covering cubic, quadric bit) for the layer's quadrics, ascending
+        self.cover_order = sorted(
+            (last, 1 << u) for u, last in enumerate(last_cover) if self.full_mask >> u & 1
+        )
         self.budget = budget
 
     @property
@@ -493,19 +498,19 @@ class _RegionSearch:
     def sweep(self, m_max: int) -> BucketTable:
         """Count every valid subset of size <= m_max, bucketed by layer profile.
 
-        The cubics are walked set by set, with the cover test and the
-        last_cover prune; each set that covers the quadric layer is a start,
-        and the degree-4 cells it allows are read from its upper covers. Above
-        that, what can follow a chosen degree-g layer depends only on the
-        degree-(g+1) cells whose lower covers it holds, so `above` is memoised
-        for this sweep on (allowed mask, size left): the transfer-matrix
-        method over the graded region (Stanley, EC1, §4.7). One node is one
-        cubic step, one memo state or one layer-set transition.
+        One walker, `layers`, takes each layer set by set. It ORs the chosen
+        cells' quadric covers into the set's cover and counts a set only when
+        that holds need: the quadric layer for the cubics, nothing above. Its
+        child loop ends at the least last covering cubic of the quadrics still
+        missing, so it enters no dead child. What can follow a chosen degree-g
+        layer depends only on the degree-(g+1) cells whose lower covers it
+        holds, so `above` is memoised for this sweep on (allowed mask, size
+        left): the transfer-matrix method over the graded region (Stanley,
+        EC1, §4.7). One node is one memo state or one layer-set transition.
         """
-        parent_mask, upper, covers, last_cover = (
-            self.parent_mask, self.upper, self.covers, self.last_cover
+        parent_mask, upper, covers, cover_order = (
+            self.parent_mask, self.upper, self.covers, self.cover_order
         )
-        full, n_cubics = self.full_mask, self.n_cubics
         spend = self.budget.spend
         memo: dict[tuple[int, int], BucketTable] = {}
         # one shared tuple per profile tail keeps the memo small
@@ -532,49 +537,38 @@ class _RegionSearch:
                 return tails
             spend()
             cells = [j for j in range(allowed.bit_length()) if allowed >> j & 1]
+            tails = memo[allowed, left] = stack(layers(cells, 0, left), left)
+            return tails
+
+        def layers(cells: Sequence[int], need: int, left: int) -> dict[tuple[int, int], int]:
+            """The non-empty sets of at most left of these cells whose cover
+            holds need, as (size, allowed mask above the set) -> ways."""
             steps: dict[tuple[int, int], int] = {}
 
-            def layer(pos: int, size: int, chosen: int, nxt: int):
-                for x in range(pos, len(cells)):
+            def layer(pos: int, size: int, chosen: int, cover: int, nxt: int):
+                end = len(cells)
+                missing = need & ~cover
+                if missing:
+                    # only the cubic layer has a need, and its cell x is local index x
+                    end = next(last for last, bit in cover_order if missing & bit) + 1
+                for x in range(pos, end):
                     c = cells[x]
                     spend()
                     s = chosen | 1 << c
+                    got = cover | covers[c]
                     n = nxt
                     for j in upper[c]:
                         if not parent_mask[j] & ~s:
                             n |= 1 << j
-                    steps[size + 1, n] = steps.get((size + 1, n), 0) + 1
+                    if not need & ~got:
+                        steps[size + 1, n] = steps.get((size + 1, n), 0) + 1
                     if size + 1 < left:
-                        layer(x + 1, size + 1, s, n)
+                        layer(x + 1, size + 1, s, got, n)
 
-            layer(0, 0, 0, 0)
-            tails = memo[allowed, left] = stack(steps, left)
-            return tails
+            layer(0, 0, 0, 0, 0)
+            return steps
 
-        starts: dict[tuple[int, int], int] = {}
-
-        def cubics(last: int, size: int, cover: int, chosen: int):
-            if cover == full:
-                # the degree-4 cells whose lower covers are all chosen
-                allowed = 0
-                if size < m_max:
-                    bits = chosen
-                    while bits:
-                        c = bits.bit_length() - 1
-                        bits ^= 1 << c
-                        for j in upper[c]:
-                            if not parent_mask[j] & ~chosen:
-                                allowed |= 1 << j
-                starts[size, allowed] = starts.get((size, allowed), 0) + 1
-            elif last_cover[(full & ~cover).bit_length() - 1] <= last:
-                return  # only further cubics can complete the quadric cover
-            if size < m_max:
-                for i in range(last + 1, n_cubics):
-                    spend()
-                    cubics(i, size + 1, cover | covers[i], chosen | 1 << i)
-
-        cubics(-1, 0, 0, 0)
-        return stack(starts, m_max)
+        return stack(layers(range(self.n_cubics), self.full_mask, m_max), m_max)
 
     def count(self, m: int) -> int:
         """Count valid subsets of exactly m cells (all lengths)."""

@@ -180,12 +180,12 @@ def test_cli_max_nodes_bounds_every_oracle_route(query):
 
 @pytest.mark.parametrize("workers", ["1", "2"])
 def test_cli_node_ceiling_is_one_per_command(workers):
-    # the searches behind y(5, 12) walk 68 nodes together
+    # the searches behind y(5, 12) walk 44 nodes together
     argv = ("--workers", workers, "--node-ceiling")
-    rc, _, err = run_cli(*argv, "67", "count", "y", "--k", "5", "--d", "12")
+    rc, _, err = run_cli(*argv, "43", "count", "y", "--k", "5", "--d", "12")
     assert rc == 1
     assert json.loads(err.strip())["error"] == "resource-ceiling"
-    rc, out, err = run_cli(*argv, "68", "count", "y", "--k", "5", "--d", "12")
+    rc, out, err = run_cli(*argv, "44", "count", "y", "--k", "5", "--d", "12")
     assert (rc, out.strip()) == (0, "23860"), err
 
 

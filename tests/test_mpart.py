@@ -226,7 +226,7 @@ def _sweep_record() -> dict[tuple[int, int, int], list[str]]:
 def test_sweep_tables_match_record():
     # every representative's bucket table, sizes far past the oracle's reach
     record = _sweep_record()
-    assert len(record) == 17
+    assert len(record) == 19
     for (k, q, m), hashes in record.items():
         tables = rep_tables(orbit_reps(k, q), m, None, 1, _Budget(None))
         got = [hashlib.sha256(repr(sorted(t.items())).encode()).hexdigest() for t in tables]
@@ -304,18 +304,21 @@ def test_parallel_determinism(tmp_path):
 def test_node_ceiling():
     with pytest.raises(ResourceCeilingError):
         alpha_count(3, 4, 8, node_ceiling=100)
-    # one ceiling per count: the representatives' searches walk 773 nodes together
-    for workers in (1, 2):
-        with pytest.raises(ResourceCeilingError):
-            alpha_count(3, 4, 8, workers=workers, node_ceiling=772)
-        assert alpha_count(3, 4, 8, workers=workers, node_ceiling=773) == 1302
+    # one ceiling per count: the representatives' searches walk 746 nodes
+    # together; the 68 wide ones of (5, 8, 8) walk 62,115, as the cubic walk
+    # enters only children that can still cover the quadric layer
+    for (k, q, m), nodes, value in [((3, 4, 8), 746, 1302), ((5, 8, 8), 62115, 2097875)]:
+        for workers in (1, 2):
+            with pytest.raises(ResourceCeilingError):
+                alpha_count(k, q, m, workers=workers, node_ceiling=nodes - 1)
+            assert alpha_count(k, q, m, workers=workers, node_ceiling=nodes) == value
 
 
 def test_node_ceiling_without_orbit_reduction():
-    # one ceiling per count: the stable subsets' searches walk 781 nodes together
+    # one ceiling per count: the stable subsets' searches walk 648 nodes together
     with pytest.raises(ResourceCeilingError):
-        alpha_without_orbit_reduction(3, 4, 5, node_ceiling=780)
-    assert alpha_without_orbit_reduction(3, 4, 5, node_ceiling=781) == 252
+        alpha_without_orbit_reduction(3, 4, 5, node_ceiling=647)
+    assert alpha_without_orbit_reduction(3, 4, 5, node_ceiling=648) == 252
 
 
 def test_support_filtering():
