@@ -125,43 +125,39 @@ class CacheStore:
         return len(self._entries)
 
 
+def _golden_rows(name: str) -> list[tuple[int, str]]:
+    """(line number, line) of each data line of a golden file; blank lines and
+    # comments are skipped."""
+    text = resources.files("hdpart.golden").joinpath(name).read_text()
+    return [
+        (i, line)
+        for i, line in enumerate(text.splitlines(), 1)
+        if line.strip() and not line.startswith("#")
+    ]
+
+
 def load_golden_records() -> list[CacheRecord]:
     """Reference values shipped with the package (large inputs that are not
     desk-scale recomputable; sources documented in golden/README)."""
-    out = []
-    data = resources.files("hdpart.golden").joinpath("seeded_counts.tsv").read_text()
-    for line in data.splitlines():
-        if not line.strip() or line.startswith("#"):
-            continue
-        out.append(CacheRecord.parse(line))
-    return out
+    return [CacheRecord.parse(line) for _, line in _golden_rows("seeded_counts.tsv")]
 
 
 def load_golden_c6() -> tuple[list[str], list[int]]:
     """The degree-9 numerator (grammar text, one coefficient per line is not
     used; single line) and the diagonal values it encodes."""
-    files = resources.files("hdpart.golden")
-    num_text = files.joinpath("c6_numerator.txt").read_text().strip()
+    num_text = resources.files("hdpart.golden").joinpath("c6_numerator.txt").read_text().strip()
     diag = []
-    for line in files.joinpath("c6_diagonal.tsv").read_text().splitlines():
-        if not line.strip() or line.startswith("#"):
-            continue
+    for lineno, line in _golden_rows("c6_diagonal.tsv"):
         z, value = line.split("\t")
-        assert int(z) == len(diag)
+        if int(z) != len(diag):
+            raise ValueError(f"c6_diagonal.tsv line {lineno}: row {z}, expected {len(diag)}")
         diag.append(int(value))
     return [num_text], diag
 
 
 def load_golden_collisions() -> list[tuple[int, int, int, int, int]]:
     """Known collision pairs (d, n, e, m, value) with d < e."""
-    out = []
-    data = resources.files("hdpart.golden").joinpath("collisions.tsv").read_text()
-    for line in data.splitlines():
-        if not line.strip() or line.startswith("#"):
-            continue
-        d, n, e, m, value = (int(x) for x in line.split("\t"))
-        out.append((d, n, e, m, value))
-    return out
+    return [tuple(int(x) for x in line.split("\t")) for _, line in _golden_rows("collisions.tsv")]
 
 
 # --- resumable alpha runs -----------------------------------------------------

@@ -17,16 +17,13 @@ from . import hydral, lattice, mpart, socle
 from .intmath import binom, double_factorial
 from .series import (
     EulerColumn,
-    HalfPower,
     IntegrityError,
-    ONE,
     Polynomial,
     PowerSeries,
     Q,
     RationalFunction,
     binomial_series,
     borel,
-    expand_half_power,
     fit_numerator,
     one_minus_t_power,
 )
@@ -341,68 +338,25 @@ def c_diagonal_exponent(x: int) -> Fraction:
     return Q(3, 2) + c_degree_bound(x)
 
 
-def _c_numerator_even(alpha: int, diag: Sequence[int]) -> list[Fraction]:
-    """Coefficients for x = 2*alpha > 0; diag[z] = c(2z+2, z+1+alpha)."""
-    out = []
-    for h in range(3 * alpha + 1):
-        acc = Q(0)
-        for z in range(h + 1):
-            inner = Q(0)
-            for y in range(z, 3 * alpha):
-                b = binom(3 * alpha - y, h - y)
-                if b == 0:
-                    continue
-                inner += (
-                    Q(b)
-                    * binom(y + 1, z + 1)
-                    * Q(double_factorial(2 * y + 1), double_factorial(2 * y + 2))
-                    * (Q((2 * y + 3) * (3 * alpha - h), 3 * alpha - y) - 1)
-                )
-            acc += (
-                Q((-1) ** (z + h) * 2**h * diag[z], double_factorial(2 * z + 1))
-                * inner
-            )
-        out.append(acc)
-    return out
-
-
 def c_diagonal_series(x: int, diag: Sequence[int]) -> tuple[Polynomial, Fraction]:
     """Numerator polynomial and half-integer denominator exponent for the
     Borel-resummed diagonal c series.
 
-    diag[z] holds c(2z+2, z+1+alpha) when x = 2*alpha, c(2z+1, z+alpha) when
-    x = 2*alpha-1, for z = 0..len(diag)-1. The result is verified against the
-    Borel transform of the supplied diagonal to the available order.
+    diag[z] holds the z-th entry c(k, e) with 2e - k = x, from k = 2 - x % 2 in
+    steps of 2 (`Resolver.c_diagonal`). One product rule gives every x: the
+    numerator is borel(diag) * (1-2t)^exponent, and every coefficient of that
+    product above the degree bound, up to the supplied order, must vanish.
     """
     if x < 0:
         raise ValueError("diagonal index must be nonnegative")
     exponent = c_diagonal_exponent(x)
     deg_bound = c_degree_bound(x)
-    if x == 0:
-        numerator = ONE
-    else:
-        if len(diag) < deg_bound + 1:
-            raise MissingDataError(
-                f"need {deg_bound + 1} diagonal values, got {len(diag)}"
-            )
-        if x % 2 == 0:
-            coeffs = _c_numerator_even(x // 2, diag)
-        else:  # the Borel series times (1-2t)^exponent, cut at the degree bound
-            coeffs = (borel(PowerSeries(diag)) * binomial_series(exponent, -2, deg_bound)).coeffs
-        numerator = Polynomial(coeffs)
-    if numerator.degree > deg_bound:
-        raise IntegrityError(
-            f"numerator degree {numerator.degree} above the bound {deg_bound}"
-        )
-    if diag:
-        order = len(diag) - 1
-        resummed = expand_half_power(HalfPower(-exponent), order, numerator)
-        direct = borel(PowerSeries([Q(v) for v in diag], order))
-        if resummed != direct:
-            raise IntegrityError(
-                "closed form disagrees with the Borel transform of the diagonal"
-            )
-    return numerator, exponent
+    if len(diag) < deg_bound + 1:
+        raise MissingDataError(f"need {deg_bound + 1} diagonal values, got {len(diag)}")
+    prod = borel(PowerSeries(diag)) * binomial_series(exponent, -2, len(diag) - 1)
+    if any(prod.coeffs[deg_bound + 1 :]):
+        raise IntegrityError("closed form disagrees with the Borel transform of the diagonal")
+    return Polynomial(prod.coeffs[: deg_bound + 1]), exponent
 
 
 # --- the resolver ---------------------------------------------------------------
@@ -524,10 +478,8 @@ class Resolver:
         return [self.y(j + 1, j + e + 2) for j in range(2 * e)]
 
     def c_diagonal(self, x: int, length: int) -> list[int]:
-        alpha = (x + 1) // 2 if x % 2 else x // 2
-        if x % 2 == 0:
-            return [self.c(2 * z + 2, z + 1 + alpha) for z in range(length)]
-        return [self.c(2 * z + 1, z + alpha) for z in range(length)]
+        """c(k, e) along 2e - k = x, from k = 2 - x % 2 in steps of 2."""
+        return [self.c(2 * z + 2 - x % 2, z + 1 + x // 2) for z in range(length)]
 
     def size_series(self, d: int, order: int) -> PowerSeries:
         """The fixed-size series: coefficient n is p(n+1, d)."""

@@ -538,48 +538,21 @@ def format_rational(r: RationalFunction) -> str:
 # --- factored display forms -------------------------------------------------
 
 
-def _reversed_cyclotomic(d: int, cache: dict[int, Polynomial]) -> Polynomial:
-    """The factor J_d with 1 - t^a = prod_{d | a} J_d; J_1 = 1 - t, J_2 = 1 + t, ..."""
-    if d in cache:
-        return cache[d]
-    p = one_minus_t_power(d)
-    for e in range(1, d):
-        if d % e == 0:
-            p = p // _reversed_cyclotomic(e, cache)
-    cache[d] = p
-    return p
-
-
 def factor_into_one_minus_powers(den: Polynomial) -> list[int] | None:
-    """Write den (with den(0)=1) as prod (1 - t^{a_i}), or None if impossible."""
+    """Write den (with den(0)=1) as prod (1 - t^{a_i}), or None if impossible.
+
+    1/den = prod (1-t^m)^(-w_m) has exactly one exponent sequence, so den
+    factors iff w_1..w_D (D = deg den) are nonnegative integers with
+    sum m*w_m = D; w_m is then the multiplicity of (1 - t^m).
+    """
     if den.is_zero() or den[0] != 1:
         return None
-    cache: dict[int, Polynomial] = {}
-    mult: dict[int, int] = {}
-    rem = den
-    d = 1
-    while rem.degree > 0 and d <= den.degree:
-        j = _reversed_cyclotomic(d, cache)
-        while True:
-            q, r = rem.divmod(j)
-            if r.is_zero() and not q.is_zero():
-                mult[d] = mult.get(d, 0) + 1
-                rem = q
-            else:
-                break
-        d += 1
-    if rem != ONE:
+    ws = inverse_euler(series_of(RationalFunction(ONE, den), den.degree))
+    if any(w < 0 or w.denominator != 1 for w in ws):
         return None
-    factors: list[int] = []
-    while any(mult.values()):
-        a = max(d for d, c in mult.items() if c > 0)
-        for e in range(1, a + 1):
-            if a % e == 0:
-                if mult.get(e, 0) <= 0:
-                    return None
-                mult[e] -= 1
-        factors.append(a)
-    return sorted(factors)
+    if sum(m * w for m, w in enumerate(ws, 1)) != den.degree:
+        return None
+    return [m for m, w in enumerate(ws, 1) for _ in range(int(w))]
 
 
 def format_factored_rational(r: RationalFunction) -> str:

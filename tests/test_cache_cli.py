@@ -3,9 +3,11 @@
 import json
 import subprocess
 import sys
+from types import SimpleNamespace
 
 import pytest
 
+from hdpart import cache as cache_mod
 from hdpart.cache import (
     CacheRecord,
     CacheStore,
@@ -62,6 +64,14 @@ def test_golden_fixtures_load():
     assert len(diag) == 10 and diag[0] == 11
     pairs = load_golden_collisions()
     assert (3, 5, 7, 2, 15) in pairs
+
+
+def test_golden_c6_rejects_misnumbered_row(monkeypatch):
+    texts = {"c6_numerator.txt": "11\n", "c6_diagonal.tsv": "# z\tvalue\n0\t11\n\n2\t706\n"}
+    golden = SimpleNamespace(joinpath=lambda name: SimpleNamespace(read_text=lambda: texts[name]))
+    monkeypatch.setattr(cache_mod, "resources", SimpleNamespace(files=lambda package: golden))
+    with pytest.raises(ValueError, match="line 4"):
+        load_golden_c6()
 
 
 def test_checkpoint_resume_identical(tmp_path):

@@ -286,11 +286,14 @@ def test_c_diagonal_series_matches_pipeline(x):
 
 
 def test_c_diagonal_series_rejects_corrupt_diagonal():
-    for x in (2, 3):
+    for x in (0, 1, 2, 3):
         diag = R.c_diagonal(x, 6)
         diag[4] += 1
         with pytest.raises(IntegrityError):
             c_diagonal_series(x, diag)
+        short = R.c_diagonal(x, 2 * x - math.ceil(x / 2))  # one value short
+        with pytest.raises(MissingDataError):
+            c_diagonal_series(x, short)
 
 
 def test_resolver_prop_values():

@@ -213,6 +213,19 @@ def test_factor_into_one_minus_powers():
     assert factor_into_one_minus_powers(den) == [2, 3, 4]
     assert factor_into_one_minus_powers(one_minus_t_power(1) ** 3) == [1, 1, 1]
     assert factor_into_one_minus_powers(Polynomial([1, 1])) is None
+    # exponents [1, 1] are nonnegative integers, but 1*1 + 2*1 != deg 2
+    assert factor_into_one_minus_powers(Polynomial([1, -1, -1])) is None
+    assert factor_into_one_minus_powers(ONE) == []
+    assert factor_into_one_minus_powers(Polynomial([2, 1])) is None
+    den = one_minus_t_power(2) ** 2 * one_minus_t_power(5)
+    assert factor_into_one_minus_powers(den) == [2, 2, 5]
+    rng = random.Random(13)
+    for _ in range(40):
+        parts = sorted(rng.randint(1, 9) for _ in range(rng.randint(0, 5)))
+        den = ONE
+        for a in parts:
+            den = den * one_minus_t_power(a)
+        assert factor_into_one_minus_powers(den) == parts
 
 
 def test_format_examples():
