@@ -22,6 +22,7 @@ from .series import (
     format_factored_rational,
     format_polynomial,
     one_minus_t_power,
+    parse_polynomial,
     series_of,
 )
 from .socle import MissingDataError
@@ -142,11 +143,16 @@ def cmd_series(args) -> int:
         return EXIT_OK
     if args.family == "C":
         bound = c_degree_bound(args.x)
-        if args.golden_seeds and args.x == 6:
-            _, diag = cache_mod.load_golden_c6()
+        golden = args.golden_seeds and args.x == 6
+        if golden:
+            (num_text,), diag = cache_mod.load_golden_c6()
         else:
             diag = resolver.c_diagonal(args.x, bound + 3 if args.x else 3)
         num, exponent = c_diagonal_series(args.x, diag)
+        # the shipped diagonal has no value past the degree bound: the shipped
+        # numerator is its check
+        if golden and num != parse_polynomial(num_text):
+            raise IntegrityError("golden x = 6 diagonal disagrees with the golden numerator")
         print(f"C[x={args.x}] = ({format_polynomial(num)}) / (1 - 2*t)^({exponent})")
         if args.expand:
             from .series import HalfPower, expand_half_power

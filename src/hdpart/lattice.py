@@ -6,28 +6,31 @@ in strictly increasing order, which visits every partition exactly once
 (Bratley–McKay, CACM Algorithm 313; Knuth, Math. Comp. 24, 1970).
 
 The oracle walks an integer-indexed universe: every point whose down-set fits
-the target size, numbered in (degree, lex) order, with its upper covers and a
-lower-cover mask. A state is a chosen-set mask, its layer counts and the sorted
-list of addable indices; points become tuples again only for `iter_partitions`.
+the target size, numbered in (degree, lex) order, with its upper covers (as
+indices and as a mask) and a lower-cover mask. A state is a chosen-set mask,
+its layer counts and the mask of addable indices; since index order is
+enumeration order, the walk pops the low bit of that mask for the next point,
+and a child's candidates are the bits above it joined with the new point's
+fresh upper covers. Points become tuples again only for `iter_partitions`.
 The constraint checker reads that state too: layer counts for the layer
-targets, upper-cover indices for the socle test. Since the layer below the
+targets, upper-cover masks for the socle test. Since the layer below the
 degree being filled is settled, every point that can still join that layer is
 already a candidate, so a layer whose target its remaining candidates cannot
-reach is cut at once. Without a checker or visitor the last level is counted,
-not walked: a state one point short of the target has one leaf per candidate,
-and the node budget is charged for each of them, so node ceilings mean what
-they meant for a walk that visits every leaf. `mpart`'s region search shares
-the node counter `_Budget` and the task runner `charged_map` with this module;
-the walks themselves are separate code, so the oracle stays an independent
-route.
+reach is cut at once. Without a checker or visitor a state two points short
+of the target counts its children's leaves instead of walking them: each
+candidate of a child completes one leaf, so the state charges each child one
+node and then one node per leaf of that child, exactly what a walk that
+visits every leaf spends, and node ceilings fail at the same node. `mpart`'s
+region search shares the node counter `_Budget` and the task runner
+`charged_map` with this module; the walks themselves are separate code, so the
+oracle stays an independent route. The process pool is imported only when
+`charged_map` starts one, so a process that never runs a pool never loads it.
 """
 
 from __future__ import annotations
 
-import bisect
 import functools
 import itertools
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator, NamedTuple, Optional, Sequence
 
@@ -214,13 +217,16 @@ def charged_map(
     """Yield the value of each fn(task) -> (value, nodes) in task order, and
     charge its nodes to budget in that order.
 
-    A process pool runs the tasks when workers > 1 and there is more than one.
+    A process pool runs the tasks when workers > 1 and there is more than one;
+    only then is the pool module imported.
     A task whose own ceiling is budget.left when it is built then fails
     exactly when the serial walk does, under any number of workers, and its
     error names the budget's ceiling.
     """
     try:
         if workers > 1 and len(tasks) > 1:
+            from concurrent.futures import ProcessPoolExecutor
+
             with ProcessPoolExecutor(max_workers=workers) as ex:
                 for value, nodes in ex.map(fn, tasks, chunksize=chunksize):
                     budget.spend(nodes)
@@ -236,16 +242,17 @@ def charged_map(
 class _Universe(NamedTuple):
     """Every point of N^n whose down-set has at most `size` points.
 
-    Points are numbered in (degree, lex) order, so a sorted list of indices is
-    a list of points in enumeration order. For point j of degree g, bit
-    i - start[g-1] of need[j] marks lower cover i: all lower covers lie in the
-    layer below, so each mask is only as wide as that layer.
+    Points are numbered in (degree, lex) order, so the low bit of a mask of
+    indices is its first point in enumeration order. For point j of degree g,
+    bit i - start[g-1] of need[j] marks lower cover i: all lower covers lie in
+    the layer below, so each mask is only as wide as that layer.
     """
 
     points: tuple[Point, ...]
     degrees: tuple[int, ...]
     start: tuple[int, ...]  # index of the first point of each degree
     up: tuple[tuple[int, ...], ...]  # indices of the upper covers
+    upmask: tuple[int, ...]  # the same upper covers as a mask
     need: tuple[int, ...]
 
     def decode(self, chosen: int) -> tuple[Point, ...]:
@@ -293,7 +300,8 @@ def _universe(n: int, size: int, ceiling: Optional[int] = None) -> _Universe:
                 covers.append(j)
                 need[j] |= 1 << (i - start[degrees[i]])
         up.append(tuple(covers))
-    return _Universe(tuple(points), degrees, tuple(start), tuple(up), tuple(need))
+    upmask = tuple(sum(1 << j for j in covers) for covers in up)
+    return _Universe(tuple(points), degrees, tuple(start), tuple(up), upmask, tuple(need))
 
 
 class _ConstraintChecker:
@@ -317,7 +325,7 @@ class _ConstraintChecker:
         msd = spec.min_socle_degree
         # the mask of every point of degree below the minimal socle degree
         self.socle_low = 0 if msd is None else (1 << ends[min(max(msd, 0), len(ends) - 1)]) - 1
-        self.up = universe.up
+        self.upmask = universe.upmask
         self.degrees = universe.degrees
 
     def settled(self, layers: list[int], top: int) -> bool:
@@ -329,14 +337,15 @@ class _ConstraintChecker:
                 return False
         return True
 
-    def admits(self, layers: list[int], g: int, cands: list[int], idx: int) -> bool:
-        """May cands[idx], of degree g, be appended to a state with these layer counts?"""
+    def admits(self, layers: list[int], g: int, cands: int, c: int) -> bool:
+        """May candidate c, of degree g, be appended to a state with these layer
+        counts, when `cands` is the mask of candidates not yet tried?"""
         if g > self.top:
             return False
         have, end = layers[g], self.ends[g + 1]
         for i, target in self.targets:
-            # the layer below g is settled: layer g can gain only its candidates from here on
-            if i == g and not have < target <= have + bisect.bisect_left(cands, end, idx) - idx:
+            # the layer below g is settled: layer g can gain only its candidates from c on
+            if i == g and not have < target <= have + (cands >> c & (1 << end - c) - 1).bit_count():
                 return False
         tail = self.spec.tail_mass
         if tail is not None and g >= 3 and sum(layers[3:]) + 1 > tail:
@@ -360,7 +369,7 @@ class _ConstraintChecker:
         low = chosen & self.socle_low
         while low:
             bit = low & -low
-            if not any(chosen >> j & 1 for j in self.up[bit.bit_length() - 1]):
+            if not chosen & self.upmask[bit.bit_length() - 1]:
                 return False
             low ^= bit
         return True
@@ -378,12 +387,12 @@ def _count_dfs(
     chosen: int,
     size: int,
     layers: list[int],
-    cands: list[int],
+    cands: int,
     visitor: Optional[Callable[[tuple[Point, ...]], None]] = None,
-    prefixes: Optional[list[tuple[int, list[int], list[int]]]] = None,
+    prefixes: Optional[list[tuple[int, list[int], int]]] = None,
 ) -> int:
     """Count the leaves below a state: `chosen` is a mask of universe indices,
-    `layers` its points per degree, `cands` the addable indices in order.
+    `layers` its points per degree, `cands` the mask of addable indices.
     With prefixes given, states of _SPLIT_DEPTH points are appended to it
     instead of being walked."""
     if size == target_size:
@@ -392,24 +401,35 @@ def _count_dfs(
                 visitor(universe.decode(chosen))
             return 1
         return 0
-    if size == target_size - 1 and checker is None and visitor is None:
-        # every candidate completes a leaf: count them without visiting
-        budget.spend(len(cands))
-        return len(cands)
     if prefixes is not None and size == _SPLIT_DEPTH:
         prefixes.append((chosen, layers[:], cands))
         return 0
     degrees, start, up, need = universe.degrees, universe.start, universe.up, universe.need
+    # two points short, each child is one point short and every candidate of
+    # the child completes a leaf: count them without visiting
+    bulk = checker is None and visitor is None and size == target_size - 2
     total = 0
-    for idx, c in enumerate(cands):
+    rest = cands
+    while rest:
+        low = rest & -rest
+        c = low.bit_length() - 1
         g = degrees[c]
-        if checker is not None and not checker.admits(layers, g, cands, idx):
+        admitted = checker is None or checker.admits(layers, g, rest, c)
+        rest ^= low
+        if not admitted:
             continue
         budget.spend()
-        mask = chosen | 1 << c
+        mask = chosen | low
         below = mask >> start[g]
-        fresh = [j for j in up[c] if need[j] & below == need[j]]
-        rest = cands[idx + 1 :]
+        child = rest
+        for j in up[c]:
+            if need[j] & below == need[j]:
+                child |= 1 << j
+        if bulk:
+            leaves = child.bit_count()
+            budget.spend(leaves)
+            total += leaves
+            continue
         layers[g] += 1
         total += _count_dfs(
             universe,
@@ -419,7 +439,7 @@ def _count_dfs(
             mask,
             size + 1,
             layers,
-            sorted(rest + fresh) if fresh else rest,
+            child,
             visitor,
             prefixes,
         )
@@ -461,7 +481,7 @@ def _count(
         0,
         0,
         [0] * max(target_size + 2, 3),  # the leaf test reads layers 0..2
-        [0] if universe.points else [],
+        1 if universe.points else 0,
         visitor,
         prefixes,
     )

@@ -267,6 +267,16 @@ def test_cli_series_golden_seeds_x6():
     assert num_text in out
 
 
+def test_cli_series_golden_seeds_x6_checks_numerator(monkeypatch, capsys):
+    # the ten shipped values fit the degree bound exactly, so only the shipped
+    # numerator can catch a wrong one
+    (num_text,), diag = load_golden_c6()
+    diag[5] += 1
+    monkeypatch.setattr(cache_mod, "load_golden_c6", lambda: ([num_text], diag))
+    assert main(["series", "C", "--x", "6", "--golden-seeds"]) == 1
+    assert json.loads(capsys.readouterr().err.strip())["error"] == "integrity"
+
+
 def test_cli_series_c_pipeline_diagonal():
     rc, out, _ = run_cli("series", "C", "--x", "2")
     assert rc == 0

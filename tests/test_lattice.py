@@ -3,6 +3,8 @@
 import functools
 import itertools
 import math
+import subprocess
+import sys
 
 import pytest
 from hypothesis import example, given, settings
@@ -25,7 +27,7 @@ from hdpart.lattice import (
     socle,
     socle_type,
 )
-from hdpart.mpart import canonical_orbit
+from hdpart.mpart import AlphaQuery, canonical_orbit
 
 CLASSICAL = [1, 1, 2, 3, 5, 7, 11, 15, 22, 30]  # dimension 2
 PLANE = [1, 1, 3, 6, 13, 24, 48, 86, 160]  # dimension 3
@@ -126,22 +128,49 @@ def test_resource_guard():
         count_partitions(3, 9, max_nodes=50)
 
 
-@pytest.mark.parametrize("workers", [1, 2])
-def test_counted_last_level_keeps_node_accounting(workers):
-    # 623 nodes: one per partition of size 1..9 in N^3, the last level counted
-    assert count_partitions(3, 9, workers=workers, max_nodes=623) == 282
+@pytest.mark.parametrize(
+    "workers, n, d, nodes, value",
+    [
+        # 623 nodes: one per partition of size 1..9 in N^3, the last level counted
+        pytest.param(1, 3, 9, 623, 282, id="1"),
+        pytest.param(2, 3, 9, 623, 282, id="2"),
+        # 131,090 nodes: the last two levels are counted, each leaf still one node
+        pytest.param(1, 5, 12, 131090, 76965, id="1-n5-d12"),
+        pytest.param(2, 5, 12, 131090, 76965, id="2-n5-d12"),
+    ],
+)
+def test_counted_last_level_keeps_node_accounting(workers, n, d, nodes, value):
+    assert count_partitions(n, d, workers=workers, max_nodes=nodes) == value
     with pytest.raises(ResourceCeilingError):
-        count_partitions(3, 9, workers=workers, max_nodes=622)
+        count_partitions(n, d, workers=workers, max_nodes=nodes - 1)
 
 
-@pytest.mark.parametrize("workers", [1, 2])
-def test_dead_layer_prune_node_total(workers):
-    # without the prune the walk needs 1079 nodes: an embedding-dimension layer
-    # that can no longer reach 10 points is cut as soon as it falls short
-    spec = ConstraintSpec(size=12, embedding_dim=10)
-    assert count_constrained(10, spec, workers=workers, max_nodes=66) == 55
+@pytest.mark.parametrize(
+    "workers, dim, spec, nodes, value",
+    [
+        # without the prune the walk needs 1079 nodes: an embedding-dimension
+        # layer that can no longer reach 10 points is cut as soon as it falls short
+        pytest.param(1, 10, ConstraintSpec(size=12, embedding_dim=10), 66, 55, id="1"),
+        pytest.param(2, 10, ConstraintSpec(size=12, embedding_dim=10), 66, 55, id="2"),
+        # the spec of the `count alpha --k 3 --q 4 --m 8` oracle walks 8,117 nodes
+        pytest.param(1, 3, AlphaQuery(3, 4, 8).constraint_spec(), 8117, 1302, id="1-alpha-3-4-8"),
+        pytest.param(2, 3, AlphaQuery(3, 4, 8).constraint_spec(), 8117, 1302, id="2-alpha-3-4-8"),
+    ],
+)
+def test_dead_layer_prune_node_total(workers, dim, spec, nodes, value):
+    assert count_constrained(dim, spec, workers=workers, max_nodes=nodes) == value
     with pytest.raises(ResourceCeilingError):
-        count_constrained(10, spec, workers=workers, max_nodes=65)
+        count_constrained(dim, spec, workers=workers, max_nodes=nodes - 1)
+
+
+def test_visitor_sees_every_counted_partition():
+    # the visitor walks every leaf: the bulk count of the last two levels
+    # must never stand in for it
+    for n in range(5):
+        for d in range(9):
+            parts = list(iter_partitions(n, d))
+            assert len(parts) == len(set(parts)) == count_partitions(n, d)
+            assert all(len(p) == d and is_downward_closed(p) for p in parts)
 
 
 def test_node_ceiling_is_global_under_workers():
@@ -328,3 +357,14 @@ def test_parallel_determinism():
     spec = ConstraintSpec(size=7, embedding_dim=2, min_socle_degree=2)
     base = count_constrained(3, spec)
     assert count_constrained(3, spec, workers=3) == base
+
+
+def test_cli_import_leaves_the_pool_unloaded():
+    # only charged_map starts a pool, and it imports the pool module there
+    probe = (
+        "import sys, hdpart.cli; "
+        "print(*(m for m in ('concurrent.futures.process', 'multiprocessing') if m in sys.modules))"
+    )
+    proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == []
