@@ -8,6 +8,7 @@ Errors print a single machine-readable JSON object on stderr.
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import sys
 from pathlib import Path
@@ -279,6 +280,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    # Everything imported so far (modules, classes, functions) lives until exit.
+    # Moved to the permanent generation, it is walked by no later collection,
+    # neither during the command nor at interpreter shutdown. The freeze sits
+    # here, not at import, so importing hdpart leaves a host's collector alone.
+    gc.freeze()
     parser = build_parser()
     args = parser.parse_args(argv)
     try:

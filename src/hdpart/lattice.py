@@ -211,9 +211,7 @@ class _Budget:
         return None if self.ceiling is None else self.ceiling - self.nodes
 
 
-def charged_map(
-    fn: Callable, tasks: Sequence, workers: int, budget: _Budget, chunksize: int = 1
-) -> Iterator:
+def charged_map(fn: Callable, tasks: Sequence, workers: int, budget: _Budget) -> Iterator:
     """Yield the value of each fn(task) -> (value, nodes) in task order, and
     charge its nodes to budget in that order.
 
@@ -228,7 +226,7 @@ def charged_map(
             from concurrent.futures import ProcessPoolExecutor
 
             with ProcessPoolExecutor(max_workers=workers) as ex:
-                for value, nodes in ex.map(fn, tasks, chunksize=chunksize):
+                for value, nodes in ex.map(fn, tasks):
                     budget.spend(nodes)
                     yield value
         else:
@@ -488,7 +486,7 @@ def _count(
     if prefixes:
         # one ceiling for the whole walk: each task may spend what the prefix walk left
         tasks = [(n, target_size, spec, budget.left, *prefix) for prefix in prefixes]
-        total += sum(charged_map(_subtree_task, tasks, workers, budget, chunksize=8))
+        total += sum(charged_map(_subtree_task, tasks, workers, budget))
     return total
 
 

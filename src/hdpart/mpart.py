@@ -502,11 +502,14 @@ class _RegionSearch:
         cells' quadric covers into the set's cover and counts a set only when
         that holds need: the quadric layer for the cubics, nothing above. Its
         child loop ends at the least last covering cubic of the quadrics still
-        missing, so it enters no dead child. What can follow a chosen degree-g
-        layer depends only on the degree-(g+1) cells whose lower covers it
-        holds, so `above` is memoised for this sweep on (allowed mask, size
-        left): the transfer-matrix method over the graded region (Stanley,
-        EC1, §4.7). One node is one memo state or one layer-set transition.
+        missing, and it enters no child missing more quadrics than three per
+        cell it may still add, since a cubic covers at most three; a child cut
+        by either bound reaches no covering set. What can follow a chosen
+        degree-g layer depends only on the degree-(g+1) cells whose lower
+        covers it holds, so `above` is memoised for this sweep on (allowed
+        mask, size left): the transfer-matrix method over the graded region
+        (Stanley, EC1, §4.7). One node is one memo state or one layer-set
+        transition.
         """
         parent_mask, upper, covers, cover_order = (
             self.parent_mask, self.upper, self.covers, self.cover_order
@@ -560,9 +563,11 @@ class _RegionSearch:
                     for j in upper[c]:
                         if not parent_mask[j] & ~s:
                             n |= 1 << j
-                    if not need & ~got:
+                    short = (need & ~got).bit_count()
+                    if not short:
                         steps[size + 1, n] = steps.get((size + 1, n), 0) + 1
-                    if size + 1 < left:
+                    # a cubic covers at most three quadrics
+                    if size + 1 < left and short <= 3 * (left - size - 1):
                         layer(x + 1, size + 1, s, got, n)
 
             layer(0, 0, 0, 0, 0)

@@ -1,5 +1,6 @@
 """Persistence format, checkpoint resume, and the command-line surface."""
 
+import gc
 import json
 import subprocess
 import sys
@@ -138,6 +139,27 @@ def run_cli(*argv) -> tuple[int, str, str]:
         timeout=600,
     )
     return proc.returncode, proc.stdout, proc.stderr
+
+
+def test_cli_main_freezes_the_import_heap(capsys):
+    gc.unfreeze()
+    assert main(["count", "p", "--n", "3", "--d", "5"]) == 0
+    assert capsys.readouterr().out.strip() == "24"
+    assert gc.isenabled() and gc.get_freeze_count() > 0
+
+
+def test_import_leaves_the_collector_unfrozen():
+    # only cli.main freezes: importing any hdpart module, as a library or a
+    # test does, leaves the host's collector as it was
+    probe = (
+        "import gc, importlib, pkgutil, hdpart\n"
+        "for mod in pkgutil.iter_modules(hdpart.__path__):\n"
+        "    importlib.import_module('hdpart.' + mod.name)\n"
+        "print(gc.isenabled(), gc.get_freeze_count())"
+    )
+    proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["True", "0"]
 
 
 def test_cli_count_examples():
@@ -299,13 +321,21 @@ def test_cli_conjecture_exit_codes():
 
 
 def test_cli_cache_write_and_reuse(tmp_path):
-    args = ("--cache-dir", str(tmp_path), "count", "y", "--k", "2", "--d", "9")
-    rc, out, _ = run_cli(*args)
-    assert rc == 0 and out.strip() == "28"
-    store = CacheStore(tmp_path)
-    assert store.get("Y", (2, 9)).value == 28
-    rc2, out2, _ = run_cli(*args)  # second run served from cache
-    assert rc2 == 0 and out2.strip() == "28"
+    # each record is written by one process and read back by the next, so
+    # nothing the first one wrote is lost when it exits
+    for query, kind, index, value in [
+        (("y", "--k", "2", "--d", "9"), "Y", (2, 9), 28),
+        (("p", "--n", "4", "--d", "8"), "P", (4, 8), 684),
+    ]:
+        args = ("--cache-dir", str(tmp_path), "count", *query)
+        rc, out, _ = run_cli(*args)
+        assert rc == 0 and out.strip() == str(value)
+        store = CacheStore(tmp_path)
+        assert store.get(kind, index).value == value and store.skipped == 0
+        written = store.path.read_text()
+        rc2, out2, _ = run_cli(*args)  # second run served from cache
+        assert rc2 == 0 and out2.strip() == str(value)
+        assert store.path.read_text() == written
 
 
 def test_cli_survives_corrupt_cache(tmp_path):

@@ -306,8 +306,13 @@ def test_node_ceiling():
         alpha_count(3, 4, 8, node_ceiling=100)
     # one ceiling per count: the representatives' searches walk 746 nodes
     # together; the 68 wide ones of (5, 8, 8) walk 62,115, as the cubic walk
-    # enters only children that can still cover the quadric layer
-    for (k, q, m), nodes, value in [((3, 4, 8), 746, 1302), ((5, 8, 8), 62115, 2097875)]:
+    # enters only children that can still cover the quadric layer; (6, 11, 4)
+    # walks 9,975, as it enters none whose cells left cannot cover the rest
+    for (k, q, m), nodes, value in [
+        ((3, 4, 8), 746, 1302),
+        ((5, 8, 8), 62115, 2097875),
+        ((6, 11, 4), 9975, 1800),
+    ]:
         for workers in (1, 2):
             with pytest.raises(ResourceCeilingError):
                 alpha_count(k, q, m, workers=workers, node_ceiling=nodes - 1)
