@@ -6,25 +6,26 @@ in strictly increasing order, which visits every partition exactly once
 (Bratley–McKay, CACM Algorithm 313; Knuth, Math. Comp. 24, 1970).
 
 The oracle walks an integer-indexed universe: every point whose down-set fits
-the target size, numbered in (degree, lex) order, with its upper covers (as
-indices and as a mask) and a lower-cover mask. A state is a chosen-set mask,
-its layer counts and the mask of addable indices; since index order is
-enumeration order, the walk pops the low bit of that mask for the next point,
-and a child's candidates are the bits above it joined with the new point's
-fresh upper covers. Points become tuples again only for `iter_partitions`.
+the target size, numbered in (degree, lex) order, with one cover record per
+point (its layer's first index and, per upper cover, that cover's lower-cover
+mask and bit) and an upper-cover mask. A state is a chosen-set mask, its layer
+counts and the mask of addable indices; since index order is enumeration
+order, the walk pops the low bit of that mask for the next point, and a
+child's candidates are the bits above it joined with the new point's fresh
+upper covers. Points become tuples again only for `iter_partitions`.
 The constraint checker reads that state too: layer counts for the layer
 targets, upper-cover masks for the socle test. Since the layer below the
 degree being filled is settled, every point that can still join that layer is
 already a candidate, so a layer whose target its remaining candidates cannot
 reach is cut at once. Without a checker or visitor a state two points short
-of the target counts its children's leaves instead of walking them: each
-candidate of a child completes one leaf, so the state charges each child one
-node and then one node per leaf of that child, exactly what a walk that
-visits every leaf spends, and node ceilings fail at the same node. `mpart`'s
-region search shares the node counter `_Budget` and the task runner
-`charged_map` with this module; the walks themselves are separate code, so the
-oracle stays an independent route. The process pool is imported only when
-`charged_map` starts one, so a process that never runs a pool never loads it.
+of the target counts its leaves in one step: the child of the i-th of its R
+candidates keeps the R - 1 - i candidates above it and gains f(c) fresh
+covers, so the leaves are C(R, 2) + sum f(c). The state charges R + leaves
+nodes at once, what a walk that visits every leaf spends, and node ceilings
+fail exactly where that walk fails. The oracle is one serial walk under any
+`workers` value. `mpart`'s region search shares the node counter `_Budget`
+with this module and runs its tasks through `charged_map`; the walks
+themselves are separate code, so the oracle stays an independent route.
 """
 
 from __future__ import annotations
@@ -216,7 +217,8 @@ def charged_map(fn: Callable, tasks: Sequence, workers: int, budget: _Budget) ->
     charge its nodes to budget in that order.
 
     A process pool runs the tasks when workers > 1 and there is more than one;
-    only then is the pool module imported.
+    only then is the pool module imported. `mpart`'s search is the only
+    caller: the oracle walks serially.
     A task whose own ceiling is budget.left when it is built then fails
     exactly when the serial walk does, under any number of workers, and its
     error names the budget's ceiling.
@@ -241,17 +243,18 @@ class _Universe(NamedTuple):
     """Every point of N^n whose down-set has at most `size` points.
 
     Points are numbered in (degree, lex) order, so the low bit of a mask of
-    indices is its first point in enumeration order. For point j of degree g,
-    bit i - start[g-1] of need[j] marks lower cover i: all lower covers lie in
-    the layer below, so each mask is only as wide as that layer.
+    indices is its first point in enumeration order. cover[i] is one record
+    (shift, pairs): shift is the first index of point i's layer, and pairs
+    holds (need_j, 1 << j) for each upper cover j, where bit b of need_j marks
+    lower cover shift + b of j. All lower covers of j lie in i's layer, so
+    each need mask is only as wide as that layer.
     """
 
     points: tuple[Point, ...]
     degrees: tuple[int, ...]
     start: tuple[int, ...]  # index of the first point of each degree
-    up: tuple[tuple[int, ...], ...]  # indices of the upper covers
-    upmask: tuple[int, ...]  # the same upper covers as a mask
-    need: tuple[int, ...]
+    cover: tuple[tuple[int, tuple[tuple[int, int], ...]], ...]
+    upmask: tuple[int, ...]  # the upper covers of each point as a mask
 
     def decode(self, chosen: int) -> tuple[Point, ...]:
         """The points of a chosen-set mask, in enumeration order."""
@@ -288,7 +291,8 @@ def _universe(n: int, size: int, ceiling: Optional[int] = None) -> _Universe:
         layer = above
     index = {p: i for i, p in enumerate(points)}
     degrees = tuple(sum(p) for p in points)
-    up: list[tuple[int, ...]] = []
+    shifts = [start[g] for g in degrees]
+    up: list[list[int]] = []
     need = [0] * len(points)
     for i, p in enumerate(points):
         covers = []
@@ -296,10 +300,13 @@ def _universe(n: int, size: int, ceiling: Optional[int] = None) -> _Universe:
             j = index.get(p[:k] + (v + 1,) + p[k + 1 :])
             if j is not None:
                 covers.append(j)
-                need[j] |= 1 << (i - start[degrees[i]])
-        up.append(tuple(covers))
+                need[j] |= 1 << (i - shifts[i])
+        up.append(covers)
+    cover = tuple(
+        (shift, tuple((need[j], 1 << j) for j in covers)) for shift, covers in zip(shifts, up)
+    )
     upmask = tuple(sum(1 << j for j in covers) for covers in up)
-    return _Universe(tuple(points), degrees, tuple(start), tuple(up), upmask, tuple(need))
+    return _Universe(tuple(points), degrees, tuple(start), cover, upmask)
 
 
 class _ConstraintChecker:
@@ -373,10 +380,6 @@ class _ConstraintChecker:
         return True
 
 
-# the pool splits the search at this depth; each prefix is one task
-_SPLIT_DEPTH = 2
-
-
 def _count_dfs(
     universe: _Universe,
     target_size: int,
@@ -387,25 +390,34 @@ def _count_dfs(
     layers: list[int],
     cands: int,
     visitor: Optional[Callable[[tuple[Point, ...]], None]] = None,
-    prefixes: Optional[list[tuple[int, list[int], int]]] = None,
 ) -> int:
     """Count the leaves below a state: `chosen` is a mask of universe indices,
-    `layers` its points per degree, `cands` the mask of addable indices.
-    With prefixes given, states of _SPLIT_DEPTH points are appended to it
-    instead of being walked."""
+    `layers` its points per degree, `cands` the mask of addable indices."""
     if size == target_size:
         if checker is None or checker.accepts_leaf(chosen, layers):
             if visitor is not None:
                 visitor(universe.decode(chosen))
             return 1
         return 0
-    if prefixes is not None and size == _SPLIT_DEPTH:
-        prefixes.append((chosen, layers[:], cands))
-        return 0
-    degrees, start, up, need = universe.degrees, universe.start, universe.up, universe.need
-    # two points short, each child is one point short and every candidate of
-    # the child completes a leaf: count them without visiting
-    bulk = checker is None and visitor is None and size == target_size - 2
+    cover = universe.cover
+    if checker is None and visitor is None and size == target_size - 2:
+        # the child of the i-th of R candidates keeps the R - 1 - i above it
+        # and gains its fresh covers, and each of its candidates is one leaf:
+        # C(R, 2) + the fresh covers of all children, after one node per child
+        children = cands.bit_count()
+        leaves = children * (children - 1) // 2
+        rest = cands
+        while rest:
+            low = rest & -rest
+            rest ^= low
+            shift, pairs = cover[low.bit_length() - 1]
+            below = (chosen | low) >> shift
+            for need, _ in pairs:
+                if need & below == need:
+                    leaves += 1
+        budget.spend(children + leaves)
+        return leaves
+    degrees = universe.degrees
     total = 0
     rest = cands
     while rest:
@@ -418,50 +430,24 @@ def _count_dfs(
             continue
         budget.spend()
         mask = chosen | low
-        below = mask >> start[g]
+        shift, pairs = cover[c]
+        below = mask >> shift
         child = rest
-        for j in up[c]:
-            if need[j] & below == need[j]:
-                child |= 1 << j
-        if bulk:
-            leaves = child.bit_count()
-            budget.spend(leaves)
-            total += leaves
-            continue
+        for need, bit in pairs:
+            if need & below == need:
+                child |= bit
         layers[g] += 1
         total += _count_dfs(
-            universe,
-            target_size,
-            checker,
-            budget,
-            mask,
-            size + 1,
-            layers,
-            child,
-            visitor,
-            prefixes,
+            universe, target_size, checker, budget, mask, size + 1, layers, child, visitor
         )
         layers[g] -= 1
     return total
-
-
-def _subtree_task(args) -> tuple[int, int]:
-    """Leaves and nodes below one prefix state; a process-pool task."""
-    n, target_size, spec, max_nodes, chosen, layers, cands = args
-    universe = _universe(n, target_size)
-    checker = _ConstraintChecker(spec, universe) if spec is not None else None
-    budget = _Budget(max_nodes)
-    count = _count_dfs(
-        universe, target_size, checker, budget, chosen, _SPLIT_DEPTH, layers, cands
-    )
-    return count, budget.nodes
 
 
 def _count(
     n: int,
     spec: Optional[ConstraintSpec],
     target_size: int,
-    workers: int = 1,
     max_nodes: Optional[int] = None,
     visitor: Optional[Callable[[tuple[Point, ...]], None]] = None,
 ) -> int:
@@ -469,34 +455,28 @@ def _count(
     # may refuse a universe larger than its ceiling
     universe = _universe(n, target_size, max_nodes if spec is None else None)
     checker = _ConstraintChecker(spec, universe) if spec is not None else None
-    budget = _Budget(max_nodes)
-    prefixes: Optional[list] = [] if workers > 1 and visitor is None else None
-    total = _count_dfs(
+    return _count_dfs(
         universe,
         target_size,
         checker,
-        budget,
+        _Budget(max_nodes),
         0,
         0,
         [0] * max(target_size + 2, 3),  # the leaf test reads layers 0..2
         1 if universe.points else 0,
         visitor,
-        prefixes,
     )
-    if prefixes:
-        # one ceiling for the whole walk: each task may spend what the prefix walk left
-        tasks = [(n, target_size, spec, budget.left, *prefix) for prefix in prefixes]
-        total += sum(charged_map(_subtree_task, tasks, workers, budget))
-    return total
 
 
 def count_partitions(
     n: int, d: int, workers: int = 1, max_nodes: Optional[int] = None
 ) -> int:
-    """Number of downward-closed subsets of N^n with exactly d points (exhaustive)."""
+    """Number of downward-closed subsets of N^n with exactly d points (exhaustive).
+
+    The walk is serial: `workers` is accepted and ignored."""
     if n < 0 or d < 0:
         raise ValueError("dimension and size must be nonnegative")
-    return _count(n, None, d, workers=workers, max_nodes=max_nodes)
+    return _count(n, None, d, max_nodes=max_nodes)
 
 
 def count_constrained(
@@ -505,10 +485,12 @@ def count_constrained(
     workers: int = 1,
     max_nodes: Optional[int] = None,
 ) -> int:
-    """Count partitions in N^n matching every active constraint of the spec."""
+    """Count partitions in N^n matching every active constraint of the spec.
+
+    The walk is serial: `workers` is accepted and ignored."""
     if n < 0:
         raise ValueError("dimension must be nonnegative")
-    return _count(n, spec, spec.size, workers=workers, max_nodes=max_nodes)
+    return _count(n, spec, spec.size, max_nodes=max_nodes)
 
 
 def iter_partitions(n: int, size: int) -> Iterator[tuple[Point, ...]]:

@@ -25,8 +25,8 @@ degree-(g+1) cells it allows, so the tails above are memoised per sweep on
 (h_3, ..., h_length), which fixes their size and length, so one sweep to size
 m_max holds every count with m <= m_max. Every alpha count, and every
 checkpointed run in `cache` (which honours `workers` too), selects from the
-orbit-weighted sum of its tables. The sweeps run through the oracle's task
-runner `lattice.charged_map` and charge its node counter `lattice._Budget`,
+orbit-weighted sum of its tables. The sweeps run through the task runner
+`lattice.charged_map` and charge the oracle's node counter `lattice._Budget`,
 one node per memo state or layer-set transition; the oracle stays a separate
 walker on purpose: it is the independent route that checks this one.
 """

@@ -374,7 +374,8 @@ class Resolver:
 
     node_ceiling bounds the nodes of every search this resolver runs: they are
     all charged to one budget. Each oracle count gets a fresh budget with the
-    same ceiling.
+    same ceiling. workers runs the searches' tasks in a process pool; the
+    oracle walks serially.
     """
 
     def __init__(
@@ -449,11 +450,11 @@ class Resolver:
     # --- oracle routes (brute force) -----------------------------------------
 
     def p_oracle(self, n: int, d: int) -> int:
-        value = lattice.count_partitions(n, d, workers=self.workers, max_nodes=self.node_ceiling)
+        value = lattice.count_partitions(n, d, max_nodes=self.node_ceiling)
         return self.tables["P"].set((n, d), value, ORACLE)
 
     def _constrained(self, n: int, spec: lattice.ConstraintSpec) -> int:
-        return lattice.count_constrained(n, spec, workers=self.workers, max_nodes=self.node_ceiling)
+        return lattice.count_constrained(n, spec, max_nodes=self.node_ceiling)
 
     def y_oracle(self, k: int, d: int) -> int:
         value = self._constrained(k, lattice.ConstraintSpec(size=d, embedding_dim=k))

@@ -10,6 +10,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from hdpart import lattice
 from hdpart.lattice import (
     AdmissibleSet,
     ConstraintSpec,
@@ -163,6 +164,34 @@ def test_dead_layer_prune_node_total(workers, dim, spec, nodes, value):
         count_constrained(dim, spec, workers=workers, max_nodes=nodes - 1)
 
 
+@pytest.mark.parametrize(
+    "n, d", [(n, d) for n in range(6) for d in range(10)] + [(5, 12)]
+)
+def test_counted_walk_charges_what_the_visiting_walk_does(monkeypatch, n, d):
+    # the constrained walk visits every leaf and prunes nothing; the counted
+    # walk charges a state two points short in one closed-form step
+    budgets = []
+
+    class Recorded(lattice._Budget):
+        def __init__(self, ceiling):
+            super().__init__(ceiling)
+            budgets.append(self)
+
+    with monkeypatch.context() as m:
+        m.setattr(lattice, "_Budget", Recorded)
+        value = count_partitions(n, d)
+    nodes = budgets[-1].nodes  # the walk's budget is made after the universe's
+    spec = ConstraintSpec(size=d)
+    assert count_constrained(n, spec) == value
+    assert count_partitions(n, d, max_nodes=nodes) == value
+    assert count_constrained(n, spec, max_nodes=nodes) == value
+    if nodes:  # a walk of no nodes cannot pass a ceiling
+        with pytest.raises(ResourceCeilingError):
+            count_partitions(n, d, max_nodes=nodes - 1)
+        with pytest.raises(ResourceCeilingError):
+            count_constrained(n, spec, max_nodes=nodes - 1)
+
+
 def test_visitor_sees_every_counted_partition():
     # the visitor walks every leaf: the bulk count of the last two levels
     # must never stand in for it
@@ -174,7 +203,7 @@ def test_visitor_sees_every_counted_partition():
 
 
 def test_node_ceiling_is_global_under_workers():
-    # the serial walk needs 1231 nodes; every subtree fits 899 on its own
+    # the walk needs 1231 nodes under any workers value
     with pytest.raises(ResourceCeilingError):
         count_partitions(4, 8, workers=1, max_nodes=899)
     with pytest.raises(ResourceCeilingError):
@@ -357,6 +386,21 @@ def test_parallel_determinism():
     spec = ConstraintSpec(size=7, embedding_dim=2, min_socle_degree=2)
     base = count_constrained(3, spec)
     assert count_constrained(3, spec, workers=3) == base
+
+
+def test_oracle_starts_no_pool():
+    # the oracle walks serially under any workers value
+    probe = (
+        "import sys; "
+        "from hdpart.lattice import count_constrained, count_partitions; "
+        "from hdpart.mpart import AlphaQuery; "
+        "print(count_partitions(4, 11, workers=2), "
+        "count_constrained(3, AlphaQuery(3, 4, 8).constraint_spec(), workers=2), "
+        "*(m for m in ('concurrent.futures.process', 'multiprocessing') if m in sys.modules))"
+    )
+    proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["6500", "1302"]
 
 
 def test_cli_import_leaves_the_pool_unloaded():

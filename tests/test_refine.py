@@ -386,7 +386,17 @@ def test_frontier_row_18():
 
 
 @pytest.mark.slow
-@pytest.mark.parametrize("d", [19, 20])
+@pytest.mark.parametrize("d", [19, 20, 22])
 def test_frontier_rows_deep(d):
     resolver = Resolver()
     assert [resolver.y(k, d) for k in range(d)] == _frontier_rows()[d]
+    if d == 22:
+        assert resolver.p(4, 22) == 10362312
+        assert resolver.p(5, 22) == 262769080
+
+
+def test_frontier_row_22_gives_p():
+    # the pinned row alone, by p(n, d) = sum_k binom(n, k) y(k, d)
+    row = _frontier_rows()[22]
+    assert p_from_y(lambda k, d: row[k], 4, 22) == 10362312
+    assert p_from_y(lambda k, d: row[k], 5, 22) == 262769080
