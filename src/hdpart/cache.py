@@ -7,7 +7,8 @@ The cache is a line-oriented UTF-8 TSV, one record per line:
 with comma-joined integer indices and decimal big-integer values. Records are
 append-only; the checksum covers kind+index+value so corruption stays local to
 a line. Checkpoints for long searches live next to it as JSON, one file per
-query, keyed by a content hash of the query.
+query, keyed by a content hash of the query. The golden reference files are
+read from the `golden` directory next to this module.
 """
 
 from __future__ import annotations
@@ -15,10 +16,8 @@ from __future__ import annotations
 import hashlib
 import json
 import os
-from dataclasses import dataclass
-from importlib import resources
 from pathlib import Path
-from typing import Iterable, Optional
+from typing import NamedTuple, Optional
 
 from . import mpart
 from .lattice import _Budget
@@ -34,8 +33,7 @@ def _checksum(kind: str, index: tuple[int, ...], value: int) -> str:
     return hashlib.sha256(payload.encode()).hexdigest()[:12]
 
 
-@dataclass(frozen=True)
-class CacheRecord:
+class CacheRecord(NamedTuple):
     kind: str
     index: tuple[int, ...]
     value: int
@@ -125,10 +123,13 @@ class CacheStore:
         return len(self._entries)
 
 
+GOLDEN_DIR = Path(__file__).parent / "golden"
+
+
 def _golden_rows(name: str) -> list[tuple[int, str]]:
-    """(line number, line) of each data line of a golden file; blank lines and
-    # comments are skipped."""
-    text = resources.files("hdpart.golden").joinpath(name).read_text()
+    """(line number, line) of each data line of the golden file GOLDEN_DIR/name;
+    blank lines and # comments are skipped."""
+    text = (GOLDEN_DIR / name).read_text()
     return [
         (i, line)
         for i, line in enumerate(text.splitlines(), 1)
@@ -137,15 +138,15 @@ def _golden_rows(name: str) -> list[tuple[int, str]]:
 
 
 def load_golden_records() -> list[CacheRecord]:
-    """Reference values shipped with the package (large inputs that are not
-    desk-scale recomputable; sources documented in golden/README)."""
+    """Reference values shipped with the package in GOLDEN_DIR (large inputs
+    that are not desk-scale recomputable; sources documented in golden/README)."""
     return [CacheRecord.parse(line) for _, line in _golden_rows("seeded_counts.tsv")]
 
 
 def load_golden_c6() -> tuple[list[str], list[int]]:
     """The degree-9 numerator (grammar text, one coefficient per line is not
-    used; single line) and the diagonal values it encodes."""
-    num_text = resources.files("hdpart.golden").joinpath("c6_numerator.txt").read_text().strip()
+    used; single line) and the diagonal values it encodes, from GOLDEN_DIR."""
+    num_text = (GOLDEN_DIR / "c6_numerator.txt").read_text().strip()
     diag = []
     for lineno, line in _golden_rows("c6_diagonal.tsv"):
         z, value = line.split("\t")
@@ -156,7 +157,7 @@ def load_golden_c6() -> tuple[list[str], list[int]]:
 
 
 def load_golden_collisions() -> list[tuple[int, int, int, int, int]]:
-    """Known collision pairs (d, n, e, m, value) with d < e."""
+    """Known collision pairs (d, n, e, m, value) with d < e, from GOLDEN_DIR."""
     return [tuple(int(x) for x in line.split("\t")) for _, line in _golden_rows("collisions.tsv")]
 
 

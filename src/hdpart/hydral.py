@@ -9,9 +9,8 @@ integer/rational arithmetic over those block statistics.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator, Sequence
+from typing import Iterator, NamedTuple, Sequence
 
 from .intmath import binom
 from .series import (
@@ -38,17 +37,22 @@ def partitions_of(n: int, max_part: int | None = None) -> Iterator[Parts]:
             yield (first,) + rest
 
 
-@dataclass(frozen=True)
-class LinearPartition:
-    """A classical partition with its multiplicity view and automorphism order."""
+class _LinearPartition(NamedTuple):
+    """The field of LinearPartition, whose __new__ checks it."""
 
     parts: Parts
 
-    def __post_init__(self):
-        ps = tuple(self.parts)
+
+class LinearPartition(_LinearPartition):
+    """A classical partition with its multiplicity view and automorphism order."""
+
+    __slots__ = ()
+
+    def __new__(cls, parts: Sequence[int]):
+        ps = tuple(parts)
         if any(p <= 0 for p in ps) or any(ps[i] < ps[i + 1] for i in range(len(ps) - 1)):
             raise ValueError("parts must be weakly decreasing positive integers")
-        object.__setattr__(self, "parts", ps)
+        return super().__new__(cls, ps)
 
     @property
     def size(self) -> int:
@@ -217,8 +221,7 @@ def profile_series(parts: Sequence[int], order: int) -> PowerSeries:
     return acc
 
 
-@dataclass(frozen=True)
-class BlockStats:
+class BlockStats(NamedTuple):
     """The six block statistics of a linear partition, bundled for inspection."""
 
     triple_count: int

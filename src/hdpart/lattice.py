@@ -32,7 +32,6 @@ from __future__ import annotations
 
 import functools
 import itertools
-from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator, NamedTuple, Optional, Sequence
 
 Point = tuple[int, ...]
@@ -75,22 +74,33 @@ def is_antichain(points: Sequence[Point]) -> bool:
     )
 
 
-@dataclass(frozen=True)
-class Partition:
-    """A downward-closed subset of N^ambient_dim, canonically sorted."""
+class _PointSet(NamedTuple):
+    """The fields of Partition and AdmissibleSet, whose __new__ checks them."""
 
     ambient_dim: int
     points: tuple[Point, ...]
 
-    def __init__(self, ambient_dim: int, points: Iterable[Point]):
-        pts = tuple(sorted(set(points), key=point_key))
-        for p in pts:
-            if len(p) != ambient_dim or any(v < 0 for v in p):
-                raise ValueError(f"bad point {p} for ambient dimension {ambient_dim}")
+
+def _canonical_points(ambient_dim: int, points: Iterable[Point]) -> tuple[Point, ...]:
+    """The distinct points sorted by (degree, lex); ValueError for a point
+    outside N^ambient_dim."""
+    pts = tuple(sorted(set(points), key=point_key))
+    for p in pts:
+        if len(p) != ambient_dim or any(v < 0 for v in p):
+            raise ValueError(f"bad point {p} for ambient dimension {ambient_dim}")
+    return pts
+
+
+class Partition(_PointSet):
+    """A downward-closed subset of N^ambient_dim, canonically sorted."""
+
+    __slots__ = ()
+
+    def __new__(cls, ambient_dim: int, points: Iterable[Point]):
+        pts = _canonical_points(ambient_dim, points)
         if not is_downward_closed(pts):
             raise ValueError("point set is not downward closed")
-        object.__setattr__(self, "ambient_dim", ambient_dim)
-        object.__setattr__(self, "points", pts)
+        return super().__new__(cls, ambient_dim, pts)
 
     @property
     def size(self) -> int:
@@ -107,22 +117,16 @@ class Partition:
         return tuple(p for p in self.points if degree(p) == k)
 
 
-@dataclass(frozen=True)
-class AdmissibleSet:
+class AdmissibleSet(_PointSet):
     """An antichain in N^ambient_dim (the possible socles)."""
 
-    ambient_dim: int
-    points: tuple[Point, ...]
+    __slots__ = ()
 
-    def __init__(self, ambient_dim: int, points: Iterable[Point]):
-        pts = tuple(sorted(set(points), key=point_key))
-        for p in pts:
-            if len(p) != ambient_dim or any(v < 0 for v in p):
-                raise ValueError(f"bad point {p} for ambient dimension {ambient_dim}")
+    def __new__(cls, ambient_dim: int, points: Iterable[Point]):
+        pts = _canonical_points(ambient_dim, points)
         if not is_antichain(pts):
             raise ValueError("point set is not an antichain")
-        object.__setattr__(self, "ambient_dim", ambient_dim)
-        object.__setattr__(self, "points", pts)
+        return super().__new__(cls, ambient_dim, pts)
 
 
 def apolar_closure(points: Iterable[Point], ambient_dim: int) -> Partition:
@@ -176,8 +180,7 @@ def embedding_dimension(part: Partition) -> int:
     return len(part.layer(1))
 
 
-@dataclass(frozen=True)
-class ConstraintSpec:
+class ConstraintSpec(NamedTuple):
     """Active constraints for a counting query; inconsistent combinations count 0."""
 
     size: int
@@ -317,8 +320,10 @@ class _ConstraintChecker:
     """
 
     def __init__(self, spec: ConstraintSpec, universe: _Universe):
-        self.spec = spec
-        hs = spec.hilbert_samuel
+        # the spec's fields, read once rather than per candidate or per leaf
+        self.length = spec.length
+        self.hilbert_samuel = hs = spec.hilbert_samuel
+        self.tail_mass = spec.tail_mass
         # equality targets (degree, size) of single layers, by degree; a degree may repeat
         pairs = [(1, spec.embedding_dim), (2, spec.quadric_count), *enumerate(hs or ())]
         self.targets = sorted(p for p in pairs if p[1] is not None)
@@ -352,21 +357,21 @@ class _ConstraintChecker:
             # the layer below g is settled: layer g can gain only its candidates from c on
             if i == g and not have < target <= have + (cands >> c & (1 << end - c) - 1).bit_count():
                 return False
-        tail = self.spec.tail_mass
+        tail = self.tail_mass
         if tail is not None and g >= 3 and sum(layers[3:]) + 1 > tail:
             return False
         return self.settled(layers, g)
 
     def accepts_leaf(self, chosen: int, layers: list[int]) -> bool:
         """Does the complete state (chosen-set mask, layer counts) match the spec?"""
-        s = self.spec
         length = self.degrees[chosen.bit_length() - 1] if chosen else None
-        if s.length is not None and length != s.length:
+        if self.length is not None and length != self.length:
             return False
-        hs = s.hilbert_samuel
+        hs = self.hilbert_samuel
         if hs is not None and len(hs) != (0 if length is None else length + 1):
             return False
-        if s.tail_mass is not None and sum(layers[3:]) != s.tail_mass:
+        tail = self.tail_mass
+        if tail is not None and sum(layers[3:]) != tail:
             return False
         if not self.settled(layers, len(layers)):
             return False

@@ -4,9 +4,8 @@ machine checkers for the three open questions at configurable ranges."""
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .intmath import binom
 from .refine import IntegrityError, Resolver, product_column, product_exponent, y_from_p
@@ -41,8 +40,7 @@ class ProductTable:
         return y_from_p(self.value, k, d)
 
 
-@dataclass(frozen=True)
-class DiscrepancyRecord:
+class DiscrepancyRecord(NamedTuple):
     kind: str  # "Y-level" or "exponent-level"
     index: tuple[int, int]
     predicted: int
@@ -97,12 +95,11 @@ def epsilon_value(m: int, n: int, resolver: Optional[Resolver] = None) -> int:
     return product_exponent(n, m) - omega_exponents(n, m, resolver)[m - 1]
 
 
-@dataclass
-class ConjectureReport:
+class ConjectureReport(NamedTuple):
     conjecture: str  # "andrews-rationality" | "epsilon-divisibility" | "sparsity"
     range_descriptor: str
     verdict: str  # "holds" | "fails" | "inconclusive"
-    evidence: dict = field(default_factory=dict)
+    evidence: dict
     witness: Optional[dict] = None
 
     def exit_code(self) -> int:
@@ -352,14 +349,14 @@ def search_value_collisions(
     offending = [
         c for c in collisions if min(d for d, _ in c["entries"]) != 3
     ]
-    verdict = "holds" if not offending else "fails"
-    report = ConjectureReport(
-        "sparsity", descriptor, verdict,
-        {"collisions": collisions, "collision_count": len(collisions)},
-    )
+    witness = None
     if offending:
-        report.witness = {"kind": "non-size-3-collision", "collision": offending[0]}
-    return report
+        witness = {"kind": "non-size-3-collision", "collision": offending[0]}
+    return ConjectureReport(
+        "sparsity", descriptor, "fails" if offending else "holds",
+        {"collisions": collisions, "collision_count": len(collisions)},
+        witness,
+    )
 
 
 def _independent_value(d: int, n: int, checker: Resolver) -> int:

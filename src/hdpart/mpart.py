@@ -36,9 +36,8 @@ from __future__ import annotations
 import bisect
 import itertools
 import math
-from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterable, Iterator, Optional, Sequence
+from typing import Iterable, Iterator, NamedTuple, Optional, Sequence
 
 from .lattice import (
     ConstraintSpec,
@@ -256,8 +255,7 @@ def canonical_orbit(U: Iterable[Point], k: int) -> tuple[tuple[Point, ...], int]
     return tuple(rep), math.factorial(k) // aut
 
 
-@dataclass(frozen=True)
-class QuadricOrbit:
+class QuadricOrbit(NamedTuple):
     """Canonical quadric configuration with its orbit size under S_k."""
 
     k: int
@@ -307,8 +305,7 @@ def orbit_reps(k: int, q: int) -> tuple[QuadricOrbit, ...]:
     return tuple(found)
 
 
-@dataclass(frozen=True)
-class BoundingRegion:
+class BoundingRegion(NamedTuple):
     """All cells reachable by partitions of bounded length with a fixed quadric layer.
 
     quadric_mask has bit u for each quadric entry u of the layer in the cell
@@ -367,8 +364,17 @@ def bounding_region(U: Iterable[Point], max_degree: int) -> BoundingRegion:
     return BoundingRegion(k, max_degree, umask, tuple(entries))
 
 
-@dataclass(frozen=True)
-class AlphaQuery:
+class _AlphaQuery(NamedTuple):
+    """The fields of AlphaQuery, whose __new__ checks them."""
+
+    k: int
+    q: int
+    m: int
+    length: Optional[int] = None
+    profile: Optional[tuple[int, ...]] = None
+
+
+class AlphaQuery(_AlphaQuery):
     """A request for one count: type (k, q, m), optionally refined by length or
     by the full layer-size profile.
 
@@ -378,30 +384,34 @@ class AlphaQuery:
     `trivial_count` and in `constraint_spec`.
     """
 
-    k: int
-    q: int
-    m: int
-    length: Optional[int] = None
-    profile: Optional[tuple[int, ...]] = None
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.profile is not None:
-            h = self.profile
+    def __new__(
+        cls,
+        k: int,
+        q: int,
+        m: int,
+        length: Optional[int] = None,
+        profile: Optional[tuple[int, ...]] = None,
+    ):
+        if profile is not None:
+            h = profile
             if not h or h[0] != 1:
                 raise ValueError("layer profile must start with 1")
-            if len(h) > 1 and h[1] != self.k:
+            if len(h) > 1 and h[1] != k:
                 raise ValueError("profile embedding dimension must equal k")
-            if (h[2] if len(h) > 2 else 0) != self.q:
+            if (h[2] if len(h) > 2 else 0) != q:
                 raise ValueError("profile quadric count must equal q")
-            if sum(h[3:]) != self.m:
+            if sum(h[3:]) != m:
                 raise ValueError("profile tail must sum to m")
-            if self.length is not None and self.length != len(h) - 1:
+            if length is not None and length != len(h) - 1:
                 raise ValueError("length must match the profile")
+        return super().__new__(cls, k, q, m, length, profile)
 
     @classmethod
     def from_profile(cls, h: Iterable[int]) -> AlphaQuery:
         """The query that prescribes the whole layer profile h = (1, k, q, ...)."""
-        h = tuple(h)  # __post_init__ validates it
+        h = tuple(h)  # __new__ validates it
         k = h[1] if len(h) > 1 else 0
         q = h[2] if len(h) > 2 else 0
         return cls(k, q, sum(h[3:]), length=len(h) - 1, profile=h)

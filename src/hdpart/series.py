@@ -7,9 +7,8 @@ there is no floating point anywhere. Truncation orders are always explicit.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable, NamedTuple, Sequence
 
 Q = Fraction
 
@@ -312,17 +311,22 @@ def inverse_borel(s: PowerSeries) -> PowerSeries:
     return PowerSeries(out, s.order)
 
 
-@dataclass(frozen=True)
-class HalfPower:
-    """(1 - 2t) raised to a half-integer exponent (odd numerator over 2)."""
+class _HalfPower(NamedTuple):
+    """The field of HalfPower, whose __new__ normalises and checks it."""
 
     exponent: Fraction
 
-    def __post_init__(self):
-        e = Q(self.exponent)
+
+class HalfPower(_HalfPower):
+    """(1 - 2t) raised to a half-integer exponent (odd numerator over 2)."""
+
+    __slots__ = ()
+
+    def __new__(cls, exponent: Fraction):
+        e = Q(exponent)
         if e.denominator != 2:
             raise ValueError("exponent must be a half-integer with denominator 2")
-        object.__setattr__(self, "exponent", e)
+        return super().__new__(cls, e)
 
 
 def binomial_series(exponent: Fraction, u_coeff, order: int) -> PowerSeries:

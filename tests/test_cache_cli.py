@@ -4,7 +4,7 @@ import gc
 import json
 import subprocess
 import sys
-from types import SimpleNamespace
+from pathlib import Path
 
 import pytest
 
@@ -67,10 +67,10 @@ def test_golden_fixtures_load():
     assert (3, 5, 7, 2, 15) in pairs
 
 
-def test_golden_c6_rejects_misnumbered_row(monkeypatch):
-    texts = {"c6_numerator.txt": "11\n", "c6_diagonal.tsv": "# z\tvalue\n0\t11\n\n2\t706\n"}
-    golden = SimpleNamespace(joinpath=lambda name: SimpleNamespace(read_text=lambda: texts[name]))
-    monkeypatch.setattr(cache_mod, "resources", SimpleNamespace(files=lambda package: golden))
+def test_golden_c6_rejects_misnumbered_row(monkeypatch, tmp_path):
+    (tmp_path / "c6_numerator.txt").write_text("11\n")
+    (tmp_path / "c6_diagonal.tsv").write_text("# z\tvalue\n0\t11\n\n2\t706\n")
+    monkeypatch.setattr(cache_mod, "GOLDEN_DIR", tmp_path)
     with pytest.raises(ValueError, match="line 4"):
         load_golden_c6()
 
@@ -160,6 +160,20 @@ def test_import_leaves_the_collector_unfrozen():
     proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.split() == ["True", "0"]
+
+
+def test_cli_start_imports_no_record_or_resource_machinery():
+    # -S: no site-packages .pth file may import these first and hide an import by hdpart
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    probe = (
+        f"import sys; sys.path.insert(0, {src!r}); import hdpart.cli\n"
+        "print(sorted({'dataclasses', 'inspect', 'importlib.resources'} & set(sys.modules)))"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-S", "-c", probe], capture_output=True, text=True, timeout=60
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
 
 
 def test_cli_count_examples():

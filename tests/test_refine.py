@@ -386,7 +386,7 @@ def test_frontier_row_18():
 
 
 @pytest.mark.slow
-@pytest.mark.parametrize("d", [19, 20, 22])
+@pytest.mark.parametrize("d", [19, 20, 22, 23])
 def test_frontier_rows_deep(d):
     resolver = Resolver()
     assert [resolver.y(k, d) for k in range(d)] == _frontier_rows()[d]
@@ -400,3 +400,9 @@ def test_frontier_row_22_gives_p():
     row = _frontier_rows()[22]
     assert p_from_y(lambda k, d: row[k], 4, 22) == 10362312
     assert p_from_y(lambda k, d: row[k], 5, 22) == 262769080
+
+
+def test_frontier_row_23_gives_p():
+    row = _frontier_rows()[23]
+    assert p_from_y(lambda k, d: row[k], 4, 23) == 19295226
+    assert p_from_y(lambda k, d: row[k], 5, 23) == 565502405
