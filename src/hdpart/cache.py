@@ -1,23 +1,26 @@
 """Persistent count cache and resumable search checkpoints.
 
-The cache is a line-oriented UTF-8 TSV, one record per line:
+Both are append-only logs of UTF-8 lines, one record per line, each ending in
+a checksum over its fields, so corruption stays local to a line. The count
+cache is one TSV file:
 
     kind <TAB> index <TAB> value <TAB> provenance <TAB> version <TAB> checksum
 
-with comma-joined integer indices and decimal big-integer values. Records are
-append-only; the checksum covers kind+index+value so corruption stays local to
-a line. Checkpoints for long searches live next to it as JSON, one file per
-query, keyed by a content hash of the query. The golden reference files are
-read from the `golden` directory next to this module.
+with comma-joined integer indices and decimal big-integer values. A long
+alpha search keeps one checkpoint log per query next to it, one line per
+finished representative (see CheckpointedAlphaRun). Both stores read through
+`_read_lines`, which skips and counts a line that fails its check (a corrupt
+line, or the torn tail of an interrupted write), and write through
+`_append_line`. The golden reference files are read from the `golden`
+directory next to this module.
 """
 
 from __future__ import annotations
 
 import hashlib
-import json
 import os
 from pathlib import Path
-from typing import NamedTuple, Optional
+from typing import Callable, NamedTuple, Optional
 
 from . import mpart
 from .lattice import _Budget
@@ -28,9 +31,37 @@ CACHE_ENV_VAR = "HDPART_CACHE_DIR"
 CACHE_FILENAME = "counts.tsv"
 
 
-def _checksum(kind: str, index: tuple[int, ...], value: int) -> str:
-    payload = f"{kind}|{','.join(map(str, index))}|{value}"
-    return hashlib.sha256(payload.encode()).hexdigest()[:12]
+def _checksum(*fields: str) -> str:
+    return hashlib.sha256("|".join(fields).encode()).hexdigest()[:12]
+
+
+def _read_lines(path: Path, parse: Callable[[str], object]) -> tuple[list, int]:
+    """The records parsed from the non-blank lines of path (none if it does
+    not exist), and the number of lines parse rejected with ValueError."""
+    records, skipped = [], 0
+    if path.exists():
+        for line in path.read_text(encoding="utf-8", errors="replace").splitlines():
+            if not line.strip():
+                continue
+            try:
+                records.append(parse(line))
+            except ValueError:
+                skipped += 1
+    return records, skipped
+
+
+def _append_line(path: Path, line: str):
+    """Append one line to path in one write, so concurrent appenders never
+    interleave; a torn tail left by an interrupted write is closed first."""
+    payload = (line + "\n").encode("utf-8")
+    fd = os.open(path, os.O_RDWR | os.O_APPEND | os.O_CREAT, 0o644)
+    try:
+        end = os.fstat(fd).st_size
+        if end and os.pread(fd, 1, end - 1) != b"\n":
+            payload = b"\n" + payload
+        os.write(fd, payload)
+    finally:
+        os.close(fd)
 
 
 class CacheRecord(NamedTuple):
@@ -41,25 +72,18 @@ class CacheRecord(NamedTuple):
     version: str = FORMAT_VERSION
 
     def line(self) -> str:
-        return "\t".join(
-            (
-                self.kind,
-                ",".join(map(str, self.index)),
-                str(self.value),
-                self.provenance,
-                self.version,
-                _checksum(self.kind, self.index, self.value),
-            )
-        )
+        idx = ",".join(map(str, self.index))
+        value = str(self.value)
+        check = _checksum(self.kind, idx, value)
+        return "\t".join((self.kind, idx, value, self.provenance, self.version, check))
 
     @classmethod
     def parse(cls, line: str) -> "CacheRecord":
         kind, idx, value, prov, version, check = line.rstrip("\n").split("\t")
-        index = tuple(int(x) for x in idx.split(",")) if idx else ()
-        record = cls(kind, index, int(value), prov, version)
-        if _checksum(kind, index, record.value) != check:
+        if _checksum(kind, idx, value) != check:
             raise ValueError(f"checksum mismatch on cache line: {line!r}")
-        return record
+        index = tuple(int(x) for x in idx.split(",")) if idx else ()
+        return cls(kind, index, int(value), prov, version)
 
 
 def default_cache_dir() -> Optional[Path]:
@@ -79,19 +103,8 @@ class CacheStore:
         self.directory = Path(directory)
         self.directory.mkdir(parents=True, exist_ok=True)
         self.path = self.directory / CACHE_FILENAME
-        self._entries: dict[tuple[str, tuple[int, ...]], CacheRecord] = {}
-        self.skipped = 0
-        if self.path.exists():
-            text = self.path.read_text(encoding="utf-8", errors="replace")
-            for line in text.splitlines():
-                if not line.strip():
-                    continue
-                try:
-                    record = CacheRecord.parse(line)
-                except ValueError:
-                    self.skipped += 1
-                    continue
-                self._entries[(record.kind, record.index)] = record
+        records, self.skipped = _read_lines(self.path, CacheRecord.parse)
+        self._entries = {(r.kind, r.index): r for r in records}
 
     def get(self, kind: str, index: tuple[int, ...]) -> Optional[CacheRecord]:
         return self._entries.get((kind, tuple(index)))
@@ -106,16 +119,7 @@ class CacheStore:
                 )
             return existing
         record = CacheRecord(kind, index, value, provenance)
-        payload = (record.line() + "\n").encode("utf-8")
-        fd = os.open(self.path, os.O_RDWR | os.O_APPEND | os.O_CREAT, 0o644)
-        try:
-            end = os.fstat(fd).st_size
-            if end and os.pread(fd, 1, end - 1) != b"\n":
-                payload = b"\n" + payload  # start after a torn tail
-            # one write per record, so concurrent appenders never interleave
-            os.write(fd, payload)
-        finally:
-            os.close(fd)
+        _append_line(self.path, record.line())
         self._entries[(kind, index)] = record
         return record
 
@@ -144,8 +148,8 @@ def load_golden_records() -> list[CacheRecord]:
 
 
 def load_golden_c6() -> tuple[list[str], list[int]]:
-    """The degree-9 numerator (grammar text, one coefficient per line is not
-    used; single line) and the diagonal values it encodes, from GOLDEN_DIR."""
+    """The degree-9 numerator, as the one line of polynomial text in
+    c6_numerator.txt, and the diagonal values it encodes, from GOLDEN_DIR."""
     num_text = (GOLDEN_DIR / "c6_numerator.txt").read_text().strip()
     diag = []
     for lineno, line in _golden_rows("c6_diagonal.tsv"):
@@ -164,31 +168,22 @@ def load_golden_collisions() -> list[tuple[int, int, int, int, int]]:
 # --- resumable alpha runs -----------------------------------------------------
 
 
-def _query_id(query: dict) -> str:
-    payload = json.dumps(query, sort_keys=True)
-    return hashlib.sha256(payload.encode()).hexdigest()[:16]
-
-
-def _encode_table(table: mpart.BucketTable) -> dict[str, int]:
-    return {",".join(map(str, profile)): v for profile, v in sorted(table.items())}
-
-
-def _decode_table(data) -> mpart.BucketTable:
-    """The table _encode_table wrote; ValueError for anything else."""
-    if not isinstance(data, dict) or not all(type(v) is int for v in data.values()):
-        raise ValueError("malformed checkpoint table")
-    return {tuple(int(x) for x in key.split(",")): v for key, v in data.items()}
-
-
 class CheckpointedAlphaRun:
     """Per-representative task runner whose partial results survive restarts.
 
-    Each stable-orbit representative is one task; after a task finishes its
-    bucket table is flushed to the checkpoint file. Resuming skips completed
-    tasks, so the final aggregate is identical however often the run is
-    interrupted. A checkpoint file that is not JSON, holds a malformed table, or
-    was written for another query or under another search-format version, is
-    recomputed, never resumed. node_ceiling bounds the nodes of each run() call.
+    Each stable-orbit representative is one task. When a task finishes, one
+    line is appended to the checkpoint log:
+
+        index <TAB> table <TAB> checksum
+
+    with the bucket table as space-separated `profile:value` items (comma-joined
+    profile). The checksum and the file name are keyed by the search-format
+    version and the query without its profile, so a run refined by profile and
+    one refined by length alone share one log. A line that is torn, corrupt, or
+    written for another query or version fails its check and its task is
+    recomputed; resuming skips the other completed tasks, so the final
+    aggregate is identical however often the run is interrupted. node_ceiling
+    bounds the nodes of each run() call.
     """
 
     def __init__(
@@ -198,44 +193,41 @@ class CheckpointedAlphaRun:
         q: int,
         m: int,
         length: Optional[int] = None,
+        profile: Optional[tuple[int, ...]] = None,
         node_ceiling: Optional[int] = mpart.DEFAULT_NODE_CEILING,
         workers: int = 1,
     ):
-        self.k, self.q, self.m, self.length = k, q, m, length
+        self.query = mpart.AlphaQuery(k, q, m, length=length, profile=profile)
         self.node_ceiling = node_ceiling
         self.workers = workers
         self.directory = Path(directory)
         self.directory.mkdir(parents=True, exist_ok=True)
-        self.query = {"k": k, "q": q, "m": m, "length": length}
-        self.path = self.directory / f"alpha-{_query_id(self.query)}.json"
-        self.reps = mpart.orbit_reps(k, q)
-        self.completed: dict[int, mpart.BucketTable] = {}
-        if self.path.exists():
-            try:
-                data = json.loads(self.path.read_text())
-                if (
-                    isinstance(data, dict)
-                    and data.get("version") == mpart.SEARCH_FORMAT_VERSION
-                    and data.get("query") == self.query
-                    and isinstance(data.get("tables"), dict)
-                ):
-                    self.completed = {int(i): _decode_table(t) for i, t in data["tables"].items()}
-            except ValueError:  # not JSON, or a malformed table: recomputed like a stale file
-                pass
+        self._key = f"{mpart.SEARCH_FORMAT_VERSION}|{k},{q},{m},{length}"
+        name = hashlib.sha256(self._key.encode()).hexdigest()[:16]
+        self.path = self.directory / f"alpha-{name}.tsv"
+        trivial = self.query.trivial_count() is not None
+        self.reps = () if trivial else mpart.orbit_reps(k, q)
+        lines, self.skipped = _read_lines(self.path, self._parse)
+        self.completed: dict[int, mpart.BucketTable] = dict(lines)
+
+    def _parse(self, line: str) -> tuple[int, mpart.BucketTable]:
+        index, encoded, check = line.split("\t")
+        if _checksum(self._key, index, encoded) != check:
+            raise ValueError(f"checksum mismatch on checkpoint line: {line!r}")
+        table = {}
+        for item in encoded.split():
+            tail, value = item.split(":")
+            table[tuple(int(x) for x in tail.split(",")) if tail else ()] = int(value)
+        return int(index), table
 
     @property
     def pending(self) -> list[int]:
         return [i for i in range(len(self.reps)) if i not in self.completed]
 
-    def _flush(self):
-        data = {
-            "version": mpart.SEARCH_FORMAT_VERSION,
-            "query": self.query,
-            "tables": {str(i): _encode_table(t) for i, t in sorted(self.completed.items())},
-        }
-        tmp = self.path.with_suffix(".tmp")
-        tmp.write_text(json.dumps(data, sort_keys=True))
-        tmp.replace(self.path)
+    def _flush(self, index: int, table: mpart.BucketTable):
+        encoded = " ".join(f"{','.join(map(str, t))}:{v}" for t, v in sorted(table.items()))
+        _append_line(self.path, f"{index}\t{encoded}\t{_checksum(self._key, str(index), encoded)}")
+        self.completed[index] = table
 
     def run(self, task_limit: Optional[int] = None) -> Optional[int]:
         """Execute up to task_limit pending tasks; return the count once every
@@ -243,16 +235,17 @@ class CheckpointedAlphaRun:
         todo = self.pending if task_limit is None else self.pending[: max(task_limit, 0)]
         reps = [self.reps[i] for i in todo]
         budget = _Budget(self.node_ceiling)
-        tables = mpart.rep_tables(reps, self.m, self.length, self.workers, budget)
-        for idx, table in zip(todo, tables):
-            self.completed[idx] = table
-            self._flush()
-        if self.pending:
-            return None
-        return self.total()
+        tables = mpart.rep_tables(reps, self.query.m, self.query.length, self.workers, budget)
+        for index, table in zip(todo, tables):
+            self._flush(index, table)
+        return None if self.pending else self.total()
 
     def total(self) -> int:
         if self.pending:
             raise RuntimeError("run is not complete")
-        tables = (self.completed[i] for i in range(len(self.reps)))
-        return mpart.select(mpart.weighted_table(self.reps, tables), self.m, self.length)
+        query = self.query
+        trivial = query.trivial_count()
+        if trivial is not None:
+            return trivial
+        table = mpart.weighted_table(self.reps, (self.completed[i] for i in range(len(self.reps))))
+        return mpart.select(table, query.m, query.length, query.profile)

@@ -80,12 +80,10 @@ def _count_value(args, resolver: Resolver, oracle: bool) -> int:
     if args.table == "hydral":
         trivial = query.trivial_count()
         return hydral.hydral_count(args.n, args.m) if trivial is None else trivial
-    if args.checkpoint_dir and query.profile is None and query.trivial_count() is None:
-        run = cache_mod.CheckpointedAlphaRun(
-            Path(args.checkpoint_dir), query.k, query.q, query.m,
-            length=query.length, node_ceiling=args.node_ceiling, workers=args.workers,
-        )
-        return run.run()
+    if args.checkpoint_dir:
+        return cache_mod.CheckpointedAlphaRun(
+            Path(args.checkpoint_dir), *query, node_ceiling=args.node_ceiling, workers=args.workers
+        ).run()
     return mpart.alpha(query, workers=args.workers, node_ceiling=args.node_ceiling)
 
 

@@ -222,7 +222,7 @@ def profile_series(parts: Sequence[int], order: int) -> PowerSeries:
 
 
 class BlockStats(NamedTuple):
-    """The six block statistics of a linear partition, bundled for inspection."""
+    """The five block statistics of a linear partition, bundled for inspection."""
 
     triple_count: int
     stripped: Parts | None

@@ -9,6 +9,7 @@ from pathlib import Path
 import pytest
 
 from hdpart import cache as cache_mod
+from hdpart import mpart
 from hdpart.cache import (
     CacheRecord,
     CacheStore,
@@ -18,7 +19,7 @@ from hdpart.cache import (
     load_golden_records,
 )
 from hdpart.cli import main
-from hdpart.mpart import SEARCH_FORMAT_VERSION, alpha_count
+from hdpart.mpart import SEARCH_FORMAT_VERSION, alpha_by_hilbert, alpha_count
 from hdpart.series import IntegrityError, parse_polynomial
 
 
@@ -92,33 +93,63 @@ def test_checkpoint_resume_identical(tmp_path):
     assert resumed.total() == fresh
 
 
-def test_checkpoint_ignores_other_search_version(tmp_path):
+def test_checkpoint_ignores_other_search_version(tmp_path, monkeypatch):
     k, q, m = 3, 4, 5
     run = CheckpointedAlphaRun(tmp_path, k, q, m)
-    run.run(task_limit=1)
-    data = json.loads(run.path.read_text())
-    data["tables"]["0"] = {"5": 10**6}  # a table that would change the total
-    data["version"] += 1
-    run.path.write_text(json.dumps(data))
-    stale = CheckpointedAlphaRun(tmp_path, k, q, m)
-    assert stale.completed == {}
-    assert stale.run() == alpha_count(k, q, m)
-    data["version"] -= 1
-    data["query"]["m"] = 6
-    for text in (json.dumps(data), "[1]", '{"tables": '):
-        run.path.write_text(text)
-        assert CheckpointedAlphaRun(tmp_path, k, q, m).completed == {}
+    # lines written under another search-format version, and for another query
+    monkeypatch.setattr(mpart, "SEARCH_FORMAT_VERSION", SEARCH_FORMAT_VERSION + 1)
+    other_version = CheckpointedAlphaRun(tmp_path / "v", k, q, m)
+    other_version.run()
+    monkeypatch.undo()
+    other_query = CheckpointedAlphaRun(tmp_path / "q", k, q, m + 1)
+    other_query.run()
+    assert other_version.path.name != run.path.name != other_query.path.name
+    for other in (other_version, other_query):
+        run.path.write_bytes(other.path.read_bytes())
+        stale = CheckpointedAlphaRun(tmp_path, k, q, m)
+        assert stale.completed == {} and stale.skipped == len(stale.reps)
+        assert stale.run() == alpha_count(k, q, m)
 
 
-@pytest.mark.parametrize("table", [{"x|3|": 5}, {"zero": 5}, [5], {"1,2": "5"}])
+@pytest.mark.parametrize(
+    "table", [["x|3|:5"], ["zero:5"], ["5"], ["1,2:five"], ["3:5", "1,,2:5"], ["1:2:3"]]
+)
 def test_checkpoint_with_malformed_table_is_recomputed(tmp_path, table):
+    # the checksum holds, but the table's items do not decode
     k, q, m = 3, 4, 5
     run = CheckpointedAlphaRun(tmp_path, k, q, m)
-    data = {"version": SEARCH_FORMAT_VERSION, "query": run.query, "tables": {"0": table}}
-    run.path.write_text(json.dumps(data))
+    encoded = " ".join(table)
+    check = cache_mod._checksum(run._key, "0", encoded)
+    run.path.write_text(f"0\t{encoded}\t{check}\n")
     stale = CheckpointedAlphaRun(tmp_path, k, q, m)
-    assert stale.completed == {}
+    assert stale.completed == {} and stale.skipped == 1
     assert stale.run() == alpha_count(k, q, m)
+
+
+def test_checkpoint_torn_tail_is_recomputed(tmp_path):
+    k, q, m = 3, 4, 5
+    run = CheckpointedAlphaRun(tmp_path, k, q, m)
+    assert run.run() == alpha_count(k, q, m)
+    text = run.path.read_text()
+    last = text.rstrip("\n").rsplit("\n", 1)[1]
+    run.path.write_text(text[: len(text) - len(last) // 2])  # an interrupted append
+    torn = CheckpointedAlphaRun(tmp_path, k, q, m)
+    assert torn.skipped == 1 and torn.pending == [len(run.reps) - 1]
+    assert torn.run() == alpha_count(k, q, m)
+    resumed = CheckpointedAlphaRun(tmp_path, k, q, m)
+    assert resumed.pending == [] and resumed.skipped == 1
+    assert resumed.total() == alpha_count(k, q, m)
+
+
+def test_checkpoint_log_has_one_line_per_representative(tmp_path):
+    k, q, m = 3, 4, 5
+    run = CheckpointedAlphaRun(tmp_path, k, q, m)
+    run.run()
+    before = run.path.read_bytes()
+    assert len(before.splitlines()) == len(run.reps) == 4
+    resumed = CheckpointedAlphaRun(tmp_path, k, q, m)
+    assert resumed.run() == alpha_count(k, q, m)
+    assert run.path.read_bytes() == before  # a resume appends nothing
 
 
 def test_checkpoint_partial_state_is_persisted(tmp_path):
@@ -377,3 +408,17 @@ def test_cli_checkpointed_alpha(tmp_path):
     )
     assert rc == 0
     assert out.strip() == str(alpha_count(3, 5, 4))
+
+
+def test_cli_checkpointed_hilbert(tmp_path):
+    profile = (1, 3, 5, 7, 6)
+    rc, out, err = run_cli(
+        "count", "alpha", "--hilbert", ",".join(map(str, profile)),
+        "--checkpoint-dir", str(tmp_path),
+    )
+    assert (rc, out.strip()) == (0, str(alpha_by_hilbert(profile))), err
+    assert len(list(tmp_path.glob("alpha-*"))) == 1
+    # a length-refined run of the same (k, q, m, length) resumes the same log
+    by_length = CheckpointedAlphaRun(tmp_path, 3, 5, 13, length=4)
+    assert by_length.pending == []
+    assert by_length.total() == alpha_count(3, 5, 13, length=4)

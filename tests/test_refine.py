@@ -406,3 +406,11 @@ def test_frontier_row_23_gives_p():
     row = _frontier_rows()[23]
     assert p_from_y(lambda k, d: row[k], 4, 23) == 19295226
     assert p_from_y(lambda k, d: row[k], 5, 23) == 565502405
+
+
+@pytest.mark.parametrize("d, p4, p5", [(25, 65715094, 2569270050), (26, 120256653, 5427963902)])
+def test_record_rows_give_p(d, p4, p5):
+    # the d = 25, 26 rows are records no test recomputes; this reads them only
+    row = _frontier_rows()[d]
+    assert p_from_y(lambda k, e: row[k], 4, d) == p4
+    assert p_from_y(lambda k, e: row[k], 5, d) == p5
