@@ -8,7 +8,7 @@ cache is one TSV file:
 
 with comma-joined integer indices and decimal big-integer values. A long
 alpha search keeps one checkpoint log per query next to it, one line per
-finished representative (see CheckpointedAlphaRun). Both stores read through
+finished connected representative (see CheckpointedAlphaRun). Both stores read through
 `_read_lines`, which skips and counts a line that fails its check (a corrupt
 line, or the torn tail of an interrupted write), and write through
 `_append_line`. The golden reference files are read from the `golden`
@@ -171,10 +171,13 @@ def load_golden_collisions() -> list[tuple[int, int, int, int, int]]:
 class CheckpointedAlphaRun:
     """Per-representative task runner whose partial results survive restarts.
 
-    Each stable-orbit representative is one task. When a task finishes, one
-    line is appended to the checkpoint log:
+    The count is the exponential formula over connected component tables
+    (`mpart.exponential_table`), so each task is one connected representative
+    of a component pair (j, q1) that the query reads (`mpart.component_needs`),
+    swept to the size the formula reads. When a task finishes, one line is
+    appended to the checkpoint log:
 
-        index <TAB> table <TAB> checksum
+        j,q1,index <TAB> table <TAB> checksum
 
     with the bucket table as space-separated `profile:value` items (comma-joined
     profile). The checksum and the file name are keyed by the search-format
@@ -206,38 +209,46 @@ class CheckpointedAlphaRun:
         name = hashlib.sha256(self._key.encode()).hexdigest()[:16]
         self.path = self.directory / f"alpha-{name}.tsv"
         trivial = self.query.trivial_count() is not None
-        self.reps = () if trivial else mpart.orbit_reps(k, q)
+        # component pair -> the size its table is swept to
+        self.needs = {} if trivial else mpart.component_needs(k, q, m)
+        self.tasks = [
+            (j, q1, i)
+            for j, q1 in sorted(self.needs)
+            for i in range(len(mpart.connected_reps(j, q1)))
+        ]
         lines, self.skipped = _read_lines(self.path, self._parse)
-        self.completed: dict[int, mpart.BucketTable] = dict(lines)
+        self.completed: dict[tuple[int, int, int], mpart.BucketTable] = dict(lines)
 
-    def _parse(self, line: str) -> tuple[int, mpart.BucketTable]:
-        index, encoded, check = line.split("\t")
-        if _checksum(self._key, index, encoded) != check:
+    def _parse(self, line: str) -> tuple[tuple[int, int, int], mpart.BucketTable]:
+        task, encoded, check = line.split("\t")
+        if _checksum(self._key, task, encoded) != check:
             raise ValueError(f"checksum mismatch on checkpoint line: {line!r}")
+        j, q1, index = (int(x) for x in task.split(","))
         table = {}
         for item in encoded.split():
             tail, value = item.split(":")
             table[tuple(int(x) for x in tail.split(",")) if tail else ()] = int(value)
-        return int(index), table
+        return (j, q1, index), table
 
     @property
-    def pending(self) -> list[int]:
-        return [i for i in range(len(self.reps)) if i not in self.completed]
+    def pending(self) -> list[tuple[int, int, int]]:
+        return [t for t in self.tasks if t not in self.completed]
 
-    def _flush(self, index: int, table: mpart.BucketTable):
+    def _flush(self, task: tuple[int, int, int], table: mpart.BucketTable):
+        key = ",".join(map(str, task))
         encoded = " ".join(f"{','.join(map(str, t))}:{v}" for t, v in sorted(table.items()))
-        _append_line(self.path, f"{index}\t{encoded}\t{_checksum(self._key, str(index), encoded)}")
-        self.completed[index] = table
+        _append_line(self.path, f"{key}\t{encoded}\t{_checksum(self._key, key, encoded)}")
+        self.completed[task] = table
 
     def run(self, task_limit: Optional[int] = None) -> Optional[int]:
         """Execute up to task_limit pending tasks; return the count once every
         task is complete, else None."""
         todo = self.pending if task_limit is None else self.pending[: max(task_limit, 0)]
-        reps = [self.reps[i] for i in todo]
+        layers = [(mpart.connected_reps(j, q1)[i].rep, self.needs[j, q1]) for j, q1, i in todo]
         budget = _Budget(self.node_ceiling)
-        tables = mpart.rep_tables(reps, self.query.m, self.query.length, self.workers, budget)
-        for index, table in zip(todo, tables):
-            self._flush(index, table)
+        tables = mpart.rep_tables(layers, self.query.length, self.workers, budget)
+        for task, table in zip(todo, tables):
+            self._flush(task, table)
         return None if self.pending else self.total()
 
     def total(self) -> int:
@@ -247,5 +258,10 @@ class CheckpointedAlphaRun:
         trivial = query.trivial_count()
         if trivial is not None:
             return trivial
-        table = mpart.weighted_table(self.reps, (self.completed[i] for i in range(len(self.reps))))
+        components = {}
+        for pair in self.needs:
+            reps = mpart.connected_reps(*pair)
+            tables = (self.completed[(*pair, i)] for i in range(len(reps)))
+            components[pair] = mpart.weighted_table(reps, tables)
+        table = mpart.exponential_table(query.k, query.q, query.m, components)
         return mpart.select(table, query.m, query.length, query.profile)

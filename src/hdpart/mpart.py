@@ -1,16 +1,24 @@
 """Search engine for partitions with socle in degree >= 3 (fixed quadric layer).
 
 The count alpha(k, q, m) of such partitions with k variables, q quadrics and m
-boxes of degree >= 3 is computed orbitwise: enumerate stable quadric
-configurations up to coordinate permutation, bound the reachable cells for each
-configuration, then count its downward-closed cell subsets exactly, a degree
-at a time.
+boxes of degree >= 3 is computed from connected layers: enumerate the
+connected stable configurations up to coordinate permutation, bound the
+reachable cells for each, count its downward-closed cell subsets exactly, a
+degree at a time, and assemble every layer from its connected components.
 
 A quadric layer is a looped graph on the k variables (x_i x_j is the edge ij,
 x_i^2 a loop at i); it is stable exactly when every non-loop edge has a looped
-end or lies in a triangle. `orbit_reps` generates the stable layers that touch
-every variable, one canonical graph per isomorphism class, by orderly
-generation with bitmask edges; no subset of the quadrics is scanned.
+end or lies in a triangle. `connected_reps` generates the connected stable
+layers, one canonical graph per isomorphism class, by orderly generation with
+bitmask edges; no subset of the quadrics is scanned. A cell whose support
+meets two components has a quadric divisor x_i x_j outside the layer, so a
+disconnected layer's region is the disjoint union of its components' regions
+and its profile table is the convolution of theirs. The labelled table A_k(q)
+is therefore the exponential transform of the connected tables C_j(q)
+(`exponential_table`; Harary-Palmer, Graphical Enumeration, 1973, ch. 1;
+Flajolet-Sedgewick, Analytic Combinatorics, 2009, II.2). `orbit_reps`, which
+generates every stable layer, and `alpha_without_orbit_reduction` stay as
+the references the tests compare this route with.
 
 Which quadrics lie below a cell is worked out once, in one cell table per
 dimension (`_cell_table`). Stability, bounding regions and the region search
@@ -25,10 +33,11 @@ degree-(g+1) cells it allows, so the tails above are memoised per sweep on
 (h_3, ..., h_length), which fixes their size and length, so one sweep to size
 m_max holds every count with m <= m_max. Every alpha count, and every
 checkpointed run in `cache` (which honours `workers` too), selects from the
-orbit-weighted sum of its tables. The sweeps run through the task runner
-`lattice.charged_map` and charge the oracle's node counter `lattice._Budget`,
-one node per memo state or layer-set transition; the oracle stays a separate
-walker on purpose: it is the independent route that checks this one.
+exponential formula over the orbit-weighted sums of connected tables. The
+sweeps run through the task runner `lattice.charged_map` and charge the
+oracle's node counter `lattice._Budget`, one node per memo state or layer-set
+transition; the oracle stays a separate walker on purpose: it is the
+independent route that checks this one.
 """
 
 from __future__ import annotations
@@ -263,15 +272,20 @@ class QuadricOrbit(NamedTuple):
     orbit_size: int
 
 
-@lru_cache(maxsize=None)
-def orbit_reps(k: int, q: int) -> tuple[QuadricOrbit, ...]:
+def _orderly(k: int, q: int, connected: bool) -> tuple[QuadricOrbit, ...]:
     """One canonical representative per S_k-orbit of stable q-element quadric
-    sets that touch every variable, in the order of their sorted entry tuples.
+    sets that touch every variable, only the connected ones if connected, in
+    the order of their sorted entry tuples.
 
     Orderly generation (Read, Ann. Discrete Math. 2, 1978): a canonical graph
     less its last edge is canonical, so each one grows from its parent by one
     later edge. A branch stops when its uncovered vertices outnumber what the
-    edges left can touch, or when an edge can no longer be certified.
+    edges left can touch, or when an edge can no longer be certified. In the
+    canonical labelling of a connected graph every vertex a >= 1 has a
+    neighbour b < a: else a vertex past a with an edge into 0..a-1, swapped
+    with a, would read a greater column a. So a connected branch also stops
+    once it passes a column with no lower edge, or when fewer edges are left
+    than columns still to link.
     """
     n_quads = k * (k + 1) // 2
     if k < 1 or q < 1 or q > n_quads:
@@ -283,10 +297,18 @@ def orbit_reps(k: int, q: int) -> tuple[QuadricOrbit, ...]:
     adj = [0] * k
     found = []
 
-    def grow(last: int, mask: int, left: int, touched: int):
-        # left: the edges still to add after the next one
-        for x in range(last + 1, n_quads - left):
+    def grow(last: int, mask: int, left: int, touched: int, col: int, linked: bool):
+        # left: the edges still to add after the next one; col: the last
+        # edge's column, linked: whether column col has a lower edge (or is 0)
+        end = n_quads - left
+        if connected:  # the next edge lies in column col, or col + 1 once col is linked
+            c = col + 1 if linked else col
+            end = min(end, (c + 1) * (c + 2) // 2)
+        for x in range(last + 1, end):
             a, b = ends[x]
+            now_linked = b < a or a == 0 or (a == col and linked)
+            if connected and k - 1 - a + (not now_linked) > left:
+                continue  # each column still to link needs an edge of its own
             adj[a] |= 1 << b
             adj[b] |= 1 << a
             reached = touched | 1 << a | 1 << b
@@ -294,15 +316,22 @@ def orbit_reps(k: int, q: int) -> tuple[QuadricOrbit, ...]:
             if k - reached.bit_count() <= 2 * left and _certifiable(adj, later):
                 _, aut = _relabellings(adj, early=True)
                 if aut and left:
-                    grow(x, mask | 1 << x, left - 1, reached)
+                    grow(x, mask | 1 << x, left - 1, reached, a, now_linked)
                 elif aut:
                     rep = tuple(points[u] for u in range(x + 1) if (mask | 1 << x) >> u & 1)
                     found.append(QuadricOrbit(k, rep, math.factorial(k) // aut))
             adj[a] &= ~(1 << b)
             adj[b] &= ~(1 << a)
 
-    grow(-1, 0, q - 1, 0)
+    grow(-1, 0, q - 1, 0, 0, True)
     return tuple(found)
+
+
+@lru_cache(maxsize=None)
+def connected_reps(k: int, q: int) -> tuple[QuadricOrbit, ...]:
+    """The connected stable layers of orbit_reps(k, q): the same
+    representatives, orbit sizes and order, generated without the others."""
+    return _orderly(k, q, connected=True)
 
 
 class BoundingRegion(NamedTuple):
@@ -454,10 +483,11 @@ BucketTable = dict[tuple[int, ...], int]
 # key: the layer profile (h_3, ..., h_length), so size m is its sum and the
 # length is 2 + its length; value: the count for one representative
 
-# Bump when the order of orbit_reps or the meaning of a BucketTable
-# changes: checkpoints store tables by representative index, and the cache
-# recomputes any checkpoint written under another version.
-SEARCH_FORMAT_VERSION = 2
+# Bump when the order of connected_reps, the size each component table is
+# swept to, or the meaning of a BucketTable changes: checkpoints store tables
+# by (j, q1, representative index), and the cache recomputes any checkpoint
+# written under another version.
+SEARCH_FORMAT_VERSION = 3
 
 
 class _RegionSearch:
@@ -591,27 +621,28 @@ class _RegionSearch:
 
 
 def _rep_search(args) -> tuple[BucketTable, int]:
-    """Bucket table and node count of one representative; a process-pool task."""
-    rep, m_max, length_cap, node_ceiling = args
-    search = _RegionSearch(bounding_region(rep, length_cap), _Budget(node_ceiling))
+    """Bucket table and node count of one layer; a process-pool task."""
+    rep, m_max, max_degree, node_ceiling = args
+    search = _RegionSearch(bounding_region(rep, max_degree), _Budget(node_ceiling))
     return search.sweep(m_max), search.nodes
 
 
 def rep_tables(
-    reps: Sequence[QuadricOrbit],
-    m_max: int,
+    layers: Sequence[tuple[tuple[Point, ...], int]],
     length_cap: Optional[int],
     workers: int,
     budget: _Budget,
 ) -> Iterator[BucketTable]:
-    """Unweighted bucket table of each representative, yielded in order.
+    """Unweighted bucket table of each (quadric layer, m_max), yielded in order.
 
-    Every representative's nodes are charged to budget in representative
-    order (`lattice.charged_map`), so the count fails exactly when the serial
-    walk does, under any number of workers.
+    Every layer's nodes are charged to budget in that order
+    (`lattice.charged_map`), so the count fails exactly when the serial walk
+    does, under any number of workers.
     """
-    max_degree = length_cap if length_cap is not None else m_max + 2
-    tasks = [(o.rep, m_max, max_degree, budget.left) for o in reps]
+    tasks = [
+        (rep, m_max, length_cap if length_cap is not None else m_max + 2, budget.left)
+        for rep, m_max in layers
+    ]
     return charged_map(_rep_search, tasks, workers, budget)
 
 
@@ -643,6 +674,82 @@ def select(
     )
 
 
+# --- the exponential formula -------------------------------------------------
+#
+# A_k(q) is the labelled table of the stable layers on k variables with q
+# quadrics, C_j(q) that of the connected ones. The component of variable 0 has
+# j variables, chosen in binom(k-1, j-1) ways, and q1 quadrics; the rest is any
+# layer on the other k - j, and the tables convolve:
+#   A_k(q) = sum_{j, q1} binom(k-1, j-1) C_j(q1) * A_{k-j}(q-q1),  A_0(0) = {(): 1}.
+
+
+def _min_size(q: int) -> int:
+    """The fewest cells above q quadrics: a cubic covers at most three."""
+    return -(-q // 3)
+
+
+def _splits(k: int, q: int, m: int):
+    """The terms of A_k(q) to size m: (ways, the component (j, q1), the size
+    its table is read to, the rest (k - j, q - q1, the size its table is read
+    to)). A connected layer on j variables has j to j(j+1)/2 quadrics."""
+    for j in range(1, k + 1):
+        rest_k = k - j
+        for q1 in range(j, min(q, j * (j + 1) // 2) + 1):
+            rest_q = q - q1
+            if not rest_k <= rest_q <= rest_k * (rest_k + 1) // 2:
+                continue
+            m1 = m - _min_size(rest_q)
+            if m1 >= _min_size(q1):
+                yield math.comb(k - 1, j - 1), (j, q1), m1, (rest_k, rest_q, m - _min_size(q1))
+
+
+def component_needs(k: int, q: int, m_max: int) -> dict[tuple[int, int], int]:
+    """The connected tables (j, q1) that A_k(q) reads to size m_max, each
+    with the largest size it is read to."""
+    needs: dict[tuple[int, int], int] = {}
+    seen = set()
+
+    def visit(k: int, q: int, m: int):
+        if k and (k, q, m) not in seen:
+            seen.add((k, q, m))
+            for _, pair, m1, rest in _splits(k, q, m):
+                needs[pair] = max(needs.get(pair, 0), m1)
+                visit(*rest)
+
+    visit(k, q, m_max)
+    return needs
+
+
+def exponential_table(
+    k: int, q: int, m_max: int, components: dict[tuple[int, int], BucketTable]
+) -> BucketTable:
+    """A_k(q) to size m_max from the connected tables in components, which
+    hold every size `component_needs` reads. Profile tails add position by
+    position: the components' cells lie in disjoint variables, so their
+    regions and down-sets multiply."""
+    memo: dict[tuple[int, int, int], BucketTable] = {}
+
+    def table(k: int, q: int, m: int) -> BucketTable:
+        if not k:
+            return {(): 1}
+        out = memo.get((k, q, m))
+        if out is None:
+            out = memo[k, q, m] = {}
+            for ways, pair, m1, rest in _splits(k, q, m):
+                others = [(t, sum(t), v) for t, v in table(*rest).items()]
+                for t1, v1 in components[pair].items():
+                    s1 = sum(t1)
+                    if s1 > m1:
+                        continue
+                    for t2, s2, v2 in others:
+                        if s1 + s2 <= m:
+                            t = tuple(map(sum, itertools.zip_longest(t1, t2, fillvalue=0)))
+                            out[t] = out.get(t, 0) + ways * v1 * v2
+        return out
+
+    return table(k, q, m_max)
+
+
 def alpha_tables(
     k: int,
     q: int,
@@ -650,13 +757,28 @@ def alpha_tables(
     length_cap: Optional[int] = None,
     workers: int = 1,
     budget: Optional[_Budget] = None,
+    components: Optional[dict[tuple[int, int], tuple[int, BucketTable]]] = None,
 ) -> BucketTable:
-    """Orbit-weighted bucket table for all sizes up to m_max at once, from
-    one sweep per representative; the values include the orbit weights.
-    The sweeps are charged to budget, or to a fresh default-ceiling one."""
-    reps = orbit_reps(k, q)
+    """Labelled bucket table A_k(q) for all sizes up to m_max at once; the
+    values include the orbit weights.
+
+    Each connected table C_j(q1) it reads is the orbit-weighted sum of one
+    sweep per connected representative, all run in one `rep_tables` call in
+    (j, q1) order and charged to budget, or to a fresh default-ceiling one.
+    components, when given, memoises those tables across calls as (size,
+    table) under this length_cap; a table is swept again only when a larger
+    size is read.
+    """
     budget = _Budget(DEFAULT_NODE_CEILING) if budget is None else budget
-    return weighted_table(reps, rep_tables(reps, m_max, length_cap, workers, budget))
+    components = {} if components is None else components
+    needs = component_needs(k, q, m_max)
+    todo = [(p, m) for p, m in sorted(needs.items()) if components.get(p, (0,))[0] < m]
+    reps = [connected_reps(*p) for p, _ in todo]
+    layers = [(o.rep, m) for (_, m), rs in zip(todo, reps) for o in rs]
+    tables = rep_tables(layers, length_cap, workers, budget)
+    for (p, m), rs in zip(todo, reps):
+        components[p] = m, weighted_table(rs, itertools.islice(tables, len(rs)))
+    return exponential_table(k, q, m_max, {p: components[p][1] for p in needs})
 
 
 def alpha(
@@ -695,6 +817,15 @@ def alpha_by_hilbert(
 ) -> int:
     """Count with the entire layer profile prescribed."""
     return alpha(AlphaQuery.from_profile(h), workers=workers, node_ceiling=node_ceiling)
+
+
+@lru_cache(maxsize=None)
+def orbit_reps(k: int, q: int) -> tuple[QuadricOrbit, ...]:
+    """Reference: one canonical representative per S_k-orbit of every stable
+    q-element quadric set that touches all k variables, connected or not, in
+    the order of their sorted entry tuples; weighted_table over their sweeps
+    is A_k(q) with no exponential formula."""
+    return _orderly(k, q, connected=False)
 
 
 def alpha_without_orbit_reduction(

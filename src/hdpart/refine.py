@@ -375,7 +375,9 @@ class Resolver:
     node_ceiling bounds the nodes of every search this resolver runs: they are
     all charged to one budget. Each oracle count gets a fresh budget with the
     same ceiling. workers runs the searches' tasks in a process pool; the
-    oracle walks serially.
+    oracle walks serially. The resolver owns the memo of connected component
+    tables that its alpha searches share (`mpart.alpha_tables`), so its node
+    totals depend only on the queries it has answered.
     """
 
     def __init__(
@@ -388,6 +390,7 @@ class Resolver:
         self.workers = workers
         self.node_ceiling = node_ceiling
         self.budget = lattice._Budget(node_ceiling)
+        self.components: dict[tuple[int, int], tuple[int, mpart.BucketTable]] = {}
         self.tables = {kind: CountTable(kind) for kind in KINDS}
 
     def p(self, n: int, d: int) -> int:
@@ -442,7 +445,9 @@ class Resolver:
         if trivial is not None:
             return tab.set((k, q, m), trivial, SEARCH)
         # one sweep to size m holds every smaller size of the same (k, q)
-        table = mpart.alpha_tables(k, q, m, workers=self.workers, budget=self.budget)
+        table = mpart.alpha_tables(
+            k, q, m, workers=self.workers, budget=self.budget, components=self.components
+        )
         for size in range(1, m + 1):
             tab.set((k, q, size), mpart.select(table, size), SEARCH)
         return tab.get((k, q, m))

@@ -1,6 +1,7 @@
 """Persistence format, checkpoint resume, and the command-line surface."""
 
 import gc
+import hashlib
 import json
 import subprocess
 import sys
@@ -19,6 +20,7 @@ from hdpart.cache import (
     load_golden_records,
 )
 from hdpart.cli import main
+from hdpart.lattice import _Budget
 from hdpart.mpart import SEARCH_FORMAT_VERSION, alpha_by_hilbert, alpha_count
 from hdpart.series import IntegrityError, parse_polynomial
 
@@ -82,15 +84,21 @@ def test_checkpoint_resume_identical(tmp_path):
     # run to completion one task at a time, reloading from disk between tasks
     total = None
     for _ in range(50):
-        run = CheckpointedAlphaRun(tmp_path, k, q, m)
+        run = CheckpointedAlphaRun(tmp_path / "a", k, q, m)
         total = run.run(task_limit=1)
         if total is not None:
             break
     assert total == fresh
     # a later resume sees the completed state immediately
-    resumed = CheckpointedAlphaRun(tmp_path, k, q, m)
+    resumed = CheckpointedAlphaRun(tmp_path / "a", k, q, m)
     assert resumed.pending == []
     assert resumed.total() == fresh
+    # the tasks span three component pairs, and the interrupted log equals an
+    # uninterrupted one line for line
+    assert sorted({task[:2] for task in resumed.tasks}) == [(1, 1), (2, 3), (3, 4)]
+    uninterrupted = CheckpointedAlphaRun(tmp_path / "b", k, q, m)
+    assert uninterrupted.run() == fresh
+    assert uninterrupted.path.read_bytes() == resumed.path.read_bytes()
 
 
 def test_checkpoint_ignores_other_search_version(tmp_path, monkeypatch):
@@ -107,8 +115,30 @@ def test_checkpoint_ignores_other_search_version(tmp_path, monkeypatch):
     for other in (other_version, other_query):
         run.path.write_bytes(other.path.read_bytes())
         stale = CheckpointedAlphaRun(tmp_path, k, q, m)
-        assert stale.completed == {} and stale.skipped == len(stale.reps)
+        assert stale.completed == {} and stale.skipped == len(stale.tasks)
         assert stale.run() == alpha_count(k, q, m)
+
+
+def test_checkpoint_written_under_version_2_is_recomputed(tmp_path):
+    # version 2 logged one line per whole representative of orbit_reps, keyed by index
+    k, q, m = 3, 4, 5
+    key = f"2|{k},{q},{m},None"
+    reps = mpart.orbit_reps(k, q)
+    tables = mpart.rep_tables([(o.rep, m) for o in reps], None, 1, _Budget(None))
+    lines = []
+    for index, table in enumerate(tables):
+        encoded = " ".join(f"{','.join(map(str, t))}:{v}" for t, v in sorted(table.items()))
+        lines.append(f"{index}\t{encoded}\t{cache_mod._checksum(key, str(index), encoded)}\n")
+    old = "".join(lines)
+    name = hashlib.sha256(key.encode()).hexdigest()[:16]
+    (tmp_path / f"alpha-{name}.tsv").write_text(old)
+    run = CheckpointedAlphaRun(tmp_path, k, q, m)
+    assert run.path.name != f"alpha-{name}.tsv" and run.completed == {}
+    run.path.write_text(old)  # even under the new log's name, no line is read
+    stale = CheckpointedAlphaRun(tmp_path, k, q, m)
+    assert stale.completed == {} and stale.skipped == len(reps) == 4
+    assert stale.run() == alpha_count(k, q, m)
+    assert (tmp_path / f"alpha-{name}.tsv").read_text() == old
 
 
 @pytest.mark.parametrize(
@@ -119,8 +149,9 @@ def test_checkpoint_with_malformed_table_is_recomputed(tmp_path, table):
     k, q, m = 3, 4, 5
     run = CheckpointedAlphaRun(tmp_path, k, q, m)
     encoded = " ".join(table)
-    check = cache_mod._checksum(run._key, "0", encoded)
-    run.path.write_text(f"0\t{encoded}\t{check}\n")
+    task = ",".join(map(str, run.tasks[0]))
+    check = cache_mod._checksum(run._key, task, encoded)
+    run.path.write_text(f"{task}\t{encoded}\t{check}\n")
     stale = CheckpointedAlphaRun(tmp_path, k, q, m)
     assert stale.completed == {} and stale.skipped == 1
     assert stale.run() == alpha_count(k, q, m)
@@ -134,7 +165,7 @@ def test_checkpoint_torn_tail_is_recomputed(tmp_path):
     last = text.rstrip("\n").rsplit("\n", 1)[1]
     run.path.write_text(text[: len(text) - len(last) // 2])  # an interrupted append
     torn = CheckpointedAlphaRun(tmp_path, k, q, m)
-    assert torn.skipped == 1 and torn.pending == [len(run.reps) - 1]
+    assert torn.skipped == 1 and torn.pending == [run.tasks[-1]]
     assert torn.run() == alpha_count(k, q, m)
     resumed = CheckpointedAlphaRun(tmp_path, k, q, m)
     assert resumed.pending == [] and resumed.skipped == 1
@@ -146,7 +177,8 @@ def test_checkpoint_log_has_one_line_per_representative(tmp_path):
     run = CheckpointedAlphaRun(tmp_path, k, q, m)
     run.run()
     before = run.path.read_bytes()
-    assert len(before.splitlines()) == len(run.reps) == 4
+    # one line per connected representative of (1, 1), (2, 3) and (3, 4)
+    assert len(before.splitlines()) == len(run.tasks) == 5
     resumed = CheckpointedAlphaRun(tmp_path, k, q, m)
     assert resumed.run() == alpha_count(k, q, m)
     assert run.path.read_bytes() == before  # a resume appends nothing
@@ -154,7 +186,7 @@ def test_checkpoint_log_has_one_line_per_representative(tmp_path):
 
 def test_checkpoint_partial_state_is_persisted(tmp_path):
     run = CheckpointedAlphaRun(tmp_path, 3, 4, 4)
-    assert run.run(task_limit=1) is None or len(run.reps) <= 1
+    assert run.run(task_limit=1) is None or len(run.tasks) <= 1
     again = CheckpointedAlphaRun(tmp_path, 3, 4, 4)
     assert len(again.completed) >= 1
 
@@ -257,12 +289,12 @@ def test_cli_max_nodes_bounds_every_oracle_route(query):
 
 @pytest.mark.parametrize("workers", ["1", "2"])
 def test_cli_node_ceiling_is_one_per_command(workers):
-    # the searches behind y(5, 12) walk 44 nodes together
+    # the searches behind y(5, 12) walk 39 nodes together
     argv = ("--workers", workers, "--node-ceiling")
-    rc, _, err = run_cli(*argv, "43", "count", "y", "--k", "5", "--d", "12")
+    rc, _, err = run_cli(*argv, "38", "count", "y", "--k", "5", "--d", "12")
     assert rc == 1
     assert json.loads(err.strip())["error"] == "resource-ceiling"
-    rc, out, err = run_cli(*argv, "44", "count", "y", "--k", "5", "--d", "12")
+    rc, out, err = run_cli(*argv, "39", "count", "y", "--k", "5", "--d", "12")
     assert (rc, out.strip()) == (0, "23860"), err
 
 

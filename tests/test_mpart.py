@@ -11,6 +11,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from hdpart.cache import CheckpointedAlphaRun
+from hdpart.hydral import hydral_count
 from hdpart.lattice import ConstraintSpec, ResourceCeilingError, _Budget, count_constrained
 from hdpart.mpart import (
     AlphaQuery,
@@ -23,11 +24,14 @@ from hdpart.mpart import (
     alpha_targeted,
     alpha_without_orbit_reduction,
     bounding_region,
+    connected_reps,
     is_m_stable,
     orbit_reps,
     quadric_points,
     rep_tables,
+    select,
     support_variables,
+    weighted_table,
 )
 
 
@@ -131,6 +135,55 @@ def test_orbit_reps_match_subset_scan_wide():
         assert _orbit_row(*kq) == table[kq], kq
 
 
+def _connected(k, rep):
+    adj = _graph(k, sum(1 << quadric_points(k).index(p) for p in rep))
+    reached, frontier = 1, 1
+    while frontier:
+        v = frontier.bit_length() - 1
+        frontier ^= 1 << v
+        frontier |= adj[v] & ~reached
+        reached |= adj[v]
+    return reached == (1 << k) - 1
+
+
+def _check_connected_reps(k, qs):
+    for q in qs:
+        want = tuple(o for o in orbit_reps(k, q) if _connected(k, o.rep))
+        assert connected_reps(k, q) == want, (k, q)
+
+
+def test_connected_reps_are_the_connected_orbit_reps():
+    # the same representatives, order and orbit sizes as filtering the reference
+    for k in range(1, 7):
+        _check_connected_reps(k, range(1, k * (k + 1) // 2 + 1))
+    assert [len(connected_reps(6, q)) for q in (6, 7, 8)] == [1, 7, 44]
+
+
+@pytest.mark.slow
+def test_connected_reps_are_the_connected_orbit_reps_k7():
+    _check_connected_reps(7, range(1, 13))
+
+
+def test_exponential_formula_matches_orbit_reps():
+    # the formula over connected tables equals the weighted sweep of every layer
+    for k in range(1, 7):
+        m = {1: 6, 2: 6, 3: 6, 4: 5, 5: 4, 6: 3}[k]
+        for q in range(1, k * (k + 1) // 2 + 1):
+            for cap in (None, 4):
+                reps = orbit_reps(k, q)
+                layers = [(o.rep, m) for o in reps]
+                direct = weighted_table(reps, rep_tables(layers, cap, 1, _Budget(None)))
+                assert alpha_tables(k, q, m, length_cap=cap) == direct, (k, q, cap)
+
+
+def test_exponential_formula_matches_hydral():
+    # q == k: hydral_count multiplies closed block counts, a route with no search
+    for k in range(1, 7):
+        table = alpha_tables(k, k, 8)
+        for m in range(1, 9):
+            assert select(table, m) == hydral_count(k, m), (k, m)
+
+
 def test_bounding_region_examples():
     full = bounding_region(quadric_points(2), 3)
     assert len(full.all_points()) == 10  # all monomials of degree <= 3 in 2 variables
@@ -228,7 +281,7 @@ def test_sweep_tables_match_record():
     record = _sweep_record()
     assert len(record) == 19
     for (k, q, m), hashes in record.items():
-        tables = rep_tables(orbit_reps(k, q), m, None, 1, _Budget(None))
+        tables = rep_tables([(o.rep, m) for o in orbit_reps(k, q)], None, 1, _Budget(None))
         got = [hashlib.sha256(repr(sorted(t.items())).encode()).hexdigest() for t in tables]
         assert got == hashes, (k, q, m)
 
@@ -304,14 +357,14 @@ def test_parallel_determinism(tmp_path):
 def test_node_ceiling():
     with pytest.raises(ResourceCeilingError):
         alpha_count(3, 4, 8, node_ceiling=100)
-    # one ceiling per count: the representatives' searches walk 746 nodes
-    # together; the 68 wide ones of (5, 8, 8) walk 62,115, as the cubic walk
+    # one ceiling per count: the connected representatives' searches walk 631
+    # nodes together; those of (5, 8, 8) walk 50,397, as the cubic walk
     # enters only children that can still cover the quadric layer; (6, 11, 4)
-    # walks 9,975, as it enters none whose cells left cannot cover the rest
+    # walks 8,683, as it enters none whose cells left cannot cover the rest
     for (k, q, m), nodes, value in [
-        ((3, 4, 8), 746, 1302),
-        ((5, 8, 8), 62115, 2097875),
-        ((6, 11, 4), 9975, 1800),
+        ((3, 4, 8), 631, 1302),
+        ((5, 8, 8), 50397, 2097875),
+        ((6, 11, 4), 8683, 1800),
     ]:
         for workers in (1, 2):
             with pytest.raises(ResourceCeilingError):

@@ -373,10 +373,10 @@ def test_resolver_sweeps_once_per_pair(monkeypatch):
 
 @pytest.mark.parametrize("workers", [1, 2])
 def test_resolver_node_ceiling_is_one_budget(workers):
-    # every search behind y(5, 12) is charged to one budget: 44 nodes in all
+    # every search behind y(5, 12) is charged to one budget: 39 nodes in all
     with pytest.raises(ResourceCeilingError):
-        Resolver(workers=workers, node_ceiling=43).y(5, 12)
-    assert Resolver(workers=workers, node_ceiling=44).y(5, 12) == 23860
+        Resolver(workers=workers, node_ceiling=38).y(5, 12)
+    assert Resolver(workers=workers, node_ceiling=39).y(5, 12) == 23860
 
 
 @pytest.mark.slow
