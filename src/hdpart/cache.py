@@ -7,8 +7,9 @@ cache is one TSV file:
     kind <TAB> index <TAB> value <TAB> provenance <TAB> version <TAB> checksum
 
 with comma-joined integer indices and decimal big-integer values. A long
-alpha search keeps one checkpoint log per query next to it, one line per
-finished connected representative (see CheckpointedAlphaRun). Both stores read through
+alpha search keeps a checkpoint log next to it, one line per finished
+connected component table, which is the persisted form of the component memo
+that `mpart.alpha_tables` takes (see CheckpointedAlphaRun). Both stores read through
 `_read_lines`, which skips and counts a line that fails its check (a corrupt
 line, or the torn tail of an interrupted write), and write through
 `_append_line`. The golden reference files are read from the `golden`
@@ -23,7 +24,6 @@ from pathlib import Path
 from typing import Callable, NamedTuple, Optional
 
 from . import mpart
-from .lattice import _Budget
 from .series import IntegrityError
 
 FORMAT_VERSION = "1"
@@ -168,100 +168,58 @@ def load_golden_collisions() -> list[tuple[int, int, int, int, int]]:
 # --- resumable alpha runs -----------------------------------------------------
 
 
-class CheckpointedAlphaRun:
-    """Per-representative task runner whose partial results survive restarts.
+class CheckpointedAlphaRun(dict):
+    """The memo of connected component tables that `mpart.alpha_tables` takes,
+    persisted as an append-only log, so a long alpha search resumes after an
+    interruption.
 
-    The count is the exponential formula over connected component tables
-    (`mpart.exponential_table`), so each task is one connected representative
-    of a component pair (j, q1) that the query reads (`mpart.component_needs`),
-    swept to the size the formula reads. When a task finishes, one line is
-    appended to the checkpoint log:
+    It maps a component pair (j, q1) to (size, orbit-weighted table): the
+    table of the connected stable layers on j variables with q1 quadrics,
+    swept to that size under the length cap `length`. Storing a pair appends
+    one line before the table is kept:
 
-        j,q1,index <TAB> table <TAB> checksum
+        j,q1 <TAB> size <TAB> table <TAB> checksum
 
     with the bucket table as space-separated `profile:value` items (comma-joined
-    profile). The checksum and the file name are keyed by the search-format
-    version and the query without its profile, so a run refined by profile and
-    one refined by length alone share one log. A line that is torn, corrupt, or
-    written for another query or version fails its check and its task is
-    recomputed; resuming skips the other completed tasks, so the final
-    aggregate is identical however often the run is interrupted. node_ceiling
-    bounds the nodes of each run() call.
+    profile). A component table depends only on its pair, its size and the
+    cap, so the checksum and the file name are keyed by the search-format
+    version and the cap alone, and one log serves every query with that cap.
+    A pair logged twice keeps its larger size on load. A line that is torn,
+    corrupt, or written under another version or cap fails its check and its
+    pair is swept again. Resume is per finished pair: a finished pair is never
+    regenerated or swept again, but a pair whose sweep alone exceeds a run's
+    node ceiling never finishes.
     """
 
-    def __init__(
-        self,
-        directory: Path,
-        k: int,
-        q: int,
-        m: int,
-        length: Optional[int] = None,
-        profile: Optional[tuple[int, ...]] = None,
-        node_ceiling: Optional[int] = mpart.DEFAULT_NODE_CEILING,
-        workers: int = 1,
-    ):
-        self.query = mpart.AlphaQuery(k, q, m, length=length, profile=profile)
-        self.node_ceiling = node_ceiling
-        self.workers = workers
+    def __init__(self, directory: Path, length: Optional[int] = None):
+        super().__init__()
         self.directory = Path(directory)
         self.directory.mkdir(parents=True, exist_ok=True)
-        self._key = f"{mpart.SEARCH_FORMAT_VERSION}|{k},{q},{m},{length}"
+        self._key = f"{mpart.SEARCH_FORMAT_VERSION}|{length}"
         name = hashlib.sha256(self._key.encode()).hexdigest()[:16]
         self.path = self.directory / f"alpha-{name}.tsv"
-        trivial = self.query.trivial_count() is not None
-        # component pair -> the size its table is swept to
-        self.needs = {} if trivial else mpart.component_needs(k, q, m)
-        self.tasks = [
-            (j, q1, i)
-            for j, q1 in sorted(self.needs)
-            for i in range(len(mpart.connected_reps(j, q1)))
-        ]
         lines, self.skipped = _read_lines(self.path, self._parse)
-        self.completed: dict[tuple[int, int, int], mpart.BucketTable] = dict(lines)
+        for pair, entry in lines:
+            if entry[0] > self.get(pair, (0,))[0]:
+                super().__setitem__(pair, entry)
 
-    def _parse(self, line: str) -> tuple[tuple[int, int, int], mpart.BucketTable]:
-        task, encoded, check = line.split("\t")
-        if _checksum(self._key, task, encoded) != check:
+    def _parse(self, line: str) -> tuple[tuple[int, int], tuple[int, mpart.BucketTable]]:
+        pair, size, encoded, check = line.split("\t")
+        if _checksum(self._key, pair, size, encoded) != check:
             raise ValueError(f"checksum mismatch on checkpoint line: {line!r}")
-        j, q1, index = (int(x) for x in task.split(","))
+        j, q1 = (int(x) for x in pair.split(","))
         table = {}
         for item in encoded.split():
             tail, value = item.split(":")
             table[tuple(int(x) for x in tail.split(",")) if tail else ()] = int(value)
-        return (j, q1, index), table
+        return (j, q1), (int(size), table)
 
-    @property
-    def pending(self) -> list[tuple[int, int, int]]:
-        return [t for t in self.tasks if t not in self.completed]
+    def _flush(self, pair: tuple[int, int], entry: tuple[int, mpart.BucketTable]):
+        key, size = ",".join(map(str, pair)), str(entry[0])
+        encoded = " ".join(f"{','.join(map(str, t))}:{v}" for t, v in sorted(entry[1].items()))
+        check = _checksum(self._key, key, size, encoded)
+        _append_line(self.path, f"{key}\t{size}\t{encoded}\t{check}")
 
-    def _flush(self, task: tuple[int, int, int], table: mpart.BucketTable):
-        key = ",".join(map(str, task))
-        encoded = " ".join(f"{','.join(map(str, t))}:{v}" for t, v in sorted(table.items()))
-        _append_line(self.path, f"{key}\t{encoded}\t{_checksum(self._key, key, encoded)}")
-        self.completed[task] = table
-
-    def run(self, task_limit: Optional[int] = None) -> Optional[int]:
-        """Execute up to task_limit pending tasks; return the count once every
-        task is complete, else None."""
-        todo = self.pending if task_limit is None else self.pending[: max(task_limit, 0)]
-        layers = [(mpart.connected_reps(j, q1)[i].rep, self.needs[j, q1]) for j, q1, i in todo]
-        budget = _Budget(self.node_ceiling)
-        tables = mpart.rep_tables(layers, self.query.length, self.workers, budget)
-        for task, table in zip(todo, tables):
-            self._flush(task, table)
-        return None if self.pending else self.total()
-
-    def total(self) -> int:
-        if self.pending:
-            raise RuntimeError("run is not complete")
-        query = self.query
-        trivial = query.trivial_count()
-        if trivial is not None:
-            return trivial
-        components = {}
-        for pair in self.needs:
-            reps = mpart.connected_reps(*pair)
-            tables = (self.completed[(*pair, i)] for i in range(len(reps)))
-            components[pair] = mpart.weighted_table(reps, tables)
-        table = mpart.exponential_table(query.k, query.q, query.m, components)
-        return mpart.select(table, query.m, query.length, query.profile)
+    def __setitem__(self, pair: tuple[int, int], entry: tuple[int, mpart.BucketTable]):
+        self._flush(pair, entry)
+        super().__setitem__(pair, entry)

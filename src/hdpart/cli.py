@@ -80,11 +80,12 @@ def _count_value(args, resolver: Resolver, oracle: bool) -> int:
     if args.table == "hydral":
         trivial = query.trivial_count()
         return hydral.hydral_count(args.n, args.m) if trivial is None else trivial
+    log = None
     if args.checkpoint_dir:
-        return cache_mod.CheckpointedAlphaRun(
-            Path(args.checkpoint_dir), *query, node_ceiling=args.node_ceiling, workers=args.workers
-        ).run()
-    return mpart.alpha(query, workers=args.workers, node_ceiling=args.node_ceiling)
+        log = cache_mod.CheckpointedAlphaRun(Path(args.checkpoint_dir), query.length)
+    return mpart.alpha(
+        query, workers=args.workers, node_ceiling=args.node_ceiling, components=log
+    )
 
 
 def cmd_count(args) -> int:
@@ -297,6 +298,8 @@ def main(argv=None) -> int:
         return _fail("integrity", detail=str(exc))
     except (ValueError, TypeError) as exc:
         return _fail("bad-request", detail=str(exc))
+    except OSError as exc:
+        return _fail("io", detail=str(exc))
 
 
 if __name__ == "__main__":

@@ -31,9 +31,10 @@ EC1, §4.7): what can stand above a chosen degree-g layer depends only on the
 degree-(g+1) cells it allows, so the tails above are memoised per sweep on
 (allowed mask, size left). It buckets the subsets by layer profile
 (h_3, ..., h_length), which fixes their size and length, so one sweep to size
-m_max holds every count with m <= m_max. Every alpha count, and every
-checkpointed run in `cache` (which honours `workers` too), selects from the
-exponential formula over the orbit-weighted sums of connected tables. The
+m_max holds every count with m <= m_max. Every alpha count selects from the
+exponential formula over the orbit-weighted sums of connected tables, which
+`alpha_tables` memoises per component pair; a checkpointed run in `cache`
+passes a memo that persists itself as a log. The
 sweeps run through the task runner `lattice.charged_map` and charge the
 oracle's node counter `lattice._Budget`, one node per memo state or layer-set
 transition; the oracle stays a separate walker on purpose: it is the
@@ -483,11 +484,11 @@ BucketTable = dict[tuple[int, ...], int]
 # key: the layer profile (h_3, ..., h_length), so size m is its sum and the
 # length is 2 + its length; value: the count for one representative
 
-# Bump when the order of connected_reps, the size each component table is
-# swept to, or the meaning of a BucketTable changes: checkpoints store tables
-# by (j, q1, representative index), and the cache recomputes any checkpoint
-# written under another version.
-SEARCH_FORMAT_VERSION = 3
+# Bump when the meaning of a component pair, of the size a component table is
+# swept to, or of a BucketTable changes: checkpoints store orbit-weighted
+# component tables by (j, q1) and size, and the cache sweeps again any pair
+# logged under another version.
+SEARCH_FORMAT_VERSION = 4
 
 
 class _RegionSearch:
@@ -785,14 +786,17 @@ def alpha(
     query: AlphaQuery,
     workers: int = 1,
     node_ceiling: Optional[int] = DEFAULT_NODE_CEILING,
+    components: Optional[dict[tuple[int, int], tuple[int, BucketTable]]] = None,
 ) -> int:
-    """Exact number of partitions matching the query (socle degree >= 3 built in)."""
+    """Exact number of partitions matching the query (socle degree >= 3 built in);
+    components is the memo of connected tables that `alpha_tables` takes."""
     trivial = query.trivial_count()
     if trivial is not None:
         return trivial
     k, q, m = query.k, query.q, query.m
     table = alpha_tables(
-        k, q, m, length_cap=query.length, workers=workers, budget=_Budget(node_ceiling)
+        k, q, m, length_cap=query.length, workers=workers, budget=_Budget(node_ceiling),
+        components=components,
     )
     return select(table, m, query.length, query.profile)
 

@@ -20,7 +20,7 @@ from hdpart.cache import (
     load_golden_records,
 )
 from hdpart.cli import main
-from hdpart.lattice import _Budget
+from hdpart.lattice import ResourceCeilingError, _Budget
 from hdpart.mpart import SEARCH_FORMAT_VERSION, alpha_by_hilbert, alpha_count
 from hdpart.series import IntegrityError, parse_polynomial
 
@@ -78,66 +78,81 @@ def test_golden_c6_rejects_misnumbered_row(monkeypatch, tmp_path):
         load_golden_c6()
 
 
+def _checkpointed(directory, k, q, m, length=None, **kwargs):
+    """alpha(k, q, m, length) through the checkpoint log in directory."""
+    log = CheckpointedAlphaRun(directory, length)
+    query = mpart.AlphaQuery(k, q, m, length=length)
+    return mpart.alpha(query, components=log, **kwargs)
+
+
 def test_checkpoint_resume_identical(tmp_path):
+    # (3, 4, 5) reads the pairs (1, 1), (2, 3) and (3, 4), whose sweeps walk
+    # 7, 37 and 119 nodes: under a 150-node ceiling the first run logs two
+    # pairs and stops, and the second finishes from them
     k, q, m = 3, 4, 5
     fresh = alpha_count(k, q, m)
-    # run to completion one task at a time, reloading from disk between tasks
-    total = None
-    for _ in range(50):
-        run = CheckpointedAlphaRun(tmp_path / "a", k, q, m)
-        total = run.run(task_limit=1)
-        if total is not None:
-            break
-    assert total == fresh
-    # a later resume sees the completed state immediately
-    resumed = CheckpointedAlphaRun(tmp_path / "a", k, q, m)
-    assert resumed.pending == []
-    assert resumed.total() == fresh
-    # the tasks span three component pairs, and the interrupted log equals an
-    # uninterrupted one line for line
-    assert sorted({task[:2] for task in resumed.tasks}) == [(1, 1), (2, 3), (3, 4)]
-    uninterrupted = CheckpointedAlphaRun(tmp_path / "b", k, q, m)
-    assert uninterrupted.run() == fresh
-    assert uninterrupted.path.read_bytes() == resumed.path.read_bytes()
+    with pytest.raises(ResourceCeilingError):
+        _checkpointed(tmp_path / "a", k, q, m, node_ceiling=150)
+    assert sorted(CheckpointedAlphaRun(tmp_path / "a")) == [(1, 1), (2, 3)]
+    assert _checkpointed(tmp_path / "a", k, q, m, node_ceiling=150) == fresh
+    resumed = CheckpointedAlphaRun(tmp_path / "a")
+    assert resumed == {p: (m1, resumed[p][1]) for p, m1 in mpart.component_needs(k, q, m).items()}
+    # the interrupted log equals an uninterrupted one line for line
+    assert _checkpointed(tmp_path / "b", k, q, m) == fresh
+    assert CheckpointedAlphaRun(tmp_path / "b").path.read_bytes() == resumed.path.read_bytes()
+
+
+def test_checkpoint_pair_over_the_ceiling_never_finishes(tmp_path):
+    # resume is per finished pair: the 119-node pair (3, 4) cannot be finished
+    # piecewise under a 100-node ceiling, and a retry appends nothing
+    for _ in range(2):
+        with pytest.raises(ResourceCeilingError):
+            _checkpointed(tmp_path, 3, 4, 5, node_ceiling=100)
+        log = CheckpointedAlphaRun(tmp_path)
+        assert sorted(log) == [(1, 1), (2, 3)]
+        assert len(log.path.read_bytes().splitlines()) == 2
 
 
 def test_checkpoint_ignores_other_search_version(tmp_path, monkeypatch):
     k, q, m = 3, 4, 5
-    run = CheckpointedAlphaRun(tmp_path, k, q, m)
-    # lines written under another search-format version, and for another query
+    log = CheckpointedAlphaRun(tmp_path)
+    # lines written under another search-format version, and under another cap
     monkeypatch.setattr(mpart, "SEARCH_FORMAT_VERSION", SEARCH_FORMAT_VERSION + 1)
-    other_version = CheckpointedAlphaRun(tmp_path / "v", k, q, m)
-    other_version.run()
+    other_version = CheckpointedAlphaRun(tmp_path / "v")
+    assert _checkpointed(tmp_path / "v", k, q, m) == alpha_count(k, q, m)
     monkeypatch.undo()
-    other_query = CheckpointedAlphaRun(tmp_path / "q", k, q, m + 1)
-    other_query.run()
-    assert other_version.path.name != run.path.name != other_query.path.name
-    for other in (other_version, other_query):
-        run.path.write_bytes(other.path.read_bytes())
-        stale = CheckpointedAlphaRun(tmp_path, k, q, m)
-        assert stale.completed == {} and stale.skipped == len(stale.tasks)
-        assert stale.run() == alpha_count(k, q, m)
+    other_cap = CheckpointedAlphaRun(tmp_path / "c", 4)
+    assert _checkpointed(tmp_path / "c", k, q, m, 4) == alpha_count(k, q, m, length=4)
+    assert other_version.path.name != log.path.name != other_cap.path.name
+    for other in (other_version, other_cap):
+        log.path.write_bytes(other.path.read_bytes())
+        stale = CheckpointedAlphaRun(tmp_path)
+        assert stale == {} and stale.skipped == 3
+        assert _checkpointed(tmp_path, k, q, m) == alpha_count(k, q, m)
 
 
-def test_checkpoint_written_under_version_2_is_recomputed(tmp_path):
-    # version 2 logged one line per whole representative of orbit_reps, keyed by index
+def test_checkpoint_written_under_version_3_is_recomputed(tmp_path):
+    # version 3 logged one line per connected representative, keyed by query
+    # and (j, q1, index)
     k, q, m = 3, 4, 5
-    key = f"2|{k},{q},{m},None"
-    reps = mpart.orbit_reps(k, q)
-    tables = mpart.rep_tables([(o.rep, m) for o in reps], None, 1, _Budget(None))
+    key = f"3|{k},{q},{m},None"
     lines = []
-    for index, table in enumerate(tables):
-        encoded = " ".join(f"{','.join(map(str, t))}:{v}" for t, v in sorted(table.items()))
-        lines.append(f"{index}\t{encoded}\t{cache_mod._checksum(key, str(index), encoded)}\n")
+    for (j, q1), m1 in sorted(mpart.component_needs(k, q, m).items()):
+        reps = mpart.connected_reps(j, q1)
+        tables = mpart.rep_tables([(o.rep, m1) for o in reps], None, 1, _Budget(None))
+        for index, table in enumerate(tables):
+            task = f"{j},{q1},{index}"
+            encoded = " ".join(f"{','.join(map(str, t))}:{v}" for t, v in sorted(table.items()))
+            lines.append(f"{task}\t{encoded}\t{cache_mod._checksum(key, task, encoded)}\n")
     old = "".join(lines)
     name = hashlib.sha256(key.encode()).hexdigest()[:16]
     (tmp_path / f"alpha-{name}.tsv").write_text(old)
-    run = CheckpointedAlphaRun(tmp_path, k, q, m)
-    assert run.path.name != f"alpha-{name}.tsv" and run.completed == {}
-    run.path.write_text(old)  # even under the new log's name, no line is read
-    stale = CheckpointedAlphaRun(tmp_path, k, q, m)
-    assert stale.completed == {} and stale.skipped == len(reps) == 4
-    assert stale.run() == alpha_count(k, q, m)
+    log = CheckpointedAlphaRun(tmp_path)
+    assert log.path.name != f"alpha-{name}.tsv" and log == {}
+    log.path.write_text(old)  # even under the new log's name, no line is read
+    stale = CheckpointedAlphaRun(tmp_path)
+    assert stale == {} and stale.skipped == len(lines) == 5
+    assert _checkpointed(tmp_path, k, q, m) == alpha_count(k, q, m)
     assert (tmp_path / f"alpha-{name}.tsv").read_text() == old
 
 
@@ -147,48 +162,79 @@ def test_checkpoint_written_under_version_2_is_recomputed(tmp_path):
 def test_checkpoint_with_malformed_table_is_recomputed(tmp_path, table):
     # the checksum holds, but the table's items do not decode
     k, q, m = 3, 4, 5
-    run = CheckpointedAlphaRun(tmp_path, k, q, m)
+    log = CheckpointedAlphaRun(tmp_path)
     encoded = " ".join(table)
-    task = ",".join(map(str, run.tasks[0]))
-    check = cache_mod._checksum(run._key, task, encoded)
-    run.path.write_text(f"{task}\t{encoded}\t{check}\n")
-    stale = CheckpointedAlphaRun(tmp_path, k, q, m)
-    assert stale.completed == {} and stale.skipped == 1
-    assert stale.run() == alpha_count(k, q, m)
+    check = cache_mod._checksum(log._key, "1,1", "4", encoded)
+    log.path.write_text(f"1,1\t4\t{encoded}\t{check}\n")
+    stale = CheckpointedAlphaRun(tmp_path)
+    assert stale == {} and stale.skipped == 1
+    assert _checkpointed(tmp_path, k, q, m) == alpha_count(k, q, m)
 
 
 def test_checkpoint_torn_tail_is_recomputed(tmp_path):
     k, q, m = 3, 4, 5
-    run = CheckpointedAlphaRun(tmp_path, k, q, m)
-    assert run.run() == alpha_count(k, q, m)
-    text = run.path.read_text()
+    assert _checkpointed(tmp_path, k, q, m) == alpha_count(k, q, m)
+    path = CheckpointedAlphaRun(tmp_path).path
+    text = path.read_text()
     last = text.rstrip("\n").rsplit("\n", 1)[1]
-    run.path.write_text(text[: len(text) - len(last) // 2])  # an interrupted append
-    torn = CheckpointedAlphaRun(tmp_path, k, q, m)
-    assert torn.skipped == 1 and torn.pending == [run.tasks[-1]]
-    assert torn.run() == alpha_count(k, q, m)
-    resumed = CheckpointedAlphaRun(tmp_path, k, q, m)
-    assert resumed.pending == [] and resumed.skipped == 1
-    assert resumed.total() == alpha_count(k, q, m)
+    path.write_text(text[: len(text) - len(last) // 2])  # an interrupted append
+    torn = CheckpointedAlphaRun(tmp_path)
+    assert torn.skipped == 1 and sorted(torn) == [(1, 1), (2, 3)]
+    assert _checkpointed(tmp_path, k, q, m) == alpha_count(k, q, m)
+    resumed = CheckpointedAlphaRun(tmp_path)
+    assert sorted(resumed) == [(1, 1), (2, 3), (3, 4)] and resumed.skipped == 1
+    assert path.read_text().endswith("\n" + last + "\n")  # the torn line was closed first
+    assert _checkpointed(tmp_path, k, q, m) == alpha_count(k, q, m)
+    assert CheckpointedAlphaRun(tmp_path) == resumed
 
 
-def test_checkpoint_log_has_one_line_per_representative(tmp_path):
+def test_checkpoint_log_has_one_line_per_pair(tmp_path):
     k, q, m = 3, 4, 5
-    run = CheckpointedAlphaRun(tmp_path, k, q, m)
-    run.run()
-    before = run.path.read_bytes()
-    # one line per connected representative of (1, 1), (2, 3) and (3, 4)
-    assert len(before.splitlines()) == len(run.tasks) == 5
-    resumed = CheckpointedAlphaRun(tmp_path, k, q, m)
-    assert resumed.run() == alpha_count(k, q, m)
-    assert run.path.read_bytes() == before  # a resume appends nothing
+    assert _checkpointed(tmp_path, k, q, m) == alpha_count(k, q, m)
+    path = CheckpointedAlphaRun(tmp_path).path
+    before = path.read_bytes()
+    # one line per component pair: (1, 1), (2, 3) and (3, 4)
+    assert [line.split(b"\t")[0] for line in before.splitlines()] == [b"1,1", b"2,3", b"3,4"]
+    assert _checkpointed(tmp_path, k, q, m) == alpha_count(k, q, m)
+    assert path.read_bytes() == before  # a resume appends nothing
 
 
 def test_checkpoint_partial_state_is_persisted(tmp_path):
-    run = CheckpointedAlphaRun(tmp_path, 3, 4, 4)
-    assert run.run(task_limit=1) is None or len(run.tasks) <= 1
-    again = CheckpointedAlphaRun(tmp_path, 3, 4, 4)
-    assert len(again.completed) >= 1
+    with pytest.raises(ResourceCeilingError):
+        _checkpointed(tmp_path, 3, 4, 5, node_ceiling=100)
+    again = CheckpointedAlphaRun(tmp_path)
+    full = {}
+    mpart.alpha_tables(3, 4, 5, components=full)
+    assert again == {p: full[p] for p in [(1, 1), (2, 3)]}
+
+
+def test_checkpoint_smaller_query_appends_nothing(tmp_path):
+    assert _checkpointed(tmp_path, 3, 4, 13) == 8595
+    path = CheckpointedAlphaRun(tmp_path).path
+    before = path.read_bytes()
+    assert _checkpointed(tmp_path, 3, 4, 8) == 1302
+    assert path.read_bytes() == before
+
+
+def test_checkpoint_larger_size_supersedes(tmp_path):
+    assert _checkpointed(tmp_path, 3, 4, 5) == alpha_count(3, 4, 5)
+    assert _checkpointed(tmp_path, 3, 4, 8) == alpha_count(3, 4, 8)
+    log = CheckpointedAlphaRun(tmp_path)
+    lines = log.path.read_text().splitlines()
+    assert len(lines) == 6  # every pair is read further, and logged again
+    full = {}
+    mpart.alpha_tables(3, 4, 8, components=full)
+    assert log == full
+    # the larger size wins on load, whichever line comes first
+    log.path.write_text("\n".join(reversed(lines)) + "\n")
+    assert CheckpointedAlphaRun(tmp_path) == full
+
+
+def test_checkpoint_resume_generates_no_representatives(tmp_path):
+    assert _checkpointed(tmp_path, 3, 4, 8) == 1302
+    mpart.connected_reps.cache_clear()
+    assert _checkpointed(tmp_path, 3, 4, 8) == 1302
+    assert mpart.connected_reps.cache_info().misses == 0
 
 
 # --- CLI ---------------------------------------------------------------------
@@ -449,8 +495,26 @@ def test_cli_checkpointed_hilbert(tmp_path):
         "--checkpoint-dir", str(tmp_path),
     )
     assert (rc, out.strip()) == (0, str(alpha_by_hilbert(profile))), err
-    assert len(list(tmp_path.glob("alpha-*"))) == 1
-    # a length-refined run of the same (k, q, m, length) resumes the same log
-    by_length = CheckpointedAlphaRun(tmp_path, 3, 5, 13, length=4)
-    assert by_length.pending == []
-    assert by_length.total() == alpha_count(3, 5, 13, length=4)
+    (path,) = tmp_path.glob("alpha-*")
+    before = path.read_bytes()
+    # a length-refined run under the same cap resumes the same log
+    assert _checkpointed(tmp_path, 3, 5, 13, 4) == alpha_count(3, 5, 13, length=4)
+    assert path.read_bytes() == before
+    assert CheckpointedAlphaRun(tmp_path, 4).path == path
+    assert CheckpointedAlphaRun(tmp_path) == {}  # another cap, another log
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["--cache-dir", "{f}", "count", "y", "--k", "2", "--d", "5"],
+        ["count", "alpha", "--k", "3", "--q", "4", "--m", "5", "--checkpoint-dir", "{f}"],
+    ],
+    ids=["cache-dir", "checkpoint-dir"],
+)
+def test_cli_directory_that_is_a_file_is_io_error(tmp_path, argv):
+    taken = tmp_path / "f"
+    taken.touch()
+    rc, out, err = run_cli(*(a.format(f=taken) for a in argv))
+    assert (rc, out) == (1, "")
+    assert json.loads(err)["error"] == "io"  # one JSON object, no traceback

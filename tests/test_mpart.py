@@ -109,7 +109,7 @@ def _subset_scan_table() -> dict[tuple[int, int], tuple[int, str]]:
 
 def _orbit_row(k, q):
     reps = orbit_reps(k, q)
-    assert list(reps) == sorted(reps, key=lambda o: o.rep)  # checkpoints index this order
+    assert list(reps) == sorted(reps, key=lambda o: o.rep)  # generated in sorted order
     sizes = sorted(Counter(o.orbit_size for o in reps).items())
     return len(reps), " ".join(f"{s}x{n}" for s, n in sizes) or "-"
 
@@ -348,10 +348,12 @@ def test_parallel_determinism(tmp_path):
     base = alpha_count(3, 4, 6)
     assert alpha_count(3, 4, 6, workers=2) == base
     assert alpha_count(3, 4, 6, workers=4) == base
-    parallel = CheckpointedAlphaRun(tmp_path / "2", 3, 4, 6, workers=2)
-    serial = CheckpointedAlphaRun(tmp_path / "1", 3, 4, 6)
-    assert parallel.run() == serial.run() == base
-    assert parallel.path.read_text() == serial.path.read_text()
+    parallel = CheckpointedAlphaRun(tmp_path / "2")
+    serial = CheckpointedAlphaRun(tmp_path / "1")
+    query = AlphaQuery(3, 4, 6)
+    assert alpha(query, workers=2, components=parallel) == base
+    assert alpha(query, workers=1, components=serial) == base
+    assert parallel.path.read_bytes() == serial.path.read_bytes()
 
 
 def test_node_ceiling():
