@@ -2,16 +2,22 @@
 conjecture checkers.
 
 Exit codes: 0 ok, 1 error, 2 a checked conjecture fails, 3 inconclusive.
-Errors print a single machine-readable JSON object on stderr.
+Errors print a single machine-readable JSON object on stderr; a usage error is
+"bad-request" with exit 1. Arguments are read from one table of commands and
+flags (`_COMMANDS`, `_GLOBAL_FLAGS`), which also gives the --help text: global
+flags go before the command, a value follows its flag or joins it with "=",
+the last of a repeated flag wins, and no flag is abbreviated. The table
+replaces an argparse tree, which every command paid to build (README, "Cost
+of one command").
 """
 
 from __future__ import annotations
 
-import argparse
 import gc
 import json
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 from . import cache as cache_mod
 from . import hydral, macmahon, mpart
@@ -221,61 +227,175 @@ def cmd_conjecture(args) -> int:
     return report.exit_code()
 
 
-# --- parser -----------------------------------------------------------------------
+# --- arguments ---------------------------------------------------------------------
+#
+# One table drives parsing and the usage text. A flag maps to its converter
+# (int, str, or bool for a bare switch) and its default. A command names its
+# positional, and each choice of it the flags it reads: "--a --b" needs both,
+# "--a | --b --c" needs --a or both of --b and --c.
+
+_GLOBAL_FLAGS = {
+    "--workers": (int, 1),
+    "--node-ceiling": (int, mpart.DEFAULT_NODE_CEILING),
+    "--cache-dir": (str, None),
+}
+
+_COMMANDS = {
+    "count": (
+        "print one exact count",
+        "table",
+        {
+            "p": "--n --d",
+            "y": "--k --d",
+            "c": "--k --e",
+            "alpha": "--hilbert | --k --q --m",
+            "hydral": "--n --m",
+        },
+        {
+            "--n": (int, None),
+            "--d": (int, None),
+            "--k": (int, None),
+            "--e": (int, None),
+            "--q": (int, None),
+            "--m": (int, None),
+            "--length": (int, None),
+            "--hilbert": (str, None),
+            "--oracle": (bool, False),
+            "--verify": (bool, False),
+            "--checkpoint-dir": (str, None),
+        },
+    ),
+    "series": (
+        "print a generating function",
+        "family",
+        {
+            "H": "--d",
+            "Y": "--e",
+            "C": "--x",
+            "hydral": "--n",
+            "phi": "--n",
+            "psi": "--parts",
+            "pi": "--n",
+        },
+        {
+            "--d": (int, None),
+            "--e": (int, None),
+            "--x": (int, None),
+            "--n": (int, None),
+            "--parts": (str, None),
+            "--order": (int, 12),
+            "--expand": (int, None),
+            "--golden-seeds": (bool, False),
+        },
+    ),
+    "conjecture": (
+        "run a conjecture checker",
+        "which",
+        {"andrews": "--k", "epsilon": "--m", "sparsity": "--dmax --bound"},
+        {
+            "--k": (int, None),
+            "--order": (int, 50),
+            "--m": (int, None),
+            "--extra-points": (int, 0),
+            "--dmax": (int, None),
+            "--bound": (int, None),
+            "--no-low-dim": (bool, False),
+        },
+    ),
+}
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="hdpart",
-        description="Exact enumeration of higher-dimensional partitions and "
-        "their refined generating functions.",
-    )
-    parser.add_argument("--workers", type=int, default=1, help="parallelism degree")
-    parser.add_argument(
-        "--node-ceiling", type=int, default=mpart.DEFAULT_NODE_CEILING,
-        help="node budget of a command's searches, and of each oracle count",
-    )
-    parser.add_argument("--cache-dir", default=None, help="cache directory (or $HDPART_CACHE_DIR)")
-    sub = parser.add_subparsers(dest="command", required=True)
+def _dest(flag: str) -> str:
+    return flag[2:].replace("-", "_")
 
-    count = sub.add_parser("count", help="print one exact count")
-    count.add_argument("table", choices=["p", "y", "c", "alpha", "hydral"])
-    count.add_argument("--n", type=int)
-    count.add_argument("--d", type=int)
-    count.add_argument("--k", type=int)
-    count.add_argument("--e", type=int)
-    count.add_argument("--q", type=int)
-    count.add_argument("--m", type=int)
-    count.add_argument("--length", type=int, default=None)
-    count.add_argument("--hilbert", default=None, help="comma-separated layer profile")
-    count.add_argument("--oracle", action="store_true", help="brute force only")
-    count.add_argument("--verify", action="store_true", help="pipeline and oracle must agree")
-    count.add_argument("--checkpoint-dir", default=None)
-    count.set_defaults(func=cmd_count)
 
-    series = sub.add_parser("series", help="print a generating function")
-    series.add_argument("family", choices=["H", "Y", "C", "hydral", "phi", "psi", "pi"])
-    series.add_argument("--d", type=int)
-    series.add_argument("--e", type=int)
-    series.add_argument("--x", type=int)
-    series.add_argument("--n", type=int)
-    series.add_argument("--parts", default=None)
-    series.add_argument("--order", type=int, default=12)
-    series.add_argument("--expand", type=int, default=None, help="also print N coefficients")
-    series.add_argument("--golden-seeds", action="store_true")
-    series.set_defaults(func=cmd_series)
+def _listed(words: list[str]) -> str:
+    return " and ".join(filter(None, [", ".join(words[:-1]), words[-1]]))
 
-    conj = sub.add_parser("conjecture", help="run a conjecture checker")
-    conj.add_argument("which", choices=["andrews", "epsilon", "sparsity"])
-    conj.add_argument("--k", type=int)
-    conj.add_argument("--order", type=int, default=50)
-    conj.add_argument("--m", type=int)
-    conj.add_argument("--extra-points", type=int, default=0)
-    conj.add_argument("--dmax", type=int)
-    conj.add_argument("--bound", type=int)
-    conj.add_argument("--no-low-dim", action="store_true")
-    conj.set_defaults(func=cmd_conjecture)
-    return parser
+
+def _chosen(kind: str, word: str, options: dict) -> str:
+    if word not in options:
+        raise ValueError(f"unknown {kind} {word!r}; choose from {', '.join(options)}")
+    return word
+
+
+def _parse(argv: list[str]) -> SimpleNamespace | None:
+    """The arguments of one command, None for -h/--help; ValueError on misuse."""
+    args = {_dest(flag): default for flag, (_, default) in _GLOBAL_FLAGS.items()}
+    flags = _GLOBAL_FLAGS
+    command = None
+    words = iter(argv)
+    for word in words:
+        if word in ("-h", "--help"):
+            return None
+        if not word.startswith("-"):
+            if command is None:
+                command = _chosen("command", word, _COMMANDS)
+                positional, choices, flags = _COMMANDS[word][1:]
+                args["command"] = word
+                args.update({_dest(flag): default for flag, (_, default) in flags.items()})
+            elif positional not in args:
+                args[positional] = _chosen(positional, word, choices)
+            else:
+                raise ValueError(f"unexpected argument {word!r}")
+            continue
+        flag, eq, value = word.partition("=")
+        if flag not in flags:
+            if command and flag in _GLOBAL_FLAGS:
+                raise ValueError(f"{flag} goes before the command")
+            raise ValueError(f"unknown flag {flag}" + (f" for {command}" if command else ""))
+        convert = flags[flag][0]
+        if convert is bool:
+            if eq:
+                raise ValueError(f"{flag} takes no value")
+            args[_dest(flag)] = True
+            continue
+        if not eq:
+            value = next(words, None)
+            if value is None or value.startswith("--"):
+                raise ValueError(f"{flag} needs a value")
+        try:
+            args[_dest(flag)] = convert(value)
+        except ValueError:
+            raise ValueError(f"{flag} needs an integer, not {value!r}") from None
+    if command is None:
+        raise ValueError(f"missing command; choose from {', '.join(_COMMANDS)}")
+    if positional not in args:
+        raise ValueError(f"{command} needs a {positional}; choose from {', '.join(choices)}")
+    choice = args[positional]
+    options = [need.split() for need in choices[choice].split(" | ")]
+    missing = [[flag for flag in need if args[_dest(flag)] is None] for need in options]
+    if all(missing):
+        wanted = ", or ".join(_listed(need) for need in missing)
+        raise ValueError(f"{command} {choice} needs {wanted}")
+    return SimpleNamespace(**args)
+
+
+def _usage() -> str:
+    def described(flags: dict) -> str:
+        out = []
+        for flag, (convert, default) in flags.items():
+            if convert is not bool:
+                flag += " N" if convert is int else " TEXT"
+                if default is not None:
+                    flag += f" (default {default})"
+            out.append(flag)
+        return ", ".join(out)
+
+    lines = [
+        "usage: hdpart [global flags] COMMAND CHOICE [flags]",
+        "",
+        "Exact enumeration of higher-dimensional partitions and their refined",
+        "generating functions. Global flags go before the command; a value follows",
+        "its flag or joins it with '='.",
+        "",
+        "global flags: " + described(_GLOBAL_FLAGS),
+    ]
+    for command, (about, positional, choices, flags) in _COMMANDS.items():
+        lines += ["", f"hdpart {command} {positional.upper()}: {about}"]
+        lines += [f"  {choice}: {need}" for choice, need in choices.items()]
+        lines.append("  flags: " + described(flags))
+    return "\n".join(lines)
 
 
 def main(argv=None) -> int:
@@ -284,10 +404,13 @@ def main(argv=None) -> int:
     # neither during the command nor at interpreter shutdown. The freeze sits
     # here, not at import, so importing hdpart leaves a host's collector alone.
     gc.freeze()
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        args = _parse(sys.argv[1:] if argv is None else argv)
+        if args is None:
+            print(_usage())
+            return EXIT_OK
+        # looked up at call time, so a wrapper set on the module attribute runs
+        return globals()["cmd_" + args.command](args)
     except ResourceCeilingError as exc:
         return _fail("resource-ceiling", detail=str(exc))
     except MissingDataError as exc:

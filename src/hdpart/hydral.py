@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from functools import lru_cache
 from typing import Iterator, NamedTuple, Sequence
 
 from .intmath import binom
@@ -251,9 +252,12 @@ def _triple_factor(i: int) -> int:
     return math.factorial(3 * i) // (6**i * math.factorial(i))
 
 
-def _terms(n: int) -> Iterator[tuple[int, Parts, int]]:
+@lru_cache(maxsize=None)
+def _terms(n: int) -> tuple[tuple[int, Parts, int], ...]:
     """The nonzero terms (i, rho, w) of the count in n variables: i square-free
-    triples, the block profile rho they leave, and its weight w."""
+    triples, the block profile rho they leave, and its weight w. Kept per n,
+    since hydral_count(n, m) reads the same terms for every m."""
+    out = []
     for lam in partitions_of(n):
         rho = lam
         for i in range(triple_count(lam) + 1):
@@ -261,7 +265,8 @@ def _terms(n: int) -> Iterator[tuple[int, Parts, int]]:
                 rho = strip_triple(rho)
             w = binom(n, 3 * i) * _triple_factor(i) * marked_block_count(rho)
             if w:
-                yield i, rho, w
+                out.append((i, rho, w))
+    return tuple(out)
 
 
 def hydral_count(n: int, m: int) -> int:

@@ -251,6 +251,27 @@ def _certifiable(adj: list[int], future: Sequence[int]) -> bool:
     return True
 
 
+def _open_matching(adj: list[int]) -> int:
+    """The size of a greedy matching of the open edges: non-loop edges with no
+    looped end and no common neighbour yet. Each needs a later edge at one of
+    its own ends, and the ends of a matching are disjoint.
+    """
+    matched = 0
+    size = 0
+    for a, row in enumerate(adj):
+        if row >> a & 1:
+            continue
+        below = row & ((1 << a) - 1) & ~matched
+        while below:
+            b = below.bit_length() - 1
+            below ^= 1 << b
+            if not adj[b] >> b & 1 and not row & adj[b]:
+                matched |= 1 << a | 1 << b
+                size += 1
+                break
+    return size
+
+
 def canonical_orbit(U: Iterable[Point], k: int) -> tuple[tuple[Point, ...], int]:
     """The lexicographically least S_k-image of a quadric set, and its orbit size."""
     table = _cell_table(k)
@@ -280,13 +301,13 @@ def _orderly(k: int, q: int, connected: bool) -> tuple[QuadricOrbit, ...]:
 
     Orderly generation (Read, Ann. Discrete Math. 2, 1978): a canonical graph
     less its last edge is canonical, so each one grows from its parent by one
-    later edge. A branch stops when its uncovered vertices outnumber what the
-    edges left can touch, or when an edge can no longer be certified. In the
-    canonical labelling of a connected graph every vertex a >= 1 has a
-    neighbour b < a: else a vertex past a with an edge into 0..a-1, swapped
-    with a, would read a greater column a. So a connected branch also stops
-    once it passes a column with no lower edge, or when fewer edges are left
-    than columns still to link.
+    later edge. A branch stops when the edges left have too few ends for its
+    uncovered vertices and a matching of its uncertified edges, or when an
+    edge can no longer be certified. In the canonical labelling of a
+    connected graph every vertex a >= 1 has a neighbour b < a: else a vertex
+    past a with an edge into 0..a-1, swapped with a, would read a greater
+    column a. So a connected branch also stops once it passes a column with
+    no lower edge, or when fewer edges are left than columns still to link.
     """
     n_quads = k * (k + 1) // 2
     if k < 1 or q < 1 or q > n_quads:
@@ -314,7 +335,10 @@ def _orderly(k: int, q: int, connected: bool) -> tuple[QuadricOrbit, ...]:
             adj[b] |= 1 << a
             reached = touched | 1 << a | 1 << b
             later = future[x + 1 if left else n_quads]
-            if k - reached.bit_count() <= 2 * left and _certifiable(adj, later):
+            # each untouched vertex and each open edge of a matching needs a
+            # later edge at its own ends, and one edge has at most two ends
+            need = k - reached.bit_count() + _open_matching(adj)
+            if need <= 2 * left and _certifiable(adj, later):
                 _, aut = _relabellings(adj, early=True)
                 if aut and left:
                     grow(x, mask | 1 << x, left - 1, reached, a, now_linked)

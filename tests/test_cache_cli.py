@@ -276,13 +276,78 @@ def test_cli_start_imports_no_record_or_resource_machinery():
     src = str(Path(__file__).resolve().parents[1] / "src")
     probe = (
         f"import sys; sys.path.insert(0, {src!r}); import hdpart.cli\n"
-        "print(sorted({'dataclasses', 'inspect', 'importlib.resources'} & set(sys.modules)))"
+        "print(sorted({'argparse', 'dataclasses', 'inspect', 'importlib.resources'}"
+        " & set(sys.modules)))"
     )
     proc = subprocess.run(
         [sys.executable, "-S", "-c", probe], capture_output=True, text=True, timeout=60
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["bogus"],
+        [],
+        ["count", "p", "--n", "3", "--d", "5", "--bogus", "1"],
+        ["count", "z", "--n", "3"],
+        ["count", "p", "--n", "x", "--d", "5"],
+        ["count", "p", "--d", "5", "--n"],
+        ["count", "p", "--n", "--d", "5"],
+        ["count", "--n", "3", "--d", "5"],
+        ["count", "p", "--n", "3", "--d", "5", "--workers", "2"],
+        ["count", "p", "--n", "3", "--d", "5", "extra"],
+        ["count", "p", "--oracle=yes", "--n", "3", "--d", "5"],
+        ["--node", "5", "count", "p", "--n", "3", "--d", "5"],
+    ],
+    ids=[
+        "unknown-command", "no-command", "unknown-flag", "unknown-choice", "not-an-integer",
+        "missing-value", "flag-as-value", "missing-positional", "global-after-command",
+        "extra-positional", "value-for-switch", "abbreviated-flag",
+    ],
+)
+def test_cli_usage_error_is_bad_request(argv, capsys):
+    # exit 1, never 2 (a failing conjecture), and one JSON object on stderr
+    assert main(argv) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert json.loads(err)["error"] == "bad-request"
+
+
+@pytest.mark.parametrize(
+    "argv, detail",
+    [
+        (["count", "p", "--n", "3"], "count p needs --d"),
+        (["count", "alpha", "--k", "3"], "count alpha needs --hilbert, or --q and --m"),
+        (["series", "H"], "series H needs --d"),
+        (["conjecture", "sparsity", "--bound", "9"], "conjecture sparsity needs --dmax"),
+        (["conjecture", "epsilon"], "conjecture epsilon needs --m"),
+    ],
+)
+def test_cli_missing_flag_is_named(argv, detail, capsys):
+    assert main(argv) == 1
+    assert json.loads(capsys.readouterr().err) == {"detail": detail, "error": "bad-request"}
+
+
+def test_cli_help_names_every_command():
+    for flag in ("--help", "-h"):
+        rc, out, err = run_cli(flag)
+        assert (rc, err) == (0, "")
+        assert all(f"hdpart {command} " in out for command in ("count", "series", "conjecture"))
+
+
+def test_cli_flag_value_after_equals(capsys):
+    assert main(["--node-ceiling=100", "count", "y", "--k=3", "--d", "9"]) == 0
+    joined = capsys.readouterr().out
+    assert main(["--node-ceiling", "100", "count", "y", "--k", "3", "--d", "9"]) == 0
+    assert joined == capsys.readouterr().out == "195\n"
+
+
+def test_cli_last_repeated_flag_wins(capsys):
+    assert main(["count", "p", "--n", "9", "--d", "5", "--n", "3"]) == 0
+    assert capsys.readouterr().out == "24\n"
 
 
 def test_cli_count_examples():

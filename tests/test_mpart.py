@@ -17,6 +17,7 @@ from hdpart.mpart import (
     AlphaQuery,
     _certifiable,
     _graph,
+    _open_matching,
     alpha,
     alpha_by_hilbert,
     alpha_count,
@@ -66,6 +67,20 @@ def test_looped_graph_reading_of_stability():
             assert _certifiable(_graph(k, mask), [0] * k) == is_m_stable(subset, k), subset
             total += 1
     assert total == 2 + 8 + 64 + 1024
+
+
+def test_open_matching_of_uncertified_edges():
+    # the path 0-1-2-3 has three open edges, two of them disjoint; a loop at 1
+    # certifies 01 and 12; the triangle 0-1-2 certifies its edges
+    path = [0b0010, 0b0101, 0b1010, 0b0100]
+    assert _open_matching(path) == 2
+    assert _open_matching([0b0010, 0b0111, 0b1010, 0b0100]) == 1
+    assert _open_matching([0b0110, 0b0101, 0b0011]) == 0
+    for k in range(1, 5):
+        for mask in range(1 << (k * (k + 1) // 2)):
+            adj = _graph(k, mask)
+            size = _open_matching(adj)
+            assert (size == 0) == _certifiable(adj, [0] * k) and 2 * size <= k
 
 
 def test_orbit_reps_k2_q2():
