@@ -232,7 +232,8 @@ def cmd_conjecture(args) -> int:
 # One table drives parsing and the usage text. A flag maps to its converter
 # (int, str, or bool for a bare switch) and its default. A command names its
 # positional, and each choice of it the flags it reads: "--a --b" needs both,
-# "--a | --b --c" needs --a or both of --b and --c.
+# "--a | --b --c" needs --a or both of --b and --c, "--a --b?" may also take --b;
+# a flag another choice names is refused where it would change no answer.
 
 _GLOBAL_FLAGS = {
     "--workers": (int, 1),
@@ -248,7 +249,7 @@ _COMMANDS = {
             "p": "--n --d",
             "y": "--k --d",
             "c": "--k --e",
-            "alpha": "--hilbert | --k --q --m",
+            "alpha": "--hilbert --checkpoint-dir? | --k --q --m --length? --checkpoint-dir?",
             "hydral": "--n --m",
         },
         {
@@ -364,10 +365,18 @@ def _parse(argv: list[str]) -> SimpleNamespace | None:
         raise ValueError(f"{command} needs a {positional}; choose from {', '.join(choices)}")
     choice = args[positional]
     options = [need.split() for need in choices[choice].split(" | ")]
-    missing = [[flag for flag in need if args[_dest(flag)] is None] for need in options]
+    required = [[flag for flag in need if not flag.endswith("?")] for need in options]
+    missing = [[flag for flag in need if args[_dest(flag)] is None] for need in required]
     if all(missing):
         wanted = ", or ".join(_listed(need) for need in missing)
         raise ValueError(f"{command} {choice} needs {wanted}")
+    chosen = missing.index([])
+    named = set(" ".join(choices.values()).replace("?", "").split())
+    taken = {flag.rstrip("?") for flag in options[chosen]}
+    extra = [flag for flag in flags if flag in named - taken and args[_dest(flag)] is not None]
+    if extra:
+        beside = f" with {_listed(required[chosen])}" if len(options) > 1 else ""
+        raise ValueError(f"{command} {choice} does not take {_listed(extra)}{beside}")
     return SimpleNamespace(**args)
 
 
@@ -387,7 +396,8 @@ def _usage() -> str:
         "",
         "Exact enumeration of higher-dimensional partitions and their refined",
         "generating functions. Global flags go before the command; a value follows",
-        "its flag or joins it with '='.",
+        "its flag or joins it with '='. A choice lists the flags it needs (FLAG?:",
+        "it may take FLAG) and takes no flag that only another choice names.",
         "",
         "global flags: " + described(_GLOBAL_FLAGS),
     ]

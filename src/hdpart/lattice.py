@@ -220,8 +220,8 @@ def charged_map(fn: Callable, tasks: Sequence, workers: int, budget: _Budget) ->
     charge its nodes to budget in that order.
 
     A process pool runs the tasks when workers > 1 and there is more than one;
-    only then is the pool module imported. `mpart`'s search is the only
-    caller: the oracle walks serially.
+    only then is the pool module imported. `mpart.alpha_tables` is the only
+    caller, one task per component pair: the oracle walks serially.
     A task whose own ceiling is budget.left when it is built then fails
     exactly when the serial walk does, under any number of workers, and its
     error names the budget's ceiling.

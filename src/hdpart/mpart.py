@@ -34,11 +34,11 @@ degree-(g+1) cells it allows, so the tails above are memoised per sweep on
 m_max holds every count with m <= m_max. Every alpha count selects from the
 exponential formula over the orbit-weighted sums of connected tables, which
 `alpha_tables` memoises per component pair; a checkpointed run in `cache`
-passes a memo that persists itself as a log. The
-sweeps run through the task runner `lattice.charged_map` and charge the
-oracle's node counter `lattice._Budget`, one node per memo state or layer-set
-transition; the oracle stays a separate walker on purpose: it is the
-independent route that checks this one.
+passes a memo that persists itself as a log. One task per component pair
+generates and sweeps its connected representatives; the tasks run through
+`lattice.charged_map` and charge the oracle's node counter `lattice._Budget`,
+one node per memo state or layer-set transition; the oracle stays a separate
+walker on purpose: it is the independent route that checks this one.
 """
 
 from __future__ import annotations
@@ -47,7 +47,7 @@ import bisect
 import itertools
 import math
 from functools import lru_cache
-from typing import Iterable, Iterator, NamedTuple, Optional, Sequence
+from typing import Iterable, NamedTuple, Optional, Sequence
 
 from .lattice import (
     ConstraintSpec,
@@ -645,41 +645,24 @@ class _RegionSearch:
         return select(self.sweep(m), m)
 
 
-def _rep_search(args) -> tuple[BucketTable, int]:
-    """Bucket table and node count of one layer; a process-pool task."""
-    rep, m_max, max_degree, node_ceiling = args
-    search = _RegionSearch(bounding_region(rep, max_degree), _Budget(node_ceiling))
-    return search.sweep(m_max), search.nodes
-
-
-def rep_tables(
-    layers: Sequence[tuple[tuple[Point, ...], int]],
-    length_cap: Optional[int],
-    workers: int,
-    budget: _Budget,
-) -> Iterator[BucketTable]:
-    """Unweighted bucket table of each (quadric layer, m_max), yielded in order.
-
-    Every layer's nodes are charged to budget in that order
-    (`lattice.charged_map`), so the count fails exactly when the serial walk
-    does, under any number of workers.
-    """
-    tasks = [
-        (rep, m_max, length_cap if length_cap is not None else m_max + 2, budget.left)
-        for rep, m_max in layers
-    ]
-    return charged_map(_rep_search, tasks, workers, budget)
-
-
 def weighted_table(
-    reps: Sequence[QuadricOrbit], tables: Iterable[BucketTable]
+    reps: Sequence[QuadricOrbit], m_max: int, max_degree: int, budget: _Budget
 ) -> BucketTable:
-    """Sum of the representatives' tables, each weighted by its orbit size."""
+    """Sum of the representatives' sweeps to size m_max over their bounding
+    regions to max_degree, each weighted by its orbit size."""
     out: BucketTable = {}
-    for orbit, table in zip(reps, tables, strict=True):
+    for orbit in reps:
+        table = _RegionSearch(bounding_region(orbit.rep, max_degree), budget).sweep(m_max)
         for key, val in sorted(table.items()):
             out[key] = out.get(key, 0) + orbit.orbit_size * val
     return out
+
+
+def _component_search(args) -> tuple[BucketTable, int]:
+    """Weighted table and node count of one component pair; a process-pool task."""
+    pair, m_max, max_degree, ceiling = args
+    budget = _Budget(ceiling)
+    return weighted_table(connected_reps(*pair), m_max, max_degree, budget), budget.nodes
 
 
 def select(
@@ -787,22 +770,20 @@ def alpha_tables(
     """Labelled bucket table A_k(q) for all sizes up to m_max at once; the
     values include the orbit weights.
 
-    Each connected table C_j(q1) it reads is the orbit-weighted sum of one
-    sweep per connected representative, all run in one `rep_tables` call in
-    (j, q1) order and charged to budget, or to a fresh default-ceiling one.
-    components, when given, memoises those tables across calls as (size,
-    table) under this length_cap; a table is swept again only when a larger
-    size is read.
+    Each connected table C_j(q1) it reads is one `_component_search` task,
+    run in (j, q1) order by `lattice.charged_map` and charged to budget, or
+    to a fresh default-ceiling one. components, when given, memoises those
+    tables across calls as (size, table) under this length_cap, each pair as
+    its task returns; a table is swept again only when a larger size is read.
     """
     budget = _Budget(DEFAULT_NODE_CEILING) if budget is None else budget
     components = {} if components is None else components
     needs = component_needs(k, q, m_max)
     todo = [(p, m) for p, m in sorted(needs.items()) if components.get(p, (0,))[0] < m]
-    reps = [connected_reps(*p) for p, _ in todo]
-    layers = [(o.rep, m) for (_, m), rs in zip(todo, reps) for o in rs]
-    tables = rep_tables(layers, length_cap, workers, budget)
-    for (p, m), rs in zip(todo, reps):
-        components[p] = m, weighted_table(rs, itertools.islice(tables, len(rs)))
+    tasks = [(p, m, m + 2 if length_cap is None else length_cap, budget.left) for p, m in todo]
+    tables = charged_map(_component_search, tasks, workers, budget)
+    for (p, m), table in zip(todo, tables, strict=True):
+        components[p] = m, table
     return exponential_table(k, q, m_max, {p: components[p][1] for p in needs})
 
 
@@ -851,8 +832,8 @@ def alpha_by_hilbert(
 def orbit_reps(k: int, q: int) -> tuple[QuadricOrbit, ...]:
     """Reference: one canonical representative per S_k-orbit of every stable
     q-element quadric set that touches all k variables, connected or not, in
-    the order of their sorted entry tuples; weighted_table over their sweeps
-    is A_k(q) with no exponential formula."""
+    the order of their sorted entry tuples; their weighted_table, which
+    sweeps each one, is A_k(q) with no exponential formula."""
     return _orderly(k, q, connected=False)
 
 

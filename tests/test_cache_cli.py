@@ -139,7 +139,10 @@ def test_checkpoint_written_under_version_3_is_recomputed(tmp_path):
     lines = []
     for (j, q1), m1 in sorted(mpart.component_needs(k, q, m).items()):
         reps = mpart.connected_reps(j, q1)
-        tables = mpart.rep_tables([(o.rep, m1) for o in reps], None, 1, _Budget(None))
+        tables = [
+            mpart._RegionSearch(mpart.bounding_region(o.rep, m1 + 2), _Budget(None)).sweep(m1)
+            for o in reps
+        ]
         for index, table in enumerate(tables):
             task = f"{j},{q1},{index}"
             encoded = " ".join(f"{','.join(map(str, t))}:{v}" for t, v in sorted(table.items()))
@@ -301,19 +304,27 @@ def test_cli_start_imports_no_record_or_resource_machinery():
         ["count", "p", "--n", "3", "--d", "5", "extra"],
         ["count", "p", "--oracle=yes", "--n", "3", "--d", "5"],
         ["--node", "5", "count", "p", "--n", "3", "--d", "5"],
+        ["count", "hydral", "--n", "3", "--m", "5", "--length", "4"],
+        ["count", "alpha", "--hilbert", "1,3,5,7,6", "--length", "3"],
+        ["count", "alpha", "--hilbert", "1,3,5,7,6", "--k", "9"],
+        ["count", "y", "--k", "2", "--d", "5", "--checkpoint-dir", "{tmp}"],
     ],
     ids=[
         "unknown-command", "no-command", "unknown-flag", "unknown-choice", "not-an-integer",
         "missing-value", "flag-as-value", "missing-positional", "global-after-command",
-        "extra-positional", "value-for-switch", "abbreviated-flag",
+        "extra-positional", "value-for-switch", "abbreviated-flag", "length-off-alpha",
+        "length-with-hilbert", "k-with-hilbert", "checkpoint-dir-off-alpha",
     ],
 )
-def test_cli_usage_error_is_bad_request(argv, capsys):
-    # exit 1, never 2 (a failing conjecture), and one JSON object on stderr
+def test_cli_usage_error_is_bad_request(argv, tmp_path, capsys):
+    # exit 1, never 2 (a failing conjecture), and one JSON object on stderr; a
+    # flag that changes no count on its table is refused, not ignored
+    argv = [a.format(tmp=tmp_path / "ckpt") for a in argv]
     assert main(argv) == 1
     out, err = capsys.readouterr()
     assert out == ""
     assert json.loads(err)["error"] == "bad-request"
+    assert not (tmp_path / "ckpt").exists()
 
 
 @pytest.mark.parametrize(

@@ -4,6 +4,8 @@ import hashlib
 import itertools
 import math
 import pathlib
+import subprocess
+import sys
 from collections import Counter
 
 import pytest
@@ -15,6 +17,7 @@ from hdpart.hydral import hydral_count
 from hdpart.lattice import ConstraintSpec, ResourceCeilingError, _Budget, count_constrained
 from hdpart.mpart import (
     AlphaQuery,
+    _RegionSearch,
     _certifiable,
     _graph,
     _open_matching,
@@ -29,7 +32,6 @@ from hdpart.mpart import (
     is_m_stable,
     orbit_reps,
     quadric_points,
-    rep_tables,
     select,
     support_variables,
     weighted_table,
@@ -185,9 +187,7 @@ def test_exponential_formula_matches_orbit_reps():
         m = {1: 6, 2: 6, 3: 6, 4: 5, 5: 4, 6: 3}[k]
         for q in range(1, k * (k + 1) // 2 + 1):
             for cap in (None, 4):
-                reps = orbit_reps(k, q)
-                layers = [(o.rep, m) for o in reps]
-                direct = weighted_table(reps, rep_tables(layers, cap, 1, _Budget(None)))
+                direct = weighted_table(orbit_reps(k, q), m, cap or m + 2, _Budget(None))
                 assert alpha_tables(k, q, m, length_cap=cap) == direct, (k, q, cap)
 
 
@@ -296,7 +296,10 @@ def test_sweep_tables_match_record():
     record = _sweep_record()
     assert len(record) == 19
     for (k, q, m), hashes in record.items():
-        tables = rep_tables([(o.rep, m) for o in orbit_reps(k, q)], None, 1, _Budget(None))
+        tables = [
+            _RegionSearch(bounding_region(o.rep, m + 2), _Budget(None)).sweep(m)
+            for o in orbit_reps(k, q)
+        ]
         got = [hashlib.sha256(repr(sorted(t.items())).encode()).hexdigest() for t in tables]
         assert got == hashes, (k, q, m)
 
@@ -369,6 +372,18 @@ def test_parallel_determinism(tmp_path):
     assert alpha(query, workers=2, components=parallel) == base
     assert alpha(query, workers=1, components=serial) == base
     assert parallel.path.read_bytes() == serial.path.read_bytes()
+
+
+def test_pool_tasks_generate_the_representatives():
+    # each component pair's task generates its own representatives, so a
+    # search under a pool generates none in the parent
+    probe = (
+        "from hdpart.mpart import alpha_tables, connected_reps, select; "
+        "print(select(alpha_tables(5, 8, 8, workers=2), 8), connected_reps.cache_info().misses)"
+    )
+    proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["2097875", "0"]
 
 
 def test_node_ceiling():
