@@ -1,13 +1,17 @@
 """Persistent count cache and resumable search checkpoints.
 
 Both are append-only logs of UTF-8 lines, one record per line, each ending in
-a checksum over its fields, so corruption stays local to a line. The count
-cache is one TSV file:
+a checksum over all of its fields, so corruption stays local to a line. The
+checksum is a CRC-32 (`binascii.crc32`, 8 lowercase hex digits): it detects
+accidental corruption and torn lines, not tampering, and costs no OpenSSL
+import. The count cache is one TSV file:
 
     kind <TAB> index <TAB> value <TAB> provenance <TAB> version <TAB> checksum
 
-with comma-joined integer indices and decimal big-integer values. A long
-alpha search keeps a checkpoint log next to it, one line per finished
+with comma-joined integer indices and decimal big-integer values. A line
+written before format 2 (a sha256 checksum) fails the check, so it is skipped
+on every read, and its value is recomputed and appended when next asked for.
+A long alpha search keeps a checkpoint log next to it, one line per finished
 connected component table, which is the persisted form of the component memo
 that `mpart.alpha_tables` takes (see CheckpointedAlphaRun). Both stores read through
 `_read_lines`, which skips and counts a line that fails its check (a corrupt
@@ -18,7 +22,7 @@ directory next to this module.
 
 from __future__ import annotations
 
-import hashlib
+import binascii
 import os
 from pathlib import Path
 from typing import Callable, NamedTuple, Optional
@@ -26,13 +30,14 @@ from typing import Callable, NamedTuple, Optional
 from . import mpart
 from .series import IntegrityError
 
-FORMAT_VERSION = "1"
+FORMAT_VERSION = "2"
 CACHE_ENV_VAR = "HDPART_CACHE_DIR"
 CACHE_FILENAME = "counts.tsv"
 
 
 def _checksum(*fields: str) -> str:
-    return hashlib.sha256("|".join(fields).encode()).hexdigest()[:12]
+    """The CRC-32 of the |-joined fields, as 8 lowercase hex digits."""
+    return f"{binascii.crc32('|'.join(fields).encode()):08x}"
 
 
 def _read_lines(path: Path, parse: Callable[[str], object]) -> tuple[list, int]:
@@ -74,13 +79,13 @@ class CacheRecord(NamedTuple):
     def line(self) -> str:
         idx = ",".join(map(str, self.index))
         value = str(self.value)
-        check = _checksum(self.kind, idx, value)
+        check = _checksum(self.kind, idx, value, self.provenance, self.version)
         return "\t".join((self.kind, idx, value, self.provenance, self.version, check))
 
     @classmethod
     def parse(cls, line: str) -> "CacheRecord":
         kind, idx, value, prov, version, check = line.rstrip("\n").split("\t")
-        if _checksum(kind, idx, value) != check:
+        if _checksum(kind, idx, value, prov, version) != check:
             raise ValueError(f"checksum mismatch on cache line: {line!r}")
         index = tuple(int(x) for x in idx.split(",")) if idx else ()
         return cls(kind, index, int(value), prov, version)
@@ -182,8 +187,9 @@ class CheckpointedAlphaRun(dict):
 
     with the bucket table as space-separated `profile:value` items (comma-joined
     profile). A component table depends only on its pair, its size and the
-    cap, so the checksum and the file name are keyed by the search-format
-    version and the cap alone, and one log serves every query with that cap.
+    cap, so the checksum and the file name (`alpha-v4-cap4.tsv`,
+    `alpha-v4-nocap.tsv`) are keyed by the search-format version and the cap
+    alone, and one log serves every query with that cap.
     A pair logged twice keeps its larger size on load. A line that is torn,
     corrupt, or written under another version or cap fails its check and its
     pair is swept again. Resume is per finished pair: a finished pair is never
@@ -196,8 +202,8 @@ class CheckpointedAlphaRun(dict):
         self.directory = Path(directory)
         self.directory.mkdir(parents=True, exist_ok=True)
         self._key = f"{mpart.SEARCH_FORMAT_VERSION}|{length}"
-        name = hashlib.sha256(self._key.encode()).hexdigest()[:16]
-        self.path = self.directory / f"alpha-{name}.tsv"
+        cap = "nocap" if length is None else f"cap{length}"
+        self.path = self.directory / f"alpha-v{mpart.SEARCH_FORMAT_VERSION}-{cap}.tsv"
         lines, self.skipped = _read_lines(self.path, self._parse)
         for pair, entry in lines:
             if entry[0] > self.get(pair, (0,))[0]:

@@ -47,6 +47,48 @@ def test_cache_rejects_corruption(tmp_path):
     assert reloaded.get("Y", (2, 9)).value == 28 and reloaded.skipped == 1
 
 
+@pytest.mark.parametrize("field", range(5), ids=["kind", "index", "value", "provenance", "version"])
+def test_cache_checksum_covers_every_field(tmp_path, field):
+    store = CacheStore(tmp_path)
+    store.put("Y", (2, 5), 5, "test")
+    store.put("Y", (2, 9), 28, "test")
+    first, second = store.path.read_text().splitlines()
+    fields = first.split("\t")
+    fields[field] = fields[field][:-1] + chr(ord(fields[field][-1]) ^ 1)  # one character changed
+    store.path.write_text("\t".join(fields) + "\n" + second + "\n")
+    with pytest.raises(ValueError):
+        CacheRecord.parse("\t".join(fields))
+    reloaded = CacheStore(tmp_path)
+    assert len(reloaded) == 1 and reloaded.skipped == 1
+    assert reloaded.get("Y", (2, 9)).value == 28
+
+
+def _sha256_checksum(*fields):
+    # the line checksum of cache format 1 and search formats up to 4
+    return hashlib.sha256("|".join(fields).encode()).hexdigest()[:12]
+
+
+def test_cache_written_under_format_1_is_recomputed(tmp_path):
+    # format 1 checked kind, index and value with a truncated sha256
+    old = "".join(
+        f"{kind}\t{idx}\t{value}\tsearch\t1\t{_sha256_checksum(kind, idx, value)}\n"
+        for kind, idx, value in [("P", "4,8", "684"), ("Y", "2,9", "28")]
+    )
+    path = tmp_path / cache_mod.CACHE_FILENAME
+    path.write_text(old)
+    stale = CacheStore(tmp_path)
+    assert len(stale) == 0 and stale.skipped == 2
+    rc, out, err = run_cli("--cache-dir", str(tmp_path), "count", "p", "--n", "4", "--d", "8")
+    assert (rc, out.strip()) == (0, "684"), err
+    text = path.read_text()
+    assert text.startswith(old)
+    (line,) = text[len(old):].splitlines()  # exactly one line appended, under format 2
+    assert CacheRecord.parse(line)[:3] == ("P", (4, 8), 684)
+    assert len(line.rsplit("\t", 1)[1]) == 8
+    reloaded = CacheStore(tmp_path)
+    assert reloaded.get("P", (4, 8)).version == "2" and reloaded.skipped == 2
+
+
 def test_cache_conflict_detection(tmp_path):
     store = CacheStore(tmp_path)
     store.put("C", (2, 1), 1, "test")
@@ -146,7 +188,7 @@ def test_checkpoint_written_under_version_3_is_recomputed(tmp_path):
         for index, table in enumerate(tables):
             task = f"{j},{q1},{index}"
             encoded = " ".join(f"{','.join(map(str, t))}:{v}" for t, v in sorted(table.items()))
-            lines.append(f"{task}\t{encoded}\t{cache_mod._checksum(key, task, encoded)}\n")
+            lines.append(f"{task}\t{encoded}\t{_sha256_checksum(key, task, encoded)}\n")
     old = "".join(lines)
     name = hashlib.sha256(key.encode()).hexdigest()[:16]
     (tmp_path / f"alpha-{name}.tsv").write_text(old)
@@ -157,6 +199,38 @@ def test_checkpoint_written_under_version_3_is_recomputed(tmp_path):
     assert stale == {} and stale.skipped == len(lines) == 5
     assert _checkpointed(tmp_path, k, q, m) == alpha_count(k, q, m)
     assert (tmp_path / f"alpha-{name}.tsv").read_text() == old
+
+
+def test_checkpoint_under_sha256_name_is_never_opened(tmp_path):
+    # before the CRC-32 checksum, a version-4 log was named by the sha256 of
+    # its key and its lines ended in a truncated sha256
+    k, q, m = 3, 4, 5
+    full = {}
+    mpart.alpha_tables(k, q, m, components=full)
+    key = f"{SEARCH_FORMAT_VERSION}|None"
+    lines = []
+    for (j, q1), (size, table) in sorted(full.items()):
+        pair = f"{j},{q1}"
+        encoded = " ".join(f"{','.join(map(str, t))}:{v}" for t, v in sorted(table.items()))
+        check = _sha256_checksum(key, pair, str(size), encoded)
+        lines.append(f"{pair}\t{size}\t{encoded}\t{check}\n")
+    old_path = tmp_path / f"alpha-{hashlib.sha256(key.encode()).hexdigest()[:16]}.tsv"
+    old_path.write_text("".join(lines))
+    before = old_path.read_bytes()
+    log = CheckpointedAlphaRun(tmp_path)
+    assert log.path.name == f"alpha-v{SEARCH_FORMAT_VERSION}-nocap.tsv"
+    assert CheckpointedAlphaRun(tmp_path, 4).path.name == f"alpha-v{SEARCH_FORMAT_VERSION}-cap4.tsv"
+    assert log == {} and log.skipped == 0
+    assert _checkpointed(tmp_path, k, q, m) == alpha_count(k, q, m)
+    assert old_path.read_bytes() == before
+    resumed = CheckpointedAlphaRun(tmp_path)
+    assert resumed == full and resumed.skipped == 0
+    for line in resumed.path.read_text().splitlines():
+        assert len(line.rsplit("\t", 1)[1]) == 8  # a CRC-32 over key and fields
+    # the old lines, even under the new name, fail the CRC-32 check
+    resumed.path.write_bytes(before)
+    stale = CheckpointedAlphaRun(tmp_path)
+    assert stale == {} and stale.skipped == len(full) == 3
 
 
 @pytest.mark.parametrize(
@@ -275,12 +349,13 @@ def test_import_leaves_the_collector_unfrozen():
 
 
 def test_cli_start_imports_no_record_or_resource_machinery():
-    # -S: no site-packages .pth file may import these first and hide an import by hdpart
+    # -S: no site-packages .pth file may import these first and hide an import by hdpart;
+    # hashlib and _hashlib would load OpenSSL's libcrypto
     src = str(Path(__file__).resolve().parents[1] / "src")
     probe = (
         f"import sys; sys.path.insert(0, {src!r}); import hdpart.cli\n"
-        "print(sorted({'argparse', 'dataclasses', 'inspect', 'importlib.resources'}"
-        " & set(sys.modules)))"
+        "print(sorted({'argparse', 'dataclasses', 'inspect', 'importlib.resources',"
+        " 'hashlib', '_hashlib'} & set(sys.modules)))"
     )
     proc = subprocess.run(
         [sys.executable, "-S", "-c", probe], capture_output=True, text=True, timeout=60

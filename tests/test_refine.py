@@ -9,6 +9,7 @@ from fractions import Fraction as Q
 import pytest
 
 from hdpart import mpart
+from hdpart.cache import load_golden_c6
 from hdpart.intmath import binom, double_factorial
 from hdpart.lattice import ResourceCeilingError
 from hdpart.refine import (
@@ -406,6 +407,19 @@ def test_frontier_row_23_gives_p():
     row = _frontier_rows()[23]
     assert p_from_y(lambda k, d: row[k], 4, 23) == 19295226
     assert p_from_y(lambda k, d: row[k], 5, 23) == 565502405
+
+
+def test_golden_c6_diagonal_from_pinned_rows():
+    # c(2z+2, z+4) reads y(j, d) for d up to 3z + 7: the pinned rows give
+    # d >= 16 and a Resolver the rest, so z = 0..6 is recomputed (z = 7
+    # needs d = 28, which is not pinned)
+    rows, resolver = _frontier_rows(), Resolver()
+
+    def y(k, d):
+        return resolver.y(k, d) if d <= 15 else rows[d][k]
+
+    _, diag = load_golden_c6()
+    assert [c_from_y(y, 2 * z + 2, z + 4) for z in range(7)] == diag[:7]
 
 
 @pytest.mark.parametrize("d, p4, p5", [(25, 65715094, 2569270050), (26, 120256653, 5427963902)])
