@@ -84,8 +84,7 @@ def _count_value(args, resolver: Resolver, oracle: bool) -> int:
     if oracle:
         return resolver.alpha_oracle(query)
     if args.table == "hydral":
-        trivial = query.trivial_count()
-        return hydral.hydral_count(args.n, args.m) if trivial is None else trivial
+        return resolver.alpha(args.n, args.n, args.m)
     log = None
     if args.checkpoint_dir:
         log = cache_mod.CheckpointedAlphaRun(Path(args.checkpoint_dir), query.length)
@@ -95,6 +94,11 @@ def _count_value(args, resolver: Resolver, oracle: bool) -> int:
 
 
 def cmd_count(args) -> int:
+    # --verify would check the oracle against itself; the oracle runs no search to checkpoint
+    if args.oracle and args.verify:
+        raise ValueError(f"count {args.table} --oracle does not take --verify")
+    if args.oracle and args.checkpoint_dir is not None:
+        raise ValueError(f"count {args.table} --oracle does not take --checkpoint-dir")
     resolver = Resolver(workers=args.workers, node_ceiling=args.node_ceiling)
     store = _cache_store(args)
     kind_index = {
@@ -119,7 +123,7 @@ def cmd_count(args) -> int:
     if args.verify:
         twin = _count_value(args, resolver, True)
         if twin != value:
-            return _fail("verification-mismatch", pipeline=str(value), oracle=str(twin))
+            raise IntegrityError(f"count {args.table}: {value} (pipeline) != {twin} (oracle)")
     if store is not None and simple_query and not args.oracle:
         store.put(kind, index, value, "cli")
     print(value)
@@ -148,16 +152,17 @@ def cmd_series(args) -> int:
             _print_expansion(series_of(rf, args.expand - 1).coeffs)
         return EXIT_OK
     if args.family == "C":
+        if args.golden_seeds and args.x != 6:
+            raise ValueError("series C takes --golden-seeds only with --x 6")
         bound = c_degree_bound(args.x)
-        golden = args.golden_seeds and args.x == 6
-        if golden:
+        if args.golden_seeds:
             (num_text,), diag = cache_mod.load_golden_c6()
         else:
             diag = resolver.c_diagonal(args.x, bound + 3 if args.x else 3)
         num, exponent = c_diagonal_series(args.x, diag)
         # the shipped diagonal has no value past the degree bound: the shipped
         # numerator is its check
-        if golden and num != parse_polynomial(num_text):
+        if args.golden_seeds and num != parse_polynomial(num_text):
             raise IntegrityError("golden x = 6 diagonal disagrees with the golden numerator")
         print(f"C[x={args.x}] = ({format_polynomial(num)}) / (1 - 2*t)^({exponent})")
         if args.expand:
@@ -232,8 +237,9 @@ def cmd_conjecture(args) -> int:
 # One table drives parsing and the usage text. A flag maps to its converter
 # (int, str, or bool for a bare switch) and its default. A command names its
 # positional, and each choice of it the flags it reads: "--a --b" needs both,
-# "--a | --b --c" needs --a or both of --b and --c, "--a --b?" may also take --b;
-# a flag another choice names is refused where it would change no answer.
+# "--a | --b --c" needs --a or both of --b and --c, "--a --b?" may also take --b.
+# A flag that some choice names is refused by every other choice, and a flag that
+# no choice names (count's --oracle and --verify) is read by all of them.
 
 _GLOBAL_FLAGS = {
     "--workers": (int, 1),
@@ -270,13 +276,13 @@ _COMMANDS = {
         "print a generating function",
         "family",
         {
-            "H": "--d",
-            "Y": "--e",
-            "C": "--x",
-            "hydral": "--n",
-            "phi": "--n",
-            "psi": "--parts",
-            "pi": "--n",
+            "H": "--d --expand?",
+            "Y": "--e --expand?",
+            "C": "--x --expand? --golden-seeds?",
+            "hydral": "--n --expand?",
+            "phi": "--n --order?",
+            "psi": "--parts --order?",
+            "pi": "--n --order?",
         },
         {
             "--d": (int, None),
@@ -292,7 +298,11 @@ _COMMANDS = {
     "conjecture": (
         "run a conjecture checker",
         "which",
-        {"andrews": "--k", "epsilon": "--m", "sparsity": "--dmax --bound"},
+        {
+            "andrews": "--k --order?",
+            "epsilon": "--m --extra-points?",
+            "sparsity": "--dmax --bound --no-low-dim?",
+        },
         {
             "--k": (int, None),
             "--order": (int, 50),
@@ -324,6 +334,7 @@ def _parse(argv: list[str]) -> SimpleNamespace | None:
     """The arguments of one command, None for -h/--help; ValueError on misuse."""
     args = {_dest(flag): default for flag, (_, default) in _GLOBAL_FLAGS.items()}
     flags = _GLOBAL_FLAGS
+    given = set()  # a default cannot tell whether its flag was given
     command = None
     words = iter(argv)
     for word in words:
@@ -345,6 +356,7 @@ def _parse(argv: list[str]) -> SimpleNamespace | None:
             if command and flag in _GLOBAL_FLAGS:
                 raise ValueError(f"{flag} goes before the command")
             raise ValueError(f"unknown flag {flag}" + (f" for {command}" if command else ""))
+        given.add(flag)
         convert = flags[flag][0]
         if convert is bool:
             if eq:
@@ -352,9 +364,9 @@ def _parse(argv: list[str]) -> SimpleNamespace | None:
             args[_dest(flag)] = True
             continue
         if not eq:
-            value = next(words, None)
-            if value is None or value.startswith("--"):
-                raise ValueError(f"{flag} needs a value")
+            value = next(words, "")
+        if not value or (not eq and value.startswith("--")):
+            raise ValueError(f"{flag} needs a value")
         try:
             args[_dest(flag)] = convert(value)
         except ValueError:
@@ -366,14 +378,14 @@ def _parse(argv: list[str]) -> SimpleNamespace | None:
     choice = args[positional]
     options = [need.split() for need in choices[choice].split(" | ")]
     required = [[flag for flag in need if not flag.endswith("?")] for need in options]
-    missing = [[flag for flag in need if args[_dest(flag)] is None] for need in required]
+    missing = [[flag for flag in need if flag not in given] for need in required]
     if all(missing):
         wanted = ", or ".join(_listed(need) for need in missing)
         raise ValueError(f"{command} {choice} needs {wanted}")
     chosen = missing.index([])
     named = set(" ".join(choices.values()).replace("?", "").split())
     taken = {flag.rstrip("?") for flag in options[chosen]}
-    extra = [flag for flag in flags if flag in named - taken and args[_dest(flag)] is not None]
+    extra = [flag for flag in flags if flag in given & named - taken]
     if extra:
         beside = f" with {_listed(required[chosen])}" if len(options) > 1 else ""
         raise ValueError(f"{command} {choice} does not take {_listed(extra)}{beside}")
@@ -397,7 +409,8 @@ def _usage() -> str:
         "Exact enumeration of higher-dimensional partitions and their refined",
         "generating functions. Global flags go before the command; a value follows",
         "its flag or joins it with '='. A choice lists the flags it needs (FLAG?:",
-        "it may take FLAG) and takes no flag that only another choice names.",
+        "it may take FLAG) and takes no flag that only another choice lists; a",
+        "flag that no choice lists goes with every choice.",
         "",
         "global flags: " + described(_GLOBAL_FLAGS),
     ]

@@ -22,8 +22,8 @@ of the target counts its leaves in one step: the child of the i-th of its R
 candidates keeps the R - 1 - i candidates above it and gains f(c) fresh
 covers, so the leaves are C(R, 2) + sum f(c). The state charges R + leaves
 nodes at once, what a walk that visits every leaf spends, and node ceilings
-fail exactly where that walk fails. The oracle is one serial walk under any
-`workers` value. `mpart`'s region search shares the node counter `_Budget`
+fail exactly where that walk fails. The oracle is one serial walk and takes
+no `workers` value. `mpart`'s region search shares the node counter `_Budget`
 with this module and runs its tasks through `charged_map`; the walks
 themselves are separate code, so the oracle stays an independent route.
 """
@@ -473,26 +473,15 @@ def _count(
     )
 
 
-def count_partitions(
-    n: int, d: int, workers: int = 1, max_nodes: Optional[int] = None
-) -> int:
-    """Number of downward-closed subsets of N^n with exactly d points (exhaustive).
-
-    The walk is serial: `workers` is accepted and ignored."""
+def count_partitions(n: int, d: int, max_nodes: Optional[int] = None) -> int:
+    """Number of downward-closed subsets of N^n with exactly d points (one serial walk)."""
     if n < 0 or d < 0:
         raise ValueError("dimension and size must be nonnegative")
     return _count(n, None, d, max_nodes=max_nodes)
 
 
-def count_constrained(
-    n: int,
-    spec: ConstraintSpec,
-    workers: int = 1,
-    max_nodes: Optional[int] = None,
-) -> int:
-    """Count partitions in N^n matching every active constraint of the spec.
-
-    The walk is serial: `workers` is accepted and ignored."""
+def count_constrained(n: int, spec: ConstraintSpec, max_nodes: Optional[int] = None) -> int:
+    """Partitions in N^n matching every active constraint of the spec (one serial walk)."""
     if n < 0:
         raise ValueError("dimension must be nonnegative")
     return _count(n, spec, spec.size, max_nodes=max_nodes)

@@ -861,9 +861,5 @@ def alpha_targeted(
     m: int,
     node_ceiling: Optional[int] = DEFAULT_NODE_CEILING,
 ) -> int:
-    """Total over all lengths and profiles of one size, in one process;
-    equals alpha_count(k, q, m)."""
-    trivial = AlphaQuery(k, q, m).trivial_count()
-    if trivial is not None:
-        return trivial
-    return select(alpha_tables(k, q, m, budget=_Budget(node_ceiling)), m)
+    """alpha_count(k, q, m) in one process; `perfbench` traces it by this name."""
+    return alpha(AlphaQuery(k, q, m), node_ceiling=node_ceiling)

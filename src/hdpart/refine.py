@@ -368,9 +368,11 @@ class Resolver:
     Route preference is closed form, then the raw pipeline: p from y by
     inversion, y from alpha by the socle sum (`socle.y_from_alpha`), alpha by
     search (one sweep per (k, q), which fills every smaller m), and c, off that
-    path, inverted from y. use_closed_forms=False forces the raw pipeline end to
-    end. All values land in provenance-tagged tables, so any second route for
-    the same index must agree exactly.
+    path, inverted from y. Alpha is never searched where `trivial_count`
+    decides it, and alpha(n, n, m) is `hydral.hydral_count` (`count hydral`).
+    use_closed_forms=False forces the raw pipeline end to end. All values land
+    in provenance-tagged tables, so any second route for the same index must
+    agree exactly.
 
     node_ceiling bounds the nodes of every search this resolver runs: they are
     all charged to one budget. Each oracle count gets a fresh budget with the
@@ -438,12 +440,11 @@ class Resolver:
         tab = self.tables["ALPHA"]
         if (k, q, m) in tab:
             return tab.get((k, q, m))
-        if self.use_closed_forms and q == k and k >= 1 and m >= 1:
-            value = hydral.hydral_count(k, m)
-            return tab.set((k, q, m), value, CLOSED_FORM)
         trivial = mpart.AlphaQuery(k, q, m).trivial_count()
         if trivial is not None:
             return tab.set((k, q, m), trivial, SEARCH)
+        if self.use_closed_forms and q == k:
+            return tab.set((k, q, m), hydral.hydral_count(k, m), CLOSED_FORM)
         # one sweep to size m holds every smaller size of the same (k, q)
         table = mpart.alpha_tables(
             k, q, m, workers=self.workers, budget=self.budget, components=self.components

@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 from hdpart import cache as cache_mod
-from hdpart import mpart
+from hdpart import cli, lattice, mpart
 from hdpart.cache import (
     CacheRecord,
     CacheStore,
@@ -374,6 +374,7 @@ def test_cli_start_imports_no_record_or_resource_machinery():
         ["count", "p", "--n", "x", "--d", "5"],
         ["count", "p", "--d", "5", "--n"],
         ["count", "p", "--n", "--d", "5"],
+        ["count", "alpha", "--k", "3", "--q", "4", "--m", "8", "--checkpoint-dir="],
         ["count", "--n", "3", "--d", "5"],
         ["count", "p", "--n", "3", "--d", "5", "--workers", "2"],
         ["count", "p", "--n", "3", "--d", "5", "extra"],
@@ -383,23 +384,87 @@ def test_cli_start_imports_no_record_or_resource_machinery():
         ["count", "alpha", "--hilbert", "1,3,5,7,6", "--length", "3"],
         ["count", "alpha", "--hilbert", "1,3,5,7,6", "--k", "9"],
         ["count", "y", "--k", "2", "--d", "5", "--checkpoint-dir", "{tmp}"],
+        ["series", "phi", "--n", "3", "--expand", "5"],
+        ["series", "H", "--d", "5", "--order", "3"],
+        ["series", "hydral", "--n", "2", "--order", "3"],
+        ["series", "Y", "--e", "1", "--golden-seeds"],
+        ["series", "C", "--x", "2", "--golden-seeds"],
+        ["conjecture", "epsilon", "--m", "6", "--no-low-dim"],
+        ["conjecture", "andrews", "--k", "1", "--extra-points", "2"],
+        ["conjecture", "sparsity", "--dmax", "8", "--bound", "9", "--order", "5"],
+        ["count", "p", "--n", "3", "--d", "5", "--oracle", "--verify"],
+        ["count", "alpha", "--k", "3", "--q", "4", "--m", "8", "--oracle",
+         "--checkpoint-dir", "{tmp}"],
     ],
     ids=[
         "unknown-command", "no-command", "unknown-flag", "unknown-choice", "not-an-integer",
-        "missing-value", "flag-as-value", "missing-positional", "global-after-command",
-        "extra-positional", "value-for-switch", "abbreviated-flag", "length-off-alpha",
-        "length-with-hilbert", "k-with-hilbert", "checkpoint-dir-off-alpha",
+        "missing-value", "flag-as-value", "empty-value", "missing-positional",
+        "global-after-command", "extra-positional", "value-for-switch", "abbreviated-flag",
+        "length-off-alpha", "length-with-hilbert", "k-with-hilbert", "checkpoint-dir-off-alpha",
+        "expand-with-phi", "order-with-H", "order-with-hydral", "golden-seeds-with-Y",
+        "golden-seeds-with-x-2", "no-low-dim-with-epsilon", "extra-points-with-andrews",
+        "order-with-sparsity", "oracle-with-verify", "oracle-with-checkpoint-dir",
     ],
 )
 def test_cli_usage_error_is_bad_request(argv, tmp_path, capsys):
     # exit 1, never 2 (a failing conjecture), and one JSON object on stderr; a
-    # flag that changes no count on its table is refused, not ignored
+    # flag that changes no answer is refused, not ignored
     argv = [a.format(tmp=tmp_path / "ckpt") for a in argv]
     assert main(argv) == 1
     out, err = capsys.readouterr()
     assert out == ""
     assert json.loads(err)["error"] == "bad-request"
     assert not (tmp_path / "ckpt").exists()
+
+
+# the flags that every choice of their command reads; `_COMMANDS` names each
+# other flag beside the choices that read it
+_READ_BY_EVERY_CHOICE = {"--oracle", "--verify"}
+
+
+def test_cli_choice_refuses_every_flag_it_does_not_read(tmp_path, monkeypatch, capsys):
+    # each choice, and each alternative of alpha's flags, with its needed flags
+    # set to 1 and one flag it does not read: no output, no file, bad-request
+    monkeypatch.chdir(tmp_path)
+    accepted = []
+    for command, (_, _, choices, flags) in cli._COMMANDS.items():
+        for choice, needs in choices.items():
+            for need in needs.split(" | "):
+                reads = {flag.rstrip("?") for flag in need.split()}
+                base = [command, choice]
+                for flag in need.split():
+                    base += [] if flag.endswith("?") else [flag, "1"]
+                for flag, (convert, _) in flags.items():
+                    if flag in reads | _READ_BY_EVERY_CHOICE:
+                        continue
+                    argv = base + ([flag] if convert is bool else [flag, "1"])
+                    code = main(argv)
+                    out, err = capsys.readouterr()
+                    if (code, out) != (1, "") or json.loads(err)["error"] != "bad-request":
+                        accepted.append(" ".join(argv))
+    assert accepted == []
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize(
+    "query",
+    [
+        ["p", "--n", "3", "--d", "5"],
+        ["hydral", "--n", "3", "--m", "2"],
+        ["alpha", "--k", "3", "--q", "4", "--m", "8"],
+    ],
+    ids=["p", "hydral", "alpha"],
+)
+def test_cli_verify_mismatch_is_integrity(query, monkeypatch, capsys):
+    # an oracle one too high: the count table notices for p, y, c and hydral,
+    # cmd_count for alpha, whose search fills no table; both are integrity errors
+    for name in ("count_partitions", "count_constrained"):
+        walk = getattr(lattice, name)
+        monkeypatch.setattr(lattice, name, lambda *a, walk=walk, **kw: walk(*a, **kw) + 1)
+    assert main(["count", *query, "--verify"]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert json.loads(err)["error"] == "integrity"
 
 
 @pytest.mark.parametrize(
@@ -422,6 +487,7 @@ def test_cli_help_names_every_command():
         rc, out, err = run_cli(flag)
         assert (rc, err) == (0, "")
         assert all(f"hdpart {command} " in out for command in ("count", "series", "conjecture"))
+        assert "  C: --x --expand? --golden-seeds?\n" in out
 
 
 def test_cli_flag_value_after_equals(capsys):

@@ -29,6 +29,7 @@ from hdpart.lattice import (
     socle_type,
 )
 from hdpart.mpart import AlphaQuery, canonical_orbit
+from hdpart.refine import Resolver
 
 CLASSICAL = [1, 1, 2, 3, 5, 7, 11, 15, 22, 30]  # dimension 2
 PLANE = [1, 1, 3, 6, 13, 24, 48, 86, 160]  # dimension 3
@@ -130,38 +131,34 @@ def test_resource_guard():
 
 
 @pytest.mark.parametrize(
-    "workers, n, d, nodes, value",
+    "n, d, nodes, value",
     [
         # 623 nodes: one per partition of size 1..9 in N^3, the last level counted
-        pytest.param(1, 3, 9, 623, 282, id="1"),
-        pytest.param(2, 3, 9, 623, 282, id="2"),
+        pytest.param(3, 9, 623, 282, id="1"),
         # 131,090 nodes: the last two levels are counted, each leaf still one node
-        pytest.param(1, 5, 12, 131090, 76965, id="1-n5-d12"),
-        pytest.param(2, 5, 12, 131090, 76965, id="2-n5-d12"),
+        pytest.param(5, 12, 131090, 76965, id="1-n5-d12"),
     ],
 )
-def test_counted_last_level_keeps_node_accounting(workers, n, d, nodes, value):
-    assert count_partitions(n, d, workers=workers, max_nodes=nodes) == value
+def test_counted_last_level_keeps_node_accounting(n, d, nodes, value):
+    assert count_partitions(n, d, max_nodes=nodes) == value
     with pytest.raises(ResourceCeilingError):
-        count_partitions(n, d, workers=workers, max_nodes=nodes - 1)
+        count_partitions(n, d, max_nodes=nodes - 1)
 
 
 @pytest.mark.parametrize(
-    "workers, dim, spec, nodes, value",
+    "dim, spec, nodes, value",
     [
         # without the prune the walk needs 1079 nodes: an embedding-dimension
         # layer that can no longer reach 10 points is cut as soon as it falls short
-        pytest.param(1, 10, ConstraintSpec(size=12, embedding_dim=10), 66, 55, id="1"),
-        pytest.param(2, 10, ConstraintSpec(size=12, embedding_dim=10), 66, 55, id="2"),
+        pytest.param(10, ConstraintSpec(size=12, embedding_dim=10), 66, 55, id="1"),
         # the spec of the `count alpha --k 3 --q 4 --m 8` oracle walks 8,117 nodes
-        pytest.param(1, 3, AlphaQuery(3, 4, 8).constraint_spec(), 8117, 1302, id="1-alpha-3-4-8"),
-        pytest.param(2, 3, AlphaQuery(3, 4, 8).constraint_spec(), 8117, 1302, id="2-alpha-3-4-8"),
+        pytest.param(3, AlphaQuery(3, 4, 8).constraint_spec(), 8117, 1302, id="1-alpha-3-4-8"),
     ],
 )
-def test_dead_layer_prune_node_total(workers, dim, spec, nodes, value):
-    assert count_constrained(dim, spec, workers=workers, max_nodes=nodes) == value
+def test_dead_layer_prune_node_total(dim, spec, nodes, value):
+    assert count_constrained(dim, spec, max_nodes=nodes) == value
     with pytest.raises(ResourceCeilingError):
-        count_constrained(dim, spec, workers=workers, max_nodes=nodes - 1)
+        count_constrained(dim, spec, max_nodes=nodes - 1)
 
 
 @pytest.mark.parametrize(
@@ -203,12 +200,13 @@ def test_visitor_sees_every_counted_partition():
 
 
 def test_node_ceiling_is_global_under_workers():
-    # the walk needs 1231 nodes under any workers value
+    # the walk needs 1231 nodes; a resolver's workers reach only its searches
     with pytest.raises(ResourceCeilingError):
-        count_partitions(4, 8, workers=1, max_nodes=899)
-    with pytest.raises(ResourceCeilingError):
-        count_partitions(4, 8, workers=2, max_nodes=899)
-    assert count_partitions(4, 8, workers=2, max_nodes=1231) == 684
+        count_partitions(4, 8, max_nodes=899)
+    for workers in (1, 2):
+        with pytest.raises(ResourceCeilingError):
+            Resolver(workers=workers, node_ceiling=899).p_oracle(4, 8)
+        assert Resolver(workers=workers, node_ceiling=1231).p_oracle(4, 8) == 684
 
 
 def test_permutation_invariance_of_enumeration():
@@ -380,23 +378,21 @@ def test_oracle_matches_subset_brute_force(data):
 
 
 def test_parallel_determinism():
-    expected = count_partitions(3, 7)
-    assert count_partitions(3, 7, workers=2) == expected
-    assert count_partitions(3, 7, workers=4) == expected
+    # every oracle route of a resolver gives the serial walk's count under any workers
     spec = ConstraintSpec(size=7, embedding_dim=2, min_socle_degree=2)
-    base = count_constrained(3, spec)
-    assert count_constrained(3, spec, workers=3) == base
+    for workers in (1, 2, 4):
+        resolver = Resolver(workers=workers)
+        assert resolver.p_oracle(3, 7) == count_partitions(3, 7) == 86
+        assert resolver.c_oracle(2, 4) == count_constrained(2, spec)
 
 
 def test_oracle_starts_no_pool():
-    # the oracle walks serially under any workers value
+    # the oracle walks serially under any --workers value
     probe = (
-        "import sys; "
-        "from hdpart.lattice import count_constrained, count_partitions; "
-        "from hdpart.mpart import AlphaQuery; "
-        "print(count_partitions(4, 11, workers=2), "
-        "count_constrained(3, AlphaQuery(3, 4, 8).constraint_spec(), workers=2), "
-        "*(m for m in ('concurrent.futures.process', 'multiprocessing') if m in sys.modules))"
+        "import sys; from hdpart.cli import main\n"
+        "main('--workers 2 count p --n 4 --d 11 --oracle'.split())\n"
+        "main('--workers 2 count alpha --k 3 --q 4 --m 8 --oracle'.split())\n"
+        "print(*(m for m in ('concurrent.futures.process', 'multiprocessing') if m in sys.modules))"
     )
     proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
