@@ -46,11 +46,7 @@ def _fail(kind: str, **payload) -> int:
 
 
 def _cache_store(args) -> cache_mod.CacheStore | None:
-    directory = None
-    if getattr(args, "cache_dir", None):
-        directory = Path(args.cache_dir)
-    else:
-        directory = cache_mod.default_cache_dir()
+    directory = Path(args.cache_dir) if args.cache_dir else cache_mod.default_cache_dir()
     return cache_mod.CacheStore(directory) if directory else None
 
 

@@ -2,16 +2,17 @@
 
 A partition with k variables, k quadrics and deep socle decomposes into
 independent blocks, one per part of a classical partition of k: chains,
-headstrong blocks, and square-free-cubic triples. Everything here is exact
-integer/rational arithmetic over those block statistics.
+headstrong blocks, and square-free-cubic triples. A classical (linear)
+partition is always a weakly decreasing `Parts` tuple, and its block
+statistics and term weights are plain integers; rationals appear only in the
+generating functions.
 """
 
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 from functools import lru_cache
-from typing import Iterator, NamedTuple, Sequence
+from typing import Iterator, Sequence
 
 from .intmath import binom
 from .series import (
@@ -38,41 +39,10 @@ def partitions_of(n: int, max_part: int | None = None) -> Iterator[Parts]:
             yield (first,) + rest
 
 
-class _LinearPartition(NamedTuple):
-    """The field of LinearPartition, whose __new__ checks it."""
-
-    parts: Parts
-
-
-class LinearPartition(_LinearPartition):
-    """A classical partition with its multiplicity view and automorphism order."""
-
-    __slots__ = ()
-
-    def __new__(cls, parts: Sequence[int]):
-        ps = tuple(parts)
-        if any(p <= 0 for p in ps) or any(ps[i] < ps[i + 1] for i in range(len(ps) - 1)):
-            raise ValueError("parts must be weakly decreasing positive integers")
-        return super().__new__(cls, ps)
-
-    @property
-    def size(self) -> int:
-        return sum(self.parts)
-
-    @property
-    def multiplicities(self) -> dict[int, int]:
-        out: dict[int, int] = {}
-        for p in self.parts:
-            out[p] = out.get(p, 0) + 1
-        return out
-
-    @property
-    def aut_order(self) -> int:
-        return math.prod(math.factorial(a) for a in self.multiplicities.values())
-
-
 def aut_order(parts: Sequence[int]) -> int:
-    return LinearPartition(tuple(parts)).aut_order
+    """Order of the group permuting equal parts: the product of the factorials
+    of the part multiplicities."""
+    return math.prod(math.factorial(parts.count(p)) for p in set(parts))
 
 
 # --- headstrong compositions ---------------------------------------------------
@@ -157,12 +127,6 @@ def strip_triple(parts: Sequence[int]) -> Parts:
     return tuple(ps)
 
 
-def drop_largest(parts: Sequence[int]) -> Parts:
-    if not parts:
-        raise ValueError("empty partition has no largest part")
-    return tuple(parts)[1:]
-
-
 def min_weight(parts: Sequence[int]) -> int:
     """Least number of deep boxes a block profile can carry."""
     return sum(max(p - 1, 1) for p in parts)
@@ -170,17 +134,12 @@ def min_weight(parts: Sequence[int]) -> int:
 
 def marked_block_count(parts: Sequence[int]) -> int:
     """Ways to split a set of sum(parts) labels into blocks of the given sizes
-    with one marked label per block."""
-    parts = tuple(parts)
-    d = sum(parts)
-    val = Fraction(1, aut_order(parts))
-    remaining = d
-    for p in parts:
-        val *= binom(remaining, p) * p
-        remaining -= p
-    if val.denominator != 1:
-        raise ArithmeticError(f"marked block count for {parts} is not integral")
-    return int(val)
+    with one marked label per block: n! / (prod (p-1)! * aut_order)."""
+    den = aut_order(parts) * math.prod(math.factorial(p - 1) for p in parts)
+    count, rest = divmod(math.factorial(sum(parts)), den)
+    if rest:
+        raise ArithmeticError(f"marked block count for {tuple(parts)} is not integral")
+    return count
 
 
 def block_weight_count(parts: Sequence[int], m: int) -> int:
@@ -220,28 +179,6 @@ def profile_series(parts: Sequence[int], order: int) -> PowerSeries:
     for p in parts:
         acc = acc * head_block_series(p, order)
     return acc
-
-
-class BlockStats(NamedTuple):
-    """The five block statistics of a linear partition, bundled for inspection."""
-
-    triple_count: int
-    stripped: Parts | None
-    marked_blocks: int
-    tail: Parts | None
-    weight_floor: int
-
-    @classmethod
-    def of(cls, parts: Sequence[int]) -> "BlockStats":
-        parts = tuple(parts)
-        t = triple_count(parts)
-        return cls(
-            triple_count=t,
-            stripped=strip_triple(parts) if t else None,
-            marked_blocks=marked_block_count(parts),
-            tail=drop_largest(parts) if parts else None,
-            weight_floor=min_weight(parts),
-        )
 
 
 # --- the full count ---------------------------------------------------------------
@@ -323,10 +260,10 @@ def compressed_count(n: int, variant: str = "3n") -> int:
     if variant == "3n":
         return base
     if variant == "3n-1-compressed":
-        val = Fraction(3 * (n - 1), 2) * base
-        if val.denominator != 1:
+        count, rest = divmod(3 * (n - 1) * base, 2)
+        if rest:
             raise ArithmeticError("compressed count must be integral")
-        return int(val)
+        return count
     if variant == "3n-1-anti":
         return 2 * base
     if variant == "3n-2":

@@ -10,7 +10,9 @@ A quadric layer is a looped graph on the k variables (x_i x_j is the edge ij,
 x_i^2 a loop at i); it is stable exactly when every non-loop edge has a looped
 end or lies in a triangle. `connected_reps` generates the connected stable
 layers, one canonical graph per isomorphism class, by orderly generation with
-bitmask edges; no subset of the quadrics is scanned. A cell whose support
+bitmask edges; no subset of the quadrics is scanned. One relabelling search
+(`_relabellings`) both tests a grown graph for canonicity and gives its orbit
+size k!/|Aut|; nothing else computes a canonical form. A cell whose support
 meets two components has a quadric divisor x_i x_j outside the layer, so a
 disconnected layer's region is the disjoint union of its components' regions
 and its profile table is the convolution of theirs. The labelled table A_k(q)
@@ -161,15 +163,15 @@ def is_m_stable(U: Iterable[Point], k: int) -> bool:
 # column a of a labelling is the bits (a, 0), ..., (a, a), first bit highest.
 
 
-def _relabellings(adj: list[int], early: bool) -> tuple[list[int], int]:
-    """The greatest column string over all relabellings of the graph, and the
-    number of relabellings that read it (|Aut|).
+def _relabellings(adj: list[int]) -> int:
+    """|Aut| of the graph when no relabelling reads a greater column string
+    than its own, else 0: the graph is canonical exactly when this is nonzero.
 
     adj[v] has bit w for each edge vw, bit v for a loop at v. The search fixes
-    new vertex 0, 1, ... in turn and drops a branch as soon as its column falls
-    below the best string so far. Twins (vertices whose transposition is an
-    automorphism) are tried once per level, weighted by how many are left.
-    With early, it returns count 0 as soon as a labelling beats the given one.
+    new vertex 0, 1, ... in turn, drops a branch as soon as its column falls
+    below the graph's own, and stops at the first column above it. Twins
+    (vertices whose transposition is an automorphism) are tried once per
+    level, weighted by how many are left.
     """
     n = len(adj)
     classes: list[int] = []  # twin classes as vertex masks
@@ -182,12 +184,12 @@ def _relabellings(adj: list[int], early: bool) -> tuple[list[int], int]:
                 break
         else:
             classes.append(1 << v)
-    best = []  # the given labelling's columns to begin with
+    own = []  # the graph's own columns
     for a, row in enumerate(adj):
         col = 0
         for b in range(a + 1):
             col = col << 1 | (row >> b & 1)
-        best.append(col)
+        own.append(col)
     count = 0
 
     def rec(a: int, used: int, weight: int, read: list[int]) -> bool:
@@ -202,20 +204,16 @@ def _relabellings(adj: list[int], early: bool) -> tuple[list[int], int]:
                 continue
             v = (free & -free).bit_length() - 1
             col = read[v] << 1 | (adj[v] >> v & 1)
-            if col < best[a]:
+            if col < own[a]:
                 continue
-            if col > best[a]:
-                if early:
-                    return False
-                best[a:] = [col] + [-1] * (n - a - 1)
-                count = 0
+            if col > own[a]:
+                return False
             bits = [r << 1 | (row >> v & 1) for r, row in zip(read, adj)]
             if not rec(a + 1, used | 1 << v, weight * free.bit_count(), bits):
                 return False
         return True
 
-    found = rec(0, 0, 1, [0] * n)
-    return best, count if found else 0
+    return count if rec(0, 0, 1, [0] * n) else 0
 
 
 def _graph(k: int, mask: int) -> list[int]:
@@ -272,20 +270,6 @@ def _open_matching(adj: list[int]) -> int:
     return size
 
 
-def canonical_orbit(U: Iterable[Point], k: int) -> tuple[tuple[Point, ...], int]:
-    """The lexicographically least S_k-image of a quadric set, and its orbit size."""
-    table = _cell_table(k)
-    best, aut = _relabellings(_graph(k, table.quadric_mask(U)), early=False)
-    rep = []
-    u = 0
-    for a, col in enumerate(best):
-        for b in range(a + 1):
-            if col >> (a - b) & 1:
-                rep.append(table.points[u])
-            u += 1
-    return tuple(rep), math.factorial(k) // aut
-
-
 class QuadricOrbit(NamedTuple):
     """Canonical quadric configuration with its orbit size under S_k."""
 
@@ -339,7 +323,7 @@ def _orderly(k: int, q: int, connected: bool) -> tuple[QuadricOrbit, ...]:
             # later edge at its own ends, and one edge has at most two ends
             need = k - reached.bit_count() + _open_matching(adj)
             if need <= 2 * left and _certifiable(adj, later):
-                _, aut = _relabellings(adj, early=True)
+                aut = _relabellings(adj)
                 if aut and left:
                     grow(x, mask | 1 << x, left - 1, reached, a, now_linked)
                 elif aut:

@@ -16,6 +16,7 @@ from typing import Callable, Optional, Sequence
 from . import hydral, lattice, mpart, socle
 from .intmath import binom, double_factorial
 from .series import (
+    FIT_SLACK,
     EulerColumn,
     IntegrityError,
     Polynomial,
@@ -375,11 +376,12 @@ class Resolver:
     agree exactly.
 
     node_ceiling bounds the nodes of every search this resolver runs: they are
-    all charged to one budget. Each oracle count gets a fresh budget with the
-    same ceiling. workers runs the searches' tasks in a process pool; the
-    oracle walks serially. The resolver owns the memo of connected component
-    tables that its alpha searches share (`mpart.alpha_tables`), so its node
-    totals depend only on the queries it has answered.
+    all charged to one budget, and so is each hydral closed form, one node per
+    partition of k that it enumerates. Each oracle count gets a fresh budget
+    with the same ceiling. workers runs the searches' tasks in a process pool;
+    the oracle walks serially. The resolver owns the memo of connected
+    component tables that its alpha searches share (`mpart.alpha_tables`), so
+    its node totals depend only on the queries it has answered.
     """
 
     def __init__(
@@ -444,6 +446,8 @@ class Resolver:
         if trivial is not None:
             return tab.set((k, q, m), trivial, SEARCH)
         if self.use_closed_forms and q == k:
+            # the closed form enumerates the partitions of k: one node each
+            self.budget.spend(product_column(2)[k])
             return tab.set((k, q, m), hydral.hydral_count(k, m), CLOSED_FORM)
         # one sweep to size m holds every smaller size of the same (k, q)
         table = mpart.alpha_tables(
@@ -492,9 +496,8 @@ class Resolver:
         """The fixed-size series: coefficient n is p(n+1, d)."""
         return PowerSeries([self.p(n + 1, d) for n in range(order + 1)], order)
 
-    def size_numerator(self, d: int, slack: int = 3) -> Polynomial:
+    def size_numerator(self, d: int) -> Polynomial:
         """Numerator of the fixed-size series over (1-t)^d, degree <= max(0, d-2)."""
         bound = max(0, d - 2)
-        order = d + bound + slack
-        series = self.size_series(d, order)
-        return fit_numerator(series, one_minus_t_power(1) ** d, bound, min_slack=slack)
+        series = self.size_series(d, d + bound + FIT_SLACK)
+        return fit_numerator(series, one_minus_t_power(1) ** d, bound)

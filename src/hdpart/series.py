@@ -356,17 +356,18 @@ class NumeratorFitError(ValueError):
         super().__init__(f"nonvanishing coefficient {value} at index {index}")
 
 
-def fit_numerator(
-    s: PowerSeries, den: Polynomial, deg_bound: int, min_slack: int = 3
-) -> Polynomial:
+FIT_SLACK = 3  # verification coefficients a numerator fit needs beyond its bound
+
+
+def fit_numerator(s: PowerSeries, den: Polynomial, deg_bound: int) -> Polynomial:
     """Fit num with deg <= deg_bound such that s = num/den, or raise NumeratorFitError.
 
-    Requires at least min_slack verification coefficients beyond the bound, so a
+    Requires at least FIT_SLACK verification coefficients beyond the bound, so a
     successful fit is falsified by data rather than merely interpolated.
     """
-    if s.order < den.degree + deg_bound + min_slack:
+    if s.order < den.degree + deg_bound + FIT_SLACK:
         raise ValueError(
-            f"series order {s.order} too small: need >= {den.degree + deg_bound + min_slack}"
+            f"series order {s.order} too small: need >= {den.degree + deg_bound + FIT_SLACK}"
         )
     prod = s.mul_polynomial(den)
     for i in range(deg_bound + 1, prod.order + 1):
@@ -577,7 +578,7 @@ def format_factored_rational(r: RationalFunction) -> str:
         return num_str
     factors = factor_into_one_minus_powers(red.den)
     if factors is None:
-        return f"({format_polynomial(red.num)}) / ({format_polynomial(red.den)})"
+        return format_rational(red)
     counts: dict[int, int] = {}
     for a in factors:
         counts[a] = counts.get(a, 0) + 1

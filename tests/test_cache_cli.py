@@ -552,13 +552,25 @@ def test_cli_max_nodes_bounds_every_oracle_route(query):
 
 @pytest.mark.parametrize("workers", ["1", "2"])
 def test_cli_node_ceiling_is_one_per_command(workers):
-    # the searches behind y(5, 12) walk 39 nodes together
+    # the searches and hydral closed forms behind y(5, 12) cost 66 nodes together
     argv = ("--workers", workers, "--node-ceiling")
-    rc, _, err = run_cli(*argv, "38", "count", "y", "--k", "5", "--d", "12")
+    rc, _, err = run_cli(*argv, "65", "count", "y", "--k", "5", "--d", "12")
     assert rc == 1
     assert json.loads(err.strip())["error"] == "resource-ceiling"
-    rc, out, err = run_cli(*argv, "39", "count", "y", "--k", "5", "--d", "12")
+    rc, out, err = run_cli(*argv, "66", "count", "y", "--k", "5", "--d", "12")
     assert (rc, out.strip()) == (0, "23860"), err
+
+
+def test_cli_node_ceiling_bounds_count_hydral(capsys):
+    # the closed form is charged one node per partition of n before it
+    # enumerates them: p(40) = 37338 nodes fail at once, p(5) = 7 pass
+    assert main(["--node-ceiling", "10", "count", "hydral", "--n", "40", "--m", "14"]) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and json.loads(err.strip())["error"] == "resource-ceiling"
+    assert main(["--node-ceiling", "6", "count", "hydral", "--n", "5", "--m", "4"]) == 1
+    assert json.loads(capsys.readouterr().err.strip())["error"] == "resource-ceiling"
+    assert main(["--node-ceiling", "7", "count", "hydral", "--n", "5", "--m", "4"]) == 0
+    assert capsys.readouterr().out.strip() == "435"
 
 
 @pytest.mark.parametrize("flag", ["--oracle", "--verify"])

@@ -1,12 +1,13 @@
 """Closed formulas for minimal-quadric-layer counts and their block pieces."""
 
+import math
+from collections import Counter
 from fractions import Fraction as Q
 
 import pytest
 
 from hdpart.hydral import (
-    BlockStats,
-    LinearPartition,
+    aut_order,
     block_weight_count,
     colored_partition_count,
     compressed_count,
@@ -43,12 +44,8 @@ def test_partitions_of():
 
 
 def test_linear_partition_type():
-    lam = LinearPartition((4, 3, 3, 1, 1))
-    assert lam.size == 12
-    assert lam.multiplicities == {4: 1, 3: 2, 1: 2}
-    assert lam.aut_order == 4
-    with pytest.raises(ValueError):
-        LinearPartition((1, 3))
+    # a linear partition is a parts tuple; equal parts are permuted: 2! * 2!
+    assert aut_order((4, 3, 3, 1, 1)) == 4
 
 
 def test_headstrong_counts():
@@ -78,10 +75,9 @@ def test_head_block_closed_matches_sum(n):
 def test_block_statistics_examples():
     assert marked_block_count((1, 1)) == 1
     assert marked_block_count((2,)) == 2
-    stats = BlockStats.of((3, 1))
-    assert stats.triple_count == 1
-    assert stats.stripped == (1,)
-    assert stats.weight_floor == 3
+    assert triple_count((3, 1)) == 1
+    assert strip_triple((3, 1)) == (1,)
+    assert min_weight((3, 1)) == 3
     assert strip_triple((3, 3, 2)) == (3, 2)
     assert min_weight((1, 1, 1)) == 3
     with pytest.raises(ValueError):
@@ -92,6 +88,27 @@ def test_marked_block_count_integrality_over_all_small_partitions():
     for n in range(1, 9):
         for lam in partitions_of(n):
             assert marked_block_count(lam) >= 1
+
+
+def _set_partitions(n):
+    """Every set partition of {0..n-1}, as a list of blocks."""
+    if n == 0:
+        yield []
+        return
+    for rest in _set_partitions(n - 1):
+        yield [[n - 1]] + rest
+        for i in range(len(rest)):
+            yield rest[:i] + [rest[i] + [n - 1]] + rest[i + 1 :]
+
+
+@pytest.mark.parametrize("n", range(8))
+def test_marked_block_count_against_set_partitions(n):
+    # set partitions of {1..n} by block sizes, one marked element per block
+    marked = Counter()
+    for blocks in _set_partitions(n):
+        sizes = tuple(sorted((len(b) for b in blocks), reverse=True))
+        marked[sizes] += math.prod(sizes)
+    assert {lam: marked_block_count(lam) for lam in partitions_of(n)} == marked
 
 
 def test_block_weight_count_basics():

@@ -28,7 +28,7 @@ from hdpart.lattice import (
     socle,
     socle_type,
 )
-from hdpart.mpart import AlphaQuery, canonical_orbit
+from hdpart.mpart import AlphaQuery
 from hdpart.refine import Resolver
 
 CLASSICAL = [1, 1, 2, 3, 5, 7, 11, 15, 22, 30]  # dimension 2
@@ -231,46 +231,6 @@ def test_symmetric_constraint_counts_match_permuted_enumeration():
         if len(hs) > 2 and hs[1] == 2 and hs[2] == 2:
             manual += 1
     assert base == manual
-
-
-def test_canonical_orbit_examples():
-    rep, size = canonical_orbit([(2, 0), (0, 2)], 2)
-    assert size == 1
-    rep1, size1 = canonical_orbit([(2, 0)], 2)
-    assert size1 == 2
-    a, _ = canonical_orbit([(2, 0), (1, 1)], 2)
-    b, _ = canonical_orbit([(0, 2), (1, 1)], 2)
-    assert a == b
-
-
-@st.composite
-def quadric_layers(draw):
-    n = draw(st.integers(min_value=1, max_value=4))
-    quads = [p for p in itertools.product(range(3), repeat=n) if sum(p) == 2]
-    return draw(st.lists(st.sampled_from(quads), unique=True)), n
-
-
-@given(quadric_layers())
-@example(([(2, 0, 0), (1, 1, 0)], 3))
-@example(([(1, 0, 1), (0, 1, 1), (2, 0, 0)], 3))
-@settings(max_examples=200, deadline=None)
-def test_canonical_orbit_regeneration_consistency(layer):
-    pts, n = layer
-    rep, size = canonical_orbit(pts, n)
-    images = {
-        tuple(sorted((permute_point(p, perm) for p in pts), key=lambda q: (sum(q), q)))
-        for perm in itertools.permutations(range(n))
-    }
-    assert len(images) == size
-    assert min(images) == rep
-
-
-def test_canonical_orbit_ceiling():
-    # the looped-graph canonical form has no permutation ceiling, only a domain
-    rep, size = canonical_orbit([(2,) + (0,) * 12], 13)
-    assert rep == ((0,) * 12 + (2,),) and size == 13
-    with pytest.raises(ValueError):
-        canonical_orbit([(1,) + (0,) * 12], 13)
 
 
 @st.composite

@@ -21,6 +21,7 @@ from hdpart.mpart import (
     _certifiable,
     _graph,
     _open_matching,
+    _relabellings,
     alpha,
     alpha_by_hilbert,
     alpha_count,
@@ -83,6 +84,26 @@ def test_open_matching_of_uncertified_edges():
             adj = _graph(k, mask)
             size = _open_matching(adj)
             assert (size == 0) == _certifiable(adj, [0] * k) and 2 * size <= k
+
+
+def test_relabellings_against_all_permutations():
+    # column a of a labelling is its bits (a, 0), ..., (a, a), first bit highest
+    def columns(adj, perm):
+        return tuple(
+            sum((adj[perm[a]] >> perm[b] & 1) << (a - b) for b in range(a + 1))
+            for a in range(len(adj))
+        )
+
+    for k in range(5):
+        perms = list(itertools.permutations(range(k)))
+        for mask in range(1 << (k * (k + 1) // 2)):
+            adj = _graph(k, mask)
+            own = columns(adj, range(k))
+            strings = [columns(adj, perm) for perm in perms]
+            canonical = max(strings) == own
+            assert bool(_relabellings(adj)) == canonical, (k, mask)
+            if canonical:
+                assert _relabellings(adj) == strings.count(own), (k, mask)
 
 
 def test_orbit_reps_k2_q2():

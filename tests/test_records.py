@@ -1,4 +1,4 @@
-"""The record types are immutable named tuples; five of them validate their input."""
+"""The record types are immutable named tuples; four of them validate their input."""
 
 import pickle
 from fractions import Fraction
@@ -6,7 +6,6 @@ from fractions import Fraction
 import pytest
 
 from hdpart.cache import CacheRecord
-from hdpart.hydral import BlockStats, LinearPartition
 from hdpart.lattice import AdmissibleSet, ConstraintSpec, Partition
 from hdpart.macmahon import ConjectureReport, DiscrepancyRecord
 from hdpart.mpart import AlphaQuery, bounding_region, orbit_reps
@@ -16,8 +15,6 @@ from hdpart.series import HalfPower
 def _records():
     return [
         CacheRecord("P", (3, 5), 24, "test"),
-        LinearPartition((2, 1)),
-        BlockStats.of((3, 1)),
         Partition(2, [(0, 0), (1, 0)]),
         AdmissibleSet(2, [(1, 0), (0, 1)]),
         ConstraintSpec(size=4),
@@ -50,7 +47,6 @@ def test_record_pickles(record):
     [
         pytest.param(lambda: Partition(2, [(1, 0)]), id="partition-not-downward-closed"),
         pytest.param(lambda: AdmissibleSet(2, [(1, 0), (1, 1)]), id="admissible-not-antichain"),
-        pytest.param(lambda: LinearPartition((1, 3)), id="linear-partition-increasing"),
         pytest.param(lambda: AlphaQuery(3, 5, 13, profile=(2, 3, 5, 13)), id="alpha-profile-start"),
         pytest.param(lambda: HalfPower(-1), id="half-power-integer"),
     ],
@@ -63,7 +59,6 @@ def test_validating_records_reject_bad_input(build):
 def test_validating_records_normalise_their_fields():
     assert Partition(2, [(1, 0), (0, 0), (0, 0)]).points == ((0, 0), (1, 0))
     assert AdmissibleSet(2, [(1, 0), (0, 1), (1, 0)]).points == ((0, 1), (1, 0))
-    assert LinearPartition([2, 1]).parts == (2, 1)
     assert HalfPower("-3/2").exponent == Fraction(-3, 2)
 
 

@@ -374,10 +374,11 @@ def test_resolver_sweeps_once_per_pair(monkeypatch):
 
 @pytest.mark.parametrize("workers", [1, 2])
 def test_resolver_node_ceiling_is_one_budget(workers):
-    # every search behind y(5, 12) is charged to one budget: 39 nodes in all
+    # every search behind y(5, 12) is charged to one budget, and so is each
+    # hydral closed form, one node per partition of k: 66 nodes in all
     with pytest.raises(ResourceCeilingError):
-        Resolver(workers=workers, node_ceiling=38).y(5, 12)
-    assert Resolver(workers=workers, node_ceiling=39).y(5, 12) == 23860
+        Resolver(workers=workers, node_ceiling=65).y(5, 12)
+    assert Resolver(workers=workers, node_ceiling=66).y(5, 12) == 23860
 
 
 @pytest.mark.slow
