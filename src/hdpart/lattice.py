@@ -22,16 +22,30 @@ of the target counts its leaves in one step: the child of the i-th of its R
 candidates keeps the R - 1 - i candidates above it and gains f(c) fresh
 covers, so the leaves are C(R, 2) + sum f(c). The state charges R + leaves
 nodes at once, what a walk that visits every leaf spends, and node ceilings
-fail exactly where that walk fails. The oracle is one serial walk and takes
-no `workers` value. `mpart`'s region search shares the node counter `_Budget`
-with this module and runs its tasks through `charged_map`; the walks
-themselves are separate code, so the oracle stays an independent route.
+fail exactly where that walk fails.
+
+`count_partitions` also folds the axis symmetry (Atkin–Bratley–Macdonald–McKay,
+Proc. Cambridge Philos. Soc. 63, 1967, split partition counts by the axes
+used). A partition of two or more points holds the origin and the unit points
+of the j axes it uses, and permuting the axes maps those of any j axes onto
+those of the first j, state for state. So it charges the origin once and walks,
+for each j, only the states that hold the first j unit points and no other:
+the origin and those units are its start state, the degree-2 covers of those
+units its candidates. Each leaf it finds counts C(n, j) times, and so does
+each node it charges, so node totals and ceiling verdicts are those of the
+full walk. The visiting and constrained walks still enumerate every
+partition. The oracle is one serial walk and takes no `workers` value.
+`mpart`'s region search shares the node counter `_Budget` with this module and
+runs its tasks through `charged_map`; the walks themselves are separate code,
+and the fold reads nothing from `refine` or `mpart`, so the oracle stays an
+independent route.
 """
 
 from __future__ import annotations
 
 import functools
 import itertools
+import math
 from typing import Callable, Iterable, Iterator, NamedTuple, Optional, Sequence
 
 Point = tuple[int, ...]
@@ -207,12 +221,25 @@ class _Budget:
     def spend(self, nodes: int = 1):
         self.nodes += nodes
         if self.ceiling is not None and self.nodes > self.ceiling:
-            raise ResourceCeilingError(f"search exceeded the {self.ceiling}-node ceiling")
+            raise ResourceCeilingError(f"exceeded the {self.ceiling}-node ceiling")
 
     @property
     def left(self) -> Optional[int]:
         """The nodes still allowed, or None without a ceiling."""
         return None if self.ceiling is None else self.ceiling - self.nodes
+
+
+class _Weighted:
+    """A budget view that charges each node `weight` times to its budget."""
+
+    __slots__ = ("budget", "weight")
+
+    def __init__(self, budget: _Budget, weight: int):
+        self.budget = budget
+        self.weight = weight
+
+    def spend(self, nodes: int = 1):
+        self.budget.spend(nodes * self.weight)
 
 
 def charged_map(fn: Callable, tasks: Sequence, workers: int, budget: _Budget) -> Iterator:
@@ -239,7 +266,7 @@ def charged_map(fn: Callable, tasks: Sequence, workers: int, budget: _Budget) ->
                 budget.spend(nodes)
                 yield value
     except ResourceCeilingError:
-        raise ResourceCeilingError(f"search exceeded the {budget.ceiling}-node ceiling") from None
+        raise ResourceCeilingError(f"exceeded the {budget.ceiling}-node ceiling") from None
 
 
 class _Universe(NamedTuple):
@@ -474,10 +501,34 @@ def _count(
 
 
 def count_partitions(n: int, d: int, max_nodes: Optional[int] = None) -> int:
-    """Number of downward-closed subsets of N^n with exactly d points (one serial walk)."""
+    """Number of downward-closed subsets of N^n with exactly d points (one serial walk).
+
+    For d >= 2 the walk is folded by the axes used: with the origin charged
+    once, the partitions whose unit points are the first j in index order are
+    walked once and counted, node by node and leaf by leaf, C(n, j) times.
+    """
     if n < 0 or d < 0:
         raise ValueError("dimension and size must be nonnegative")
-    return _count(n, None, d, max_nodes=max_nodes)
+    if d < 2:
+        return _count(n, None, d, max_nodes=max_nodes)
+    universe = _universe(n, d, max_nodes)
+    budget = _Budget(max_nodes)
+    budget.spend()  # the origin
+    total, chosen, cands = 0, 1, 0
+    for j in range(1, min(n, d - 1) + 1):
+        # unit point j joins: the degree-2 points whose lower covers are now
+        # all chosen become candidates, and no later unit point ever does
+        chosen |= 1 << j
+        shift, pairs = universe.cover[j]
+        below = chosen >> shift
+        for need, bit in pairs:
+            if need & below == need:
+                cands |= bit
+        walk = _Weighted(budget, math.comb(n, j))
+        walk.spend()  # the start state
+        layers = [1, j] + [0] * d
+        total += walk.weight * _count_dfs(universe, d, None, walk, chosen, j + 1, layers, cands)
+    return total
 
 
 def count_constrained(n: int, spec: ConstraintSpec, max_nodes: Optional[int] = None) -> int:

@@ -6,6 +6,7 @@ there is no floating point anywhere. Truncation orders are always explicit.
 
 from __future__ import annotations
 
+import functools
 import re
 from fractions import Fraction
 from typing import Callable, Iterable, NamedTuple, Sequence
@@ -376,8 +377,10 @@ def fit_numerator(s: PowerSeries, den: Polynomial, deg_bound: int) -> Polynomial
     return Polynomial(prod.coeffs[: deg_bound + 1])
 
 
-def _divisors(n: int) -> list[int]:
-    return [m for m in range(1, n + 1) if n % m == 0]
+@functools.cache
+def _divisors(n: int) -> tuple[int, ...]:
+    """The divisors of n in increasing order, trial-divided once per n."""
+    return tuple(m for m in range(1, n + 1) if n % m == 0)
 
 
 def _exact_quotient(total, n: int):

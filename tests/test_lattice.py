@@ -162,11 +162,13 @@ def test_dead_layer_prune_node_total(dim, spec, nodes, value):
 
 
 @pytest.mark.parametrize(
-    "n, d", [(n, d) for n in range(6) for d in range(10)] + [(5, 12)]
+    "n, d",
+    [(n, d) for n in range(6) for d in range(10)] + [(5, 12), (6, 9), (8, 8), (10, 7)],
 )
 def test_counted_walk_charges_what_the_visiting_walk_does(monkeypatch, n, d):
     # the constrained walk visits every leaf and prunes nothing; the counted
-    # walk charges a state two points short in one closed-form step
+    # walk charges a state two points short in one closed-form step, and walks
+    # the states of j used axes once, charged C(n, j) times
     budgets = []
 
     class Recorded(lattice._Budget):
@@ -187,6 +189,14 @@ def test_counted_walk_charges_what_the_visiting_walk_does(monkeypatch, n, d):
             count_partitions(n, d, max_nodes=nodes - 1)
         with pytest.raises(ResourceCeilingError):
             count_constrained(n, spec, max_nodes=nodes - 1)
+
+
+def test_axis_fold_exact_ceiling():
+    # 405,110 nodes: one per partition of size 1..10 in N^8
+    assert count_partitions(8, 10) == 285784
+    assert count_partitions(8, 10, max_nodes=405110) == 285784
+    with pytest.raises(ResourceCeilingError, match="exceeded the 405109-node ceiling"):
+        count_partitions(8, 10, max_nodes=405109)
 
 
 def test_visitor_sees_every_counted_partition():
