@@ -24,11 +24,13 @@ from . import hydral, macmahon, mpart
 from .lattice import ResourceCeilingError
 from .refine import IntegrityError, Resolver, c_degree_bound, c_diagonal_series, y_diagonal_series
 from .series import (
+    ONE,
+    HalfPower,
     NumeratorFitError,
     RationalFunction,
+    expand_half_power,
     format_factored_rational,
     format_polynomial,
-    one_minus_t_power,
     parse_polynomial,
     series_of,
 )
@@ -162,8 +164,6 @@ def cmd_series(args) -> int:
             raise IntegrityError("golden x = 6 diagonal disagrees with the golden numerator")
         print(f"C[x={args.x}] = ({format_polynomial(num)}) / (1 - 2*t)^({exponent})")
         if args.expand:
-            from .series import HalfPower, expand_half_power
-
             _print_expansion(
                 expand_half_power(HalfPower(-exponent), args.expand - 1, num).coeffs
             )
@@ -183,7 +183,7 @@ def cmd_series(args) -> int:
     if args.family == "psi":
         parts = tuple(int(x) for x in args.parts.split(","))
         series = hydral.profile_series_from_weights(parts, args.order)
-        rf = RationalFunction(one_minus_t_power(0))
+        rf = RationalFunction(ONE)
         for p in parts:
             rf = rf * hydral.head_block_closed(p)
         print(f"psi[{args.parts}] = {format_factored_rational(rf)}")

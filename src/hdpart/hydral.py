@@ -219,17 +219,11 @@ def hydral_series(n: int, order: int | None = None) -> RationalFunction:
     if n < 1:
         raise ValueError("dimension must be positive")
     total = RationalFunction(Polynomial(), ONE)
-    closed_cache: dict[int, RationalFunction] = {}
-
-    def closed(p: int) -> RationalFunction:
-        if p not in closed_cache:
-            closed_cache[p] = head_block_closed(p)
-        return closed_cache[p]
-
+    closed = {p: head_block_closed(p) for p in range(1, n + 1)}
     for i, rho, w in _terms(n):
         term = RationalFunction(Polynomial([0] * i + [w]), ONE)
         for p in rho:
-            term = term * closed(p)
+            term = term * closed[p]
         total = (total + term).reduced()
     result = total.reduced()
     if order is not None:

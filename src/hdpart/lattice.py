@@ -31,10 +31,12 @@ of the j axes it uses, and permuting the axes maps those of any j axes onto
 those of the first j, state for state. So it charges the origin once and walks,
 for each j, only the states that hold the first j unit points and no other:
 the origin and those units are its start state, the degree-2 covers of those
-units its candidates. Each leaf it finds counts C(n, j) times, and so does
-each node it charges, so node totals and ceiling verdicts are those of the
-full walk. The visiting and constrained walks still enumerate every
-partition. The oracle is one serial walk and takes no `workers` value.
+units its candidates. No such state leaves the first min(n, d-1) axes, so the
+count builds its universe on those axes alone. Each leaf it finds counts
+C(n, j) times, and so does each node it charges, so node totals and ceiling
+verdicts are those of the full walk. The visiting and constrained walks
+still enumerate every partition. The oracle is one serial walk and takes no
+`workers` value.
 `mpart`'s region search shares the node counter `_Budget` with this module and
 runs its tasks through `charged_map`; the walks themselves are separate code,
 and the fold reads nothing from `refine` or `mpart`, so the oracle stays an
@@ -506,16 +508,18 @@ def count_partitions(n: int, d: int, max_nodes: Optional[int] = None) -> int:
     For d >= 2 the walk is folded by the axes used: with the origin charged
     once, the partitions whose unit points are the first j in index order are
     walked once and counted, node by node and leaf by leaf, C(n, j) times.
+    Those walks read only the min(n, d-1) axes, so the universe spans just them.
     """
     if n < 0 or d < 0:
         raise ValueError("dimension and size must be nonnegative")
     if d < 2:
         return _count(n, None, d, max_nodes=max_nodes)
-    universe = _universe(n, d, max_nodes)
+    axes = min(n, d - 1)
+    universe = _universe(axes, d, max_nodes)
     budget = _Budget(max_nodes)
     budget.spend()  # the origin
     total, chosen, cands = 0, 1, 0
-    for j in range(1, min(n, d - 1) + 1):
+    for j in range(1, axes + 1):
         # unit point j joins: the degree-2 points whose lower covers are now
         # all chosen become candidates, and no later unit point ever does
         chosen |= 1 << j

@@ -313,20 +313,14 @@ def search_value_collisions(
             record(v, d, n)
             n += 1
     if low_dim_extension:
-        p2 = partition_numbers(4 * d_max)
-        while p2[-1] <= value_bound:
-            p2 = partition_numbers(2 * len(p2))
-        for d in range(d_max + 1, len(p2)):
-            if p2[d] > value_bound:
-                break
-            record(p2[d], d, 2)
-        p3 = plane_partition_numbers(4 * d_max)
-        while p3[-1] <= value_bound:
-            p3 = plane_partition_numbers(2 * len(p3))
-        for d in range(d_max + 1, len(p3)):
-            if p3[d] > value_bound:
-                break
-            record(p3[d], d, 3)
+        for n, numbers in ((2, partition_numbers), (3, plane_partition_numbers)):
+            column = numbers(4 * d_max)
+            while column[-1] <= value_bound:
+                column = numbers(2 * len(column))
+            for d in range(d_max + 1, len(column)):
+                if column[d] > value_bound:
+                    break
+                record(column[d], d, n)
 
     collisions = []
     for value in sorted(index):

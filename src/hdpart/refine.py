@@ -240,8 +240,8 @@ def y_depth6_diagonal(d: int) -> int:
 def limit_value(kind: str, idx: tuple) -> Optional[int]:
     """Closed value for the index when a stable formula applies, else None.
 
-    The low-k forms read the dimension-2/3 partition counts from the product
-    columns, which are exact there.
+    The forms for k = 1..3 invert the partition counts of dimensions 0..3
+    (y_from_p), read from the product columns, which are exact there.
     """
     if kind == "Y":
         k, d = idx
@@ -249,12 +249,8 @@ def limit_value(kind: str, idx: tuple) -> Optional[int]:
             return 0
         if k == d - 1:
             return 1
-        if k == 1 and d >= 2:
-            return 1
-        if k == 2 and d >= 2:
-            return product_column(2)[d] - 2
-        if k == 3 and d >= 2:
-            return product_column(3)[d] - 3 * (product_column(2)[d] - 2 + 1)
+        if 1 <= k <= 3 and d >= 2:
+            return y_from_p(lambda j, size: product_column(j)[size], k, d)
         s = _quadric_dim(k)
         if k == d - 2:
             return s

@@ -7,6 +7,7 @@ there is no floating point anywhere. Truncation orders are always explicit.
 from __future__ import annotations
 
 import functools
+import math
 import re
 from fractions import Fraction
 from typing import Callable, Iterable, NamedTuple, Sequence
@@ -25,13 +26,26 @@ def _normalize(coeffs: Iterable) -> tuple[Fraction, ...]:
     return tuple(cs)
 
 
+def _product(a: Sequence, b: Sequence, n: int) -> list[Fraction]:
+    """Coefficients 0..n of the product of the coefficient lists a and b.
+
+    Zero coefficients of a are skipped, so a sparse factor belongs first.
+    """
+    out = [Q(0)] * (n + 1)
+    for i, x in enumerate(a[: n + 1]):
+        if x:
+            for j, y in enumerate(b[: n + 1 - i]):
+                out[i + j] += x * y
+    return out
+
+
 class Polynomial:
     """Dense univariate polynomial over Q, lowest degree first, no trailing zeros."""
 
     __slots__ = ("coeffs",)
 
     def __init__(self, coeffs: Iterable = ()):
-        object.__setattr__(self, "coeffs", _normalize(coeffs))
+        self.coeffs = _normalize(coeffs)
 
     @property
     def degree(self) -> int:
@@ -58,24 +72,8 @@ class Polynomial:
         n = max(len(self.coeffs), len(other.coeffs))
         return Polynomial([self[i] + other[i] for i in range(n)])
 
-    def __sub__(self, other: "Polynomial") -> "Polynomial":
-        n = max(len(self.coeffs), len(other.coeffs))
-        return Polynomial([self[i] - other[i] for i in range(n)])
-
-    def __neg__(self) -> "Polynomial":
-        return Polynomial([-c for c in self.coeffs])
-
-    def __mul__(self, other):
-        if isinstance(other, Polynomial):
-            if self.is_zero() or other.is_zero():
-                return Polynomial()
-            out = [Q(0)] * (len(self.coeffs) + len(other.coeffs) - 1)
-            for i, a in enumerate(self.coeffs):
-                if a:
-                    for j, b in enumerate(other.coeffs):
-                        out[i + j] += a * b
-            return Polynomial(out)
-        return self.scale(other)
+    def __mul__(self, other: "Polynomial") -> "Polynomial":
+        return Polynomial(_product(self.coeffs, other.coeffs, self.degree + other.degree))
 
     def scale(self, c) -> "Polynomial":
         c = Q(c)
@@ -120,12 +118,6 @@ class Polynomial:
                     rem[i + j] -= c * b
         return Polynomial(quot), Polynomial(rem)
 
-    def __floordiv__(self, other: "Polynomial") -> "Polynomial":
-        return self.divmod(other)[0]
-
-    def __mod__(self, other: "Polynomial") -> "Polynomial":
-        return self.divmod(other)[1]
-
     def valuation(self) -> int:
         """Index of the lowest nonzero coefficient (0 for the zero polynomial)."""
         for i, c in enumerate(self.coeffs):
@@ -133,25 +125,18 @@ class Polynomial:
                 return i
         return 0
 
-    def monic_content(self) -> "Polynomial":
-        """Scale so the leading coefficient is 1 (zero polynomial unchanged)."""
-        if self.is_zero():
-            return self
-        return self.scale(1 / self.coeffs[-1])
-
     def __repr__(self):
         return f"Polynomial({format_polynomial(self)!r})"
 
 
 def poly_gcd(a: Polynomial, b: Polynomial) -> Polynomial:
-    """Monic gcd over Q by the Euclidean algorithm."""
+    """Monic gcd over Q by the Euclidean algorithm (the zero polynomial for two zeros)."""
     while not b.is_zero():
-        a, b = b, a % b
-    return a.monic_content()
+        a, b = b, a.divmod(b)[1]
+    return a.scale(1 / a.coeffs[-1]) if a.coeffs else a
 
 
 ONE = Polynomial([1])
-T = Polynomial([0, 1])
 
 
 def one_minus_t_power(a: int) -> Polynomial:
@@ -187,24 +172,16 @@ class RationalFunction:
             self.num * other.den + other.num * self.den, self.den * other.den
         )
 
-    def __sub__(self, other: "RationalFunction") -> "RationalFunction":
-        return RationalFunction(
-            self.num * other.den - other.num * self.den, self.den * other.den
-        )
-
     def __mul__(self, other: "RationalFunction") -> "RationalFunction":
         return RationalFunction(self.num * other.num, self.den * other.den)
-
-    def scale(self, c) -> "RationalFunction":
-        return RationalFunction(self.num.scale(c), self.den)
 
     def reduced(self) -> "RationalFunction":
         """Lowest terms, normalized so den(0) = 1."""
         if self.num.is_zero():
             return RationalFunction(Polynomial(), ONE)
         g = poly_gcd(self.num, self.den)
-        num = self.num // g
-        den = self.den // g
+        num = self.num.divmod(g)[0]
+        den = self.den.divmod(g)[0]
         c = den[0]
         return RationalFunction(num.scale(1 / c), den.scale(1 / c))
 
@@ -241,36 +218,12 @@ class PowerSeries:
             return self.coeffs[: n + 1] == other.coeffs[: n + 1]
         return NotImplemented
 
-    def __add__(self, other: "PowerSeries") -> "PowerSeries":
-        n = min(self.order, other.order)
-        return PowerSeries([self[i] + other[i] for i in range(n + 1)], n)
-
-    def __sub__(self, other: "PowerSeries") -> "PowerSeries":
-        n = min(self.order, other.order)
-        return PowerSeries([self[i] - other[i] for i in range(n + 1)], n)
-
     def __mul__(self, other: "PowerSeries") -> "PowerSeries":
         n = min(self.order, other.order)
-        out = [Q(0)] * (n + 1)
-        for i, a in enumerate(self.coeffs[: n + 1]):
-            if a:
-                for j in range(n + 1 - i):
-                    b = other.coeffs[j]
-                    if b:
-                        out[i + j] += a * b
-        return PowerSeries(out, n)
+        return PowerSeries(_product(self.coeffs, other.coeffs, n), n)
 
     def mul_polynomial(self, p: Polynomial) -> "PowerSeries":
-        out = [Q(0)] * (self.order + 1)
-        for i, a in enumerate(p.coeffs):
-            if a and i <= self.order:
-                for j in range(self.order + 1 - i):
-                    out[i + j] += a * self.coeffs[j]
-        return PowerSeries(out, self.order)
-
-    def scale(self, c) -> "PowerSeries":
-        c = Q(c)
-        return PowerSeries([a * c for a in self.coeffs], self.order)
+        return PowerSeries(_product(p.coeffs, self.coeffs, self.order), self.order)
 
     def __repr__(self):
         head = ", ".join(str(c) for c in self.coeffs[:8])
@@ -292,24 +245,12 @@ def series_of(r: RationalFunction, order: int) -> PowerSeries:
 
 def borel(s: PowerSeries) -> PowerSeries:
     """Divide coefficient k by k!."""
-    out = []
-    fact = 1
-    for k, c in enumerate(s.coeffs):
-        if k:
-            fact *= k
-        out.append(c / fact)
-    return PowerSeries(out, s.order)
+    return PowerSeries([c / math.factorial(k) for k, c in enumerate(s.coeffs)], s.order)
 
 
 def inverse_borel(s: PowerSeries) -> PowerSeries:
     """Multiply coefficient k by k!."""
-    out = []
-    fact = 1
-    for k, c in enumerate(s.coeffs):
-        if k:
-            fact *= k
-        out.append(c * fact)
-    return PowerSeries(out, s.order)
+    return PowerSeries([c * math.factorial(k) for k, c in enumerate(s.coeffs)], s.order)
 
 
 class _HalfPower(NamedTuple):

@@ -66,6 +66,17 @@ def test_head_block_series_values():
             assert head_block_count(n, m) == len(headstrong_tuples(m - n + 1, n)), (n, m)
 
 
+def test_head_block_closed_6_prints_its_unfactored_denominator():
+    # the reduced denominator is no product of (1 - t^a) factors, so the
+    # display falls back to the plain quotient
+    assert format_factored_rational(head_block_closed(6)) == (
+        "(t^5 - 3*t^6 + 9*t^7 - 9*t^8 + 8*t^9 - 2*t^10 + 8*t^11 - 9*t^12 + 9*t^13"
+        " - 3*t^14 + t^15) / (1 - 4*t + 7*t^2 - 8*t^3 + 7*t^4 - 5*t^5 + 4*t^6"
+        " - 3*t^7 + t^8 + t^9 - 3*t^10 + 4*t^11 - 5*t^12 + 7*t^13 - 8*t^14"
+        " + 7*t^15 - 4*t^16 + t^17)"
+    )
+
+
 @pytest.mark.parametrize("n", range(1, 7))
 def test_head_block_closed_matches_sum(n):
     closed = head_block_closed(n)

@@ -197,6 +197,11 @@ def test_axis_fold_exact_ceiling():
     assert count_partitions(8, 10, max_nodes=405110) == 285784
     with pytest.raises(ResourceCeilingError, match="exceeded the 405109-node ceiling"):
         count_partitions(8, 10, max_nodes=405109)
+    # 1,231,778 nodes for p(12, 9); the universe spans only the 8 axes it reads
+    assert count_partitions(12, 9, max_nodes=1231778) == 956055
+    with pytest.raises(ResourceCeilingError, match="exceeded the 1231777-node ceiling"):
+        count_partitions(12, 9, max_nodes=1231777)
+    assert Resolver().p(12, 9) == 956055
 
 
 def test_visitor_sees_every_counted_partition():

@@ -236,6 +236,21 @@ def test_format_examples():
     assert "/" in format_rational(r)
 
 
+@pytest.mark.parametrize(
+    "num, den, text",
+    [
+        (Polynomial(), ONE, "0"),
+        (Polynomial([1, 2]), one_minus_t_power(1), "(1 + 2*t) / ((1 - t))"),
+        (Polynomial([0, 0, 3]), ONE, "t^2*(3)"),
+        (Polynomial([5]), ONE, "5"),
+        # 1 + t + t^2 is no product of (1 - t^a) factors: the plain quotient
+        (ONE, Polynomial([1, 1, 1]), "(1) / (1 + t + t^2)"),
+    ],
+)
+def test_format_factored_rational_branches(num, den, text):
+    assert format_factored_rational(RationalFunction(num, den)) == text
+
+
 coefficients = st.fractions(
     min_value=-20, max_value=20, max_denominator=12
 )
