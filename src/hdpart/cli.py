@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import gc
 import json
+import os
 import sys
 from pathlib import Path
 from types import SimpleNamespace
@@ -22,7 +23,14 @@ from types import SimpleNamespace
 from . import cache as cache_mod
 from . import hydral, macmahon, mpart
 from .lattice import ResourceCeilingError
-from .refine import IntegrityError, Resolver, c_degree_bound, c_diagonal_series, y_diagonal_series
+from .refine import (
+    IntegrityError,
+    Resolver,
+    c_degree_bound,
+    c_diagonal_series,
+    product_column,
+    y_diagonal_series,
+)
 from .series import (
     ONE,
     HalfPower,
@@ -169,6 +177,10 @@ def cmd_series(args) -> int:
             )
         return EXIT_OK
     if args.family == "hydral":
+        if args.n > 0:
+            # charged like count hydral's closed form, one node per partition of
+            # n, so a small ceiling stops the command before its term loop
+            resolver.budget.spend(product_column(2)[args.n])
         rf = hydral.hydral_series(args.n, order=args.expand - 1 if args.expand else 8)
         print(f"hydral[n={args.n}] = {format_factored_rational(rf)}")
         if args.expand:
@@ -427,9 +439,12 @@ def main(argv=None) -> int:
         args = _parse(sys.argv[1:] if argv is None else argv)
         if args is None:
             print(_usage())
-            return EXIT_OK
-        # looked up at call time, so a wrapper set on the module attribute runs
-        return globals()["cmd_" + args.command](args)
+            status = EXIT_OK
+        else:
+            # looked up at call time, so a wrapper set on the module attribute runs
+            status = globals()["cmd_" + args.command](args)
+        sys.stdout.flush()  # a closed pipe fails here, not at interpreter exit
+        return status
     except ResourceCeilingError as exc:
         return _fail("resource-ceiling", detail=str(exc))
     except MissingDataError as exc:
@@ -440,6 +455,14 @@ def main(argv=None) -> int:
         return _fail("integrity", detail=str(exc))
     except (ValueError, TypeError) as exc:
         return _fail("bad-request", detail=str(exc))
+    except BrokenPipeError:
+        # the reader closed the pipe (`hdpart ... | head`): stop quietly, with
+        # stdout pointed at devnull so the flush at exit cannot fail again
+        # (the SIGPIPE note of the Python `signal` documentation)
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return EXIT_ERROR
     except OSError as exc:
         return _fail("io", detail=str(exc))
 

@@ -14,15 +14,21 @@ order, the walk pops the low bit of that mask for the next point, and a
 child's candidates are the bits above it joined with the new point's fresh
 upper covers. Points become tuples again only for `iter_partitions`.
 The constraint checker reads that state too: layer counts for the layer
-targets, upper-cover masks for the socle test. Since the layer below the
+targets, and a pending mask for the socle bound. Since the layer below the
 degree being filled is settled, every point that can still join that layer is
 already a candidate, so a layer whose target its remaining candidates cannot
-reach is cut at once. Without a checker or visitor a state two points short
-of the target counts its leaves in one step: the child of the i-th of its R
-candidates keeps the R - 1 - i candidates above it and gains f(c) fresh
-covers, so the leaves are C(R, 2) + sum f(c). The state charges R + leaves
-nodes at once, what a walk that visits every leaf spends, and node ceilings
-fail exactly where that walk fails.
+reach is cut at once. The pending mask holds the chosen points below the
+minimal socle degree that have no chosen upper cover yet; a new point clears
+its lower covers and, if it is low itself, joins. Only points above the new
+one can join later, so a state with a pending point whose last upper cover
+lies at or below the new point is never entered, and a leaf matches the
+socle bound exactly when its pending mask is empty (a socle-cover lookahead).
+Without a checker or visitor a state two points short of the target counts
+its leaves in one step: the child of the i-th of its R candidates keeps the
+R - 1 - i candidates above it and gains f(c) fresh covers, so the leaves are
+C(R, 2) + sum f(c). The state charges R + leaves nodes at once, what a walk
+that visits every leaf spends, and node ceilings fail exactly where that
+walk fails.
 
 `count_partitions` also folds the axis symmetry (Atkin–Bratley–Macdonald–McKay,
 Proc. Cambridge Philos. Soc. 63, 1967, split partition counts by the axes
@@ -346,6 +352,10 @@ class _ConstraintChecker:
 
     Additions arrive in increasing (degree, lex) order, so when a point of
     degree g is appended every layer below g is final except layer g itself.
+    The socle bound is checked as the walk goes: the walk carries the mask of
+    chosen low points (below the minimal socle degree) still waiting for an
+    upper cover, and a point whose arrival leaves one of them with no upper
+    cover above it is refused, since no later point can cover it.
     """
 
     def __init__(self, spec: ConstraintSpec, universe: _Universe):
@@ -362,9 +372,21 @@ class _ConstraintChecker:
         # ends[g] is the first index of degree >= g, for g up to one past the last degree
         self.ends = ends = universe.start + (len(universe.points),)
         msd = spec.min_socle_degree
-        # the mask of every point of degree below the minimal socle degree
-        self.socle_low = 0 if msd is None else (1 << ends[min(max(msd, 0), len(ends) - 1)]) - 1
-        self.upmask = universe.upmask
+        # the points of degree below the minimal socle degree: each needs a chosen upper cover
+        n_low = 0 if msd is None else ends[min(max(msd, 0), len(ends) - 1)]
+        self.socle_low = (1 << n_low) - 1
+        upmask = universe.upmask
+        # lower[c]: the low points that c covers; doomed[c]: the low points whose
+        # last upper cover is at or below c, so no later point can cover them
+        lower = [0] * len(upmask)
+        last = [0] * (len(upmask) + 1)
+        for i in range(n_low):
+            bit = 1 << i
+            last[upmask[i].bit_length()] |= bit  # slot 0 holds the points with no upper cover
+            for _, cover_bit in universe.cover[i][1]:
+                lower[cover_bit.bit_length() - 1] |= bit
+        self.lower = lower
+        self.doomed = list(itertools.accumulate(last))[1:]
         self.degrees = universe.degrees
 
     def settled(self, layers: list[int], top: int) -> bool:
@@ -376,23 +398,29 @@ class _ConstraintChecker:
                 return False
         return True
 
-    def admits(self, layers: list[int], g: int, cands: int, c: int) -> bool:
-        """May candidate c, of degree g, be appended to a state with these layer
-        counts, when `cands` is the mask of candidates not yet tried?"""
+    def admits(self, layers: list[int], g: int, cands: int, c: int, pending: int) -> Optional[int]:
+        """The pending mask after candidate c, of degree g, joins a state with
+        these layer counts and pending mask, when `cands` is the mask of
+        candidates not yet tried; None if c may not join."""
         if g > self.top:
-            return False
+            return None
         have, end = layers[g], self.ends[g + 1]
         for i, target in self.targets:
             # the layer below g is settled: layer g can gain only its candidates from c on
             if i == g and not have < target <= have + (cands >> c & (1 << end - c) - 1).bit_count():
-                return False
+                return None
         tail = self.tail_mass
         if tail is not None and g >= 3 and sum(layers[3:]) + 1 > tail:
-            return False
-        return self.settled(layers, g)
+            return None
+        if not self.settled(layers, g):
+            return None
+        # c covers its lower covers and, if low, waits for a cover of its own
+        pending = pending & ~self.lower[c] | (1 << c) & self.socle_low
+        return None if pending & self.doomed[c] else pending
 
-    def accepts_leaf(self, chosen: int, layers: list[int]) -> bool:
-        """Does the complete state (chosen-set mask, layer counts) match the spec?"""
+    def accepts_leaf(self, chosen: int, layers: list[int], pending: int) -> bool:
+        """Does the complete state (chosen-set mask, layer counts, pending mask)
+        match the spec?"""
         length = self.degrees[chosen.bit_length() - 1] if chosen else None
         if self.length is not None and length != self.length:
             return False
@@ -402,16 +430,8 @@ class _ConstraintChecker:
         tail = self.tail_mass
         if tail is not None and sum(layers[3:]) != tail:
             return False
-        if not self.settled(layers, len(layers)):
-            return False
-        # a point below the minimal socle degree needs an upper cover in the set
-        low = chosen & self.socle_low
-        while low:
-            bit = low & -low
-            if not chosen & self.upmask[bit.bit_length() - 1]:
-                return False
-            low ^= bit
-        return True
+        # every low point has a chosen upper cover
+        return pending == 0 and self.settled(layers, len(layers))
 
 
 def _count_dfs(
@@ -423,12 +443,14 @@ def _count_dfs(
     size: int,
     layers: list[int],
     cands: int,
+    pending: int = 0,
     visitor: Optional[Callable[[tuple[Point, ...]], None]] = None,
 ) -> int:
     """Count the leaves below a state: `chosen` is a mask of universe indices,
-    `layers` its points per degree, `cands` the mask of addable indices."""
+    `layers` its points per degree, `cands` the mask of addable indices and
+    `pending` the checker's low points with no chosen upper cover (0 without one)."""
     if size == target_size:
-        if checker is None or checker.accepts_leaf(chosen, layers):
+        if checker is None or checker.accepts_leaf(chosen, layers, pending):
             if visitor is not None:
                 visitor(universe.decode(chosen))
             return 1
@@ -458,9 +480,9 @@ def _count_dfs(
         low = rest & -rest
         c = low.bit_length() - 1
         g = degrees[c]
-        admitted = checker is None or checker.admits(layers, g, rest, c)
+        child_pending = 0 if checker is None else checker.admits(layers, g, rest, c, pending)
         rest ^= low
-        if not admitted:
+        if child_pending is None:
             continue
         budget.spend()
         mask = chosen | low
@@ -472,7 +494,8 @@ def _count_dfs(
                 child |= bit
         layers[g] += 1
         total += _count_dfs(
-            universe, target_size, checker, budget, mask, size + 1, layers, child, visitor
+            universe, target_size, checker, budget, mask, size + 1, layers, child, child_pending,
+            visitor,
         )
         layers[g] -= 1
     return total
@@ -498,6 +521,7 @@ def _count(
         0,
         [0] * max(target_size + 2, 3),  # the leaf test reads layers 0..2
         1 if universe.points else 0,
+        0,
         visitor,
     )
 

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import functools
 import math
+import operator
 import re
 from fractions import Fraction
 from typing import Callable, Iterable, NamedTuple, Sequence
@@ -360,7 +361,8 @@ class EulerColumn:
             k = len(a)
             w.append(self._weight(k))
             s.append(sum(m * w[m] for m in _divisors(k)))
-            a.append(_exact_quotient(sum(s[j] * a[k - j] for j in range(1, k + 1)), k))
+            # s_1*a_{k-1} + ... + s_k*a_0, the products taken in C
+            a.append(_exact_quotient(sum(map(operator.mul, s[1:], reversed(a))), k))
         return a[n]
 
     def head(self, order: int) -> list:

@@ -3,6 +3,7 @@
 import gc
 import hashlib
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -571,6 +572,41 @@ def test_cli_node_ceiling_bounds_count_hydral(capsys):
     assert json.loads(capsys.readouterr().err.strip())["error"] == "resource-ceiling"
     assert main(["--node-ceiling", "7", "count", "hydral", "--n", "5", "--m", "4"]) == 0
     assert capsys.readouterr().out.strip() == "435"
+
+
+def test_cli_node_ceiling_bounds_series_hydral(capsys):
+    # charged p(n) nodes before the term loop, as count hydral is: p(8) = 22
+    # nodes fail at once under a ceiling of 10, p(3) = 3 pass at exactly 3
+    assert main(["--node-ceiling", "10", "series", "hydral", "--n", "8"]) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and json.loads(err.strip())["error"] == "resource-ceiling"
+    assert main(["--node-ceiling", "2", "series", "hydral", "--n", "3"]) == 1
+    assert json.loads(capsys.readouterr().err.strip())["error"] == "resource-ceiling"
+    assert main(["--node-ceiling", "3", "series", "hydral", "--n", "3"]) == 0
+    assert capsys.readouterr().out.startswith("hydral[n=3] = t*(1 + 8*t")
+
+
+def test_cli_stops_quietly_on_a_closed_pipe(monkeypatch, tmp_path, capsys):
+    # a reader that closed the pipe gets no JSON error: exit 1, nothing on
+    # stderr, and stdout's descriptor now points at devnull
+    with open(tmp_path / "stdout", "w") as target:
+
+        class ClosedPipe:
+            def write(self, text):
+                raise BrokenPipeError(32, "Broken pipe")
+
+            def flush(self):
+                pass
+
+            def fileno(self):
+                return target.fileno()
+
+        monkeypatch.setattr(sys, "stdout", ClosedPipe())
+        assert main(["series", "Y", "--e", "2"]) == 1
+        stat = os.fstat(target.fileno())
+    assert capsys.readouterr().err == ""
+    devnull = Path(os.devnull).stat()
+    assert (stat.st_dev, stat.st_ino) == (devnull.st_dev, devnull.st_ino)
 
 
 @pytest.mark.parametrize("flag", ["--oracle", "--verify"])

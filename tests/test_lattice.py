@@ -151,8 +151,18 @@ def test_counted_last_level_keeps_node_accounting(n, d, nodes, value):
         # without the prune the walk needs 1079 nodes: an embedding-dimension
         # layer that can no longer reach 10 points is cut as soon as it falls short
         pytest.param(10, ConstraintSpec(size=12, embedding_dim=10), 66, 55, id="1"),
-        # the spec of the `count alpha --k 3 --q 4 --m 8` oracle walks 8,117 nodes
-        pytest.param(3, AlphaQuery(3, 4, 8).constraint_spec(), 8117, 1302, id="1-alpha-3-4-8"),
+        # the spec of the `count alpha --k 3 --q 4 --m 8` oracle walks 3,176 nodes
+        # (8,117 without the socle lookahead): a state in which some point of
+        # degree below 3 has lost its last chance of an upper cover is not entered
+        pytest.param(3, AlphaQuery(3, 4, 8).constraint_spec(), 3176, 1302, id="1-alpha-3-4-8"),
+        # the `count c --k 4 --e 5` oracle (socle degree >= 2) walks 1,048 nodes, 2,118 without it
+        pytest.param(
+            4,
+            ConstraintSpec(size=10, embedding_dim=4, min_socle_degree=2),
+            1048,
+            706,
+            id="1-c-4-5",
+        ),
     ],
 )
 def test_dead_layer_prune_node_total(dim, spec, nodes, value):
@@ -350,6 +360,38 @@ def test_oracle_matches_subset_brute_force(data):
     brute = _brute_partitions(n, spec.size)
     assert count_constrained(n, spec) == sum(_matches(p, spec) for p in brute)
     assert set(iter_partitions(n, spec.size)) == {p.points for p in brute}
+
+
+@functools.cache
+def _visited(n: int, size: int) -> tuple[Partition, ...]:
+    """Every partition the unpruned visitor walk yields, as Partition objects."""
+    return tuple(Partition(n, pts) for pts in iter_partitions(n, size))
+
+
+def _grid_specs():
+    """(n, spec) over the small specs, the nontrivial alpha specs and the c-specs."""
+    for n, size, msd, dim, quadrics in itertools.product(
+        range(4), range(8), (None, 0, 1, 2, 3, 4), (None, 0, 1, 2, 3), (None, 0, 1, 2, 3, 4)
+    ):
+        yield n, ConstraintSpec(
+            size=size, embedding_dim=dim, min_socle_degree=msd, quadric_count=quadrics
+        )
+    for k in range(1, 4):
+        for q in range(k, k * (k + 1) // 2 + 1):
+            for m in range(1, 7):
+                yield k, AlphaQuery(k, q, m).constraint_spec()
+    for k in range(5):
+        for e in range(5):
+            msd = 2 if k else None  # as in Resolver.c_oracle
+            yield k, ConstraintSpec(size=1 + k + e, embedding_dim=k, min_socle_degree=msd)
+
+
+def test_socle_lookahead_matches_the_visitor_walk():
+    # the pending-cover prune cuts states the visitor walk still enters: every
+    # count must equal the filtered list of partitions that walk yields
+    for n, spec in _grid_specs():
+        expected = sum(_matches(p, spec) for p in _visited(n, spec.size))
+        assert count_constrained(n, spec) == expected, (n, spec)
 
 
 def test_parallel_determinism():
