@@ -164,7 +164,7 @@ def cmd_series(args) -> int:
         if args.golden_seeds:
             (num_text,), diag = cache_mod.load_golden_c6()
         else:
-            diag = resolver.c_diagonal(args.x, bound + 3 if args.x else 3)
+            diag = resolver.c_diagonal(args.x, bound + 3)
         num, exponent = c_diagonal_series(args.x, diag)
         # the shipped diagonal has no value past the degree bound: the shipped
         # numerator is its check

@@ -8,11 +8,11 @@ in strictly increasing order, which visits every partition exactly once
 The oracle walks an integer-indexed universe: every point whose down-set fits
 the target size, numbered in (degree, lex) order, with one cover record per
 point (its layer's first index and, per upper cover, that cover's lower-cover
-mask and bit) and an upper-cover mask. A state is a chosen-set mask, its layer
-counts and the mask of addable indices; since index order is enumeration
-order, the walk pops the low bit of that mask for the next point, and a
-child's candidates are the bits above it joined with the new point's fresh
-upper covers. Points become tuples again only for `iter_partitions`.
+mask and bit). A state is a chosen-set mask, its layer counts and the mask of
+addable indices; since index order is enumeration order, the walk pops the
+low bit of that mask for the next point, and a child's candidates are the bits
+above it joined with the new point's fresh upper covers. Points become tuples
+again only for `iter_partitions`.
 The constraint checker reads that state too: layer counts for the layer
 targets, and a pending mask for the socle bound. Since the layer below the
 degree being filled is settled, every point that can still join that layer is
@@ -42,11 +42,8 @@ count builds its universe on those axes alone. Each leaf it finds counts
 C(n, j) times, and so does each node it charges, so node totals and ceiling
 verdicts are those of the full walk. The visiting and constrained walks
 still enumerate every partition. The oracle is one serial walk and takes no
-`workers` value.
-`mpart`'s region search shares the node counter `_Budget` with this module and
-runs its tasks through `charged_map`; the walks themselves are separate code,
-and the fold reads nothing from `refine` or `mpart`, so the oracle stays an
-independent route.
+`workers` value; the fold reads nothing from `refine` or `mpart`, so the
+oracle stays an independent route.
 """
 
 from __future__ import annotations
@@ -218,7 +215,8 @@ class ConstraintSpec(NamedTuple):
 
 
 class _Budget:
-    """Node counter of a search walker; raises once it passes its ceiling."""
+    """Node counter of a walk, the oracle's or the search's; raises once it
+    passes its ceiling."""
 
     __slots__ = ("nodes", "ceiling")
 
@@ -230,11 +228,6 @@ class _Budget:
         self.nodes += nodes
         if self.ceiling is not None and self.nodes > self.ceiling:
             raise ResourceCeilingError(f"exceeded the {self.ceiling}-node ceiling")
-
-    @property
-    def left(self) -> Optional[int]:
-        """The nodes still allowed, or None without a ceiling."""
-        return None if self.ceiling is None else self.ceiling - self.nodes
 
 
 class _Weighted:
@@ -248,33 +241,6 @@ class _Weighted:
 
     def spend(self, nodes: int = 1):
         self.budget.spend(nodes * self.weight)
-
-
-def charged_map(fn: Callable, tasks: Sequence, workers: int, budget: _Budget) -> Iterator:
-    """Yield the value of each fn(task) -> (value, nodes) in task order, and
-    charge its nodes to budget in that order.
-
-    A process pool runs the tasks when workers > 1 and there is more than one;
-    only then is the pool module imported. `mpart.alpha_tables` is the only
-    caller, one task per component pair: the oracle walks serially.
-    A task whose own ceiling is budget.left when it is built then fails
-    exactly when the serial walk does, under any number of workers, and its
-    error names the budget's ceiling.
-    """
-    try:
-        if workers > 1 and len(tasks) > 1:
-            from concurrent.futures import ProcessPoolExecutor
-
-            with ProcessPoolExecutor(max_workers=workers) as ex:
-                for value, nodes in ex.map(fn, tasks):
-                    budget.spend(nodes)
-                    yield value
-        else:
-            for value, nodes in map(fn, tasks):
-                budget.spend(nodes)
-                yield value
-    except ResourceCeilingError:
-        raise ResourceCeilingError(f"exceeded the {budget.ceiling}-node ceiling") from None
 
 
 class _Universe(NamedTuple):
@@ -292,7 +258,6 @@ class _Universe(NamedTuple):
     degrees: tuple[int, ...]
     start: tuple[int, ...]  # index of the first point of each degree
     cover: tuple[tuple[int, tuple[tuple[int, int], ...]], ...]
-    upmask: tuple[int, ...]  # the upper covers of each point as a mask
 
     def decode(self, chosen: int) -> tuple[Point, ...]:
         """The points of a chosen-set mask, in enumeration order."""
@@ -343,8 +308,7 @@ def _universe(n: int, size: int, ceiling: Optional[int] = None) -> _Universe:
     cover = tuple(
         (shift, tuple((need[j], 1 << j) for j in covers)) for shift, covers in zip(shifts, up)
     )
-    upmask = tuple(sum(1 << j for j in covers) for covers in up)
-    return _Universe(tuple(points), degrees, tuple(start), cover, upmask)
+    return _Universe(tuple(points), degrees, tuple(start), cover)
 
 
 class _ConstraintChecker:
@@ -375,16 +339,17 @@ class _ConstraintChecker:
         # the points of degree below the minimal socle degree: each needs a chosen upper cover
         n_low = 0 if msd is None else ends[min(max(msd, 0), len(ends) - 1)]
         self.socle_low = (1 << n_low) - 1
-        upmask = universe.upmask
         # lower[c]: the low points that c covers; doomed[c]: the low points whose
         # last upper cover is at or below c, so no later point can cover them
-        lower = [0] * len(upmask)
-        last = [0] * (len(upmask) + 1)
+        lower = [0] * len(universe.points)
+        last = [0] * (len(universe.points) + 1)
         for i in range(n_low):
             bit = 1 << i
-            last[upmask[i].bit_length()] |= bit  # slot 0 holds the points with no upper cover
+            up = 0  # the upper covers of point i as a mask
             for _, cover_bit in universe.cover[i][1]:
+                up |= cover_bit
                 lower[cover_bit.bit_length() - 1] |= bit
+            last[up.bit_length()] |= bit  # slot 0 holds the points with no upper cover
         self.lower = lower
         self.doomed = list(itertools.accumulate(last))[1:]
         self.degrees = universe.degrees

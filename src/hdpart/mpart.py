@@ -37,10 +37,13 @@ m_max holds every count with m <= m_max. Every alpha count selects from the
 exponential formula over the orbit-weighted sums of connected tables, which
 `alpha_tables` memoises per component pair; a checkpointed run in `cache`
 passes a memo that persists itself as a log. One task per component pair
-generates and sweeps its connected representatives; the tasks run through
-`lattice.charged_map` and charge the oracle's node counter `lattice._Budget`,
-one node per memo state or layer-set transition; the oracle stays a separate
-walker on purpose: it is the independent route that checks this one.
+generates and sweeps its connected representatives, one node per memo state
+or layer-set transition. Each task carries the run's node count and ceiling
+as they stood when it was built, and `charged_map` runs the tasks, in a
+process pool under several workers, and charges their nodes to the run's
+`lattice._Budget` in task order, so a run fails exactly where the serial walk
+does. The search shares only that node counter with the oracle in `lattice`,
+a separate walker on purpose: it is the independent route that checks this one.
 """
 
 from __future__ import annotations
@@ -49,16 +52,9 @@ import bisect
 import itertools
 import math
 from functools import lru_cache
-from typing import Iterable, NamedTuple, Optional, Sequence
+from typing import Callable, Iterable, Iterator, NamedTuple, Optional, Sequence
 
-from .lattice import (
-    ConstraintSpec,
-    Point,
-    _Budget,
-    charged_map,
-    lower_covers,
-    point_key,
-)
+from .lattice import ConstraintSpec, Point, _Budget, lower_covers, point_key
 
 DEFAULT_NODE_CEILING = 10**9
 
@@ -273,7 +269,6 @@ def _open_matching(adj: list[int]) -> int:
 class QuadricOrbit(NamedTuple):
     """Canonical quadric configuration with its orbit size under S_k."""
 
-    k: int
     rep: tuple[Point, ...]
     orbit_size: int
 
@@ -328,7 +323,7 @@ def _orderly(k: int, q: int, connected: bool) -> tuple[QuadricOrbit, ...]:
                     grow(x, mask | 1 << x, left - 1, reached, a, now_linked)
                 elif aut:
                     rep = tuple(points[u] for u in range(x + 1) if (mask | 1 << x) >> u & 1)
-                    found.append(QuadricOrbit(k, rep, math.factorial(k) // aut))
+                    found.append(QuadricOrbit(rep, math.factorial(k) // aut))
             adj[a] &= ~(1 << b)
             adj[b] &= ~(1 << a)
 
@@ -347,12 +342,11 @@ class BoundingRegion(NamedTuple):
     """All cells reachable by partitions of bounded length with a fixed quadric layer.
 
     quadric_mask has bit u for each quadric entry u of the layer in the cell
-    table; entries are the table entries of degree 3..max_degree whose quadric
-    divisors all lie in the layer, in (degree, lex) order.
+    table; entries are the table entries of degree 3 up to the region's top
+    degree whose quadric divisors all lie in the layer, in (degree, lex) order.
     """
 
     k: int
-    max_degree: int
     quadric_mask: int
     entries: tuple[int, ...]
 
@@ -399,7 +393,7 @@ def bounding_region(U: Iterable[Point], max_degree: int) -> BoundingRegion:
                     kept_below[j] = kept_below.get(j, 0) + 1
             layer = sorted(j for j, n in kept_below.items() if n == len(table.lower[j]))
         entries += layer
-    return BoundingRegion(k, max_degree, umask, tuple(entries))
+    return BoundingRegion(k, umask, tuple(entries))
 
 
 class _AlphaQuery(NamedTuple):
@@ -643,10 +637,35 @@ def weighted_table(
 
 
 def _component_search(args) -> tuple[BucketTable, int]:
-    """Weighted table and node count of one component pair; a process-pool task."""
-    pair, m_max, max_degree, ceiling = args
+    """Weighted table of one component pair and the nodes it adds to a run
+    that had spent `spent` nodes of its ceiling when the task was built."""
+    pair, m_max, max_degree, spent, ceiling = args
     budget = _Budget(ceiling)
-    return weighted_table(connected_reps(*pair), m_max, max_degree, budget), budget.nodes
+    budget.nodes = spent
+    table = weighted_table(connected_reps(*pair), m_max, max_degree, budget)
+    return table, budget.nodes - spent
+
+
+def charged_map(fn: Callable, tasks: Sequence, workers: int, budget: _Budget) -> Iterator:
+    """Yield the value of each fn(task) -> (value, nodes) in task order, and
+    charge its nodes to budget in that order.
+
+    A process pool runs the tasks when workers > 1 and there is more than one;
+    only then is the pool module imported. A task that starts from budget's
+    count and ceiling as they stood when it was built fails exactly when the
+    serial walk does, under any number of workers, with the same error.
+    """
+    if workers > 1 and len(tasks) > 1:
+        from concurrent.futures import ProcessPoolExecutor
+
+        with ProcessPoolExecutor(max_workers=workers) as ex:
+            for value, nodes in ex.map(fn, tasks):
+                budget.spend(nodes)
+                yield value
+    else:
+        for value, nodes in map(fn, tasks):
+            budget.spend(nodes)
+            yield value
 
 
 def select(
@@ -755,8 +774,8 @@ def alpha_tables(
     values include the orbit weights.
 
     Each connected table C_j(q1) it reads is one `_component_search` task,
-    run in (j, q1) order by `lattice.charged_map` and charged to budget, or
-    to a fresh default-ceiling one. components, when given, memoises those
+    run in (j, q1) order by `charged_map` and charged to budget, or to a
+    fresh default-ceiling one. components, when given, memoises those
     tables across calls as (size, table) under this length_cap, each pair as
     its task returns; a table is swept again only when a larger size is read.
     """
@@ -764,7 +783,8 @@ def alpha_tables(
     components = {} if components is None else components
     needs = component_needs(k, q, m_max)
     todo = [(p, m) for p, m in sorted(needs.items()) if components.get(p, (0,))[0] < m]
-    tasks = [(p, m, m + 2 if length_cap is None else length_cap, budget.left) for p, m in todo]
+    run = budget.nodes, budget.ceiling
+    tasks = [(p, m, m + 2 if length_cap is None else length_cap, *run) for p, m in todo]
     tables = charged_map(_component_search, tasks, workers, budget)
     for (p, m), table in zip(todo, tables, strict=True):
         components[p] = m, table

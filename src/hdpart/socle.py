@@ -6,7 +6,10 @@ degree >= 3: an M-partition of that type placed on k of the a variables and
 padded with e-q-m free quadrics. Summed over the finitely many contributing
 types this gives y(a, a+e+1) straight from alpha values. c(a, e), the count
 with socle in degrees >= 2, is the binomial inversion of the same placements
-over the embedding dimension.
+over the embedding dimension: `c_from_alpha` is `refine.c_from_y` applied to
+`y_from_alpha` with the two sums swapped, so it is the same route as the
+pipeline's c, not a second one. The brute-force oracle (`Resolver.c_oracle`)
+is c's independent second route.
 """
 
 from __future__ import annotations
@@ -43,13 +46,13 @@ def refined_count(e: int, triple: Triple, a: int, alpha_of: AlphaProvider) -> in
 
     Each placement on j variables is such a partition on the x variables that
     carry a point above them, together with j-x linear socle variables, so
-    alpha * placements(j) = sum over x >= 1 of binom(j, x) * refined(x); the
+    alpha * placements(j) = sum over x of binom(j, x) * refined(x); the
     alternating sum over j inverts that binomial transform.
     """
     if a < 0:
         raise ValueError("embedding dimension must be >= 0")
     return alpha_of(*triple) * sum(
-        (-1) ** (a - j) * binom(a, j) * placements(e, triple, j) for j in range(1, a + 1)
+        (-1) ** (a - j) * binom(a, j) * placements(e, triple, j) for j in range(a + 1)
     )
 
 
@@ -67,8 +70,4 @@ def contributing_triples(e: int, a: int) -> Iterable[Triple]:
 
 def c_from_alpha(e: int, a: int, alpha_of: AlphaProvider) -> int:
     """c(a, e) by summing the refined counts over every contributing type."""
-    if e == 0:
-        return 1 if a == 0 else 0
-    if a == 0:
-        return 0
     return sum(refined_count(e, triple, a, alpha_of) for triple in contributing_triples(e, a))

@@ -419,10 +419,31 @@ def test_node_ceiling():
         ((5, 8, 8), 50397, 2097875),
         ((6, 11, 4), 8683, 1800),
     ]:
+        # the error names the run's ceiling, whichever task crossed it
+        error = f"exceeded the {nodes - 1}-node ceiling"
         for workers in (1, 2):
-            with pytest.raises(ResourceCeilingError):
+            with pytest.raises(ResourceCeilingError, match=error):
                 alpha_count(k, q, m, workers=workers, node_ceiling=nodes - 1)
             assert alpha_count(k, q, m, workers=workers, node_ceiling=nodes) == value
+
+
+def test_task_ceiling_counts_the_run_nodes():
+    # (3, 4, 8) sends tasks (1, 1), (2, 3), (3, 4) of 13, 160 and 458 nodes. After
+    # 37 nodes spent earlier in the run, (3, 4) crosses a 494-node ceiling inside
+    # its own task, and the error names the run's ceiling, not the 457 left; the
+    # whole run needs 37 + 631 = 668
+    def spent(ceiling):
+        budget = _Budget(ceiling)
+        budget.spend(37)
+        return budget
+
+    for workers in (1, 2):
+        for ceiling in (494, 667):
+            with pytest.raises(ResourceCeilingError, match=f"exceeded the {ceiling}-node ceiling"):
+                alpha_tables(3, 4, 8, workers=workers, budget=spent(ceiling))
+        budget = spent(668)
+        alpha_tables(3, 4, 8, workers=workers, budget=budget)
+        assert budget.nodes == 668
 
 
 def test_node_ceiling_without_orbit_reduction():

@@ -174,8 +174,8 @@ def test_c_recurrence():
 def test_limit_values_y():
     assert limit_value("Y", (4, 5)) == 1  # k = d-1
     assert limit_value("Y", (1, 9)) == 1
-    assert limit_value("Y", (3, 5)) == 6  # s_3 via k = d-2
-    assert limit_value("Y", (3, 6)) == 18  # C(s_3,2)+3
+    assert limit_value("Y", (4, 6)) == 10  # s_4 via k = d-2
+    assert limit_value("Y", (4, 7)) == 49  # C(s_4,2)+4
     assert limit_value("Y", (2, 7)) == 13
     assert limit_value("Y", (9, 9)) == 0
 
@@ -187,9 +187,10 @@ def test_limit_values_match_inversion_route():
             closed = limit_value("Y", (k, d))
             if closed is not None:
                 assert closed == raw.y(k, d), (k, d)
-    # the shallow diagonals further out (cheap: the complement index stays small)
-    for d in range(9, 13):
-        for k in (d - 2, d - 3, d - 4, d - 5):
+    # the shallow diagonals further out, the degree-10 k = d-6 polynomial too
+    # (cheap: the complement index stays small)
+    for d in range(9, 23):
+        for k in (d - 2, d - 3, d - 4, d - 5, d - 6):
             closed = limit_value("Y", (k, d))
             assert closed == raw.y(k, d), (k, d)
 

@@ -22,6 +22,16 @@ def test_zero_embedding_dimension_is_zero():
         assert refined_count(3, triple, 0, alpha_of) == 0
 
 
+def test_boundary_rows_match_oracle():
+    # c(a, 0) is 1 at a = 0 (the origin, by convention) and 0 above, where the
+    # linear layer is socle; the inversion's j = 0 term gives that, with no
+    # special case, and c(0, e) = 0 for e > 0
+    assert [refined_count(0, (0, 0, 0), a, alpha_of) for a in range(5)] == [1, 0, 0, 0, 0]
+    for i in range(5):
+        assert c_from_alpha(0, i, alpha_of) == R.c_oracle(i, 0), i  # c(a, 0)
+        assert c_from_alpha(i, 0, alpha_of) == R.c_oracle(0, i), i  # c(0, e)
+
+
 def test_known_vanishing_refined_count():
     assert refined_count(3, (2, 2, 1), 3, alpha_of) == 0
 
