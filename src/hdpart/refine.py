@@ -1,8 +1,15 @@
 """Inversion formulas, diagonal recurrences, limit values, and the exact
 generating functions for the refined partition counts.
 
+The e-th y diagonal y(k, k+e+1) is a numerator over (1-t)^(2e+1)
+(`y_diagonal_series`), so for k > 2e it follows from its first 2e+1 values
+(`y_recurrence`). The socle sum `socle.y_from_alpha` is that rule already: a
+polynomial of degree <= 2e in k over the same alpha values for every
+k >= e-1. So the Resolver takes each y entry from the socle sum, and
+`y_recurrence` is an identity the tests check against it.
+
 Tables carry a provenance tag per entry so that values produced by two
-different routes (oracle / inversion / recurrence / closed form / search) can
+different routes (oracle / inversion / closed form / search) can
 be cross-checked; a disagreement raises IntegrityError rather than warning.
 """
 
@@ -32,7 +39,6 @@ from .socle import MissingDataError
 
 ORACLE = "oracle"
 INVERSION = "inversion"
-RECURRENCE = "recurrence"
 CLOSED_FORM = "closed-form"
 SEARCH = "search"
 
@@ -207,61 +213,21 @@ def c_recurrence(seed: Sequence[int], x: int, e: int) -> int:
 
 # --- limit-case closed values --------------------------------------------------
 
-# 46080 times the degree-10 polynomial giving y(d-6, d); interpolated exactly
-# through d = 7..17; the tests check it against the inversion route up to d = 22
-_Y_D6_COEFFS = (
-    151649280,
-    -296696448,
-    265417248,
-    -143809680,
-    51449160,
-    -12485652,
-    2060220,
-    -227400,
-    16080,
-    -660,
-    12,
-)
-
-
-def _quadric_dim(k: int) -> int:
-    return binom(k + 1, 2)
-
-
-def y_depth6_diagonal(d: int) -> int:
-    """The polynomial closed form for y(d-6, d), valid from d = 7 on."""
-    poly = sum(c * d**i for i, c in enumerate(_Y_D6_COEFFS))
-    val = Fraction(poly, 46080)
-    if val.denominator != 1:
-        raise IntegrityError(f"degree-six diagonal value at d={d} is not integral")
-    return int(val)
-
 
 def limit_value(kind: str, idx: tuple) -> Optional[int]:
     """Closed value for the index when a stable formula applies, else None.
 
-    The forms for k = 1..3 invert the partition counts of dimensions 0..3
-    (y_from_p), read from the product columns, which are exact there.
+    For y these are the forced zeros and k = 1..3, which invert the partition
+    counts of dimensions 0..3 (y_from_p), read from the product columns, which
+    are exact there. The shallow y diagonals are not closed values: the
+    socle sum gives them.
     """
     if kind == "Y":
         k, d = idx
         if CountTable.forced_zero("Y", (k, d)):
             return 0
-        if k == d - 1:
-            return 1
-        if 1 <= k <= 3 and d >= 2:
+        if 1 <= k <= 3:
             return y_from_p(lambda j, size: product_column(j)[size], k, d)
-        s = _quadric_dim(k)
-        if k == d - 2:
-            return s
-        if k == d - 3:
-            return binom(s, 2) + k
-        if k == d - 4:
-            return binom(s, 3) + k * s + 2 * binom(k, 2)
-        if k == d - 5:
-            return binom(s, 4) + k * (binom(s, 2) + 1) + binom(k, 2) * (2 * s - 1) + binom(k, 3)
-        if k == d - 6 and k >= 1:
-            return y_depth6_diagonal(d)
         return None
     if kind == "C":
         k, e = idx
@@ -363,13 +329,13 @@ class Resolver:
     """Demand-driven computation of the P/Y/C/ALPHA tables.
 
     Route preference is closed form, then the raw pipeline: p from y by
-    inversion, y from alpha by the socle sum (`socle.y_from_alpha`), alpha by
-    search (one sweep per (k, q), which fills every smaller m), and c, off that
-    path, inverted from y. Alpha is never searched where `trivial_count`
-    decides it, and alpha(n, n, m) is `hydral.hydral_count` (`count hydral`).
-    use_closed_forms=False forces the raw pipeline end to end. All values land
-    in provenance-tagged tables, so any second route for the same index must
-    agree exactly.
+    inversion, y from alpha by the socle sum (`socle.y_from_alpha`, tagged
+    search), alpha by search (one sweep per (k, q), which fills every smaller
+    m), and c, off that path, inverted from y. Alpha is never searched where
+    `trivial_count` decides it (tagged closed form), and alpha(n, n, m) is
+    `hydral.hydral_count` (`count hydral`). use_closed_forms=False forces the
+    raw pipeline end to end. All values land in provenance-tagged tables, so
+    any second route for the same index must agree exactly.
 
     node_ceiling bounds the nodes of every search this resolver runs: they are
     all charged to one budget, and so is each hydral closed form, one node per
@@ -420,7 +386,7 @@ class Resolver:
             closed = limit_value("Y", (k, d))
             if closed is not None:
                 return tab.set((k, d), closed, CLOSED_FORM)
-        return tab.set((k, d), socle.y_from_alpha(d - 1 - k, k, self.alpha), RECURRENCE)
+        return tab.set((k, d), socle.y_from_alpha(d - 1 - k, k, self.alpha), SEARCH)
 
     def c(self, k: int, e: int) -> int:
         if k < 0 or e < 0:
@@ -440,7 +406,7 @@ class Resolver:
             return tab.get((k, q, m))
         trivial = mpart.AlphaQuery(k, q, m).trivial_count()
         if trivial is not None:
-            return tab.set((k, q, m), trivial, SEARCH)
+            return tab.set((k, q, m), trivial, CLOSED_FORM)
         if self.use_closed_forms and q == k:
             # the closed form enumerates the partitions of k: one node each
             self.budget.spend(product_column(2)[k])

@@ -164,10 +164,6 @@ class RationalFunction:
             return self.num * other.den == other.num * self.den
         return NotImplemented
 
-    def __hash__(self):
-        r = self.reduced()
-        return hash((r.num, r.den))
-
     def __add__(self, other: "RationalFunction") -> "RationalFunction":
         return RationalFunction(
             self.num * other.den + other.num * self.den, self.den * other.den

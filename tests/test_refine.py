@@ -13,6 +13,8 @@ from hdpart.cache import load_golden_c6
 from hdpart.intmath import binom, double_factorial
 from hdpart.lattice import ResourceCeilingError
 from hdpart.refine import (
+    CLOSED_FORM,
+    SEARCH,
     CountTable,
     IntegrityError,
     Resolver,
@@ -161,6 +163,20 @@ def test_y_recurrence():
     assert y_recurrence(seed_e1, 1, 11) == 66
     with pytest.raises(MissingDataError):
         y_recurrence([1, 2], 1, 5)
+    # every e <= 8 and k > 2e with d <= 26, 117 values: the pinned rows give
+    # d >= 16 and the all-search resolver the rest
+    rows, raw = _frontier_rows(), Resolver(use_closed_forms=False)
+
+    def y(k, d):
+        return raw.y(k, d) if d <= 15 else rows[d][k]
+
+    checked = 0
+    for e in range(9):
+        seed = [y(j, j + e + 1) for j in range(2 * e + 1)]
+        for k in range(2 * e + 1, 26 - e):
+            assert y_recurrence(seed, e, k) == y(k, k + e + 1), (k, e)
+            checked += 1
+    assert checked == 117
 
 
 def test_c_recurrence():
@@ -172,37 +188,27 @@ def test_c_recurrence():
 
 
 def test_limit_values_y():
-    assert limit_value("Y", (4, 5)) == 1  # k = d-1
+    # the closed values are the forced zeros and the product columns for k = 1..3
     assert limit_value("Y", (1, 9)) == 1
-    assert limit_value("Y", (4, 6)) == 10  # s_4 via k = d-2
-    assert limit_value("Y", (4, 7)) == 49  # C(s_4,2)+4
     assert limit_value("Y", (2, 7)) == 13
     assert limit_value("Y", (9, 9)) == 0
+    assert limit_value("Y", (4, 5)) is None
+    # the shallow diagonals come from the socle sum
+    assert R.y(4, 5) == 1  # k = d-1
+    assert R.y(4, 6) == 10  # s_4 = C(5, 2) at k = d-2
+    assert R.y(4, 7) == 49  # C(s_4, 2) + 4
 
 
 def test_limit_values_match_inversion_route():
-    raw = Resolver(use_closed_forms=False)
-    for d in range(2, 9):
-        for k in range(d):
-            closed = limit_value("Y", (k, d))
-            if closed is not None:
-                assert closed == raw.y(k, d), (k, d)
-    # the shallow diagonals further out, the degree-10 k = d-6 polynomial too
-    # (cheap: the complement index stays small)
-    for d in range(9, 23):
-        for k in (d - 2, d - 3, d - 4, d - 5, d - 6):
-            closed = limit_value("Y", (k, d))
-            assert closed == raw.y(k, d), (k, d)
-
-
-def test_degree_six_diagonal_formula():
-    from hdpart.refine import y_depth6_diagonal
-
-    # the polynomial form evaluated against the inversion route
-    raw = Resolver(use_closed_forms=False)
-    assert y_depth6_diagonal(7) == 1 == raw.y(1, 7)
-    assert y_depth6_diagonal(8) == raw.y(2, 8)
-    assert y_depth6_diagonal(9) == raw.y(3, 9)
+    # every k for d <= 8, and the six shallowest diagonals k = d-1..d-6 further
+    # out (cheap: the complement index stays small); past k = 3 both take the
+    # socle sum, and differ in the hydral shortcut for alpha at q == k
+    resolver, raw = Resolver(), Resolver(use_closed_forms=False)
+    for d in range(1, 23):
+        for k in range(d) if d <= 8 else range(d - 6, d):
+            assert resolver.y(k, d) == raw.y(k, d), (k, d)
+    assert set(resolver.tables["Y"].provenance.values()) == {CLOSED_FORM, SEARCH}
+    assert set(raw.tables["Y"].provenance.values()) == {SEARCH}
 
 
 def test_limit_values_c():
