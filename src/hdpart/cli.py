@@ -379,6 +379,9 @@ def _parse(argv: list[str]) -> SimpleNamespace | None:
             args[_dest(flag)] = convert(value)
         except ValueError:
             raise ValueError(f"{flag} needs an integer, not {value!r}") from None
+    for flag, least in (("--workers", 1), ("--node-ceiling", 0)):
+        if args[_dest(flag)] < least:
+            raise ValueError(f"{flag} needs at least {least}, not {args[_dest(flag)]}")
     if command is None:
         raise ValueError(f"missing command; choose from {', '.join(_COMMANDS)}")
     if positional not in args:

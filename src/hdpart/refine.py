@@ -1,5 +1,9 @@
-"""Inversion formulas, diagonal recurrences, limit values, and the exact
-generating functions for the refined partition counts.
+"""Inversion formulas, diagonal recurrences, and the exact generating
+functions for the refined partition counts.
+
+The counts reduce to simpler classes: p to y by embedding dimension, y to
+alpha by socle type, and c is the inversion of y. `Resolver` is that chain,
+and it takes a closed form only where a theorem replaces a search.
 
 The e-th y diagonal y(k, k+e+1) is a numerator over (1-t)^(2e+1)
 (`y_diagonal_series`), so for k > 2e it follows from its first 2e+1 values
@@ -72,6 +76,18 @@ class CountTable:
             return k > 2 * e or (k == 0 and e > 0)
         return False
 
+    @staticmethod
+    def check_index(kind: str, idx: tuple):
+        """ValueError unless the count is defined at idx: p(n, d) for n, d >= 0,
+        y(k, d) for k >= 0 and d >= 1, c(k, e) for k, e >= 0, d(k, e) for
+        0 <= k <= c_degree_bound(e). `mpart.AlphaQuery` checks an alpha index."""
+        if kind in ("P", "C") and min(idx) < 0:
+            raise ValueError("indices must be nonnegative")
+        if kind == "Y" and (idx[0] < 0 or idx[1] < 1):
+            raise ValueError("need k >= 0 and d >= 1")
+        if kind == "D" and not 0 <= idx[0] <= c_degree_bound(idx[1]):
+            raise ValueError(f"d-table index {idx} outside 0 <= k <= 2e - ceil(e/2)")
+
     def set(self, idx: tuple, value: int, provenance: str) -> int:
         idx = tuple(idx)
         if self.forced_zero(self.kind, idx) and value != 0:
@@ -140,14 +156,9 @@ def c_degree_bound(x: int) -> int:
     return 2 * x - (x + 1) // 2
 
 
-def _check_d_range(k: int, e: int):
-    if not (0 <= k <= c_degree_bound(e)):
-        raise ValueError(f"d-table index (k={k}, e={e}) outside 0 <= k <= 2e - ceil(e/2)")
-
-
 def d_from_c(c: CountTable, k: int, e: int) -> int:
     """Stable-layer count from the c table (double-factorial convolution)."""
-    _check_d_range(k, e)
+    CountTable.check_index("D", (k, e))
     total = 0
     for y in range(k // 2 + 1):
         total += (
@@ -166,7 +177,7 @@ def c_from_d(d: CountTable, k: int, e: int) -> int:
         raise ValueError("require k <= 2e")
     total = 0
     for y in range((x + 1) // 2, min(e, 2 * x) + 1):
-        _check_d_range(2 * y - x, y)
+        CountTable.check_index("D", (2 * y - x, y))
         total += (
             math.factorial(2 * e - x)
             // (double_factorial(2 * e - 2 * y) * math.factorial(2 * y - x))
@@ -209,40 +220,6 @@ def c_recurrence(seed: Sequence[int], x: int, e: int) -> int:
             * seed[z - lo]
         )
     return total
-
-
-# --- limit-case closed values --------------------------------------------------
-
-
-def limit_value(kind: str, idx: tuple) -> Optional[int]:
-    """Closed value for the index when a stable formula applies, else None.
-
-    For y these are the forced zeros and k = 1..3, which invert the partition
-    counts of dimensions 0..3 (y_from_p), read from the product columns, which
-    are exact there. The shallow y diagonals are not closed values: the
-    socle sum gives them.
-    """
-    if kind == "Y":
-        k, d = idx
-        if CountTable.forced_zero("Y", (k, d)):
-            return 0
-        if 1 <= k <= 3:
-            return y_from_p(lambda j, size: product_column(j)[size], k, d)
-        return None
-    if kind == "C":
-        k, e = idx
-        if CountTable.forced_zero("C", (k, e)):
-            return 0
-        if (k == 0 and e == 0) or (k == 1 and e > 0):
-            return 1
-        if k == 2 * e and e > 0:
-            return double_factorial(2 * e - 1)
-        if k == 2 * e - 1 and e > 0:
-            return e * double_factorial(2 * e - 1)
-        if k == 2 and e >= 1:
-            return product_column(2)[e + 3] - 4
-        return None
-    return None
 
 
 # --- the product column -----------------------------------------------------------
@@ -328,14 +305,17 @@ def c_diagonal_series(x: int, diag: Sequence[int]) -> tuple[Polynomial, Fraction
 class Resolver:
     """Demand-driven computation of the P/Y/C/ALPHA tables.
 
-    Route preference is closed form, then the raw pipeline: p from y by
-    inversion, y from alpha by the socle sum (`socle.y_from_alpha`, tagged
-    search), alpha by search (one sweep per (k, q), which fills every smaller
-    m), and c, off that path, inverted from y. Alpha is never searched where
-    `trivial_count` decides it (tagged closed form), and alpha(n, n, m) is
-    `hydral.hydral_count` (`count hydral`). use_closed_forms=False forces the
-    raw pipeline end to end. All values land in provenance-tagged tables, so
-    any second route for the same index must agree exactly.
+    One rule per count: p is always inverted from y (`p_from_y`), y comes from
+    alpha by the socle sum (`socle.y_from_alpha`, tagged search), alpha by
+    search (one sweep per (k, q), which fills every smaller m), and c, off that
+    path, is inverted from y (`c_from_y`). A closed form replaces a search
+    only where a theorem gives it: y(1..3, d) from the product columns, c on
+    the diagonals 2e - k = 0 and 1, and alpha where `trivial_count` decides it
+    or at q == k (`hydral.hydral_count`, `count hydral`). use_closed_forms=False
+    forces the raw pipeline end to end, except `trivial_count`. All values land
+    in provenance-tagged tables, so any second route for the same index must
+    agree exactly. Each count refuses an index outside its domain
+    (`CountTable.check_index`), on the pipeline and the oracle route alike.
 
     node_ceiling bounds the nodes of every search this resolver runs: they are
     all charged to one budget, and so is each hydral closed form, one node per
@@ -360,44 +340,32 @@ class Resolver:
         self.tables = {kind: CountTable(kind) for kind in KINDS}
 
     def p(self, n: int, d: int) -> int:
-        if n < 0 or d < 0:
-            raise ValueError("indices must be nonnegative")
-        if d == 0:
-            return 1
-        if n == 0:
-            return 1 if d == 1 else 0
-        if n == 1:
-            return 1
+        CountTable.check_index("P", (n, d))
         tab = self.tables["P"]
         if (n, d) in tab:
             return tab.get((n, d))
-        if self.use_closed_forms and n in (2, 3):
-            # the product is exact in dimension <= 3
-            return tab.set((n, d), product_column(n)[d], CLOSED_FORM)
         return tab.set((n, d), p_from_y(self.y, n, d), INVERSION)
 
     def y(self, k: int, d: int) -> int:
-        if k < 0 or d < 1:
-            raise ValueError("need k >= 0 and d >= 1")
+        CountTable.check_index("Y", (k, d))
         tab = self.tables["Y"]
         if (k, d) in tab:
             return tab.get((k, d))
-        if self.use_closed_forms:
-            closed = limit_value("Y", (k, d))
-            if closed is not None:
-                return tab.set((k, d), closed, CLOSED_FORM)
+        if self.use_closed_forms and 1 <= k <= 3:
+            # the product columns are the partition counts in dimension <= 3
+            value = y_from_p(lambda j, size: product_column(j)[size], k, d)
+            return tab.set((k, d), value, CLOSED_FORM)
         return tab.set((k, d), socle.y_from_alpha(d - 1 - k, k, self.alpha), SEARCH)
 
     def c(self, k: int, e: int) -> int:
-        if k < 0 or e < 0:
-            raise ValueError("indices must be nonnegative")
+        CountTable.check_index("C", (k, e))
         tab = self.tables["C"]
         if (k, e) in tab:
             return tab.get((k, e))
-        if self.use_closed_forms:
-            closed = limit_value("C", (k, e))
-            if closed is not None:
-                return tab.set((k, e), closed, CLOSED_FORM)
+        x = 2 * e - k
+        if self.use_closed_forms and x in (0, 1):
+            # c(2e, e) = (2e-1)!! and c(2e-1, e) = e (2e-1)!!
+            return tab.set((k, e), (e if x else 1) * double_factorial(2 * e - 1), CLOSED_FORM)
         return tab.set((k, e), c_from_y(self.y, k, e), INVERSION)
 
     def alpha(self, k: int, q: int, m: int) -> int:
@@ -422,6 +390,7 @@ class Resolver:
     # --- oracle routes (brute force) -----------------------------------------
 
     def p_oracle(self, n: int, d: int) -> int:
+        CountTable.check_index("P", (n, d))
         value = lattice.count_partitions(n, d, max_nodes=self.node_ceiling)
         return self.tables["P"].set((n, d), value, ORACLE)
 
@@ -429,10 +398,12 @@ class Resolver:
         return lattice.count_constrained(n, spec, max_nodes=self.node_ceiling)
 
     def y_oracle(self, k: int, d: int) -> int:
+        CountTable.check_index("Y", (k, d))
         value = self._constrained(k, lattice.ConstraintSpec(size=d, embedding_dim=k))
         return self.tables["Y"].set((k, d), value, ORACLE)
 
     def c_oracle(self, k: int, e: int) -> int:
+        CountTable.check_index("C", (k, e))
         # the zero type counts the origin-only partition, as in AlphaQuery.constraint_spec
         msd = 2 if k else None
         spec = lattice.ConstraintSpec(size=1 + k + e, embedding_dim=k, min_socle_degree=msd)
@@ -460,6 +431,8 @@ class Resolver:
 
     def size_numerator(self, d: int) -> Polynomial:
         """Numerator of the fixed-size series over (1-t)^d, degree <= max(0, d-2)."""
+        if d < 1:
+            raise ValueError("need d >= 1: p(n, 0) = 1 for every n, so no numerator exists")
         bound = max(0, d - 2)
         series = self.size_series(d, d + bound + FIT_SLACK)
         return fit_numerator(series, one_minus_t_power(1) ** d, bound)

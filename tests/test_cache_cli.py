@@ -396,6 +396,11 @@ def test_cli_start_imports_no_record_or_resource_machinery():
         ["count", "p", "--n", "3", "--d", "5", "--oracle", "--verify"],
         ["count", "alpha", "--k", "3", "--q", "4", "--m", "8", "--oracle",
          "--checkpoint-dir", "{tmp}"],
+        ["series", "H", "--d", "0"],
+        ["--workers", "0", "count", "p", "--n", "4", "--d", "5"],
+        ["--workers", "-1", "count", "p", "--n", "4", "--d", "5"],
+        ["--node-ceiling", "-1", "count", "p", "--n", "4", "--d", "5"],
+        ["--node-ceiling", "-5", "count", "alpha", "--k", "3", "--q", "4", "--m", "8"],
     ],
     ids=[
         "unknown-command", "no-command", "unknown-flag", "unknown-choice", "not-an-integer",
@@ -405,6 +410,7 @@ def test_cli_start_imports_no_record_or_resource_machinery():
         "expand-with-phi", "order-with-H", "order-with-hydral", "golden-seeds-with-Y",
         "golden-seeds-with-x-2", "no-low-dim-with-epsilon", "extra-points-with-andrews",
         "order-with-sparsity", "oracle-with-verify", "oracle-with-checkpoint-dir",
+        "H-at-size-0", "workers-0", "workers-below-0", "ceiling-below-0", "ceiling-below-0-alpha",
     ],
 )
 def test_cli_usage_error_is_bad_request(argv, tmp_path, capsys):
@@ -481,6 +487,31 @@ def test_cli_verify_mismatch_is_integrity(query, monkeypatch, capsys):
 def test_cli_missing_flag_is_named(argv, detail, capsys):
     assert main(argv) == 1
     assert json.loads(capsys.readouterr().err) == {"detail": detail, "error": "bad-request"}
+
+
+@pytest.mark.parametrize(
+    "query, detail",
+    [
+        (["y", "--k", "0", "--d", "0"], "need k >= 0 and d >= 1"),
+        (["y", "--k", "2", "--d", "0"], "need k >= 0 and d >= 1"),
+        (["c", "--k", "1", "--e", "-1"], "indices must be nonnegative"),
+        (["p", "--n", "-1", "--d", "3"], "indices must be nonnegative"),
+    ],
+    ids=["y-k0-d0", "y-k2-d0", "c-e-1", "p-n-1"],
+)
+@pytest.mark.parametrize("route", [[], ["--oracle"]], ids=["pipeline", "oracle"])
+def test_cli_count_outside_its_domain_is_bad_request(query, detail, route, capsys):
+    # the pipeline and the oracle refuse the same indices, with the same message
+    assert main(["count", *query, *route]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert json.loads(err) == {"detail": detail, "error": "bad-request"}
+
+
+def test_cli_node_ceiling_0_is_valid(capsys):
+    # p(2, d) is inverted from the product columns, so it spends no node
+    assert main(["--node-ceiling", "0", "count", "p", "--n", "2", "--d", "30"]) == 0
+    assert capsys.readouterr().out == "5604\n"
 
 
 def test_cli_help_names_every_command():

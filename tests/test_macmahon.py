@@ -165,9 +165,10 @@ def test_sparsity_search_without_extension():
 
 
 def test_sparsity_reverification_is_independent():
-    # one wrong Y entry turns p(4,3) = 10 into 22 = p(2,8), a collision; the
+    # one wrong Y entry turns p(2,3) = 3 into 5 = p(2,4), a collision; p(2, d)
+    # is inverted from y, so it is the first entry the wrong value reaches. The
     # second route must not read the same table and agree with the error
     bad = Resolver()
     bad.tables["Y"].set((2, 3), 3, "test")
-    with pytest.raises(IntegrityError, match=r"p\(4,3\)"):
+    with pytest.raises(IntegrityError, match=r"p\(2,3\)"):
         search_value_collisions(8, 100, bad)

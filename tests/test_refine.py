@@ -1,4 +1,4 @@
-"""Inversion formulas, recurrences, limit values, generating functions, and
+"""Inversion formulas, recurrences, closed values, generating functions, and
 the demand-driven resolver with provenance cross-checks."""
 
 import math
@@ -14,6 +14,7 @@ from hdpart.intmath import binom, double_factorial
 from hdpart.lattice import ResourceCeilingError
 from hdpart.refine import (
     CLOSED_FORM,
+    INVERSION,
     SEARCH,
     CountTable,
     IntegrityError,
@@ -23,7 +24,6 @@ from hdpart.refine import (
     c_from_y,
     c_recurrence,
     d_from_c,
-    limit_value,
     p_from_y,
     y_diagonal_numerator,
     y_diagonal_series,
@@ -188,11 +188,14 @@ def test_c_recurrence():
 
 
 def test_limit_values_y():
-    # the closed values are the forced zeros and the product columns for k = 1..3
-    assert limit_value("Y", (1, 9)) == 1
-    assert limit_value("Y", (2, 7)) == 13
-    assert limit_value("Y", (9, 9)) == 0
-    assert limit_value("Y", (4, 5)) is None
+    # the closed values are the product columns for k = 1..3; the forced zeros
+    # are never entered
+    r = Resolver()
+    assert r.y(1, 9) == 1
+    assert r.y(2, 7) == 13
+    assert r.y(9, 9) == 0
+    assert r.y(4, 5) == 1
+    assert r.tables["Y"].provenance == {(1, 9): CLOSED_FORM, (2, 7): CLOSED_FORM, (4, 5): SEARCH}
     # the shallow diagonals come from the socle sum
     assert R.y(4, 5) == 1  # k = d-1
     assert R.y(4, 6) == 10  # s_4 = C(5, 2) at k = d-2
@@ -212,13 +215,31 @@ def test_limit_values_match_inversion_route():
 
 
 def test_limit_values_c():
-    assert limit_value("C", (0, 0)) == 1
-    assert limit_value("C", (1, 5)) == 1
-    assert limit_value("C", (2, 1)) == 1
-    assert limit_value("C", (8, 4)) == 105
-    assert limit_value("C", (7, 4)) == 420
-    assert limit_value("C", (2, 3)) == R.p(2, 6) - 4
-    assert limit_value("C", (3, 7)) is None
+    # the closed values are the diagonals 2e - k = 0 and 1; c(1, e) and c(2, e)
+    # off them are inverted from the closed y(0..2, d), at no search node
+    r = Resolver()
+    assert r.c(0, 0) == 1
+    assert r.c(1, 5) == 1
+    assert r.c(2, 1) == 1
+    assert r.c(8, 4) == 105
+    assert r.c(7, 4) == 420
+    assert r.c(2, 3) == R.p(2, 6) - 4
+    assert r.budget.nodes == 0
+    assert r.tables["C"].provenance == {
+        (0, 0): CLOSED_FORM, (1, 5): INVERSION, (2, 1): CLOSED_FORM,
+        (8, 4): CLOSED_FORM, (7, 4): CLOSED_FORM, (2, 3): INVERSION,
+    }
+
+
+def test_c_closed_diagonals_match_inversion_route():
+    # c(2e, e) = (2e-1)!! and c(2e-1, e) = e (2e-1)!! against the raw inversion
+    # over searched y values, e <= 10
+    resolver, raw = Resolver(), Resolver(use_closed_forms=False)
+    for e in range(1, 11):
+        for k in (2 * e, 2 * e - 1):
+            assert resolver.c(k, e) == raw.c(k, e), (k, e)
+    assert set(resolver.tables["C"].provenance.values()) == {CLOSED_FORM}
+    assert set(raw.tables["C"].provenance.values()) == {INVERSION}
 
 
 def test_y_diagonal_series_e1():
