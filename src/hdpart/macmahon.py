@@ -293,8 +293,9 @@ def search_value_collisions(
     (dimensions n >= 2) and report value collisions across distinct sizes.
 
     With low_dim_extension the exactly-solvable dimension-2 and dimension-3
-    columns are also scanned beyond d_max, which is where the known large
-    collisions live. Verdict holds iff every collision involves size 3.
+    columns are also scanned from size max(d_max + 1, 3), which is where the
+    known large collisions live. Verdict holds iff every collision involves
+    size 3.
     """
     resolver = resolver or Resolver()
     descriptor = f"d_max={d_max}, bound={value_bound}, low_dim_extension={low_dim_extension}"
@@ -317,7 +318,7 @@ def search_value_collisions(
             column = numbers(4 * d_max)
             while column[-1] <= value_bound:
                 column = numbers(2 * len(column))
-            for d in range(d_max + 1, len(column)):
+            for d in range(max(d_max + 1, 3), len(column)):
                 if column[d] > value_bound:
                     break
                 record(column[d], d, n)

@@ -22,9 +22,12 @@ Flajolet-Sedgewick, Analytic Combinatorics, 2009, II.2). `orbit_reps`, which
 generates every stable layer, and `alpha_without_orbit_reduction` stay as
 the references the tests compare this route with.
 
-Which quadrics lie below a cell is worked out once, in one cell table per
-dimension (`_cell_table`). Stability, bounding regions and the region search
-all read its indices. It is not the oracle's universe in `lattice`.
+One cell table per dimension (`_cell_table`) holds only the quadrics and
+the cubics, each cubic with the quadrics below it; stability and bounding
+regions read its indices. Each region grows from its layer's own cubics a
+degree at a time, keeping only the cells a sweep to its size can reach, and
+hands the search each cell's lower covers. The table is not the oracle's
+universe in `lattice`.
 
 `_RegionSearch.sweep` is the only region walker. One subset walker takes every
 layer, the cubics too: a cubic set counts once it covers the quadric layer, and
@@ -48,7 +51,6 @@ a separate walker on purpose: it is the independent route that checks this one.
 
 from __future__ import annotations
 
-import bisect
 import itertools
 import math
 from functools import lru_cache
@@ -72,49 +74,26 @@ def quadric_points(k: int) -> tuple[Point, ...]:
 
 
 class _CellTable:
-    """The points of N^k of degree 2..top in (degree, lex) order, grown a degree
-    at a time and never renumbered, so quadric u is entry u. divisors[i] masks
-    the quadrics below entry i (a quadric's own bit, else the OR of its lower
-    covers' masks); lower[i] and upper[i] list its lower and upper covers'
-    entries (upper is complete below the top degree); start[g] is the first
-    entry of degree g.
+    """The quadrics and the cubics of N^k, each in lex order; quadric u is
+    quadrics[u] and index maps it back. lower[c] lists the quadric entries
+    below cubic c, which are its lower covers, and divisors[c] masks them.
     """
 
     def __init__(self, k: int):
-        quads = quadric_points(k)
         self.k = k
-        self.points = list(quads)
-        self.index = {p: u for u, p in enumerate(quads)}
-        self.divisors = [1 << u for u in range(len(quads))]
-        self.lower: list[tuple[int, ...]] = [()] * len(quads)
-        self.upper: list[list[int]] = [[] for _ in quads]
-        self.start = [0, 0, 0, len(quads)]
-
-    def end(self, top: int) -> int:
-        """One past the last entry of degree <= top, growing the table to top."""
-        while len(self.start) < top + 2:
-            layer = self.points[self.start[-2] :]
-            grown = {z[:i] + (z[i] + 1,) + z[i + 1 :] for z in layer for i in range(self.k)}
-            for p in sorted(grown):
-                low = tuple(self.index[c] for c in lower_covers(p))
-                mask = 0
-                for c in low:
-                    mask |= self.divisors[c]
-                    self.upper[c].append(len(self.points))
-                self.index[p] = len(self.points)
-                self.points.append(p)
-                self.divisors.append(mask)
-                self.lower.append(low)
-                self.upper.append([])
-            self.start.append(len(self.points))
-        return self.start[max(top, 2) + 1]
+        self.quadrics = quadric_points(k)
+        self.index = {p: u for u, p in enumerate(self.quadrics)}
+        grown = {z[:i] + (z[i] + 1,) + z[i + 1 :] for z in self.quadrics for i in range(k)}
+        self.cubics = sorted(grown)
+        self.lower = [tuple(self.index[c] for c in lower_covers(p)) for p in self.cubics]
+        self.divisors = [sum(1 << u for u in low) for low in self.lower]
 
     def quadric_mask(self, U: Iterable[Point]) -> int:
         """Bit u set for each quadric entry u in U."""
         mask = 0
         for p in U:
             u = self.index.get(tuple(p))
-            if u is None or u >= self.start[3]:
+            if u is None:
                 raise ValueError(f"{p} is not a degree-2 point of N^{self.k}")
             mask |= 1 << u
         return mask
@@ -144,7 +123,7 @@ def is_m_stable(U: Iterable[Point], k: int) -> bool:
     table = _cell_table(k)
     umask = table.quadric_mask(U)
     certified = 0
-    for mask in table.divisors[table.start[3] : table.end(3)]:
+    for mask in table.divisors:
         if mask & ~umask == 0:
             certified |= mask
     return certified == umask
@@ -291,7 +270,7 @@ def _orderly(k: int, q: int, connected: bool) -> tuple[QuadricOrbit, ...]:
     n_quads = k * (k + 1) // 2
     if k < 1 or q < 1 or q > n_quads:
         return ()
-    points = _cell_table(k).points
+    points = _cell_table(k).quadrics
     ends = [(a, b) for a in range(k) for b in range(a + 1)]
     # future[x][v]: the edges at v with entry x or later
     future = [_graph(k, ((1 << n_quads) - 1) >> x << x) for x in range(n_quads + 1)]
@@ -339,42 +318,48 @@ def connected_reps(k: int, q: int) -> tuple[QuadricOrbit, ...]:
 
 
 class BoundingRegion(NamedTuple):
-    """All cells reachable by partitions of bounded length with a fixed quadric layer.
+    """All cells of the partitions with a fixed quadric layer, bounded length
+    and a bounded number of cells above the layer.
 
     quadric_mask has bit u for each quadric entry u of the layer in the cell
-    table; entries are the table entries of degree 3 up to the region's top
-    degree whose quadric divisors all lie in the layer, in (degree, lex) order.
+    table. cells are the degree >= 3 points, sorted by (degree, lex); lower[i]
+    lists the lower covers of cell i: quadric entries for a cubic, indices into
+    cells above the cubics. size is the bound: no cell's down-set holds more
+    than size cells of degree >= 3, so a count of at most size cells loses
+    nothing to the cut, since a partition holds the down-set of each cell.
     """
 
     k: int
     quadric_mask: int
-    entries: tuple[int, ...]
-
-    @property
-    def cells(self) -> tuple[Point, ...]:
-        """The degree >= 3 points, sorted by (degree, lex)."""
-        points = _cell_table(self.k).points
-        return tuple(points[i] for i in self.entries)
+    cells: tuple[Point, ...]
+    lower: tuple[tuple[int, ...], ...]
+    size: int
 
     def all_points(self) -> tuple[Point, ...]:
         """The cells with the origin, the k unit points and the quadric layer."""
-        points = _cell_table(self.k).points
+        quadrics = _cell_table(self.k).quadrics
         low: list[Point] = [(0,) * self.k]
         for i in range(self.k):
             e = [0] * self.k
             e[i] = 1
             low.append(tuple(e))
         mask = self.quadric_mask
-        quads = [points[u] for u in range(mask.bit_length()) if mask >> u & 1]
+        quads = [quadrics[u] for u in range(mask.bit_length()) if mask >> u & 1]
         return tuple(sorted(low + quads + list(self.cells), key=point_key))
 
 
-def bounding_region(U: Iterable[Point], max_degree: int) -> BoundingRegion:
-    """Materialize the region: every cell of degree 3..max_degree whose full set
-    of quadric divisors lies inside U.
+def bounding_region(U: Iterable[Point], max_degree: int, size: int) -> BoundingRegion:
+    """The region of the layer U to degree max_degree >= 3 and size: the
+    cubics whose quadric divisors all lie in U, then each cell of degree
+    4..max_degree whose lower covers all lie in the region and whose down-set
+    holds at most size cells of degree >= 3.
 
-    Above the cubics a cell qualifies exactly when all its lower covers do, so
-    each degree is read from the upper covers of the last one's kept cells.
+    Each degree grows from the upper neighbours of the last one's cells,
+    counting the kept lower covers of each as they are found. A point c with
+    support s and t exponents >= 2 has prod(c_i + 1) points in its down-set, of
+    which 1 + s + t + s(s - 1)/2 have degree <= 2. A neighbour's product is
+    updated from its lower cover's, so a point over the bound is dropped
+    before it is built.
     """
     pts = {tuple(p) for p in U}
     if not pts:
@@ -382,18 +367,28 @@ def bounding_region(U: Iterable[Point], max_degree: int) -> BoundingRegion:
     k = len(next(iter(pts)))
     table = _cell_table(k)
     umask = table.quadric_mask(pts)
-    table.end(max_degree)
-    layer = [i for i in range(table.start[3], table.end(3)) if table.divisors[i] & ~umask == 0]
-    entries: list[int] = []
-    for g in range(3, max_degree + 1):
-        if g > 3:
-            kept_below: dict[int, int] = {}
-            for i in layer:
-                for j in table.upper[i]:
-                    kept_below[j] = kept_below.get(j, 0) + 1
-            layer = sorted(j for j, n in kept_below.items() if n == len(table.lower[j]))
-        entries += layer
-    return BoundingRegion(k, umask, tuple(entries))
+    kept = [c for c, mask in enumerate(table.divisors) if mask & ~umask == 0]
+    cells = [table.cubics[c] for c in kept]
+    lower = [table.lower[c] for c in kept]
+    first = 0  # the last degree's first cell
+    for _ in range(4, max_degree + 1):
+        grown: dict[Point, list[int]] = {}
+        for i in range(first, len(cells)):
+            p = cells[i]
+            s = k - p.count(0)
+            prod = math.prod([v + 1 for v in p])
+            # size plus p's points of degree <= 2; growing an exponent 0 adds
+            # s + 1 such points to a neighbour, growing an exponent 1 adds one
+            room = size + 1 + s + (s - p.count(1)) + s * (s - 1) // 2
+            for a, v in enumerate(p):
+                if prod // (v + 1) * (v + 2) <= room + (s + 1 if v == 0 else v == 1):
+                    grown.setdefault(p[:a] + (v + 1,) + p[a + 1 :], []).append(i)
+        first = len(cells)
+        for c in sorted(grown):
+            if len(grown[c]) == k - c.count(0):  # one lower cover per axis of its support
+                cells.append(c)
+                lower.append(tuple(grown[c]))
+    return BoundingRegion(k, umask, tuple(cells), tuple(lower), size)
 
 
 class _AlphaQuery(NamedTuple):
@@ -407,8 +402,8 @@ class _AlphaQuery(NamedTuple):
 
 
 class AlphaQuery(_AlphaQuery):
-    """A request for one count: type (k, q, m), optionally refined by length or
-    by the full layer-size profile.
+    """A request for one count: type (k, q, m) of nonnegative indices,
+    optionally refined by length or by the full layer-size profile.
 
     Socles lie in degree >= 3, save one convention: the zero type (0, 0, 0)
     counts the origin-only partition once (socle.y_from_alpha needs
@@ -426,6 +421,8 @@ class AlphaQuery(_AlphaQuery):
         length: Optional[int] = None,
         profile: Optional[tuple[int, ...]] = None,
     ):
+        if min(k, q, m) < 0:
+            raise ValueError("indices must be nonnegative")
         if profile is not None:
             h = profile
             if not h or h[0] != 1:
@@ -464,8 +461,6 @@ class AlphaQuery(_AlphaQuery):
         """The count when it is decided without search (boundary conventions and
         vanishing cases), else None."""
         k, q, m = self.k, self.q, self.m
-        if k < 0 or q < 0 or m < 0:
-            return 0
         if k == 0:  # the zero-type convention: the origin-only partition
             origin = q == m == 0 and self.length in (None, 0) and self.profile in (None, (1,))
             return 1 if origin else 0
@@ -503,29 +498,27 @@ class _RegionSearch:
     """
 
     def __init__(self, region: BoundingRegion, budget: _Budget):
-        table = _cell_table(region.k)
-        entries = region.entries
-        local = {e: i for i, e in enumerate(entries)}
-        self.n_cubics = bisect.bisect_left(entries, table.start[4])
+        self.n_cubics = sum(sum(c) == 3 for c in region.cells)
         self.full_mask = region.quadric_mask
+        self.size = region.size
         # bit j of parent_mask[i]: cell j is a lower cover of cell i (above the cubics)
         self.parent_mask: list[int] = []
         # upper[i]: the region's cells that cover cell i
-        self.upper: list[list[int]] = [[] for _ in entries]
+        self.upper: list[list[int]] = [[] for _ in region.cells]
         # bit u of covers[i]: quadric entry u is a lower cover of cell i (0 above the cubics)
         self.covers: list[int] = []
         # the highest cubic covering each quadric, -1 for none
-        last_cover = [-1] * table.start[3]
-        for i, e in enumerate(entries):
+        last_cover = [-1] * self.full_mask.bit_length()
+        for i, low in enumerate(region.lower):
             parents = cover = 0
             if i < self.n_cubics:
-                cover = table.divisors[e]
-                for u in table.lower[e]:
+                for u in low:
+                    cover |= 1 << u
                     last_cover[u] = i
             else:
-                for c in table.lower[e]:
-                    parents |= 1 << local[c]
-                    self.upper[local[c]].append(i)
+                for c in low:
+                    parents |= 1 << c
+                    self.upper[c].append(i)
             self.parent_mask.append(parents)
             self.covers.append(cover)
         # (last covering cubic, quadric bit) for the layer's quadrics, ascending
@@ -552,8 +545,11 @@ class _RegionSearch:
         covers it holds, so `above` is memoised for this sweep on (allowed
         mask, size left): the transfer-matrix method over the graded region
         (Stanley, EC1, §4.7). One node is one memo state or one layer-set
-        transition.
+        transition. m_max may not pass the region's size, past which the
+        region lacks cells that larger sets hold.
         """
+        if m_max > self.size:
+            raise ValueError(f"sweep to size {m_max} over a region cut at size {self.size}")
         parent_mask, upper, covers, cover_order = (
             self.parent_mask, self.upper, self.covers, self.cover_order
         )
@@ -630,7 +626,7 @@ def weighted_table(
     regions to max_degree, each weighted by its orbit size."""
     out: BucketTable = {}
     for orbit in reps:
-        table = _RegionSearch(bounding_region(orbit.rep, max_degree), budget).sweep(m_max)
+        table = _RegionSearch(bounding_region(orbit.rep, max_degree, m_max), budget).sweep(m_max)
         for key, val in sorted(table.items()):
             out[key] = out.get(key, 0) + orbit.orbit_size * val
     return out
@@ -854,7 +850,7 @@ def alpha_without_orbit_reduction(
     for combo in itertools.combinations(quads, q):
         if len(support_variables(combo)) != k or not is_m_stable(combo, k):
             continue
-        region = bounding_region(combo, m + 2)
+        region = bounding_region(combo, m + 2, m)
         total += _RegionSearch(region, budget).count(m)
     return total
 

@@ -183,7 +183,7 @@ def test_checkpoint_written_under_version_3_is_recomputed(tmp_path):
     for (j, q1), m1 in sorted(mpart.component_needs(k, q, m).items()):
         reps = mpart.connected_reps(j, q1)
         tables = [
-            mpart._RegionSearch(mpart.bounding_region(o.rep, m1 + 2), _Budget(None)).sweep(m1)
+            mpart._RegionSearch(mpart.bounding_region(o.rep, m1 + 2, m1), _Budget(None)).sweep(m1)
             for o in reps
         ]
         for index, table in enumerate(tables):
@@ -506,6 +506,24 @@ def test_cli_count_outside_its_domain_is_bad_request(query, detail, route, capsy
     out, err = capsys.readouterr()
     assert out == ""
     assert json.loads(err) == {"detail": detail, "error": "bad-request"}
+
+
+@pytest.mark.parametrize(
+    "query",
+    [
+        ["alpha", "--k", "-1", "--q", "1", "--m", "1"],
+        ["hydral", "--n", "-1", "--m", "2"],
+        ["alpha", "--k", "2", "--q", "1", "--m", "-3"],
+    ],
+    ids=["alpha-k-1", "hydral-n-1", "alpha-m-3"],
+)
+@pytest.mark.parametrize("route", [[], ["--oracle"]], ids=["pipeline", "oracle"])
+def test_cli_negative_alpha_index_is_bad_request(query, route, capsys):
+    # AlphaQuery refuses a negative index on both routes, before either counts
+    assert main(["count", *query, *route]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert json.loads(err) == {"detail": "indices must be nonnegative", "error": "bad-request"}
 
 
 def test_cli_node_ceiling_0_is_valid(capsys):

@@ -157,6 +157,30 @@ def test_sparsity_search_small():
     assert (3, 65) in by_value[2145] and (8, 5) in by_value[2145]
 
 
+def test_sparsity_search_pins_its_collisions():
+    report = search_value_collisions(8, 10**6, R)
+    assert report.verdict == "holds"
+    assert [(c["value"], c["entries"]) for c in report.evidence["collisions"]] == [
+        (15, [(3, 5), (7, 2)]),
+        (45, [(3, 9), (4, 5)]),
+        (105, [(3, 14), (4, 7)]),
+        (120, [(3, 15), (5, 5)]),
+        (231, [(3, 21), (16, 2)]),
+        (2145, [(3, 65), (8, 5)]),
+        (2485, [(3, 70), (13, 3)]),
+        (4005, [(3, 89), (4, 27)]),
+        (17205, [(3, 185), (4, 45)]),
+    ]
+
+
+@pytest.mark.parametrize("d_max", [0, 1])
+def test_sparsity_search_below_size_3_holds(d_max):
+    # the low-dimension columns start at size 3, as the main scan does, so
+    # p(2, 3) = p(3, 2) = 3 is no collision: the conjecture is stated for d >= 3
+    report = search_value_collisions(d_max, 5, R)
+    assert report.verdict == "holds" and report.evidence["collisions"] == []
+
+
 def test_sparsity_search_without_extension():
     report = search_value_collisions(8, 10**6, R, low_dim_extension=False)
     assert report.verdict == "holds"

@@ -221,31 +221,42 @@ def test_exponential_formula_matches_hydral():
 
 
 def test_bounding_region_examples():
-    full = bounding_region(quadric_points(2), 3)
+    full = bounding_region(quadric_points(2), 3, 1)
     assert len(full.all_points()) == 10  # all monomials of degree <= 3 in 2 variables
-    partial = bounding_region([(1, 1), (2, 0)], 3)
+    partial = bounding_region([(1, 1), (2, 0)], 3, 1)
     assert partial.cells == ((2, 1), (3, 0))
-    chain = bounding_region([(2,)], 5)
+    chain = bounding_region([(2,)], 5, 3)
     assert chain.cells == ((3,), (4,), (5,))
 
 
 def test_bounding_region_is_union_of_admissible_members():
-    # region = union of all partitions with the given quadric layer and length
-    U = [(2, 0), (1, 1)]
-    region = bounding_region(U, 4)
-    region_pts = set(region.all_points())
-    union = set()
-    from hdpart.lattice import Partition, hilbert_samuel, iter_partitions
+    # the region cut at length 4 and size s is the union of the partitions
+    # with that quadric layer, length <= 4 and at most s cells above the layer
+    from hdpart.lattice import Partition, iter_partitions
 
-    for pts in iter_partitions(2, 8):
-        part = Partition(2, pts)
-        if part.layer(2) == tuple(sorted(U)) and (part.length or 0) <= 4:
-            union |= set(pts)
-    assert union <= region_pts
-    # and every region cell is reachable: the region itself is such a partition
-    assert set(
-        bounding_region(U, 4).all_points()
-    ) == region_pts
+    U = [(2, 0), (1, 1)]
+    members = [Partition(2, pts) for n in range(1, 10) for pts in iter_partitions(2, n)]
+    for size in range(1, 5):
+        union = set()
+        for part in members:
+            above = sum(1 for p in part.points if sum(p) >= 3)
+            if part.layer(2) == tuple(sorted(U)) and (part.length or 0) <= 4 and above <= size:
+                union |= set(part.points)
+        assert set(bounding_region(U, 4, size).all_points()) == union, size
+
+
+def test_region_cut_at_the_sweep_size_moves_no_count_or_node():
+    # a cell whose down-set holds more than m cells above the layer can enter
+    # an allowed mask only once m cells are chosen, when no memo state reads it
+    m = 7
+    for k, q in ((3, 4), (4, 6), (5, 8)):
+        for o in orbit_reps(k, q):
+            cut, whole = _Budget(None), _Budget(None)
+            got = _RegionSearch(bounding_region(o.rep, m + 2, m), cut).sweep(m)
+            want = _RegionSearch(bounding_region(o.rep, m + 2, 10**6), whole).sweep(m)
+            assert got == want and cut.nodes == whole.nodes, o
+    with pytest.raises(ValueError):
+        _RegionSearch(bounding_region(o.rep, m + 2, m), _Budget(None)).sweep(m + 1)
 
 
 def test_alpha_known_small_values():
@@ -318,7 +329,7 @@ def test_sweep_tables_match_record():
     assert len(record) == 19
     for (k, q, m), hashes in record.items():
         tables = [
-            _RegionSearch(bounding_region(o.rep, m + 2), _Budget(None)).sweep(m)
+            _RegionSearch(bounding_region(o.rep, m + 2, m), _Budget(None)).sweep(m)
             for o in orbit_reps(k, q)
         ]
         got = [hashlib.sha256(repr(sorted(t.items())).encode()).hexdigest() for t in tables]

@@ -425,6 +425,25 @@ def test_frontier_rows_deep(d):
         assert resolver.p(5, 22) == 262769080
 
 
+@pytest.mark.parametrize(
+    "d, nodes",
+    [
+        (15, 1854),
+        (16, 4176),
+        (17, 9408),
+        pytest.param(20, 105252, marks=pytest.mark.slow),
+        pytest.param(22, 535727, marks=pytest.mark.slow),
+    ],
+)
+def test_cold_row_node_total(d, nodes):
+    # every search node behind one row from a cold Resolver: a change to the
+    # regions, the walk or the memo that moves any node shows here
+    resolver = Resolver()
+    for k in range(d):
+        resolver.y(k, d)
+    assert resolver.budget.nodes == nodes
+
+
 def test_frontier_row_22_gives_p():
     # the pinned row alone, by p(n, d) = sum_k binom(n, k) y(k, d)
     row = _frontier_rows()[22]
@@ -457,3 +476,11 @@ def test_record_rows_give_p(d, p4, p5):
     row = _frontier_rows()[d]
     assert p_from_y(lambda k, e: row[k], 4, d) == p4
     assert p_from_y(lambda k, e: row[k], 5, d) == p5
+
+
+def test_record_row_27_gives_p():
+    # the d = 27 row is a record no test recomputes; p(2, 27) and p(3, 27) are
+    # the partition and plane-partition numbers
+    row = _frontier_rows()[27]
+    p = [p_from_y(lambda k, e: row[k], n, 27) for n in range(2, 6)]
+    assert p == [3010, 1632658, 218893580, 11404408525]
