@@ -8,7 +8,14 @@ from fractions import Fraction
 from typing import NamedTuple, Optional
 
 from .intmath import binom
-from .refine import IntegrityError, Resolver, product_column, product_exponent, y_from_p
+from .refine import (
+    IntegrityError,
+    Resolver,
+    p_from_y,
+    product_column,
+    product_exponent,
+    y_from_p,
+)
 from .series import (
     ONE,
     NumeratorFitError,
@@ -292,6 +299,14 @@ def search_value_collisions(
     """Index every count p(n, d) <= value_bound for sizes 3 <= d <= d_max
     (dimensions n >= 2) and report value collisions across distinct sizes.
 
+    Each size d >= 4 is scanned up its column p(n, d) = sum_k C(n, k) y(k, d)
+    (`p_from_y`), reading its y row once and only as far as the scan reaches,
+    so the resolver computes the y entries that one `Resolver.p` call per value
+    would. Size 3 is not scanned: its column is a quadratic in n, so each value
+    the other columns index is tested against it by an exact inverse
+    (`_size_3_dimension`), and the scan costs O(bound^(1/3)) values, the size-4
+    column, instead of O(bound^(1/2)).
+
     With low_dim_extension the exactly-solvable dimension-2 and dimension-3
     columns are also scanned from size max(d_max + 1, 3), which is where the
     known large collisions live. Verdict holds iff every collision involves
@@ -305,10 +320,18 @@ def search_value_collisions(
         if 2 <= value <= value_bound:
             index.setdefault(value, []).append((d, n))
 
-    for d in range(3, d_max + 1):
+    if d_max >= 3:
+        # read first, as a scan of size 3 did, so the resolver's work keeps its order
+        size_3_row = [resolver.y(k, 3) for k in range(3)]
+        if min(size_3_row[1:]) <= 0:
+            raise IntegrityError(f"size-3 y row {size_3_row} has a coefficient <= 0")
+    for d in range(4, d_max + 1):
+        row: list[int] = []
         n = 2
         while True:
-            v = resolver.p(n, d)
+            while len(row) <= min(n, d - 1):
+                row.append(resolver.y(len(row), d))
+            v = p_from_y(lambda k, _: row[k], n, d)
             if v > value_bound:
                 break
             record(v, d, n)
@@ -322,6 +345,11 @@ def search_value_collisions(
                 if column[d] > value_bound:
                     break
                 record(column[d], d, n)
+    if d_max >= 3:
+        for value, entries in index.items():
+            n = _size_3_dimension(value, size_3_row)
+            if n is not None:
+                entries.append((3, n))
 
     collisions = []
     for value in sorted(index):
@@ -352,6 +380,19 @@ def search_value_collisions(
         {"collisions": collisions, "collision_count": len(collisions)},
         witness,
     )
+
+
+def _size_3_dimension(value: int, row: list[int]) -> Optional[int]:
+    """The dimension n >= 2 with p(n, 3) == value, or None, from the size-3 y
+    row (y(0, 3), a, b): p(n, 3) = a n + b C(n, 2), which rises with n since
+    a, b > 0. The isqrt root of b n^2 + (2a - b) n = 2 value never passes the
+    least n with p(n, 3) >= value, so stepping up from it finds that n."""
+    a, b = row[1], row[2]
+    c = 2 * a - b
+    n = max(2, (math.isqrt(c * c + 8 * b * value) - c) // (2 * b))
+    while (v := p_from_y(lambda k, _: row[k], n, 3)) < value:
+        n += 1
+    return n if v == value else None
 
 
 def _independent_value(d: int, n: int, checker: Resolver) -> int:

@@ -421,7 +421,8 @@ class AlphaQuery(_AlphaQuery):
         length: Optional[int] = None,
         profile: Optional[tuple[int, ...]] = None,
     ):
-        if min(k, q, m) < 0:
+        # a profile entry is a layer size, as nonnegative as k, q and m
+        if min(k, q, m, *(profile or ())) < 0:
             raise ValueError("indices must be nonnegative")
         if profile is not None:
             h = profile
@@ -609,7 +610,8 @@ class _RegionSearch:
                     if size + 1 < left and short <= 3 * (left - size - 1):
                         layer(x + 1, size + 1, s, got, n)
 
-            layer(0, 0, 0, 0, 0)
+            if left:
+                layer(0, 0, 0, 0, 0)
             return steps
 
         return stack(layers(range(self.n_cubics), self.full_mask, m_max), m_max)

@@ -514,8 +514,10 @@ def test_cli_count_outside_its_domain_is_bad_request(query, detail, route, capsy
         ["alpha", "--k", "-1", "--q", "1", "--m", "1"],
         ["hydral", "--n", "-1", "--m", "2"],
         ["alpha", "--k", "2", "--q", "1", "--m", "-3"],
+        ["alpha", "--hilbert", "1,2,3,-1,2"],
+        ["alpha", "--hilbert", "1,2,3,2,-1"],
     ],
-    ids=["alpha-k-1", "hydral-n-1", "alpha-m-3"],
+    ids=["alpha-k-1", "hydral-n-1", "alpha-m-3", "hilbert-layer-3-neg", "hilbert-layer-4-neg"],
 )
 @pytest.mark.parametrize("route", [[], ["--oracle"]], ids=["pipeline", "oracle"])
 def test_cli_negative_alpha_index_is_bad_request(query, route, capsys):

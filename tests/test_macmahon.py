@@ -2,6 +2,7 @@
 
 import pytest
 
+from hdpart.cache import load_golden_collisions
 from hdpart.intmath import binom
 from hdpart.lattice import count_partitions
 from hdpart.macmahon import (
@@ -186,6 +187,81 @@ def test_sparsity_search_without_extension():
     assert report.verdict == "holds"
     values = {c["value"] for c in report.evidence["collisions"]}
     assert {15, 45, 105, 120, 2145} <= values  # pairs with both sizes <= 8
+
+
+def _reference_collisions(d_max, bound, resolver, low_dim_extension=True):
+    """The collision list of a scan that makes one Resolver.p call per value
+    of every size 3..d_max, as the checker did before it inverted size 3."""
+    index = {}
+    for d in range(3, d_max + 1):
+        n = 2
+        while (v := resolver.p(n, d)) <= bound:
+            if v >= 2:
+                index.setdefault(v, []).append((d, n))
+            n += 1
+    if low_dim_extension:
+        for n, numbers in ((2, partition_numbers), (3, plane_partition_numbers)):
+            column = numbers(4 * d_max)
+            while column[-1] <= bound:
+                column = numbers(2 * len(column))
+            for d in range(max(d_max + 1, 3), len(column)):
+                if column[d] > bound:
+                    break
+                if column[d] >= 2:
+                    index.setdefault(column[d], []).append((d, n))
+    collisions = []
+    for value in sorted(index):
+        entries = sorted(set(index[value]))
+        if len({d for d, _ in entries}) > 1:
+            collisions.append({"value": value, "entries": entries})
+    return collisions
+
+
+def _y_keys(resolver):
+    return set(resolver.tables["Y"].entries)
+
+
+@pytest.mark.parametrize("low_dim_extension", [True, False])
+@pytest.mark.parametrize("bound", [2, 5, 50, 10**4, 10**6])
+def test_sparsity_search_matches_reference_scan(bound, low_dim_extension):
+    for d_max in (0, 1, 2, 3, 4, 5, 8, 12):
+        ref, new = Resolver(), Resolver()
+        want = _reference_collisions(d_max, bound, ref, low_dim_extension)
+        report = search_value_collisions(d_max, bound, new, low_dim_extension)
+        assert report.evidence == {"collisions": want, "collision_count": len(want)}, d_max
+        # the row is read lazily: no y entry or search node past the reference's
+        assert _y_keys(new) <= _y_keys(ref) and new.budget.nodes <= ref.budget.nodes, d_max
+
+
+@pytest.mark.parametrize("d_max, bound", [(8, 10**6), (12, 10**9), (20, 10**6)])
+def test_sparsity_search_reads_the_reference_y_entries(d_max, bound):
+    ref, new = Resolver(), Resolver()
+    want = _reference_collisions(d_max, bound, ref)
+    assert search_value_collisions(d_max, bound, new).evidence["collisions"] == want
+    assert new.tables["Y"].provenance == ref.tables["Y"].provenance
+    assert new.budget.nodes == ref.budget.nodes
+
+
+def test_sparsity_search_reproduces_golden_collisions():
+    # the size-3 column is inverted, not scanned, so the largest shipped
+    # collision, p(2160324, 3) = p(24100, 4), is in reach of the suite
+    report = search_value_collisions(8, 2333500972650, Resolver())
+    assert report.verdict == "holds"
+    pairs = [
+        (d, n, e, m, c["value"])
+        for c in report.evidence["collisions"]
+        for i, (d, n) in enumerate(c["entries"])
+        for e, m in c["entries"][i + 1 :]
+        if d != e
+    ]
+    assert pairs == load_golden_collisions()
+
+
+def test_sparsity_search_refuses_a_size_3_row_that_does_not_rise():
+    bad = Resolver()
+    bad.tables["Y"].set((2, 3), 0, "test")
+    with pytest.raises(IntegrityError, match="size-3 y row"):
+        search_value_collisions(4, 100, bad)
 
 
 def test_sparsity_reverification_is_independent():

@@ -259,6 +259,14 @@ def test_region_cut_at_the_sweep_size_moves_no_count_or_node():
         _RegionSearch(bounding_region(o.rep, m + 2, m), _Budget(None)).sweep(m + 1)
 
 
+def test_sweep_to_size_0_counts_no_set():
+    # layers records a one-cell set only when the size left allows one
+    region = bounding_region([(2, 0), (1, 1)], 4, 3)
+    budget = _Budget(None)
+    assert _RegionSearch(region, budget).sweep(0) == {}
+    assert budget.nodes == 0
+
+
 def test_alpha_known_small_values():
     assert alpha_count(2, 2, 1) == 2
     assert alpha_count(1, 1, 3) == 1
