@@ -26,8 +26,8 @@ One cell table per dimension (`_cell_table`) holds only the quadrics and
 the cubics, each cubic with the quadrics below it; stability and bounding
 regions read its indices. Each region grows from its layer's own cubics a
 degree at a time, keeping only the cells a sweep to its size can reach, and
-hands the search each cell's lower covers. The table is not the oracle's
-universe in `lattice`.
+holds the cover masks and lists the search walks. The table is not the
+oracle's universe in `lattice`.
 
 `_RegionSearch.sweep` is the only region walker. One subset walker takes every
 layer, the cubics too: a cubic set counts once it covers the quadric layer, and
@@ -319,20 +319,28 @@ def connected_reps(k: int, q: int) -> tuple[QuadricOrbit, ...]:
 
 class BoundingRegion(NamedTuple):
     """All cells of the partitions with a fixed quadric layer, bounded length
-    and a bounded number of cells above the layer.
+    and a bounded number of cells above the layer, in the form the sweep walks.
 
     quadric_mask has bit u for each quadric entry u of the layer in the cell
-    table. cells are the degree >= 3 points, sorted by (degree, lex); lower[i]
-    lists the lower covers of cell i: quadric entries for a cubic, indices into
-    cells above the cubics. size is the bound: no cell's down-set holds more
-    than size cells of degree >= 3, so a count of at most size cells loses
-    nothing to the cut, since a partition holds the down-set of each cell.
+    table. cells are the degree >= 3 points, sorted by (degree, lex), so the
+    n_cubics cubics come first and the cells of one degree are a run of local
+    indices. covers[i] masks the quadric entries below cubic i (0 above the
+    cubics); parent_mask[i] has bit j for each lower cover j of cell i above
+    the cubics (0 for a cubic); upper[i] lists the cells that cover cell i.
+    cover_order pairs each quadric bit of the layer with its highest covering
+    cubic, -1 for none, ascending. size is the bound: no cell's down-set holds
+    more than size cells of degree >= 3, so a count of at most size cells
+    loses nothing to the cut, since a partition holds the down-set of each cell.
     """
 
     k: int
     quadric_mask: int
     cells: tuple[Point, ...]
-    lower: tuple[tuple[int, ...], ...]
+    n_cubics: int
+    covers: tuple[int, ...]
+    parent_mask: tuple[int, ...]
+    upper: tuple[tuple[int, ...], ...]
+    cover_order: tuple[tuple[int, int], ...]
     size: int
 
     def all_points(self) -> tuple[Point, ...]:
@@ -355,9 +363,10 @@ def bounding_region(U: Iterable[Point], max_degree: int, size: int) -> BoundingR
     holds at most size cells of degree >= 3.
 
     Each degree grows from the upper neighbours of the last one's cells,
-    counting the kept lower covers of each as they are found. A point c with
-    support s and t exponents >= 2 has prod(c_i + 1) points in its down-set, of
-    which 1 + s + t + s(s - 1)/2 have degree <= 2. A neighbour's product is
+    listing the kept lower covers of each as they are found, which give its
+    parent mask and its entries in upper. A point c with support s and t
+    exponents >= 2 has prod(c_i + 1) points in its down-set, of which
+    1 + s + t + s(s - 1)/2 have degree <= 2. A neighbour's product is
     updated from its lower cover's, so a point over the bound is dropped
     before it is built.
     """
@@ -369,7 +378,15 @@ def bounding_region(U: Iterable[Point], max_degree: int, size: int) -> BoundingR
     umask = table.quadric_mask(pts)
     kept = [c for c, mask in enumerate(table.divisors) if mask & ~umask == 0]
     cells = [table.cubics[c] for c in kept]
-    lower = [table.lower[c] for c in kept]
+    covers = [table.divisors[c] for c in kept]
+    # the highest cubic covering each quadric of the layer; a quadric that no
+    # cubic covers keeps -1, so a sweep of an unstable layer enters no cubic
+    last = {u: -1 for u in range(umask.bit_length()) if umask >> u & 1}
+    for i, c in enumerate(kept):
+        for u in table.lower[c]:
+            last[u] = i
+    parent_mask = [0] * len(cells)
+    upper: list[list[int]] = [[] for _ in cells]
     first = 0  # the last degree's first cell
     for _ in range(4, max_degree + 1):
         grown: dict[Point, list[int]] = {}
@@ -384,11 +401,18 @@ def bounding_region(U: Iterable[Point], max_degree: int, size: int) -> BoundingR
                 if prod // (v + 1) * (v + 2) <= room + (s + 1 if v == 0 else v == 1):
                     grown.setdefault(p[:a] + (v + 1,) + p[a + 1 :], []).append(i)
         first = len(cells)
-        for c in sorted(grown):
-            if len(grown[c]) == k - c.count(0):  # one lower cover per axis of its support
+        for c, low in sorted(grown.items()):
+            if len(low) == k - c.count(0):  # one lower cover per axis of its support
+                for j in low:
+                    upper[j].append(len(cells))
                 cells.append(c)
-                lower.append(tuple(grown[c]))
-    return BoundingRegion(k, umask, tuple(cells), tuple(lower), size)
+                covers.append(0)
+                parent_mask.append(sum(1 << j for j in low))
+                upper.append([])
+    return BoundingRegion(
+        k, umask, tuple(cells), len(kept), tuple(covers), tuple(parent_mask),
+        tuple(map(tuple, upper)), tuple(sorted((i, 1 << u) for u, i in last.items())), size,
+    )
 
 
 class _AlphaQuery(NamedTuple):
@@ -491,41 +515,12 @@ SEARCH_FORMAT_VERSION = 4
 
 class _RegionSearch:
     """Exact count of the downward-closed cell subsets of one bounding region
-    whose cubics cover its quadric layer, charging its nodes to budget.
-
-    parent_mask and upper hold each cell's lower and upper covers as local
-    indices; cells stay in (degree, lex) order, so the cells of one degree
-    are a run of bits and a mask of them implies their degree.
+    whose cubics cover its quadric layer, charging its nodes to budget; the
+    sweep walks the region's own arrays.
     """
 
     def __init__(self, region: BoundingRegion, budget: _Budget):
-        self.n_cubics = sum(sum(c) == 3 for c in region.cells)
-        self.full_mask = region.quadric_mask
-        self.size = region.size
-        # bit j of parent_mask[i]: cell j is a lower cover of cell i (above the cubics)
-        self.parent_mask: list[int] = []
-        # upper[i]: the region's cells that cover cell i
-        self.upper: list[list[int]] = [[] for _ in region.cells]
-        # bit u of covers[i]: quadric entry u is a lower cover of cell i (0 above the cubics)
-        self.covers: list[int] = []
-        # the highest cubic covering each quadric, -1 for none
-        last_cover = [-1] * self.full_mask.bit_length()
-        for i, low in enumerate(region.lower):
-            parents = cover = 0
-            if i < self.n_cubics:
-                for u in low:
-                    cover |= 1 << u
-                    last_cover[u] = i
-            else:
-                for c in low:
-                    parents |= 1 << c
-                    self.upper[c].append(i)
-            self.parent_mask.append(parents)
-            self.covers.append(cover)
-        # (last covering cubic, quadric bit) for the layer's quadrics, ascending
-        self.cover_order = sorted(
-            (last, 1 << u) for u, last in enumerate(last_cover) if self.full_mask >> u & 1
-        )
+        self.region = region
         self.budget = budget
 
     @property
@@ -549,10 +544,11 @@ class _RegionSearch:
         transition. m_max may not pass the region's size, past which the
         region lacks cells that larger sets hold.
         """
-        if m_max > self.size:
-            raise ValueError(f"sweep to size {m_max} over a region cut at size {self.size}")
+        region = self.region
+        if m_max > region.size:
+            raise ValueError(f"sweep to size {m_max} over a region cut at size {region.size}")
         parent_mask, upper, covers, cover_order = (
-            self.parent_mask, self.upper, self.covers, self.cover_order
+            region.parent_mask, region.upper, region.covers, region.cover_order
         )
         spend = self.budget.spend
         memo: dict[tuple[int, int], BucketTable] = {}
@@ -614,7 +610,7 @@ class _RegionSearch:
                 layer(0, 0, 0, 0, 0)
             return steps
 
-        return stack(layers(range(self.n_cubics), self.full_mask, m_max), m_max)
+        return stack(layers(range(region.n_cubics), region.quadric_mask, m_max), m_max)
 
     def count(self, m: int) -> int:
         """Count valid subsets of exactly m cells (all lengths)."""

@@ -14,10 +14,17 @@ from hypothesis import strategies as st
 
 from hdpart.cache import CheckpointedAlphaRun
 from hdpart.hydral import hydral_count
-from hdpart.lattice import ConstraintSpec, ResourceCeilingError, _Budget, count_constrained
+from hdpart.lattice import (
+    ConstraintSpec,
+    ResourceCeilingError,
+    _Budget,
+    count_constrained,
+    lower_covers,
+)
 from hdpart.mpart import (
     AlphaQuery,
     _RegionSearch,
+    _cell_table,
     _certifiable,
     _graph,
     _open_matching,
@@ -265,6 +272,40 @@ def test_sweep_to_size_0_counts_no_set():
     budget = _Budget(None)
     assert _RegionSearch(region, budget).sweep(0) == {}
     assert budget.nodes == 0
+
+
+def test_region_holds_the_arrays_its_sweep_walks():
+    # a layer quadric that no kept cubic covers stays in cover_order as
+    # (-1, bit), so a layer that is not stable sweeps to nothing at no node
+    for U in ([(1, 1)], [(1, 1, 0), (0, 1, 1), (2, 0, 0)]):
+        budget = _Budget(None)
+        assert _RegionSearch(bounding_region(U, 5, 3), budget).sweep(3) == {}
+        assert budget.nodes == 0
+    m = 7
+    for k, q in ((3, 4), (4, 6), (5, 8)):
+        index = _cell_table(k).index
+        for o in orbit_reps(k, q):
+            region = bounding_region(o.rep, m + 2, m)
+            cells, n = region.cells, region.n_cubics
+            assert [sum(c) == 3 for c in cells] == [i < n for i in range(len(cells))]
+            local = {c: i for i, c in enumerate(cells)}
+            covers, parents, upper = [], [], [[] for _ in cells]
+            for i, c in enumerate(cells):
+                low = lower_covers(c)
+                if i < n:
+                    covers.append(sum(1 << index[p] for p in low))
+                    parents.append(0)
+                else:
+                    covers.append(0)
+                    parents.append(sum(1 << local[p] for p in low))
+                    for p in low:
+                        upper[local[p]].append(i)
+            quads = [u for u in range(len(index)) if region.quadric_mask >> u & 1]
+            last = [max((i for i in range(n) if covers[i] >> u & 1), default=-1) for u in quads]
+            assert region.covers == tuple(covers), o
+            assert region.parent_mask == tuple(parents), o
+            assert region.upper == tuple(map(tuple, upper)), o
+            assert region.cover_order == tuple(sorted(zip(last, [1 << u for u in quads]))), o
 
 
 def test_alpha_known_small_values():

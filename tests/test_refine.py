@@ -459,15 +459,15 @@ def test_frontier_row_23_gives_p():
 
 def test_golden_c6_diagonal_from_pinned_rows():
     # c(2z+2, z+4) reads y(j, d) for d up to 3z + 7: the pinned rows give
-    # d >= 16 and a Resolver the rest, so z = 0..6 is recomputed (z = 7
-    # needs d = 28, which is not pinned)
+    # d >= 16 and a Resolver the rest, so z = 0..7 is recomputed (z = 8
+    # needs d = 31, which is not pinned)
     rows, resolver = _frontier_rows(), Resolver()
 
     def y(k, d):
         return resolver.y(k, d) if d <= 15 else rows[d][k]
 
     _, diag = load_golden_c6()
-    assert [c_from_y(y, 2 * z + 2, z + 4) for z in range(7)] == diag[:7]
+    assert [c_from_y(y, 2 * z + 2, z + 4) for z in range(8)] == diag[:8]
 
 
 @pytest.mark.parametrize("d, p4, p5", [(25, 65715094, 2569270050), (26, 120256653, 5427963902)])
@@ -478,9 +478,15 @@ def test_record_rows_give_p(d, p4, p5):
     assert p_from_y(lambda k, e: row[k], 5, d) == p5
 
 
-def test_record_row_27_gives_p():
-    # the d = 27 row is a record no test recomputes; p(2, 27) and p(3, 27) are
-    # the partition and plane-partition numbers
-    row = _frontier_rows()[27]
-    p = [p_from_y(lambda k, e: row[k], n, 27) for n in range(2, 6)]
-    assert p == [3010, 1632658, 218893580, 11404408525]
+@pytest.mark.parametrize(
+    "d, p",
+    [
+        pytest.param(27, [3010, 1632658, 218893580, 11404408525], id="27"),
+        pytest.param(28, [3718, 2483234, 396418699, 23836421895], id="28"),
+    ],
+)
+def test_record_rows_give_p_2_to_5(d, p):
+    # the d = 27, 28 rows are records no test recomputes; p(2, d) and p(3, d)
+    # are the partition and plane-partition numbers
+    row = _frontier_rows()[d]
+    assert [p_from_y(lambda k, e: row[k], n, d) for n in range(2, 6)] == p
