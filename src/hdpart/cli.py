@@ -379,9 +379,11 @@ def _parse(argv: list[str]) -> SimpleNamespace | None:
             args[_dest(flag)] = convert(value)
         except ValueError:
             raise ValueError(f"{flag} needs an integer, not {value!r}") from None
-    for flag, least in (("--workers", 1), ("--node-ceiling", 0)):
-        if args[_dest(flag)] < least:
-            raise ValueError(f"{flag} needs at least {least}, not {args[_dest(flag)]}")
+    # an --expand below 1 would print the generating function and then fail
+    for flag, least in (("--workers", 1), ("--node-ceiling", 0), ("--expand", 1)):
+        value = args.get(_dest(flag))
+        if value is not None and value < least:
+            raise ValueError(f"{flag} needs at least {least}, not {value}")
     if command is None:
         raise ValueError(f"missing command; choose from {', '.join(_COMMANDS)}")
     if positional not in args:

@@ -212,10 +212,14 @@ def check_exponent_divisibility(
 
     Irreducibility of the quotient is reported as not checked.
     """
-    resolver = resolver or Resolver()
-    descriptor = f"m={m}, samples=n=1..{m + 1 + extra_points}"
     if m < 1:
         raise ValueError("m must be positive")
+    # fewer than m + 1 samples fit a polynomial of too low a degree, so its
+    # verdict would read nothing of the discrepancy
+    if extra_points < 0:
+        raise ValueError(f"extra_points must be nonnegative, not {extra_points}")
+    resolver = resolver or Resolver()
+    descriptor = f"m={m}, samples=n=1..{m + 1 + extra_points}"
     samples = []
     for n in range(1, m + 2 + extra_points):
         samples.append((n, epsilon_value(m, n, resolver)))

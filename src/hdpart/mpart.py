@@ -22,12 +22,10 @@ Flajolet-Sedgewick, Analytic Combinatorics, 2009, II.2). `orbit_reps`, which
 generates every stable layer, and `alpha_without_orbit_reduction` stay as
 the references the tests compare this route with.
 
-One cell table per dimension (`_cell_table`) holds only the quadrics and
-the cubics, each cubic with the quadrics below it; stability and bounding
-regions read its indices. Each region grows from its layer's own cubics a
-degree at a time, keeping only the cells a sweep to its size can reach, and
-holds the cover masks and lists the search walks. The table is not the
-oracle's universe in `lattice`.
+Each region grows from its layer's quadrics a degree at a time, the cubics
+by the same rule as every higher degree, keeping only the cells a sweep to
+its size can reach, and holds the cover masks and lists the search walks.
+The regions share no table of cells with the oracle's universe in `lattice`.
 
 `_RegionSearch.sweep` is the only region walker. One subset walker takes every
 layer, the cubics too: a cubic set counts once it covers the quadric layer, and
@@ -61,8 +59,9 @@ from .lattice import ConstraintSpec, Point, _Budget, lower_covers, point_key
 DEFAULT_NODE_CEILING = 10**9
 
 
+@lru_cache(maxsize=None)
 def quadric_points(k: int) -> tuple[Point, ...]:
-    """All degree-2 points of N^k in lex order."""
+    """All degree-2 points of N^k in lex order; quadric entry u is point u."""
     out = []
     for i in range(k):
         for j in range(i, k):
@@ -73,35 +72,22 @@ def quadric_points(k: int) -> tuple[Point, ...]:
     return tuple(sorted(out))
 
 
-class _CellTable:
-    """The quadrics and the cubics of N^k, each in lex order; quadric u is
-    quadrics[u] and index maps it back. lower[c] lists the quadric entries
-    below cubic c, which are its lower covers, and divisors[c] masks them.
-    """
-
-    def __init__(self, k: int):
-        self.k = k
-        self.quadrics = quadric_points(k)
-        self.index = {p: u for u, p in enumerate(self.quadrics)}
-        grown = {z[:i] + (z[i] + 1,) + z[i + 1 :] for z in self.quadrics for i in range(k)}
-        self.cubics = sorted(grown)
-        self.lower = [tuple(self.index[c] for c in lower_covers(p)) for p in self.cubics]
-        self.divisors = [sum(1 << u for u in low) for low in self.lower]
-
-    def quadric_mask(self, U: Iterable[Point]) -> int:
-        """Bit u set for each quadric entry u in U."""
-        mask = 0
-        for p in U:
-            u = self.index.get(tuple(p))
-            if u is None:
-                raise ValueError(f"{p} is not a degree-2 point of N^{self.k}")
-            mask |= 1 << u
-        return mask
-
-
 @lru_cache(maxsize=None)
-def _cell_table(k: int) -> _CellTable:
-    return _CellTable(k)
+def quadric_index(k: int) -> dict[Point, int]:
+    """The entry of each degree-2 point of N^k in quadric_points(k)."""
+    return {p: u for u, p in enumerate(quadric_points(k))}
+
+
+def _quadric_mask(U: Iterable[Point], k: int) -> int:
+    """Bit u set for each quadric entry u in U."""
+    index = quadric_index(k)
+    mask = 0
+    for p in U:
+        u = index.get(tuple(p))
+        if u is None:
+            raise ValueError(f"{p} is not a degree-2 point of N^{k}")
+        mask |= 1 << u
+    return mask
 
 
 def support_variables(points: Iterable[Point]) -> frozenset[int]:
@@ -114,24 +100,25 @@ def support_variables(points: Iterable[Point]) -> frozenset[int]:
 
 
 def is_m_stable(U: Iterable[Point], k: int) -> bool:
-    """Whether every quadric of U divides a cubic whose quadric divisors stay in U.
+    """Whether every quadric of U divides a cubic whose lower covers all lie in U.
 
     This is the constructive stability criterion: the closure of such
     certifying cubics is itself a partition with quadric layer exactly U and
-    socle in degree 3.
+    socle in degree 3. It reads `lattice.lower_covers` and no region, so it
+    stays the reference that the looped-graph test `_certifiable` is checked
+    against.
     """
-    table = _cell_table(k)
-    umask = table.quadric_mask(U)
-    certified = 0
-    for mask in table.divisors:
-        if mask & ~umask == 0:
-            certified |= mask
-    return certified == umask
+    mask = _quadric_mask(U, k)
+    layer = {p for u, p in enumerate(quadric_points(k)) if mask >> u & 1}
+    return all(
+        any(set(lower_covers(p[:i] + (v + 1,) + p[i + 1 :])) <= layer for i, v in enumerate(p))
+        for p in layer
+    )
 
 
 # --- stable layers as looped graphs ----------------------------------------------
 #
-# Quadric entry u = a(a+1)/2 + b (a >= b) of the cell table is x_{k-1-a} x_{k-1-b}:
+# Quadric entry u = a(a+1)/2 + b (a >= b) is x_{k-1-a} x_{k-1-b}:
 # an edge ab of a looped graph on the vertices 0..k-1, a loop when a == b. Read
 # in entry order, the edges come column by column, (0,0), (1,0), (1,1), (2,0), ...
 # The least sorted entry tuple of an S_k-orbit is its greatest column string:
@@ -270,7 +257,7 @@ def _orderly(k: int, q: int, connected: bool) -> tuple[QuadricOrbit, ...]:
     n_quads = k * (k + 1) // 2
     if k < 1 or q < 1 or q > n_quads:
         return ()
-    points = _cell_table(k).quadrics
+    points = quadric_points(k)
     ends = [(a, b) for a in range(k) for b in range(a + 1)]
     # future[x][v]: the edges at v with entry x or later
     future = [_graph(k, ((1 << n_quads) - 1) >> x << x) for x in range(n_quads + 1)]
@@ -321,8 +308,8 @@ class BoundingRegion(NamedTuple):
     """All cells of the partitions with a fixed quadric layer, bounded length
     and a bounded number of cells above the layer, in the form the sweep walks.
 
-    quadric_mask has bit u for each quadric entry u of the layer in the cell
-    table. cells are the degree >= 3 points, sorted by (degree, lex), so the
+    quadric_mask has bit u for each quadric entry u of the layer (in lex
+    order). cells are the degree >= 3 points, sorted by (degree, lex), so the
     n_cubics cubics come first and the cells of one degree are a run of local
     indices. covers[i] masks the quadric entries below cubic i (0 above the
     cubics); parent_mask[i] has bit j for each lower cover j of cell i above
@@ -345,72 +332,82 @@ class BoundingRegion(NamedTuple):
 
     def all_points(self) -> tuple[Point, ...]:
         """The cells with the origin, the k unit points and the quadric layer."""
-        quadrics = _cell_table(self.k).quadrics
         low: list[Point] = [(0,) * self.k]
         for i in range(self.k):
             e = [0] * self.k
             e[i] = 1
             low.append(tuple(e))
         mask = self.quadric_mask
-        quads = [quadrics[u] for u in range(mask.bit_length()) if mask >> u & 1]
+        quads = [p for u, p in enumerate(quadric_points(self.k)) if mask >> u & 1]
         return tuple(sorted(low + quads + list(self.cells), key=point_key))
 
 
 def bounding_region(U: Iterable[Point], max_degree: int, size: int) -> BoundingRegion:
-    """The region of the layer U to degree max_degree >= 3 and size: the
-    cubics whose quadric divisors all lie in U, then each cell of degree
-    4..max_degree whose lower covers all lie in the region and whose down-set
-    holds at most size cells of degree >= 3.
+    """The region of the layer U to degree max_degree >= 3 and size: each
+    cell of degree 3..max_degree whose lower covers all lie in U or in the
+    region and whose down-set holds at most size cells of degree >= 3.
 
-    Each degree grows from the upper neighbours of the last one's cells,
-    listing the kept lower covers of each as they are found, which give its
-    parent mask and its entries in upper. A point c with support s and t
-    exponents >= 2 has prod(c_i + 1) points in its down-set, of which
-    1 + s + t + s(s - 1)/2 have degree <= 2. A neighbour's product is
-    updated from its lower cover's, so a point over the bound is dropped
-    before it is built.
+    Each degree grows from the upper neighbours of the last one's cells, the
+    layer's quadrics first, listing the kept lower covers of each as they are
+    found: a cubic's give its cover mask and the highest cubic over each
+    quadric, a higher cell's its parent mask and its entries in upper. A point
+    c with support s and t exponents >= 2 has prod(c_i + 1) points in its
+    down-set, of which 1 + s + t + s(s - 1)/2 have degree <= 2. A neighbour's
+    product is updated from its lower cover's, so a point over the bound is
+    dropped before it is built.
     """
     pts = {tuple(p) for p in U}
     if not pts:
         raise ValueError("empty quadric layer")
     k = len(next(iter(pts)))
-    table = _cell_table(k)
-    umask = table.quadric_mask(pts)
-    kept = [c for c, mask in enumerate(table.divisors) if mask & ~umask == 0]
-    cells = [table.cubics[c] for c in kept]
-    covers = [table.divisors[c] for c in kept]
+    umask = _quadric_mask(pts, k)
+    cells: list[Point] = []
+    covers: list[int] = []
+    parent_mask: list[int] = []
+    upper: list[list[int]] = []
+    quads = quadric_points(k)
+    ids = [u for u in range(len(quads)) if umask >> u & 1]  # the last degree's cells
+    below = [quads[u] for u in ids]
     # the highest cubic covering each quadric of the layer; a quadric that no
     # cubic covers keeps -1, so a sweep of an unstable layer enters no cubic
-    last = {u: -1 for u in range(umask.bit_length()) if umask >> u & 1}
-    for i, c in enumerate(kept):
-        for u in table.lower[c]:
-            last[u] = i
-    parent_mask = [0] * len(cells)
-    upper: list[list[int]] = [[] for _ in cells]
-    first = 0  # the last degree's first cell
-    for _ in range(4, max_degree + 1):
+    last = dict.fromkeys(ids, -1)
+    n_cubics = 0
+    for degree in range(3, max_degree + 1):
         grown: dict[Point, list[int]] = {}
-        for i in range(first, len(cells)):
-            p = cells[i]
+        for j, p in zip(ids, below):
             s = k - p.count(0)
             prod = math.prod([v + 1 for v in p])
             # size plus p's points of degree <= 2; growing an exponent 0 adds
             # s + 1 such points to a neighbour, growing an exponent 1 adds one
             room = size + 1 + s + (s - p.count(1)) + s * (s - 1) // 2
+            up = list(p)  # p with one exponent raised at a time
             for a, v in enumerate(p):
                 if prod // (v + 1) * (v + 2) <= room + (s + 1 if v == 0 else v == 1):
-                    grown.setdefault(p[:a] + (v + 1,) + p[a + 1 :], []).append(i)
+                    up[a] = v + 1
+                    grown.setdefault(tuple(up), []).append(j)
+                    up[a] = v
         first = len(cells)
-        for c, low in sorted(grown.items()):
-            if len(low) == k - c.count(0):  # one lower cover per axis of its support
+        # one lower cover per axis of its support
+        for c in sorted([c for c, low in grown.items() if len(low) == k - c.count(0)]):
+            low = grown[c]
+            mask = sum(1 << j for j in low)
+            if degree == 3:  # low holds quadric entries
+                covers.append(mask)
+                parent_mask.append(0)
+                for u in low:
+                    last[u] = len(cells)
+            else:
+                covers.append(0)
+                parent_mask.append(mask)
                 for j in low:
                     upper[j].append(len(cells))
-                cells.append(c)
-                covers.append(0)
-                parent_mask.append(sum(1 << j for j in low))
-                upper.append([])
+            cells.append(c)
+            upper.append([])
+        ids, below = range(first, len(cells)), cells[first:]
+        if degree == 3:
+            n_cubics = len(cells)
     return BoundingRegion(
-        k, umask, tuple(cells), len(kept), tuple(covers), tuple(parent_mask),
+        k, umask, tuple(cells), n_cubics, tuple(covers), tuple(parent_mask),
         tuple(map(tuple, upper)), tuple(sorted((i, 1 << u) for u, i in last.items())), size,
     )
 
@@ -445,8 +442,8 @@ class AlphaQuery(_AlphaQuery):
         length: Optional[int] = None,
         profile: Optional[tuple[int, ...]] = None,
     ):
-        # a profile entry is a layer size, as nonnegative as k, q and m
-        if min(k, q, m, *(profile or ())) < 0:
+        # a length and a profile entry (a layer size) are as nonnegative as k, q and m
+        if min(k, q, m, length or 0, *(profile or ())) < 0:
             raise ValueError("indices must be nonnegative")
         if profile is not None:
             h = profile

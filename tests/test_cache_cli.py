@@ -516,8 +516,12 @@ def test_cli_count_outside_its_domain_is_bad_request(query, detail, route, capsy
         ["alpha", "--k", "2", "--q", "1", "--m", "-3"],
         ["alpha", "--hilbert", "1,2,3,-1,2"],
         ["alpha", "--hilbert", "1,2,3,2,-1"],
+        ["alpha", "--k", "3", "--q", "4", "--m", "8", "--length", "-1"],
     ],
-    ids=["alpha-k-1", "hydral-n-1", "alpha-m-3", "hilbert-layer-3-neg", "hilbert-layer-4-neg"],
+    ids=[
+        "alpha-k-1", "hydral-n-1", "alpha-m-3", "hilbert-layer-3-neg", "hilbert-layer-4-neg",
+        "alpha-length-1",
+    ],
 )
 @pytest.mark.parametrize("route", [[], ["--oracle"]], ids=["pipeline", "oracle"])
 def test_cli_negative_alpha_index_is_bad_request(query, route, capsys):
@@ -526,6 +530,34 @@ def test_cli_negative_alpha_index_is_bad_request(query, route, capsys):
     out, err = capsys.readouterr()
     assert out == ""
     assert json.loads(err) == {"detail": "indices must be nonnegative", "error": "bad-request"}
+
+
+@pytest.mark.parametrize(
+    "argv, detail",
+    [
+        (["series", "H", "--d", "2", "--expand", "-1"], "--expand needs at least 1, not -1"),
+        (["series", "Y", "--e", "1", "--expand", "0"], "--expand needs at least 1, not 0"),
+        (["series", "C", "--x", "1", "--expand", "-2"], "--expand needs at least 1, not -2"),
+        (["series", "hydral", "--n", "2", "--expand", "0"], "--expand needs at least 1, not 0"),
+        (
+            ["conjecture", "epsilon", "--m", "6", "--extra-points", "-3"],
+            "extra_points must be nonnegative, not -3",
+        ),
+        (
+            ["conjecture", "epsilon", "--m", "6", "--extra-points", "-7"],
+            "extra_points must be nonnegative, not -7",
+        ),
+    ],
+    ids=["H-expand-1", "Y-expand-0", "C-expand-2", "hydral-expand-0", "epsilon-3", "epsilon-7"],
+)
+def test_cli_request_below_its_range_prints_nothing(argv, detail, capsys):
+    # refused before any output: an --expand below 1 printed the generating
+    # function and then failed (or, at 0, printed no coefficient), and fewer
+    # epsilon samples than the degree needs gave a verdict from too few points
+    assert main(argv) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert json.loads(err) == {"detail": detail, "error": "bad-request"}
 
 
 def test_cli_node_ceiling_0_is_valid(capsys):

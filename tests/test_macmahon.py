@@ -98,6 +98,14 @@ def test_epsilon_interpolation_stability():
     assert base.evidence["quotient"] == wide.evidence["quotient"]
 
 
+@pytest.mark.parametrize("extra", [-1, -3, -7])
+def test_epsilon_checker_refuses_fewer_samples_than_the_degree_needs(extra):
+    # m + 1 + extra samples fit a polynomial of degree below m; -3 read "fails"
+    # at m = 6 from four samples and -7 read "holds" from none
+    with pytest.raises(ValueError, match="extra_points must be nonnegative"):
+        check_exponent_divisibility(6, R, extra_points=extra)
+
+
 def test_epsilon_trivial_below_onset():
     report = check_exponent_divisibility(5, R)
     assert report.verdict == "holds"

@@ -24,7 +24,6 @@ from hdpart.lattice import (
 from hdpart.mpart import (
     AlphaQuery,
     _RegionSearch,
-    _cell_table,
     _certifiable,
     _graph,
     _open_matching,
@@ -39,6 +38,7 @@ from hdpart.mpart import (
     connected_reps,
     is_m_stable,
     orbit_reps,
+    quadric_index,
     quadric_points,
     select,
     support_variables,
@@ -283,7 +283,7 @@ def test_region_holds_the_arrays_its_sweep_walks():
         assert budget.nodes == 0
     m = 7
     for k, q in ((3, 4), (4, 6), (5, 8)):
-        index = _cell_table(k).index
+        index = quadric_index(k)
         for o in orbit_reps(k, q):
             region = bounding_region(o.rep, m + 2, m)
             cells, n = region.cells, region.n_cubics

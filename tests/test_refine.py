@@ -9,9 +9,10 @@ from fractions import Fraction as Q
 import pytest
 
 from hdpart import mpart
-from hdpart.cache import load_golden_c6
+from hdpart.cache import load_golden_c6, load_golden_records
 from hdpart.intmath import binom, double_factorial
 from hdpart.lattice import ResourceCeilingError
+from hdpart.macmahon import partition_numbers, plane_partition_numbers
 from hdpart.refine import (
     CLOSED_FORM,
     INVERSION,
@@ -483,10 +484,26 @@ def test_record_rows_give_p(d, p4, p5):
     [
         pytest.param(27, [3010, 1632658, 218893580, 11404408525], id="27"),
         pytest.param(28, [3718, 2483234, 396418699, 23836421895], id="28"),
+        pytest.param(29, [4565, 3759612, 714399381, 49573316740], id="29"),
+        pytest.param(30, [5604, 5668963, 1281403841, 102610460240], id="30"),
     ],
 )
 def test_record_rows_give_p_2_to_5(d, p):
-    # the d = 27, 28 rows are records no test recomputes; p(2, d) and p(3, d)
+    # the d = 27..30 rows are records no test recomputes; p(2, d) and p(3, d)
     # are the partition and plane-partition numbers
     row = _frontier_rows()[d]
     assert [p_from_y(lambda k, e: row[k], n, d) for n in range(2, 6)] == p
+    assert p[:2] == [partition_numbers(d)[d], plane_partition_numbers(d)[d]]
+
+
+@pytest.mark.xfail(
+    raises=AssertionError,
+    strict=True,
+    reason="the golden p(666, 30) is larger by 27581291792776199237760",
+)
+def test_row_30_gives_the_golden_p_666_30():
+    # the paper's headline count, summed over the pinned row; the golden
+    # record's source is not recorded, and no single y(k, 30) explains the gap
+    row = _frontier_rows()[30]
+    (golden,) = [r.value for r in load_golden_records() if r.index == (666, 30)]
+    assert p_from_y(lambda k, e: row[k], 666, 30) == golden
