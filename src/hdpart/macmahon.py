@@ -140,6 +140,8 @@ def check_refined_rationality(k: int, order: int) -> ConjectureReport:
     Holds iff the numerator fits with degree <= C(k+4,2) - 7 - k and every
     diagonal value in range is nonnegative.
     """
+    if k < 0:
+        raise ValueError(f"k must be nonnegative, not {k}")
     descriptor = f"k={k}, order={order}"
     den = stirling_denominator(k)
     bound = binom(k + 4, 2) - 7 - k
@@ -316,6 +318,12 @@ def search_value_collisions(
     known large collisions live. Verdict holds iff every collision involves
     size 3.
     """
+    # an empty range would hold vacuously: below size 0 no size is scanned,
+    # and below value 2 no value is indexed
+    if d_max < 0:
+        raise ValueError(f"d_max must be nonnegative, not {d_max}")
+    if value_bound < 2:
+        raise ValueError(f"value_bound must be at least 2, not {value_bound}")
     resolver = resolver or Resolver()
     descriptor = f"d_max={d_max}, bound={value_bound}, low_dim_extension={low_dim_extension}"
     index: dict[int, list[tuple[int, int]]] = {}

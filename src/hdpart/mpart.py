@@ -22,6 +22,13 @@ Flajolet-Sedgewick, Analytic Combinatorics, 2009, II.2). `orbit_reps`, which
 generates every stable layer, and `alpha_without_orbit_reduction` stay as
 the references the tests compare this route with.
 
+One lower bound, `_cubics_needed`, says how many cubics a set of quadrics
+needs from its loops and its size. Generation for a size stops at a loop past
+what the size allows, a region keeps a cell only when its own cells above the
+layer plus the cubics the rest of the layer needs fit in the size, and the
+cubic walk enters no child whose missing quadrics need more cubics than the
+size left.
+
 Each region grows from its layer's quadrics a degree at a time, the cubics
 by the same rule as every higher degree, keeping only the cells a sweep to
 its size can reach, and holds the cover masks and lists the search walks.
@@ -76,6 +83,26 @@ def quadric_points(k: int) -> tuple[Point, ...]:
 def quadric_index(k: int) -> dict[Point, int]:
     """The entry of each degree-2 point of N^k in quadric_points(k)."""
     return {p: u for u, p in enumerate(quadric_points(k))}
+
+
+@lru_cache(maxsize=None)
+def _loop_mask(k: int) -> int:
+    """Bit u set for each loop x_i^2 among the quadric entries of N^k."""
+    return sum(1 << u for u, p in enumerate(quadric_points(k)) if 2 in p)
+
+
+def _cubics_needed(loops: int, quadrics: int) -> int:
+    """The fewest cubics whose quadric divisors include a set of quadrics,
+    loops of them loops x_i^2.
+
+    A cubic covers at most one loop (x_i^3 covers only it, x_i^2 x_j also
+    x_i x_j), one that covers a loop covers at most one other quadric, and
+    x_i x_j x_l covers three and no loop: so at least
+    loops + ceil(max(0, quadrics - 2 loops) / 3). The bound never falls as
+    loops or quadrics grow, and taking one cubic's quadrics out of the set
+    lowers it by at most one.
+    """
+    return loops + max(0, quadrics - 2 * loops + 2) // 3
 
 
 def _quadric_mask(U: Iterable[Point], k: int) -> int:
@@ -239,10 +266,13 @@ class QuadricOrbit(NamedTuple):
     orbit_size: int
 
 
-def _orderly(k: int, q: int, connected: bool) -> tuple[QuadricOrbit, ...]:
+def _orderly(
+    k: int, q: int, connected: bool, size: Optional[int] = None
+) -> tuple[QuadricOrbit, ...]:
     """One canonical representative per S_k-orbit of stable q-element quadric
     sets that touch every variable, only the connected ones if connected, in
-    the order of their sorted entry tuples.
+    the order of their sorted entry tuples; with a size, only those whose
+    loops leave `_cubics_needed` within it.
 
     Orderly generation (Read, Ann. Discrete Math. 2, 1978): a canonical graph
     less its last edge is canonical, so each one grows from its parent by one
@@ -253,9 +283,13 @@ def _orderly(k: int, q: int, connected: bool) -> tuple[QuadricOrbit, ...]:
     past a with an edge into 0..a-1, swapped with a, would read a greater
     column a. So a connected branch also stops once it passes a column with
     no lower edge, or when fewer edges are left than columns still to link.
+    A branch also stops at a loop past the most its cubics allow: the loops
+    only grow along a branch, and the bound never falls as they do.
     """
     n_quads = k * (k + 1) // 2
-    if k < 1 or q < 1 or q > n_quads:
+    # the most loops a layer may have: the bound rises with the loops
+    most = k if size is None else sum(_cubics_needed(n, q) <= size for n in range(k + 1)) - 1
+    if k < 1 or q < 1 or q > n_quads or most < 0:
         return ()
     points = quadric_points(k)
     ends = [(a, b) for a in range(k) for b in range(a + 1)]
@@ -264,7 +298,7 @@ def _orderly(k: int, q: int, connected: bool) -> tuple[QuadricOrbit, ...]:
     adj = [0] * k
     found = []
 
-    def grow(last: int, mask: int, left: int, touched: int, col: int, linked: bool):
+    def grow(last: int, mask: int, left: int, touched: int, col: int, linked: bool, loops: int):
         # left: the edges still to add after the next one; col: the last
         # edge's column, linked: whether column col has a lower edge (or is 0)
         end = n_quads - left
@@ -276,6 +310,8 @@ def _orderly(k: int, q: int, connected: bool) -> tuple[QuadricOrbit, ...]:
             now_linked = b < a or a == 0 or (a == col and linked)
             if connected and k - 1 - a + (not now_linked) > left:
                 continue  # each column still to link needs an edge of its own
+            if a == b and loops == most:
+                continue
             adj[a] |= 1 << b
             adj[b] |= 1 << a
             reached = touched | 1 << a | 1 << b
@@ -286,22 +322,24 @@ def _orderly(k: int, q: int, connected: bool) -> tuple[QuadricOrbit, ...]:
             if need <= 2 * left and _certifiable(adj, later):
                 aut = _relabellings(adj)
                 if aut and left:
-                    grow(x, mask | 1 << x, left - 1, reached, a, now_linked)
+                    grow(x, mask | 1 << x, left - 1, reached, a, now_linked, loops + (a == b))
                 elif aut:
                     rep = tuple(points[u] for u in range(x + 1) if (mask | 1 << x) >> u & 1)
                     found.append(QuadricOrbit(rep, math.factorial(k) // aut))
             adj[a] &= ~(1 << b)
             adj[b] &= ~(1 << a)
 
-    grow(-1, 0, q - 1, 0, 0, True)
+    grow(-1, 0, q - 1, 0, 0, True, 0)
     return tuple(found)
 
 
 @lru_cache(maxsize=None)
-def connected_reps(k: int, q: int) -> tuple[QuadricOrbit, ...]:
+def connected_reps(k: int, q: int, size: Optional[int] = None) -> tuple[QuadricOrbit, ...]:
     """The connected stable layers of orbit_reps(k, q): the same
-    representatives, orbit sizes and order, generated without the others."""
-    return _orderly(k, q, connected=True)
+    representatives, orbit sizes and order, generated without the others.
+    With a size, those whose loops need more cubics than size are not
+    generated: a sweep to size finds no set above them."""
+    return _orderly(k, q, connected=True, size=size)
 
 
 class BoundingRegion(NamedTuple):
@@ -315,9 +353,11 @@ class BoundingRegion(NamedTuple):
     cubics); parent_mask[i] has bit j for each lower cover j of cell i above
     the cubics (0 for a cubic); upper[i] lists the cells that cover cell i.
     cover_order pairs each quadric bit of the layer with its highest covering
-    cubic, -1 for none, ascending. size is the bound: no cell's down-set holds
-    more than size cells of degree >= 3, so a count of at most size cells
-    loses nothing to the cut, since a partition holds the down-set of each cell.
+    cubic, -1 for none, ascending. size is the bound: each cell's down-set
+    holds at most size cells of degree >= 3 less the cubics that the layer
+    quadrics outside it need, so a layer that needs more than size cubics has
+    no cell. A count of at most size cells loses nothing to the cut, since a
+    partition holds the down-set of each cell and cubics over every quadric.
     """
 
     k: int
@@ -345,16 +385,18 @@ class BoundingRegion(NamedTuple):
 def bounding_region(U: Iterable[Point], max_degree: int, size: int) -> BoundingRegion:
     """The region of the layer U to degree max_degree >= 3 and size: each
     cell of degree 3..max_degree whose lower covers all lie in U or in the
-    region and whose down-set holds at most size cells of degree >= 3.
+    region, and whose down-set's cells of degree >= 3, with the cubics
+    needed over the quadrics of U outside that down-set, number at most size.
 
     Each degree grows from the upper neighbours of the last one's cells, the
     layer's quadrics first, listing the kept lower covers of each as they are
     found: a cubic's give its cover mask and the highest cubic over each
     quadric, a higher cell's its parent mask and its entries in upper. A point
     c with support s and t exponents >= 2 has prod(c_i + 1) points in its
-    down-set, of which 1 + s + t + s(s - 1)/2 have degree <= 2. A neighbour's
-    product is updated from its lower cover's, so a point over the bound is
-    dropped before it is built.
+    down-set, of which 1 + s + t + s(s - 1)/2 have degree <= 2, and t + s(s -
+    1)/2 of those are quadrics, t of them loops. So the test reads only a
+    neighbour's product, updated from its lower cover's, against a room fixed
+    by (s, t), and a point over the bound is dropped before it is built.
     """
     pts = {tuple(p) for p in U}
     if not pts:
@@ -368,6 +410,17 @@ def bounding_region(U: Iterable[Point], max_degree: int, size: int) -> BoundingR
     quads = quadric_points(k)
     ids = [u for u in range(len(quads)) if umask >> u & 1]  # the last degree's cells
     below = [quads[u] for u in ids]
+    n_loops, n_quads = (umask & _loop_mask(k)).bit_count(), len(ids)
+
+    def room(s: int, t: int) -> int:
+        # the most points in the down-set of a cell with support s and t
+        # exponents >= 2: size, plus its points of degree <= 2, less the
+        # cubics needed above the layer's other quadrics
+        under = t + s * (s - 1) // 2  # its quadrics, t of them loops
+        return size + 1 + s + under - _cubics_needed(n_loops - t, n_quads - under)
+
+    # the room of a neighbour raised at an exponent 0, 1 or >= 2, by (s, t)
+    rooms: dict[tuple[int, int], tuple[int, int, int]] = {}
     # the highest cubic covering each quadric of the layer; a quadric that no
     # cubic covers keeps -1, so a sweep of an unstable layer enters no cubic
     last = dict.fromkeys(ids, -1)
@@ -376,13 +429,14 @@ def bounding_region(U: Iterable[Point], max_degree: int, size: int) -> BoundingR
         grown: dict[Point, list[int]] = {}
         for j, p in zip(ids, below):
             s = k - p.count(0)
+            t = s - p.count(1)
+            fit = rooms.get((s, t))
+            if fit is None:
+                fit = rooms[s, t] = (room(s + 1, t), room(s, t + 1), room(s, t))
             prod = math.prod([v + 1 for v in p])
-            # size plus p's points of degree <= 2; growing an exponent 0 adds
-            # s + 1 such points to a neighbour, growing an exponent 1 adds one
-            room = size + 1 + s + (s - p.count(1)) + s * (s - 1) // 2
             up = list(p)  # p with one exponent raised at a time
             for a, v in enumerate(p):
-                if prod // (v + 1) * (v + 2) <= room + (s + 1 if v == 0 else v == 1):
+                if prod // (v + 1) * (v + 2) <= fit[v if v < 2 else 2]:
                     up[a] = v + 1
                     grown.setdefault(tuple(up), []).append(j)
                     up[a] = v
@@ -406,6 +460,8 @@ def bounding_region(U: Iterable[Point], max_degree: int, size: int) -> BoundingR
         ids, below = range(first, len(cells)), cells[first:]
         if degree == 3:
             n_cubics = len(cells)
+        if not below:  # no cell of the next degree has its lower covers
+            break
     return BoundingRegion(
         k, umask, tuple(cells), n_cubics, tuple(covers), tuple(parent_mask),
         tuple(map(tuple, upper)), tuple(sorted((i, 1 << u) for u, i in last.items())), size,
@@ -531,9 +587,11 @@ class _RegionSearch:
         cells' quadric covers into the set's cover and counts a set only when
         that holds need: the quadric layer for the cubics, nothing above. Its
         child loop ends at the least last covering cubic of the quadrics still
-        missing, and it enters no child missing more quadrics than three per
-        cell it may still add, since a cubic covers at most three; a child cut
-        by either bound reaches no covering set. What can follow a chosen
+        missing, and it enters no child whose missing quadrics need more
+        cubics (`_cubics_needed`, from their loops and their number) than the
+        cells it may still add; a child cut by either bound reaches no
+        covering set. Above the cubics nothing is missing, and neither bound
+        is read. What can follow a chosen
         degree-g layer depends only on the degree-(g+1) cells whose lower
         covers it holds, so `above` is memoised for this sweep on (allowed
         mask, size left): the transfer-matrix method over the graded region
@@ -547,6 +605,7 @@ class _RegionSearch:
         parent_mask, upper, covers, cover_order = (
             region.parent_mask, region.upper, region.covers, region.cover_order
         )
+        loops = _loop_mask(region.k)
         spend = self.budget.spend
         memo: dict[tuple[int, int], BucketTable] = {}
         # one shared tuple per profile tail keeps the memo small
@@ -596,11 +655,14 @@ class _RegionSearch:
                     for j in upper[c]:
                         if not parent_mask[j] & ~s:
                             n |= 1 << j
-                    short = (need & ~got).bit_count()
+                    short = need & ~got
                     if not short:
                         steps[size + 1, n] = steps.get((size + 1, n), 0) + 1
-                    # a cubic covers at most three quadrics
-                    if size + 1 < left and short <= 3 * (left - size - 1):
+                    if size + 1 < left and (
+                        not short
+                        or _cubics_needed((short & loops).bit_count(), short.bit_count())
+                        < left - size
+                    ):
                         layer(x + 1, size + 1, s, got, n)
 
             if left:
@@ -633,7 +695,7 @@ def _component_search(args) -> tuple[BucketTable, int]:
     pair, m_max, max_degree, spent, ceiling = args
     budget = _Budget(ceiling)
     budget.nodes = spent
-    table = weighted_table(connected_reps(*pair), m_max, max_degree, budget)
+    table = weighted_table(connected_reps(*pair, m_max), m_max, max_degree, budget)
     return table, budget.nodes - spent
 
 
@@ -685,11 +747,6 @@ def select(
 #   A_k(q) = sum_{j, q1} binom(k-1, j-1) C_j(q1) * A_{k-j}(q-q1),  A_0(0) = {(): 1}.
 
 
-def _min_size(q: int) -> int:
-    """The fewest cells above q quadrics: a cubic covers at most three."""
-    return -(-q // 3)
-
-
 def _splits(k: int, q: int, m: int):
     """The terms of A_k(q) to size m: (ways, the component (j, q1), the size
     its table is read to, the rest (k - j, q - q1, the size its table is read
@@ -700,9 +757,9 @@ def _splits(k: int, q: int, m: int):
             rest_q = q - q1
             if not rest_k <= rest_q <= rest_k * (rest_k + 1) // 2:
                 continue
-            m1 = m - _min_size(rest_q)
-            if m1 >= _min_size(q1):
-                yield math.comb(k - 1, j - 1), (j, q1), m1, (rest_k, rest_q, m - _min_size(q1))
+            m1, least = m - _cubics_needed(0, rest_q), _cubics_needed(0, q1)
+            if m1 >= least:
+                yield math.comb(k - 1, j - 1), (j, q1), m1, (rest_k, rest_q, m - least)
 
 
 def component_needs(k: int, q: int, m_max: int) -> dict[tuple[int, int], int]:

@@ -547,13 +547,26 @@ def test_cli_negative_alpha_index_is_bad_request(query, route, capsys):
             ["conjecture", "epsilon", "--m", "6", "--extra-points", "-7"],
             "extra_points must be nonnegative, not -7",
         ),
+        (
+            ["conjecture", "sparsity", "--dmax", "-1", "--bound", "5"],
+            "d_max must be nonnegative, not -1",
+        ),
+        (
+            ["conjecture", "sparsity", "--dmax", "3", "--bound", "0"],
+            "value_bound must be at least 2, not 0",
+        ),
+        (["conjecture", "andrews", "--k", "-1"], "k must be nonnegative, not -1"),
     ],
-    ids=["H-expand-1", "Y-expand-0", "C-expand-2", "hydral-expand-0", "epsilon-3", "epsilon-7"],
+    ids=[
+        "H-expand-1", "Y-expand-0", "C-expand-2", "hydral-expand-0", "epsilon-3", "epsilon-7",
+        "sparsity-dmax-1", "sparsity-bound-0", "andrews-k-1",
+    ],
 )
 def test_cli_request_below_its_range_prints_nothing(argv, detail, capsys):
     # refused before any output: an --expand below 1 printed the generating
-    # function and then failed (or, at 0, printed no coefficient), and fewer
-    # epsilon samples than the degree needs gave a verdict from too few points
+    # function and then failed (or, at 0, printed no coefficient), fewer
+    # epsilon samples than the degree needs gave a verdict from too few
+    # points, and an empty conjecture range gave a verdict about nothing
     assert main(argv) == 1
     out, err = capsys.readouterr()
     assert out == ""
@@ -636,12 +649,12 @@ def test_cli_max_nodes_bounds_every_oracle_route(query):
 
 @pytest.mark.parametrize("workers", ["1", "2"])
 def test_cli_node_ceiling_is_one_per_command(workers):
-    # the searches and hydral closed forms behind y(5, 12) cost 66 nodes together
+    # the searches and hydral closed forms behind y(5, 12) cost 59 nodes together
     argv = ("--workers", workers, "--node-ceiling")
-    rc, _, err = run_cli(*argv, "65", "count", "y", "--k", "5", "--d", "12")
+    rc, _, err = run_cli(*argv, "58", "count", "y", "--k", "5", "--d", "12")
     assert rc == 1
     assert json.loads(err.strip())["error"] == "resource-ceiling"
-    rc, out, err = run_cli(*argv, "66", "count", "y", "--k", "5", "--d", "12")
+    rc, out, err = run_cli(*argv, "59", "count", "y", "--k", "5", "--d", "12")
     assert (rc, out.strip()) == (0, "23860"), err
 
 

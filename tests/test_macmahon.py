@@ -133,6 +133,14 @@ def test_refined_rationality_inconclusive_when_short():
     assert report.verdict == "inconclusive"
 
 
+def test_refined_rationality_refuses_a_negative_k():
+    # k = 0 has a negative degree bound and stays inconclusive; k < 0 names
+    # no diagonal at all
+    with pytest.raises(ValueError):
+        check_refined_rationality(-1, 10)
+    assert check_refined_rationality(0, 10).verdict == "inconclusive"
+
+
 def test_true_diagonal_is_negative_control():
     # the same denominator family must NOT fit the true counts at k = 4
     k = 4
@@ -188,6 +196,14 @@ def test_sparsity_search_below_size_3_holds(d_max):
     # p(2, 3) = p(3, 2) = 3 is no collision: the conjecture is stated for d >= 3
     report = search_value_collisions(d_max, 5, R)
     assert report.verdict == "holds" and report.evidence["collisions"] == []
+
+
+@pytest.mark.parametrize("d_max, bound", [(-1, 5), (3, 0), (3, 1)])
+def test_sparsity_search_refuses_an_empty_range(d_max, bound):
+    # no size below 0 is scanned and no value below 2 is indexed, so these
+    # ranges held vacuously
+    with pytest.raises(ValueError):
+        search_value_collisions(d_max, bound, R)
 
 
 def test_sparsity_search_without_extension():

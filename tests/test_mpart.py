@@ -25,6 +25,7 @@ from hdpart.mpart import (
     AlphaQuery,
     _RegionSearch,
     _certifiable,
+    _cubics_needed,
     _graph,
     _open_matching,
     _relabellings,
@@ -228,17 +229,22 @@ def test_exponential_formula_matches_hydral():
 
 
 def test_bounding_region_examples():
+    # the full layer in 2 variables has two loops, so it needs two cubics and
+    # keeps none at size 1: the origin, the 2 unit points and the 3 quadrics
     full = bounding_region(quadric_points(2), 3, 1)
-    assert len(full.all_points()) == 10  # all monomials of degree <= 3 in 2 variables
+    assert len(full.all_points()) == 6 and full.cells == ()
+    assert len(bounding_region(quadric_points(2), 3, 2).all_points()) == 10
+    # x^3 leaves xy to a second cubic, so only x^2 y covers the layer alone
     partial = bounding_region([(1, 1), (2, 0)], 3, 1)
-    assert partial.cells == ((2, 1), (3, 0))
+    assert partial.cells == ((2, 1),)
     chain = bounding_region([(2,)], 5, 3)
     assert chain.cells == ((3,), (4,), (5,))
 
 
 def test_bounding_region_is_union_of_admissible_members():
     # the region cut at length 4 and size s is the union of the partitions
-    # with that quadric layer, length <= 4 and at most s cells above the layer
+    # with that quadric layer, whose cubics cover it, of length <= 4 and with
+    # at most s cells above the layer
     from hdpart.lattice import Partition, iter_partitions
 
     U = [(2, 0), (1, 1)]
@@ -247,7 +253,14 @@ def test_bounding_region_is_union_of_admissible_members():
         union = set()
         for part in members:
             above = sum(1 for p in part.points if sum(p) >= 3)
-            if part.layer(2) == tuple(sorted(U)) and (part.length or 0) <= 4 and above <= size:
+            cubics = [p for p in part.points if sum(p) == 3]
+            covered = all(any(u in lower_covers(c) for c in cubics) for u in U)
+            if (
+                part.layer(2) == tuple(sorted(U))
+                and covered
+                and (part.length or 0) <= 4
+                and above <= size
+            ):
                 union |= set(part.points)
         assert set(bounding_region(U, 4, size).all_points()) == union, size
 
@@ -264,6 +277,67 @@ def test_region_cut_at_the_sweep_size_moves_no_count_or_node():
             assert got == want and cut.nodes == whole.nodes, o
     with pytest.raises(ValueError):
         _RegionSearch(bounding_region(o.rep, m + 2, m), _Budget(None)).sweep(m + 1)
+
+
+def test_cubics_needed_is_a_lower_bound():
+    # against the fewest cubics of N^k whose quadric divisors hold each
+    # quadric set, found by trying every set of cubics, smallest first
+    for k in (1, 2, 3):
+        quads = quadric_points(k)
+        cubics = [c for c in itertools.product(range(4), repeat=k) if sum(c) == 3]
+        for r in range(1, len(quads) + 1):
+            for layer in itertools.combinations(quads, r):
+                fewest = next(
+                    n
+                    for n in range(len(cubics) + 1)
+                    for chosen in itertools.combinations(cubics, n)
+                    if set(layer) <= {p for c in chosen for p in lower_covers(c)}
+                )
+                loops = sum(2 in p for p in layer)
+                assert _cubics_needed(loops, len(layer)) <= fewest, layer
+    # the full layer in 2 variables: x^2 y and x y^2 cover it, and no one cubic does
+    assert _cubics_needed(2, 3) == 2
+
+
+# layers with many loops, where the bound cuts below the down-set test
+_LOOPED = [(4, q) for q in range(7, 11)] + [(5, q) for q in range(6, 10)]
+
+
+def _sweep(region, m):
+    return _RegionSearch(region, _Budget(None)).sweep(m)
+
+
+def test_connected_reps_cut_at_a_size_keep_every_nonzero_representative():
+    # generation cut at size m keeps, in order and with its orbit size, every
+    # representative whose sweep to m over its whole region is nonzero
+    dropped = 0
+    for k, q in _LOOPED:
+        whole = connected_reps(k, q)
+        for m in range(2, 6):
+            cut = connected_reps(k, q, m)
+            assert cut == tuple(o for o in whole if o in cut), (k, q, m)
+            for o in whole:
+                if o not in cut:
+                    assert _sweep(bounding_region(o.rep, m + 2, 10**6), m) == {}, (o, m)
+                    dropped += 1
+    assert dropped > 0
+
+
+def test_region_cut_by_the_cubics_needed_sweeps_as_the_whole_region():
+    # a region grown under the bound sweeps to the same table as the whole
+    # region, and a layer whose loops need more cubics than m keeps no cubic
+    cut = 0
+    for k, q in _LOOPED:
+        for o in orbit_reps(k, q):
+            loops = sum(2 in p for p in o.rep)
+            for m in range(2, 6):
+                region = bounding_region(o.rep, m + 2, m)
+                whole = bounding_region(o.rep, m + 2, 10**6)
+                assert _sweep(region, m) == _sweep(whole, m), (o, m)
+                if _cubics_needed(loops, q) > m:
+                    assert region.cells == () and whole.cells, (o, m)
+                cut += len(whole.cells) - len(region.cells)
+    assert cut > 0
 
 
 def test_sweep_to_size_0_counts_no_set():
@@ -471,13 +545,14 @@ def test_node_ceiling():
     with pytest.raises(ResourceCeilingError):
         alpha_count(3, 4, 8, node_ceiling=100)
     # one ceiling per count: the connected representatives' searches walk 631
-    # nodes together; those of (5, 8, 8) walk 50,397, as the cubic walk
+    # nodes together; those of (5, 8, 8) walk 50,370, as the cubic walk
     # enters only children that can still cover the quadric layer; (6, 11, 4)
-    # walks 8,683, as it enters none whose cells left cannot cover the rest
+    # walks 610, as no layer whose loops need more than 4 cubics is generated
+    # and the walk enters no child whose cells left cannot cover the rest
     for (k, q, m), nodes, value in [
         ((3, 4, 8), 631, 1302),
-        ((5, 8, 8), 50397, 2097875),
-        ((6, 11, 4), 8683, 1800),
+        ((5, 8, 8), 50370, 2097875),
+        ((6, 11, 4), 610, 1800),
     ]:
         # the error names the run's ceiling, whichever task crossed it
         error = f"exceeded the {nodes - 1}-node ceiling"
