@@ -28,7 +28,6 @@ from .refine import (
     Resolver,
     c_degree_bound,
     c_diagonal_series,
-    product_column,
     y_diagonal_series,
 )
 from .series import (
@@ -70,27 +69,35 @@ def _golden_lookup(kind: str, index: tuple[int, ...]) -> int | None:
 # --- count -----------------------------------------------------------------------
 
 
-def _alpha_query(args) -> mpart.AlphaQuery:
-    if args.table == "hydral":
-        return mpart.AlphaQuery(args.n, args.n, args.m)
-    if args.hilbert:
-        return mpart.AlphaQuery.from_profile(int(x) for x in args.hilbert.split(","))
-    return mpart.AlphaQuery(args.k, args.q, args.m, length=args.length)
+# each count choice: the kind of its count and the flags of its index
+_COUNTS = {
+    "p": ("P", ("n", "d")),
+    "y": ("Y", ("k", "d")),
+    "c": ("C", ("k", "e")),
+    "alpha": ("ALPHA", ("k", "q", "m")),
+    "hydral": ("ALPHA", ("n", "n", "m")),
+}
+
+
+def _count_index(args) -> tuple[str, tuple]:
+    kind, flags = _COUNTS[args.table]
+    return kind, tuple(getattr(args, flag) for flag in flags)
 
 
 def _count_value(args, resolver: Resolver, oracle: bool) -> int:
     """The requested count, from the pipeline or from the brute-force oracle."""
-    if args.table == "p":
-        return resolver.p_oracle(args.n, args.d) if oracle else resolver.p(args.n, args.d)
-    if args.table == "y":
-        return resolver.y_oracle(args.k, args.d) if oracle else resolver.y(args.k, args.d)
-    if args.table == "c":
-        return resolver.c_oracle(args.k, args.e) if oracle else resolver.c(args.k, args.e)
-    query = _alpha_query(args)
+    kind, index = _count_index(args)
+    if kind != "ALPHA":
+        # looked up at call time, so a wrapper set on the Resolver class runs
+        return getattr(resolver, kind.lower() + ("_oracle" if oracle else ""))(*index)
+    if args.hilbert:
+        query = mpart.AlphaQuery.from_profile(int(x) for x in args.hilbert.split(","))
+    else:
+        query = mpart.AlphaQuery(*index, length=args.length)
     if oracle:
         return resolver.alpha_oracle(query)
     if args.table == "hydral":
-        return resolver.alpha(args.n, args.n, args.m)
+        return resolver.alpha(*index)
     log = None
     if args.checkpoint_dir:
         log = cache_mod.CheckpointedAlphaRun(Path(args.checkpoint_dir), query.length)
@@ -107,16 +114,8 @@ def cmd_count(args) -> int:
         raise ValueError(f"count {args.table} --oracle does not take --checkpoint-dir")
     resolver = Resolver(workers=args.workers, node_ceiling=args.node_ceiling)
     store = _cache_store(args)
-    kind_index = {
-        "p": ("P", lambda: (args.n, args.d)),
-        "y": ("Y", lambda: (args.k, args.d)),
-        "c": ("C", lambda: (args.k, args.e)),
-        "alpha": ("ALPHA", lambda: (args.k, args.q, args.m)),
-        "hydral": ("ALPHA", lambda: (args.n, args.n, args.m)),
-    }
-    kind, index_of = kind_index[args.table]
-    index = index_of()
-    simple_query = args.table != "alpha" or (not args.hilbert and args.length is None)
+    kind, index = _count_index(args)
+    simple_query = not args.hilbert and args.length is None
     if simple_query and not args.oracle and not args.verify:
         seeded = _golden_lookup(kind, index)
         if seeded is None and store is not None:
@@ -177,10 +176,8 @@ def cmd_series(args) -> int:
             )
         return EXIT_OK
     if args.family == "hydral":
-        if args.n > 0:
-            # charged like count hydral's closed form, one node per partition of
-            # n, so a small ceiling stops the command before its term loop
-            resolver.budget.spend(product_column(2)[args.n])
+        # charged before the term loop, so a small ceiling stops the command there
+        resolver.charge_hydral(args.n)
         rf = hydral.hydral_series(args.n, order=args.expand - 1 if args.expand else 8)
         print(f"hydral[n={args.n}] = {format_factored_rational(rf)}")
         if args.expand:

@@ -17,6 +17,7 @@ from typing import Iterator, Sequence
 from .intmath import binom
 from .series import (
     ONE,
+    IntegrityError,
     Polynomial,
     PowerSeries,
     Q,
@@ -138,7 +139,7 @@ def marked_block_count(parts: Sequence[int]) -> int:
     den = aut_order(parts) * math.prod(math.factorial(p - 1) for p in parts)
     count, rest = divmod(math.factorial(sum(parts)), den)
     if rest:
-        raise ArithmeticError(f"marked block count for {tuple(parts)} is not integral")
+        raise IntegrityError(f"marked block count for {tuple(parts)} is not integral")
     return count
 
 
@@ -225,13 +226,12 @@ def hydral_series(n: int, order: int | None = None) -> RationalFunction:
         for p in rho:
             term = term * closed[p]
         total = (total + term).reduced()
-    result = total.reduced()
     if order is not None:
-        got = series_of(result, order)
+        got = series_of(total, order)
         want = PowerSeries([hydral_count(n, m) for m in range(order + 1)], order)
         if got != want:
-            raise ArithmeticError("rational form disagrees with the direct count")
-    return result
+            raise IntegrityError("rational form disagrees with the direct count")
+    return total
 
 
 # --- special families ---------------------------------------------------------------
@@ -256,7 +256,7 @@ def compressed_count(n: int, variant: str = "3n") -> int:
     if variant == "3n-1-compressed":
         count, rest = divmod(3 * (n - 1) * base, 2)
         if rest:
-            raise ArithmeticError("compressed count must be integral")
+            raise IntegrityError("compressed count must be integral")
         return count
     if variant == "3n-1-anti":
         return 2 * base

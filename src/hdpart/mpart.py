@@ -382,11 +382,14 @@ class BoundingRegion(NamedTuple):
         return tuple(sorted(low + quads + list(self.cells), key=point_key))
 
 
-def bounding_region(U: Iterable[Point], max_degree: int, size: int) -> BoundingRegion:
-    """The region of the layer U to degree max_degree >= 3 and size: each
-    cell of degree 3..max_degree whose lower covers all lie in U or in the
-    region, and whose down-set's cells of degree >= 3, with the cubics
-    needed over the quadrics of U outside that down-set, number at most size.
+def bounding_region(
+    U: Iterable[Point], size: int, length_cap: Optional[int] = None
+) -> BoundingRegion:
+    """The region of the layer U to size, and to degree length_cap if given:
+    each cell of degree >= 3 whose lower covers all lie in U or in the region,
+    and whose down-set's cells of degree >= 3, with the cubics needed over the
+    quadrics of U outside that down-set, number at most size. That down-set
+    holds a chain from a cubic up to the cell, so its degree is <= size + 2.
 
     Each degree grows from the upper neighbours of the last one's cells, the
     layer's quadrics first, listing the kept lower covers of each as they are
@@ -425,7 +428,7 @@ def bounding_region(U: Iterable[Point], max_degree: int, size: int) -> BoundingR
     # cubic covers keeps -1, so a sweep of an unstable layer enters no cubic
     last = dict.fromkeys(ids, -1)
     n_cubics = 0
-    for degree in range(3, max_degree + 1):
+    for degree in range(3, (size + 2 if length_cap is None else length_cap) + 1):
         grown: dict[Point, list[int]] = {}
         for j, p in zip(ids, below):
             s = k - p.count(0)
@@ -542,13 +545,9 @@ class AlphaQuery(_AlphaQuery):
         if k == 0:  # the zero-type convention: the origin-only partition
             origin = q == m == 0 and self.length in (None, 0) and self.profile in (None, (1,))
             return 1 if origin else 0
-        if q == 0 or m == 0:
+        if not k <= q <= k * (k + 1) // 2:  # each variable needs a quadric above it
             return 0
-        if q < k:  # each variable needs a quadric above it and a cubic above that
-            return 0
-        if q > k * (k + 1) // 2:
-            return 0
-        if q > 3 * m:  # a cubic dominates at most three quadrics
+        if _cubics_needed(0, q) > m:  # m cells hold too few cubics over the q quadrics
             return 0
         if self.length is not None and not 3 <= self.length <= m + 2:
             return 0
@@ -677,13 +676,13 @@ class _RegionSearch:
 
 
 def weighted_table(
-    reps: Sequence[QuadricOrbit], m_max: int, max_degree: int, budget: _Budget
+    reps: Sequence[QuadricOrbit], m_max: int, length_cap: Optional[int], budget: _Budget
 ) -> BucketTable:
     """Sum of the representatives' sweeps to size m_max over their bounding
-    regions to max_degree, each weighted by its orbit size."""
+    regions to length_cap, if any, each weighted by its orbit size."""
     out: BucketTable = {}
     for orbit in reps:
-        table = _RegionSearch(bounding_region(orbit.rep, max_degree, m_max), budget).sweep(m_max)
+        table = _RegionSearch(bounding_region(orbit.rep, m_max, length_cap), budget).sweep(m_max)
         for key, val in sorted(table.items()):
             out[key] = out.get(key, 0) + orbit.orbit_size * val
     return out
@@ -692,10 +691,10 @@ def weighted_table(
 def _component_search(args) -> tuple[BucketTable, int]:
     """Weighted table of one component pair and the nodes it adds to a run
     that had spent `spent` nodes of its ceiling when the task was built."""
-    pair, m_max, max_degree, spent, ceiling = args
+    pair, m_max, length_cap, spent, ceiling = args
     budget = _Budget(ceiling)
     budget.nodes = spent
-    table = weighted_table(connected_reps(*pair, m_max), m_max, max_degree, budget)
+    table = weighted_table(connected_reps(*pair, m_max), m_max, length_cap, budget)
     return table, budget.nodes - spent
 
 
@@ -832,7 +831,7 @@ def alpha_tables(
     needs = component_needs(k, q, m_max)
     todo = [(p, m) for p, m in sorted(needs.items()) if components.get(p, (0,))[0] < m]
     run = budget.nodes, budget.ceiling
-    tasks = [(p, m, m + 2 if length_cap is None else length_cap, *run) for p, m in todo]
+    tasks = [(p, m, length_cap, *run) for p, m in todo]
     tables = charged_map(_component_search, tasks, workers, budget)
     for (p, m), table in zip(todo, tables, strict=True):
         components[p] = m, table
@@ -902,7 +901,7 @@ def alpha_without_orbit_reduction(
     for combo in itertools.combinations(quads, q):
         if len(support_variables(combo)) != k or not is_m_stable(combo, k):
             continue
-        region = bounding_region(combo, m + 2, m)
+        region = bounding_region(combo, m)
         total += _RegionSearch(region, budget).count(m)
     return total
 

@@ -46,7 +46,7 @@ INVERSION = "inversion"
 CLOSED_FORM = "closed-form"
 SEARCH = "search"
 
-KINDS = ("P", "Y", "C", "D", "ALPHA")
+KINDS = ("P", "Y", "C", "ALPHA")
 
 # a count as a function of its two indices: a CountTable, or a Resolver method
 Count = Callable[[int, int], int]
@@ -71,7 +71,7 @@ class CountTable:
         if kind == "Y":
             k, d = idx
             return k >= d or (k == 0 and d > 1)
-        if kind in ("C", "D"):
+        if kind == "C":
             k, e = idx
             return k > 2 * e or (k == 0 and e > 0)
         return False
@@ -79,14 +79,12 @@ class CountTable:
     @staticmethod
     def check_index(kind: str, idx: tuple):
         """ValueError unless the count is defined at idx: p(n, d) for n, d >= 0,
-        y(k, d) for k >= 0 and d >= 1, c(k, e) for k, e >= 0, d(k, e) for
-        0 <= k <= c_degree_bound(e). `mpart.AlphaQuery` checks an alpha index."""
+        y(k, d) for k >= 0 and d >= 1, c(k, e) for k, e >= 0. `mpart.AlphaQuery`
+        checks an alpha index."""
         if kind in ("P", "C") and min(idx) < 0:
             raise ValueError("indices must be nonnegative")
         if kind == "Y" and (idx[0] < 0 or idx[1] < 1):
             raise ValueError("need k >= 0 and d >= 1")
-        if kind == "D" and not 0 <= idx[0] <= c_degree_bound(idx[1]):
-            raise ValueError(f"d-table index {idx} outside 0 <= k <= 2e - ceil(e/2)")
 
     def set(self, idx: tuple, value: int, provenance: str) -> int:
         idx = tuple(idx)
@@ -152,36 +150,36 @@ def c_from_y(y: Count, k: int, e: int) -> int:
 
 def c_degree_bound(x: int) -> int:
     """2x - ceil(x/2): the numerator degree bound of the x-th C diagonal, and
-    the largest k of the d table at e = x."""
+    the largest k of the stable-layer count d(k, e) at e = x."""
     return 2 * x - (x + 1) // 2
 
 
-def d_from_c(c: CountTable, k: int, e: int) -> int:
-    """Stable-layer count from the c table (double-factorial convolution)."""
-    CountTable.check_index("D", (k, e))
+def d_from_c(c: Count, k: int, e: int) -> int:
+    """Stable-layer count d(k, e) from c (double-factorial convolution)."""
+    if not 0 <= k <= c_degree_bound(e):
+        raise ValueError(f"d index {(k, e)} outside 0 <= k <= 2e - ceil(e/2)")
     total = 0
     for y in range(k // 2 + 1):
         total += (
             (-1) ** y
             * math.factorial(k)
             // (double_factorial(2 * y) * math.factorial(k - 2 * y))
-            * c.get((k - 2 * y, e - y))
+            * c(k - 2 * y, e - y)
         )
     return total
 
 
-def c_from_d(d: CountTable, k: int, e: int) -> int:
-    """Inverse convolution: recover c(k, e) with k = 2e - x from the d table."""
+def c_from_d(d: Count, k: int, e: int) -> int:
+    """Inverse convolution: recover c(k, e) with k = 2e - x from d."""
+    if not 0 <= k <= 2 * e:
+        raise ValueError("require 0 <= k <= 2e")
     x = 2 * e - k
-    if x < 0:
-        raise ValueError("require k <= 2e")
     total = 0
     for y in range((x + 1) // 2, min(e, 2 * x) + 1):
-        CountTable.check_index("D", (2 * y - x, y))
         total += (
             math.factorial(2 * e - x)
             // (double_factorial(2 * e - 2 * y) * math.factorial(2 * y - x))
-            * d.get((2 * y - x, y))
+            * d(2 * y - x, y)
         )
     return total
 
@@ -376,8 +374,7 @@ class Resolver:
         if trivial is not None:
             return tab.set((k, q, m), trivial, CLOSED_FORM)
         if self.use_closed_forms and q == k:
-            # the closed form enumerates the partitions of k: one node each
-            self.budget.spend(product_column(2)[k])
+            self.charge_hydral(k)
             return tab.set((k, q, m), hydral.hydral_count(k, m), CLOSED_FORM)
         # one sweep to size m holds every smaller size of the same (k, q)
         table = mpart.alpha_tables(
@@ -386,6 +383,11 @@ class Resolver:
         for size in range(1, m + 1):
             tab.set((k, q, size), mpart.select(table, size), SEARCH)
         return tab.get((k, q, m))
+
+    def charge_hydral(self, n: int):
+        """Charge a hydral closed form one node per partition of n >= 1 it enumerates."""
+        if n > 0:
+            self.budget.spend(product_column(2)[n])
 
     # --- oracle routes (brute force) -----------------------------------------
 

@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 
 from hdpart import cache as cache_mod
-from hdpart import cli, lattice, mpart
+from hdpart import cli, hydral, lattice, mpart, refine
 from hdpart.cache import (
     CacheRecord,
     CacheStore,
@@ -183,7 +183,7 @@ def test_checkpoint_written_under_version_3_is_recomputed(tmp_path):
     for (j, q1), m1 in sorted(mpart.component_needs(k, q, m).items()):
         reps = mpart.connected_reps(j, q1)
         tables = [
-            mpart._RegionSearch(mpart.bounding_region(o.rep, m1 + 2, m1), _Budget(None)).sweep(m1)
+            mpart._RegionSearch(mpart.bounding_region(o.rep, m1), _Budget(None)).sweep(m1)
             for o in reps
         ]
         for index, table in enumerate(tables):
@@ -429,6 +429,16 @@ def test_cli_usage_error_is_bad_request(argv, tmp_path, capsys):
 _READ_BY_EVERY_CHOICE = {"--oracle", "--verify"}
 
 
+def test_every_count_choice_has_a_count_row():
+    # a choice with no row would fail with a bare KeyError; a row's index
+    # flags are flags its choice reads
+    choices = cli._COMMANDS["count"][2]
+    assert cli._COUNTS.keys() == choices.keys()
+    for choice, (kind, flags) in cli._COUNTS.items():
+        reads = set(choices[choice].replace("?", "").split())
+        assert kind in refine.KINDS and {f"--{flag}" for flag in flags} <= reads, choice
+
+
 def test_cli_choice_refuses_every_flag_it_does_not_read(tmp_path, monkeypatch, capsys):
     # each choice, and each alternative of alpha's flags, with its needed flags
     # set to 1 and one flag it does not read: no output, no file, bad-request
@@ -658,28 +668,50 @@ def test_cli_node_ceiling_is_one_per_command(workers):
     assert (rc, out.strip()) == (0, "23860"), err
 
 
-def test_cli_node_ceiling_bounds_count_hydral(capsys):
+def _assert_ceiling_is_p_of_n(capsys, command, n, want):
     # the closed form is charged one node per partition of n before it
-    # enumerates them: p(40) = 37338 nodes fail at once, p(5) = 7 pass
+    # enumerates them: p(n) - 1 nodes fail, p(n) pass
+    p = sum(1 for _ in hydral.partitions_of(n))
+    assert main(["--node-ceiling", str(p - 1), *command]) == 1, command
+    out, err = capsys.readouterr()
+    assert out == "" and json.loads(err.strip())["error"] == "resource-ceiling"
+    assert main(["--node-ceiling", str(p), *command]) == 0, command
+    assert capsys.readouterr().out.startswith(want), command
+
+
+def test_cli_node_ceiling_bounds_count_hydral(capsys):
+    for n in range(1, 9):
+        command = ["count", "hydral", "--n", str(n), "--m", str(n)]
+        _assert_ceiling_is_p_of_n(capsys, command, n, f"{hydral.hydral_count(n, n)}\n")
+    # p(5) = 7 nodes pass for m = 4 as well
+    _assert_ceiling_is_p_of_n(capsys, ["count", "hydral", "--n", "5", "--m", "4"], 5, "435\n")
+    # p(40) = 37338 nodes fail at once
     assert main(["--node-ceiling", "10", "count", "hydral", "--n", "40", "--m", "14"]) == 1
     out, err = capsys.readouterr()
     assert out == "" and json.loads(err.strip())["error"] == "resource-ceiling"
-    assert main(["--node-ceiling", "6", "count", "hydral", "--n", "5", "--m", "4"]) == 1
-    assert json.loads(capsys.readouterr().err.strip())["error"] == "resource-ceiling"
-    assert main(["--node-ceiling", "7", "count", "hydral", "--n", "5", "--m", "4"]) == 0
-    assert capsys.readouterr().out.strip() == "435"
 
 
 def test_cli_node_ceiling_bounds_series_hydral(capsys):
-    # charged p(n) nodes before the term loop, as count hydral is: p(8) = 22
-    # nodes fail at once under a ceiling of 10, p(3) = 3 pass at exactly 3
+    # charged p(n) nodes before the term loop, as count hydral is
+    for n in range(1, 9):
+        _assert_ceiling_is_p_of_n(capsys, ["series", "hydral", "--n", str(n)], n, f"hydral[n={n}] = ")
+    _assert_ceiling_is_p_of_n(capsys, ["series", "hydral", "--n", "3"], 3, "hydral[n=3] = t*(1 + 8*t")
+    # p(8) = 22 nodes fail at once under a ceiling of 10
     assert main(["--node-ceiling", "10", "series", "hydral", "--n", "8"]) == 1
     out, err = capsys.readouterr()
     assert out == "" and json.loads(err.strip())["error"] == "resource-ceiling"
-    assert main(["--node-ceiling", "2", "series", "hydral", "--n", "3"]) == 1
-    assert json.loads(capsys.readouterr().err.strip())["error"] == "resource-ceiling"
-    assert main(["--node-ceiling", "3", "series", "hydral", "--n", "3"]) == 0
-    assert capsys.readouterr().out.startswith("hydral[n=3] = t*(1 + 8*t")
+
+
+def test_cli_hydral_series_disagreeing_with_the_count_is_an_integrity_error(
+    monkeypatch, capsys
+):
+    # the series check against hydral_count raises IntegrityError, which the
+    # CLI reports as JSON, not as a traceback
+    count = hydral.hydral_count
+    monkeypatch.setattr(hydral, "hydral_count", lambda n, m: count(n, m) + (m == 3))
+    assert main(["series", "hydral", "--n", "3"]) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and json.loads(err.strip())["error"] == "integrity"
 
 
 def test_cli_stops_quietly_on_a_closed_pipe(monkeypatch, tmp_path, capsys):

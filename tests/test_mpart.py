@@ -216,7 +216,7 @@ def test_exponential_formula_matches_orbit_reps():
         m = {1: 6, 2: 6, 3: 6, 4: 5, 5: 4, 6: 3}[k]
         for q in range(1, k * (k + 1) // 2 + 1):
             for cap in (None, 4):
-                direct = weighted_table(orbit_reps(k, q), m, cap or m + 2, _Budget(None))
+                direct = weighted_table(orbit_reps(k, q), m, cap, _Budget(None))
                 assert alpha_tables(k, q, m, length_cap=cap) == direct, (k, q, cap)
 
 
@@ -231,13 +231,13 @@ def test_exponential_formula_matches_hydral():
 def test_bounding_region_examples():
     # the full layer in 2 variables has two loops, so it needs two cubics and
     # keeps none at size 1: the origin, the 2 unit points and the 3 quadrics
-    full = bounding_region(quadric_points(2), 3, 1)
+    full = bounding_region(quadric_points(2), 1)
     assert len(full.all_points()) == 6 and full.cells == ()
-    assert len(bounding_region(quadric_points(2), 3, 2).all_points()) == 10
+    assert len(bounding_region(quadric_points(2), 2, 3).all_points()) == 10
     # x^3 leaves xy to a second cubic, so only x^2 y covers the layer alone
-    partial = bounding_region([(1, 1), (2, 0)], 3, 1)
+    partial = bounding_region([(1, 1), (2, 0)], 1)
     assert partial.cells == ((2, 1),)
-    chain = bounding_region([(2,)], 5, 3)
+    chain = bounding_region([(2,)], 3)
     assert chain.cells == ((3,), (4,), (5,))
 
 
@@ -262,7 +262,7 @@ def test_bounding_region_is_union_of_admissible_members():
                 and above <= size
             ):
                 union |= set(part.points)
-        assert set(bounding_region(U, 4, size).all_points()) == union, size
+        assert set(bounding_region(U, size, 4).all_points()) == union, size
 
 
 def test_region_cut_at_the_sweep_size_moves_no_count_or_node():
@@ -272,11 +272,11 @@ def test_region_cut_at_the_sweep_size_moves_no_count_or_node():
     for k, q in ((3, 4), (4, 6), (5, 8)):
         for o in orbit_reps(k, q):
             cut, whole = _Budget(None), _Budget(None)
-            got = _RegionSearch(bounding_region(o.rep, m + 2, m), cut).sweep(m)
-            want = _RegionSearch(bounding_region(o.rep, m + 2, 10**6), whole).sweep(m)
+            got = _RegionSearch(bounding_region(o.rep, m), cut).sweep(m)
+            want = _RegionSearch(bounding_region(o.rep, 10**6, m + 2), whole).sweep(m)
             assert got == want and cut.nodes == whole.nodes, o
     with pytest.raises(ValueError):
-        _RegionSearch(bounding_region(o.rep, m + 2, m), _Budget(None)).sweep(m + 1)
+        _RegionSearch(bounding_region(o.rep, m), _Budget(None)).sweep(m + 1)
 
 
 def test_cubics_needed_is_a_lower_bound():
@@ -318,7 +318,7 @@ def test_connected_reps_cut_at_a_size_keep_every_nonzero_representative():
             assert cut == tuple(o for o in whole if o in cut), (k, q, m)
             for o in whole:
                 if o not in cut:
-                    assert _sweep(bounding_region(o.rep, m + 2, 10**6), m) == {}, (o, m)
+                    assert _sweep(bounding_region(o.rep, 10**6, m + 2), m) == {}, (o, m)
                     dropped += 1
     assert dropped > 0
 
@@ -331,8 +331,8 @@ def test_region_cut_by_the_cubics_needed_sweeps_as_the_whole_region():
         for o in orbit_reps(k, q):
             loops = sum(2 in p for p in o.rep)
             for m in range(2, 6):
-                region = bounding_region(o.rep, m + 2, m)
-                whole = bounding_region(o.rep, m + 2, 10**6)
+                region = bounding_region(o.rep, m)
+                whole = bounding_region(o.rep, 10**6, m + 2)
                 assert _sweep(region, m) == _sweep(whole, m), (o, m)
                 if _cubics_needed(loops, q) > m:
                     assert region.cells == () and whole.cells, (o, m)
@@ -342,7 +342,7 @@ def test_region_cut_by_the_cubics_needed_sweeps_as_the_whole_region():
 
 def test_sweep_to_size_0_counts_no_set():
     # layers records a one-cell set only when the size left allows one
-    region = bounding_region([(2, 0), (1, 1)], 4, 3)
+    region = bounding_region([(2, 0), (1, 1)], 3, 4)
     budget = _Budget(None)
     assert _RegionSearch(region, budget).sweep(0) == {}
     assert budget.nodes == 0
@@ -353,13 +353,13 @@ def test_region_holds_the_arrays_its_sweep_walks():
     # (-1, bit), so a layer that is not stable sweeps to nothing at no node
     for U in ([(1, 1)], [(1, 1, 0), (0, 1, 1), (2, 0, 0)]):
         budget = _Budget(None)
-        assert _RegionSearch(bounding_region(U, 5, 3), budget).sweep(3) == {}
+        assert _RegionSearch(bounding_region(U, 3), budget).sweep(3) == {}
         assert budget.nodes == 0
     m = 7
     for k, q in ((3, 4), (4, 6), (5, 8)):
         index = quadric_index(k)
         for o in orbit_reps(k, q):
-            region = bounding_region(o.rep, m + 2, m)
+            region = bounding_region(o.rep, m)
             cells, n = region.cells, region.n_cubics
             assert [sum(c) == 3 for c in cells] == [i < n for i in range(len(cells))]
             local = {c: i for i, c in enumerate(cells)}
@@ -452,7 +452,7 @@ def test_sweep_tables_match_record():
     assert len(record) == 19
     for (k, q, m), hashes in record.items():
         tables = [
-            _RegionSearch(bounding_region(o.rep, m + 2, m), _Budget(None)).sweep(m)
+            _RegionSearch(bounding_region(o.rep, m), _Budget(None)).sweep(m)
             for o in orbit_reps(k, q)
         ]
         got = [hashlib.sha256(repr(sorted(t.items())).encode()).hexdigest() for t in tables]

@@ -21,7 +21,7 @@ def _records():
         DiscrepancyRecord("Y-level", (3, 1), 2, 2),
         ConjectureReport("sparsity", "d_max=3", "holds", {"collision_count": 0}),
         orbit_reps(2, 2)[0],
-        bounding_region(orbit_reps(2, 2)[0].rep, 4, 2),
+        bounding_region(orbit_reps(2, 2)[0].rep, 2),
         AlphaQuery(3, 5, 13),
         HalfPower(Fraction(-1, 2)),
     ]
