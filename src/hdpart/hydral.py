@@ -84,6 +84,7 @@ def headstrong_tuples(m: int, n: int) -> list[tuple[int, ...]]:
 # --- the block series ------------------------------------------------------------
 
 
+@lru_cache(maxsize=None)
 def head_block_count(n: int, m: int) -> int:
     """Partitions with quadric layer {e_1 + e_i : i <= n} and m deep boxes:
     exactly the headstrong compositions after an index shift."""

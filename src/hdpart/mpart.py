@@ -12,7 +12,10 @@ end or lies in a triangle. `connected_reps` generates the connected stable
 layers, one canonical graph per isomorphism class, by orderly generation with
 bitmask edges; no subset of the quadrics is scanned. One relabelling search
 (`_relabellings`) both tests a grown graph for canonicity and gives its orbit
-size k!/|Aut|; nothing else computes a canonical form. A cell whose support
+size k!/|Aut|; nothing else computes a canonical form. It reads the columns
+that generation updates edge by edge, rejects most graphs that are not
+canonical by a pre-test over the swaps of adjacent vertices, and packs the
+rows it reads into one integer per branch. A cell whose support
 meets two components has a quadric divisor x_i x_j outside the layer, so a
 disconnected layer's region is the disjoint union of its components' regions
 and its profile table is the convolution of theirs. The labelled table A_k(q)
@@ -152,57 +155,68 @@ def is_m_stable(U: Iterable[Point], k: int) -> bool:
 # column a of a labelling is the bits (a, 0), ..., (a, a), first bit highest.
 
 
-def _relabellings(adj: list[int]) -> int:
+def _relabellings(adj: list[int], own: list[int]) -> int:
     """|Aut| of the graph when no relabelling reads a greater column string
-    than its own, else 0: the graph is canonical exactly when this is nonzero.
+    than own, its columns, else 0: the graph is canonical exactly when this
+    is nonzero. adj[v] has bit w for each edge vw, bit v for a loop at v.
 
-    adj[v] has bit w for each edge vw, bit v for a loop at v. The search fixes
-    new vertex 0, 1, ... in turn, drops a branch as soon as its column falls
-    below the graph's own, and stops at the first column above it. Twins
-    (vertices whose transposition is an automorphism) are tried once per
-    level, weighted by how many are left.
+    A pre-test reads each swap of a and a + 1 first: it moves column a + 1,
+    less its bit (a + 1, a), to column a, and on a tie changes each later
+    column c only at its bits (c, a) and (c, a + 1). The search then fixes
+    new vertex 0, 1, ... in turn, drops a branch once its column falls below
+    own, and stops at the first column above it. read packs each vertex's
+    bits towards the placed vertices in a field of n + 1 bits, so placing v
+    shifts it once and ORs in v's row spread a bit per field. A tying
+    vertex is tried once with its free twins (vertices whose transposition
+    with it is an automorphism), weighted by their number.
     """
     n = len(adj)
-    classes: list[int] = []  # twin classes as vertex masks
-    for v in range(n):
-        for i, cls in enumerate(classes):
-            w = cls.bit_length() - 1
-            both = 1 << v | 1 << w
-            if (adj[v] >> v & 1) == (adj[w] >> w & 1) and adj[v] & ~both == adj[w] & ~both:
-                classes[i] |= 1 << v
-                break
-        else:
-            classes.append(1 << v)
-    own = []  # the graph's own columns
-    for a, row in enumerate(adj):
-        col = 0
-        for b in range(a + 1):
-            col = col << 1 | (row >> b & 1)
-        own.append(col)
+    if not n:
+        return 1
+    for a in range(n - 1):
+        col = own[a + 1] >> 1 & ~1 | own[a + 1] & 1
+        later = (adj[a] ^ adj[a + 1]) >> a + 2  # the later columns the swap changes
+        if col > own[a] or col == own[a] and later & -later & adj[a + 1] >> a + 2:
+            return 0
+    w = n + 1
+    field = (1 << w) - 1
+    # row * copies puts bit x of row at n j + x for each j < n, all apart,
+    # and the fields mask keeps the one at w x
+    copies = ((1 << n * n) - 1) // ((1 << n) - 1)
+    fields = ((1 << w * n) - 1) // field
+    spread = [row * copies & fields for row in adj]
     count = 0
 
-    def rec(a: int, used: int, weight: int, read: list[int]) -> bool:
-        # read[v]: v's bits towards the vertices placed so far, in order
+    def rec(a: int, free: int, weight: int, read: int) -> bool:
         nonlocal count
-        if a == n:
-            count += weight
-            return True
-        for cls in classes:
-            free = cls & ~used
-            if not free:
-                continue
-            v = (free & -free).bit_length() - 1
-            col = read[v] << 1 | (adj[v] >> v & 1)
+        rest = free
+        while rest:
+            bit = rest & -rest
+            rest ^= bit
+            v = bit.bit_length() - 1
+            col = (read >> w * v & field) << 1 | own[v] & 1
             if col < own[a]:
                 continue
             if col > own[a]:
                 return False
-            bits = [r << 1 | (row >> v & 1) for r, row in zip(read, adj)]
-            if not rec(a + 1, used | 1 << v, weight * free.bit_count(), bits):
+            if free == bit:
+                count += weight
+                return True
+            row = adj[v]
+            twins = bit
+            others = rest
+            while others:
+                u = others & -others
+                others ^= u
+                x = u.bit_length() - 1
+                if not (row ^ adj[x]) & ~(bit | u) and (col ^ own[x]) & 1 == 0:
+                    twins |= u
+            rest &= ~twins
+            if not rec(a + 1, free ^ bit, weight * twins.bit_count(), read << 1 | spread[v]):
                 return False
         return True
 
-    return count if rec(0, 0, 1, [0] * n) else 0
+    return count if rec(0, (1 << n) - 1, 1, 0) else 0
 
 
 def _graph(k: int, mask: int) -> list[int]:
@@ -259,6 +273,13 @@ def _open_matching(adj: list[int]) -> int:
     return size
 
 
+@lru_cache(maxsize=None)
+def _future(k: int) -> tuple[tuple[int, ...], ...]:
+    """future[x][v]: the edges at v with quadric entry x or later."""
+    n_quads = k * (k + 1) // 2
+    return tuple(tuple(_graph(k, ((1 << n_quads) - 1) >> x << x)) for x in range(n_quads + 1))
+
+
 class QuadricOrbit(NamedTuple):
     """Canonical quadric configuration with its orbit size under S_k."""
 
@@ -293,9 +314,9 @@ def _orderly(
         return ()
     points = quadric_points(k)
     ends = [(a, b) for a in range(k) for b in range(a + 1)]
-    # future[x][v]: the edges at v with entry x or later
-    future = [_graph(k, ((1 << n_quads) - 1) >> x << x) for x in range(n_quads + 1)]
+    future = _future(k)
     adj = [0] * k
+    cols = [0] * k  # the graph's own columns
     found = []
 
     def grow(last: int, mask: int, left: int, touched: int, col: int, linked: bool, loops: int):
@@ -314,13 +335,15 @@ def _orderly(
                 continue
             adj[a] |= 1 << b
             adj[b] |= 1 << a
+            cols[a] ^= 1 << a - b
             reached = touched | 1 << a | 1 << b
-            later = future[x + 1 if left else n_quads]
             # each untouched vertex and each open edge of a matching needs a
-            # later edge at its own ends, and one edge has at most two ends
+            # later edge at its own ends, and one edge has at most two ends;
+            # so no edge left means none open, and before the last column
+            # vertex k - 1 can still close any edge into a triangle
             need = k - reached.bit_count() + _open_matching(adj)
-            if need <= 2 * left and _certifiable(adj, later):
-                aut = _relabellings(adj)
+            if need <= 2 * left and (a < k - 1 or not left or _certifiable(adj, future[x + 1])):
+                aut = _relabellings(adj, cols)
                 if aut and left:
                     grow(x, mask | 1 << x, left - 1, reached, a, now_linked, loops + (a == b))
                 elif aut:
@@ -328,6 +351,7 @@ def _orderly(
                     found.append(QuadricOrbit(rep, math.factorial(k) // aut))
             adj[a] &= ~(1 << b)
             adj[b] &= ~(1 << a)
+            cols[a] ^= 1 << a - b
 
     grow(-1, 0, q - 1, 0, 0, True, 0)
     return tuple(found)

@@ -97,21 +97,38 @@ def test_open_matching_of_uncertified_edges():
 def test_relabellings_against_all_permutations():
     # column a of a labelling is its bits (a, 0), ..., (a, a), first bit highest
     def columns(adj, perm):
-        return tuple(
-            sum((adj[perm[a]] >> perm[b] & 1) << (a - b) for b in range(a + 1))
-            for a in range(len(adj))
-        )
+        out = []
+        for a, v in enumerate(perm):
+            col = 0
+            for w in perm[: a + 1]:
+                col = col << 1 | adj[v] >> w & 1
+            out.append(col)
+        return tuple(out)
+
+    def check(adj, perms):
+        own = columns(adj, range(len(adj)))
+        strings = [columns(adj, perm) for perm in perms]
+        aut = strings.count(own) if max(strings) == own else 0
+        assert _relabellings(adj, list(own)) == aut, adj
 
     for k in range(5):
         perms = list(itertools.permutations(range(k)))
         for mask in range(1 << (k * (k + 1) // 2)):
-            adj = _graph(k, mask)
-            own = columns(adj, range(k))
-            strings = [columns(adj, perm) for perm in perms]
-            canonical = max(strings) == own
-            assert bool(_relabellings(adj)) == canonical, (k, mask)
-            if canonical:
-                assert _relabellings(adj) == strings.count(own), (k, mask)
+            check(_graph(k, mask), perms)
+    perms = list(itertools.permutations(range(5)))
+    for mask in range(0, 1 << 15, 11):
+        check(_graph(5, mask), perms)
+    # the connected stable layers on 6 vertices, some with |Aut| > 1, each
+    # canonical and with its labelling reversed
+    perms = list(itertools.permutations(range(6)))
+    auts = []
+    for q in range(6, 10):
+        for orbit in connected_reps(6, q):
+            adj = _graph(6, sum(1 << quadric_index(6)[p] for p in orbit.rep))
+            check(adj, perms)
+            check([sum((adj[5 - v] >> 5 - w & 1) << w for w in range(6)) for v in range(6)], perms)
+            auts.append(720 // orbit.orbit_size)
+    assert max(auts) > 1
 
 
 def test_orbit_reps_k2_q2():

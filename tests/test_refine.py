@@ -11,7 +11,7 @@ import pytest
 from hdpart import mpart
 from hdpart.cache import load_golden_c6, load_golden_records
 from hdpart.intmath import binom, double_factorial
-from hdpart.lattice import ResourceCeilingError
+from hdpart.lattice import ResourceCeilingError, count_partitions
 from hdpart.macmahon import partition_numbers, plane_partition_numbers
 from hdpart.refine import (
     CLOSED_FORM,
@@ -498,10 +498,39 @@ def test_record_rows_give_p_2_to_5(d, p):
     assert p[:2] == [partition_numbers(d)[d], plane_partition_numbers(d)[d]]
 
 
+@pytest.mark.parametrize(
+    "d", [16, 17, 18] + [pytest.param(d, marks=pytest.mark.slow) for d in range(19, 23)]
+)
+def test_oracle_p4_against_pinned_rows(d):
+    # the brute-force walk in lattice shares no code with the search behind the rows
+    row = _frontier_rows()[d]
+    assert count_partitions(4, d) == p_from_y(lambda k, e: row[k], 4, d)
+
+
+def test_p_666_30_congruences():
+    # Lucas: for a prime P > 29, binom(666, k) = binom(r, k) (mod P) with
+    # r = 666 mod P for every k < 30, so a true p(666, 30) = p(r, 30) (mod P).
+    # p(0, 30) = 0 and p(2, 30) is the partition number; p(4, 30) is the row's.
+    row = _frontier_rows()[30]
+    (golden,) = [r.value for r in load_golden_records() if r.index == (666, 30)]
+
+    def p(n):
+        return p_from_y(lambda k, e: row[k], n, 30)
+
+    assert p(2) == partition_numbers(30)[30]
+    residues = {}
+    for prime, r in ((37, 0), (83, 2), (331, 4)):
+        assert 666 % prime == r
+        assert p(666) % prime == p(r) % prime
+        residues[prime] = p(r) % prime, golden % prime
+    assert residues == {37: (0, 0), 83: (43, 43), 331: (231, 171)}
+
+
 @pytest.mark.xfail(
     raises=AssertionError,
     strict=True,
-    reason="the golden p(666, 30) is larger by 27581291792776199237760",
+    reason="the golden p(666, 30) is larger by 27581291792776199237760, and is 171, "
+    "not p(4, 30) = 231, mod 331 (test_p_666_30_congruences)",
 )
 def test_row_30_gives_the_golden_p_666_30():
     # the paper's headline count, summed over the pinned row; the golden
