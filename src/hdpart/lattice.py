@@ -23,27 +23,31 @@ its lower covers and, if it is low itself, joins. Only points above the new
 one can join later, so a state with a pending point whose last upper cover
 lies at or below the new point is never entered, and a leaf matches the
 socle bound exactly when its pending mask is empty (a socle-cover lookahead).
-Without a checker or visitor a state two points short of the target counts
-its leaves in one step: the child of the i-th of its R candidates keeps the
-R - 1 - i candidates above it and gains f(c) fresh covers, so the leaves are
-C(R, 2) + sum f(c). The state charges R + leaves nodes at once, what a walk
-that visits every leaf spends, and node ceilings fail exactly where that
-walk fails.
+Without a visitor a state one point short of the target tests each admitted
+child as a leaf in place, one node each. Without a checker or visitor a state
+two points short counts its leaves in one step: the child of the i-th of its R
+candidates keeps the R - 1 - i candidates above it and gains f(c) fresh
+covers, so the leaves are C(R, 2) + sum f(c). The state charges R + leaves
+nodes at once, what a walk that visits every leaf spends, and node ceilings
+fail exactly where that walk fails.
 
 `count_partitions` also folds the axis symmetry (Atkin–Bratley–Macdonald–McKay,
 Proc. Cambridge Philos. Soc. 63, 1967, split partition counts by the axes
-used). A partition of two or more points holds the origin and the unit points
-of the j axes it uses, and permuting the axes maps those of any j axes onto
-those of the first j, state for state. So it charges the origin once and walks,
-for each j, only the states that hold the first j unit points and no other:
-the origin and those units are its start state, the degree-2 covers of those
-units its candidates. No such state leaves the first min(n, d-1) axes, so the
-count builds its universe on those axes alone. Each leaf it finds counts
-C(n, j) times, and so does each node it charges, so node totals and ceiling
-verdicts are those of the full walk. The visiting and constrained walks
-still enumerate every partition. The oracle is one serial walk and takes no
-`workers` value; the fold reads nothing from `refine` or `mpart`, so the
-oracle stays an independent route.
+used). The length L_a of axis a is the largest t with t e_a in the partition,
+and a partition of two or more points holds the origin and the chains e_a,
+..., L_a e_a of the j axes it uses. Permuting the axes permutes the lengths,
+state for state. So it charges the origin once and walks, for each
+non-decreasing tuple L of positive lengths with sum at most d - 1, only the
+states whose axis points are the chains of lengths L on the first j unit
+points: those chains and the origin are its start state, the points e_a + e_b
+of those axes its candidates, and no axis point is ever a candidate. No such
+state leaves the first min(n, d-1) axes, so the count builds its universe on
+those axes alone. Each leaf it finds counts once per placement of L on the n
+axes, C(n, j) j! / prod mult(L)! times, and so does each node it charges, so
+node totals and ceiling verdicts are those of the full walk. The visiting and
+constrained walks still enumerate every partition. The oracle is one serial
+walk and takes no `workers` value; the fold reads nothing from `refine` or
+`mpart`, so the oracle stays an independent route.
 """
 
 from __future__ import annotations
@@ -251,13 +255,16 @@ class _Universe(NamedTuple):
     (shift, pairs): shift is the first index of point i's layer, and pairs
     holds (need_j, 1 << j) for each upper cover j, where bit b of need_j marks
     lower cover shift + b of j. All lower covers of j lie in i's layer, so
-    each need mask is only as wide as that layer.
+    each need mask is only as wide as that layer. No upper cover of a point off
+    the axes lies on one. chains[a][t] is the mask of the axis points e, 2e,
+    ..., t * e of the unit point e of index a + 1.
     """
 
     points: tuple[Point, ...]
     degrees: tuple[int, ...]
     start: tuple[int, ...]  # index of the first point of each degree
     cover: tuple[tuple[int, tuple[tuple[int, int], ...]], ...]
+    chains: tuple[tuple[int, ...], ...]
 
     def decode(self, chosen: int) -> tuple[Point, ...]:
         """The points of a chosen-set mask, in enumeration order."""
@@ -308,7 +315,12 @@ def _universe(n: int, size: int, ceiling: Optional[int] = None) -> _Universe:
     cover = tuple(
         (shift, tuple((need[j], 1 << j) for j in covers)) for shift, covers in zip(shifts, up)
     )
-    return _Universe(tuple(points), degrees, tuple(start), cover)
+    chains = []
+    for e in points[1 : n + 1]:
+        # t * e has a down-set of t + 1 points: the chain reaches t = size - 1
+        bits = (1 << index[tuple(t * v for v in e)] for t in range(1, size))
+        chains.append(tuple(itertools.accumulate(bits, initial=0)))
+    return _Universe(tuple(points), degrees, tuple(start), cover, tuple(chains))
 
 
 class _ConstraintChecker:
@@ -439,6 +451,8 @@ def _count_dfs(
         budget.spend(children + leaves)
         return leaves
     degrees = universe.degrees
+    # one point short with no visitor: each admitted child is a leaf, tested in place
+    last = visitor is None and size == target_size - 1
     total = 0
     rest = cands
     while rest:
@@ -451,17 +465,20 @@ def _count_dfs(
             continue
         budget.spend()
         mask = chosen | low
-        shift, pairs = cover[c]
-        below = mask >> shift
-        child = rest
-        for need, bit in pairs:
-            if need & below == need:
-                child |= bit
         layers[g] += 1
-        total += _count_dfs(
-            universe, target_size, checker, budget, mask, size + 1, layers, child, child_pending,
-            visitor,
-        )
+        if last:
+            total += checker is None or checker.accepts_leaf(mask, layers, child_pending)
+        else:
+            shift, pairs = cover[c]
+            below = mask >> shift
+            child = rest
+            for need, bit in pairs:
+                if need & below == need:
+                    child |= bit
+            total += _count_dfs(
+                universe, target_size, checker, budget, mask, size + 1, layers, child,
+                child_pending, visitor,
+            )
         layers[g] -= 1
     return total
 
@@ -491,12 +508,31 @@ def _count(
     )
 
 
+def _sorted_lengths(axes: int, room: int, least: int = 1) -> Iterator[tuple[int, ...]]:
+    """Every non-decreasing tuple of 1 to `axes` lengths, each at least `least`,
+    with sum at most `room`."""
+    for t in range(least, room + 1) if axes else ():
+        yield (t,)
+        for rest in _sorted_lengths(axes - 1, room - t, t):
+            yield (t, *rest)
+
+
+def _orbit_size(lengths: Sequence[int], n: int) -> int:
+    """The points of N^n whose nonzero coordinates are the sorted `lengths`:
+    n! / ((n - j)! prod mult!) for j lengths, C(n, j) j! / prod mult!."""
+    out = math.perm(n, len(lengths))
+    for _, run in itertools.groupby(lengths):
+        out //= math.factorial(len(tuple(run)))
+    return out
+
+
 def count_partitions(n: int, d: int, max_nodes: Optional[int] = None) -> int:
     """Number of downward-closed subsets of N^n with exactly d points (one serial walk).
 
-    For d >= 2 the walk is folded by the axes used: with the origin charged
-    once, the partitions whose unit points are the first j in index order are
-    walked once and counted, node by node and leaf by leaf, C(n, j) times.
+    For d >= 2 the walk is folded by the axis lengths: with the origin charged
+    once, the partitions whose axis lengths are exactly a sorted tuple L, on the
+    first len(L) unit points in index order, are walked once and counted, node
+    by node and leaf by leaf, as often as L has arrangements on the n axes.
     Those walks read only the min(n, d-1) axes, so the universe spans just them.
     """
     if n < 0 or d < 0:
@@ -505,22 +541,26 @@ def count_partitions(n: int, d: int, max_nodes: Optional[int] = None) -> int:
         return _count(n, None, d, max_nodes=max_nodes)
     axes = min(n, d - 1)
     universe = _universe(axes, d, max_nodes)
+    # firsts[j]: the points e_a + e_b of the first j unit points, the candidates of
+    # every start on j axes; 2e, the one cover of a unit e with one lower cover, is not
+    firsts, units = [0], 1
+    for j in range(1, axes + 1):
+        units |= 1 << j
+        shift, pairs = universe.cover[j]
+        below = units >> shift
+        fresh = sum(bit for need, bit in pairs if need.bit_count() == 2 and need & below == need)
+        firsts.append(firsts[-1] | fresh)
     budget = _Budget(max_nodes)
     budget.spend()  # the origin
-    total, chosen, cands = 0, 1, 0
-    for j in range(1, axes + 1):
-        # unit point j joins: the degree-2 points whose lower covers are now
-        # all chosen become candidates, and no later unit point ever does
-        chosen |= 1 << j
-        shift, pairs = universe.cover[j]
-        below = chosen >> shift
-        for need, bit in pairs:
-            if need & below == need:
-                cands |= bit
-        walk = _Weighted(budget, math.comb(n, j))
+    total, layers = 0, [0] * (d + 1)  # an unchecked walk never reads its layer counts
+    for lengths in _sorted_lengths(axes, d - 1):
+        chosen = 1
+        for chain, t in zip(universe.chains, lengths):
+            chosen |= chain[t]
+        walk = _Weighted(budget, _orbit_size(lengths, n))
         walk.spend()  # the start state
-        layers = [1, j] + [0] * d
-        total += walk.weight * _count_dfs(universe, d, None, walk, chosen, j + 1, layers, cands)
+        size, cands = 1 + sum(lengths), firsts[len(lengths)]
+        total += walk.weight * _count_dfs(universe, d, None, walk, chosen, size, layers, cands)
     return total
 
 

@@ -320,8 +320,9 @@ class Resolver:
     partition of k that it enumerates. Each oracle count gets a fresh budget
     with the same ceiling. workers runs the searches' tasks in a process pool;
     the oracle walks serially. The resolver owns the memo of connected
-    component tables that its alpha searches share (`mpart.alpha_tables`), so
-    its node totals depend only on the queries it has answered.
+    component tables that its alpha searches share (`mpart.alpha_tables`). A
+    component is swept again when a later query reads it at a larger size, so
+    its node totals depend on the queries it has answered and on their order.
     """
 
     def __init__(

@@ -214,6 +214,20 @@ def test_axis_fold_exact_ceiling():
     assert Resolver().p(12, 9) == 956055
 
 
+def test_axis_length_orbits_count_compositions():
+    # the walk of a sorted tuple of j axis lengths stands for its j!/prod mult!
+    # orderings, and the orderings of every tuple of sum s are the C(s-1, j-1)
+    # compositions of s into j positive parts
+    weights = {}
+    for lengths in lattice._sorted_lengths(6, 14):
+        assert 0 < lengths[0] and list(lengths) == sorted(lengths)
+        key = len(lengths), sum(lengths)
+        weights[key] = weights.get(key, 0) + lattice._orbit_size(lengths, len(lengths))
+    assert weights == {(j, s): math.comb(s - 1, j - 1) for j in range(1, 7) for s in range(j, 15)}
+    # on n axes a tuple of j lengths has C(n, j) times as many placements
+    assert lattice._orbit_size((1, 2, 2), 5) == math.comb(5, 3) * 3
+
+
 def test_visitor_sees_every_counted_partition():
     # the visitor walks every leaf: the bulk count of the last two levels
     # must never stand in for it

@@ -499,7 +499,7 @@ def test_record_rows_give_p_2_to_5(d, p):
 
 
 @pytest.mark.parametrize(
-    "d", [16, 17, 18] + [pytest.param(d, marks=pytest.mark.slow) for d in range(19, 23)]
+    "d", [16, 17, 18] + [pytest.param(d, marks=pytest.mark.slow) for d in range(19, 25)]
 )
 def test_oracle_p4_against_pinned_rows(d):
     # the brute-force walk in lattice shares no code with the search behind the rows
