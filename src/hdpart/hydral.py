@@ -20,7 +20,6 @@ from .series import (
     IntegrityError,
     Polynomial,
     PowerSeries,
-    Q,
     RationalFunction,
     one_minus_t_power,
     series_of,
@@ -67,18 +66,6 @@ def headstrong_count(m: int, n: int) -> int:
                 acc += (-1) ** j * binom(n - 1, j) * math.comb(top, n - 2)
         total += acc
     return total
-
-
-def headstrong_tuples(m: int, n: int) -> list[tuple[int, ...]]:
-    """Explicit enumeration, used as the oracle for headstrong_count."""
-    import itertools
-
-    out = []
-    for tail in itertools.product(range(m + 1), repeat=n - 1):
-        head = m - sum(tail)
-        if head >= 0 and all(head >= x for x in tail):
-            out.append((head,) + tail)
-    return out
 
 
 # --- the block series ------------------------------------------------------------
@@ -175,14 +162,6 @@ def profile_series_from_weights(parts: Sequence[int], order: int) -> PowerSeries
     )
 
 
-def profile_series(parts: Sequence[int], order: int) -> PowerSeries:
-    """Product of the block series; equal to the nested-sum route."""
-    acc = PowerSeries([1], order)
-    for p in parts:
-        acc = acc * head_block_series(p, order)
-    return acc
-
-
 # --- the full count ---------------------------------------------------------------
 
 
@@ -234,51 +213,3 @@ def hydral_series(n: int, order: int | None = None) -> RationalFunction:
             raise IntegrityError("rational form disagrees with the direct count")
     return total
 
-
-# --- special families ---------------------------------------------------------------
-
-
-COMPRESSED_VARIANTS = ("3n", "3n-1-compressed", "3n-1-anti", "3n-2")
-
-
-def compressed_count(n: int, variant: str = "3n") -> int:
-    """Closed counts for the extremal socle-type-(0,0,0,n) families.
-
-    "3n": embedding dimension 3n, profile (1,3n,3n,n);
-    "3n-1-compressed": embedding dimension 3n-1, profile (1,3n-1,3n,n);
-    "3n-1-anti": profile (1,3n-1,3n-1,n);
-    "3n-2": anti-compressed with embedding dimension 3n-2.
-    """
-    if n < 1:
-        raise ValueError("n must be positive")
-    base = _triple_factor(n)
-    if variant == "3n":
-        return base
-    if variant == "3n-1-compressed":
-        count, rest = divmod(3 * (n - 1) * base, 2)
-        if rest:
-            raise IntegrityError("compressed count must be integral")
-        return count
-    if variant == "3n-1-anti":
-        return 2 * base
-    if variant == "3n-2":
-        return (3 * n - 2) ** 2 * _triple_factor(n - 1)
-    raise ValueError(f"unknown variant {variant!r}; expected one of {COMPRESSED_VARIANTS}")
-
-
-def colored_partition_count(n: int) -> int:
-    """Set partitions of an n-set with one colored element per block."""
-    if n < 0:
-        raise ValueError("n must be nonnegative")
-    return sum(binom(n, k) * k ** (n - k) for k in range(n + 1))
-
-
-def exp_tower_series(order: int) -> PowerSeries:
-    """Exact expansion of exp(t * exp(t))."""
-    out = []
-    for n in range(order + 1):
-        acc = Q(0)
-        for j in range(n + 1):
-            acc += Q(j ** (n - j), math.factorial(n - j) * math.factorial(j))
-        out.append(acc)
-    return PowerSeries(out, order)

@@ -188,21 +188,6 @@ def hilbert_samuel(part: Partition) -> tuple[int, ...]:
     return tuple(counts)
 
 
-def socle_type(part: Partition) -> tuple[int, ...]:
-    """Socle elements per degree, up to the partition length."""
-    if not part.points:
-        return ()
-    length = degree(part.points[-1])
-    counts = [0] * (length + 1)
-    for p in socle(part).points:
-        counts[degree(p)] += 1
-    return tuple(counts)
-
-
-def embedding_dimension(part: Partition) -> int:
-    return len(part.layer(1))
-
-
 class ConstraintSpec(NamedTuple):
     """Active constraints for a counting query; inconsistent combinations count 0."""
 
@@ -577,10 +562,3 @@ def iter_partitions(n: int, size: int) -> Iterator[tuple[Point, ...]]:
     _count(n, None, size, visitor=found.append)
     return iter(found)
 
-
-# --- coordinate symmetry ------------------------------------------------------
-
-
-def permute_point(p: Point, perm: Sequence[int]) -> Point:
-    """Coordinate i of the image reads coordinate perm[i] of p."""
-    return tuple(p[perm[i]] for i in range(len(perm)))

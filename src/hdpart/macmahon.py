@@ -4,7 +4,6 @@ machine checkers for the three open questions at configurable ranges."""
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 from typing import NamedTuple, Optional
 
 from .intmath import binom
@@ -45,42 +44,6 @@ class ProductTable:
         """The embedding-dimension refinement of the product counts, by the
         same alternating inversion that refines the true counts."""
         return y_from_p(self.value, k, d)
-
-
-class DiscrepancyRecord(NamedTuple):
-    kind: str  # "Y-level" or "exponent-level"
-    index: tuple[int, int]
-    predicted: int
-    actual: int
-
-    @property
-    def delta(self) -> int:
-        return self.predicted - self.actual
-
-
-def discrepancy_table(
-    d_max: int, resolver: Optional[Resolver] = None
-) -> list[DiscrepancyRecord]:
-    """Records for every (d, k) with d <= d_max, 0 <= k <= d-1, refined level."""
-    resolver = resolver or Resolver()
-    products = ProductTable()
-    out = []
-    for d in range(1, d_max + 1):
-        for k in range(d):
-            out.append(
-                DiscrepancyRecord(
-                    "Y-level",
-                    (d, k),
-                    products.refined(d, k),
-                    resolver.y(k, d),
-                )
-            )
-    return out
-
-
-def negative_discrepancies(records: list[DiscrepancyRecord]) -> list[DiscrepancyRecord]:
-    """A nonempty result would be a finding worth reporting, not suppressing."""
-    return [r for r in records if r.delta < 0]
 
 
 def omega_exponents(n: int, order: int, resolver: Optional[Resolver] = None) -> list[int]:

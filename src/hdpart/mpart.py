@@ -22,8 +22,8 @@ and its profile table is the convolution of theirs. The labelled table A_k(q)
 is therefore the exponential transform of the connected tables C_j(q)
 (`exponential_table`; Harary-Palmer, Graphical Enumeration, 1973, ch. 1;
 Flajolet-Sedgewick, Analytic Combinatorics, 2009, II.2). `orbit_reps`, which
-generates every stable layer, and `alpha_without_orbit_reduction` stay as
-the references the tests compare this route with.
+generates every stable layer, stays as the reference the tests compare this
+route with.
 
 One lower bound, `_cubics_needed`, says how many cubics a set of quadrics
 needs from its loops and its size. Generation for a size stops at a loop past
@@ -64,7 +64,7 @@ import math
 from functools import lru_cache
 from typing import Callable, Iterable, Iterator, NamedTuple, Optional, Sequence
 
-from .lattice import ConstraintSpec, Point, _Budget, lower_covers, point_key
+from .lattice import ConstraintSpec, Point, _Budget
 
 DEFAULT_NODE_CEILING = 10**9
 
@@ -118,32 +118,6 @@ def _quadric_mask(U: Iterable[Point], k: int) -> int:
             raise ValueError(f"{p} is not a degree-2 point of N^{k}")
         mask |= 1 << u
     return mask
-
-
-def support_variables(points: Iterable[Point]) -> frozenset[int]:
-    out = set()
-    for p in points:
-        for i, v in enumerate(p):
-            if v:
-                out.add(i)
-    return frozenset(out)
-
-
-def is_m_stable(U: Iterable[Point], k: int) -> bool:
-    """Whether every quadric of U divides a cubic whose lower covers all lie in U.
-
-    This is the constructive stability criterion: the closure of such
-    certifying cubics is itself a partition with quadric layer exactly U and
-    socle in degree 3. It reads `lattice.lower_covers` and no region, so it
-    stays the reference that the looped-graph test `_certifiable` is checked
-    against.
-    """
-    mask = _quadric_mask(U, k)
-    layer = {p for u, p in enumerate(quadric_points(k)) if mask >> u & 1}
-    return all(
-        any(set(lower_covers(p[:i] + (v + 1,) + p[i + 1 :])) <= layer for i, v in enumerate(p))
-        for p in layer
-    )
 
 
 # --- stable layers as looped graphs ----------------------------------------------
@@ -287,13 +261,16 @@ class QuadricOrbit(NamedTuple):
     orbit_size: int
 
 
-def _orderly(
-    k: int, q: int, connected: bool, size: Optional[int] = None
-) -> tuple[QuadricOrbit, ...]:
+def _most_loops(k: int, q: int, size: Optional[int]) -> int:
+    """The most loops that q quadrics on k variables may hold with their cubics
+    within size: k with no size, -1 when no set fits."""
+    return k if size is None else sum(_cubics_needed(n, q) <= size for n in range(k + 1)) - 1
+
+
+def _orderly(k: int, q: int, connected: bool, most: int) -> tuple[QuadricOrbit, ...]:
     """One canonical representative per S_k-orbit of stable q-element quadric
     sets that touch every variable, only the connected ones if connected, in
-    the order of their sorted entry tuples; with a size, only those whose
-    loops leave `_cubics_needed` within it.
+    the order of their sorted entry tuples, with at most `most` loops.
 
     Orderly generation (Read, Ann. Discrete Math. 2, 1978): a canonical graph
     less its last edge is canonical, so each one grows from its parent by one
@@ -308,8 +285,6 @@ def _orderly(
     only grow along a branch, and the bound never falls as they do.
     """
     n_quads = k * (k + 1) // 2
-    # the most loops a layer may have: the bound rises with the loops
-    most = k if size is None else sum(_cubics_needed(n, q) <= size for n in range(k + 1)) - 1
     if k < 1 or q < 1 or q > n_quads or most < 0:
         return ()
     points = quadric_points(k)
@@ -362,8 +337,14 @@ def connected_reps(k: int, q: int, size: Optional[int] = None) -> tuple[QuadricO
     """The connected stable layers of orbit_reps(k, q): the same
     representatives, orbit sizes and order, generated without the others.
     With a size, those whose loops need more cubics than size are not
-    generated: a sweep to size finds no set above them."""
-    return _orderly(k, q, connected=True, size=size)
+    generated: a sweep to size finds no set above them. Sizes with the same
+    `_most_loops` share one tuple."""
+    return _connected_reps(k, q, _most_loops(k, q, size))
+
+
+@lru_cache(maxsize=None)
+def _connected_reps(k: int, q: int, most: int) -> tuple[QuadricOrbit, ...]:
+    return _orderly(k, q, True, most)
 
 
 class BoundingRegion(NamedTuple):
@@ -393,17 +374,6 @@ class BoundingRegion(NamedTuple):
     upper: tuple[tuple[int, ...], ...]
     cover_order: tuple[tuple[int, int], ...]
     size: int
-
-    def all_points(self) -> tuple[Point, ...]:
-        """The cells with the origin, the k unit points and the quadric layer."""
-        low: list[Point] = [(0,) * self.k]
-        for i in range(self.k):
-            e = [0] * self.k
-            e[i] = 1
-            low.append(tuple(e))
-        mask = self.quadric_mask
-        quads = [p for u, p in enumerate(quadric_points(self.k)) if mask >> u & 1]
-        return tuple(sorted(low + quads + list(self.cells), key=point_key))
 
 
 def bounding_region(
@@ -909,25 +879,7 @@ def orbit_reps(k: int, q: int) -> tuple[QuadricOrbit, ...]:
     q-element quadric set that touches all k variables, connected or not, in
     the order of their sorted entry tuples; their weighted_table, which
     sweeps each one, is A_k(q) with no exponential formula."""
-    return _orderly(k, q, connected=False)
-
-
-def alpha_without_orbit_reduction(
-    k: int, q: int, m: int, node_ceiling: Optional[int] = DEFAULT_NODE_CEILING
-) -> int:
-    """Reference implementation iterating every stable subset, no symmetry quotient."""
-    trivial = AlphaQuery(k, q, m).trivial_count()
-    if trivial is not None:
-        return trivial
-    quads = quadric_points(k)
-    budget = _Budget(node_ceiling)
-    total = 0
-    for combo in itertools.combinations(quads, q):
-        if len(support_variables(combo)) != k or not is_m_stable(combo, k):
-            continue
-        region = bounding_region(combo, m)
-        total += _RegionSearch(region, budget).count(m)
-    return total
+    return _orderly(k, q, False, k)
 
 
 def alpha_targeted(

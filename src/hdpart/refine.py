@@ -1,4 +1,4 @@
-"""Inversion formulas, diagonal recurrences, and the exact generating
+"""Inversion formulas, the Resolver, and the exact generating
 functions for the refined partition counts.
 
 The counts reduce to simpler classes: p to y by embedding dimension, y to
@@ -10,7 +10,7 @@ The e-th y diagonal y(k, k+e+1) is a numerator over (1-t)^(2e+1)
 (`y_recurrence`). The socle sum `socle.y_from_alpha` is that rule already: a
 polynomial of degree <= 2e in k over the same alpha values for every
 k >= e-1. So the Resolver takes each y entry from the socle sum, and
-`y_recurrence` is an identity the tests check against it.
+`y_recurrence` (`tests/reference.py`) is an identity the tests check.
 
 Tables carry a provenance tag per entry so that values produced by two
 different routes (oracle / inversion / closed form / search) can
@@ -20,7 +20,6 @@ be cross-checked; a disagreement raises IntegrityError rather than warning.
 from __future__ import annotations
 
 import functools
-import math
 from fractions import Fraction
 from typing import Callable, Optional, Sequence
 
@@ -138,86 +137,14 @@ def y_from_p(p: Count, n: int, d: int) -> int:
     return sum((-1) ** (n + j) * binom(n, j) * p(j, d) for j in range(n + 1))
 
 
-def y_from_c(c: Count, k: int, e: int) -> int:
-    """y(k, k+e+1) from the no-unit-socle refinement."""
-    return sum(binom(k, x) * c(x, e) for x in range(min(k, 2 * e) + 1))
-
-
 def c_from_y(y: Count, k: int, e: int) -> int:
-    """Alternating inversion of y_from_c."""
+    """Alternating inversion of y(k, k+e+1) = sum_x binom(k, x) c(x, e)."""
     return sum((-1) ** (k + j) * binom(k, j) * y(j, e + j + 1) for j in range(k + 1))
 
 
 def c_degree_bound(x: int) -> int:
-    """2x - ceil(x/2): the numerator degree bound of the x-th C diagonal, and
-    the largest k of the stable-layer count d(k, e) at e = x."""
+    """2x - ceil(x/2): the numerator degree bound of the x-th C diagonal."""
     return 2 * x - (x + 1) // 2
-
-
-def d_from_c(c: Count, k: int, e: int) -> int:
-    """Stable-layer count d(k, e) from c (double-factorial convolution)."""
-    if not 0 <= k <= c_degree_bound(e):
-        raise ValueError(f"d index {(k, e)} outside 0 <= k <= 2e - ceil(e/2)")
-    total = 0
-    for y in range(k // 2 + 1):
-        total += (
-            (-1) ** y
-            * math.factorial(k)
-            // (double_factorial(2 * y) * math.factorial(k - 2 * y))
-            * c(k - 2 * y, e - y)
-        )
-    return total
-
-
-def c_from_d(d: Count, k: int, e: int) -> int:
-    """Inverse convolution: recover c(k, e) with k = 2e - x from d."""
-    if not 0 <= k <= 2 * e:
-        raise ValueError("require 0 <= k <= 2e")
-    x = 2 * e - k
-    total = 0
-    for y in range((x + 1) // 2, min(e, 2 * x) + 1):
-        total += (
-            math.factorial(2 * e - x)
-            // (double_factorial(2 * e - 2 * y) * math.factorial(2 * y - x))
-            * d(2 * y - x, y)
-        )
-    return total
-
-
-# --- diagonal recurrences -----------------------------------------------------
-
-
-def y_recurrence(seed: Sequence[int], e: int, k: int) -> int:
-    """y(k, k+e+1) for k > 2e from the first 2e+1 diagonal values
-    seed[j] = y(j, j+e+1), j = 0..2e."""
-    if len(seed) < 2 * e + 1:
-        raise MissingDataError(f"need {2 * e + 1} seed values, got {len(seed)}")
-    if k <= 2 * e:
-        raise ValueError("recurrence applies for k > 2e")
-    return sum(
-        (-1) ** j * binom(k, j) * binom(k - j - 1, 2 * e - j) * seed[j]
-        for j in range(2 * e + 1)
-    )
-
-
-def c_recurrence(seed: Sequence[int], x: int, e: int) -> int:
-    """c(2e-x, e) for e > 2x from the leading diagonal values
-    seed[z] = c(2z-x, z), z = ceil(x/2)..2x (indexed from z = ceil(x/2))."""
-    lo = (x + 1) // 2
-    if len(seed) < 2 * x - lo + 1:
-        raise MissingDataError(f"need {2 * x - lo + 1} seed values, got {len(seed)}")
-    if e <= 2 * x:
-        raise ValueError("recurrence applies for e > 2x")
-    total = 0
-    for z in range(lo, 2 * x + 1):
-        total += (
-            (-1) ** z
-            * binom(2 * e - x, 2 * z - x)
-            * binom(e - z - 1, 2 * x - z)
-            * double_factorial(2 * e - 2 * z - 1)
-            * seed[z - lo]
-        )
-    return total
 
 
 # --- the product column -----------------------------------------------------------

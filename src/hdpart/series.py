@@ -80,12 +80,6 @@ class Polynomial:
         c = Q(c)
         return Polynomial([a * c for a in self.coeffs])
 
-    def shift(self, k: int) -> "Polynomial":
-        """Multiply by t^k."""
-        if self.is_zero():
-            return self
-        return Polynomial((Q(0),) * k + self.coeffs)
-
     def __pow__(self, n: int) -> "Polynomial":
         result = Polynomial([1])
         base = self
@@ -245,11 +239,6 @@ def borel(s: PowerSeries) -> PowerSeries:
     return PowerSeries([c / math.factorial(k) for k, c in enumerate(s.coeffs)], s.order)
 
 
-def inverse_borel(s: PowerSeries) -> PowerSeries:
-    """Multiply coefficient k by k!."""
-    return PowerSeries([c * math.factorial(k) for k, c in enumerate(s.coeffs)], s.order)
-
-
 class _HalfPower(NamedTuple):
     """The field of HalfPower, whose __new__ normalises and checks it."""
 
@@ -390,23 +379,6 @@ def inverse_euler(s: PowerSeries) -> list[Fraction]:
         sums.append(n * a[n] - sum(sums[k] * a[n - k] for k in range(1, n)))
         ws.append(Q(sums[n] - sum(j * ws[j] for j in _divisors(n)[:-1]), n))
     return ws[1:]
-
-
-def q_binomial(a: int, b: int) -> Polynomial:
-    """Gaussian binomial coefficient as a polynomial in q with integer coefficients."""
-    if b < 0 or b > a:
-        return Polynomial()
-    b = min(b, a - b)
-    # Pascal recursion [n,k] = [n-1,k-1] + q^k [n-1,k]
-    row: list[Polynomial] = [ONE] * 1
-    for n in range(1, a + 1):
-        new_row = [ONE]
-        for k in range(1, min(n, b) + 1):
-            left = row[k - 1]
-            right = row[k].shift(k) if k < len(row) else Polynomial()
-            new_row.append(left + right)
-        row = new_row
-    return row[b]
 
 
 # --- text grammar -----------------------------------------------------------

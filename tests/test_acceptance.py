@@ -22,11 +22,11 @@ from hdpart.series import (
     ONE,
     Polynomial,
     expand_half_power,
-    inverse_borel,
     one_minus_t_power,
     parse_polynomial,
     series_of,
 )
+from reference import inverse_borel
 
 MAX_WORKERS = 4
 

