@@ -1,4 +1,4 @@
-"""Lattice partitions: invariants, apolarity, and the brute-force counting oracle.
+"""The brute-force counting oracle for lattice partitions, and the node counter.
 
 Points of N^n are plain int tuples ordered by (degree, lex). A partition is a
 finite downward-closed set of points; enumeration proceeds by appending points
@@ -11,8 +11,7 @@ point (its layer's first index and, per upper cover, that cover's lower-cover
 mask and bit). A state is a chosen-set mask, its layer counts and the mask of
 addable indices; since index order is enumeration order, the walk pops the
 low bit of that mask for the next point, and a child's candidates are the bits
-above it joined with the new point's fresh upper covers. Points become tuples
-again only for `iter_partitions`.
+above it joined with the new point's fresh upper covers.
 The constraint checker reads that state too: layer counts for the layer
 targets, and a pending mask for the socle bound. Since the layer below the
 degree being filled is settled, every point that can still join that layer is
@@ -23,13 +22,13 @@ its lower covers and, if it is low itself, joins. Only points above the new
 one can join later, so a state with a pending point whose last upper cover
 lies at or below the new point is never entered, and a leaf matches the
 socle bound exactly when its pending mask is empty (a socle-cover lookahead).
-Without a visitor a state one point short of the target tests each admitted
-child as a leaf in place, one node each. Without a checker or visitor a state
-two points short counts its leaves in one step: the child of the i-th of its R
-candidates keeps the R - 1 - i candidates above it and gains f(c) fresh
-covers, so the leaves are C(R, 2) + sum f(c). The state charges R + leaves
-nodes at once, what a walk that visits every leaf spends, and node ceilings
-fail exactly where that walk fails.
+A state one point short of the target tests each admitted child as a leaf in
+place, one node each. Without a checker a state two points short counts its
+leaves in one step: the child of the i-th of its R candidates keeps the
+R - 1 - i candidates above it and gains f(c) fresh covers, so the leaves are
+C(R, 2) + sum f(c). The state charges R + leaves nodes at once, what a walk
+that visits every leaf spends, and node ceilings fail exactly where that walk
+fails.
 
 `count_partitions` also folds the axis symmetry (Atkin–Bratley–Macdonald–McKay,
 Proc. Cambridge Philos. Soc. 63, 1967, split partition counts by the axes
@@ -44,10 +43,10 @@ of those axes its candidates, and no axis point is ever a candidate. No such
 state leaves the first min(n, d-1) axes, so the count builds its universe on
 those axes alone. Each leaf it finds counts once per placement of L on the n
 axes, C(n, j) j! / prod mult(L)! times, and so does each node it charges, so
-node totals and ceiling verdicts are those of the full walk. The visiting and
-constrained walks still enumerate every partition. The oracle is one serial
-walk and takes no `workers` value; the fold reads nothing from `refine` or
-`mpart`, so the oracle stays an independent route.
+node totals and ceiling verdicts are those of the full walk. The constrained
+walk is not folded. The oracle is one serial walk and takes no `workers`
+value; the fold reads nothing from `refine` or `mpart`, so the oracle stays an
+independent route.
 """
 
 from __future__ import annotations
@@ -55,137 +54,13 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from typing import Callable, Iterable, Iterator, NamedTuple, Optional, Sequence
+from typing import Iterator, NamedTuple, Optional, Sequence
 
 Point = tuple[int, ...]
 
 
 class ResourceCeilingError(RuntimeError):
     """Raised when an enumeration exceeds its configured state ceiling."""
-
-
-def degree(p: Point) -> int:
-    return sum(p)
-
-
-def point_key(p: Point) -> tuple[int, Point]:
-    return (sum(p), p)
-
-
-def lower_covers(p: Point) -> list[Point]:
-    """Points directly below p (one coordinate decremented)."""
-    out = []
-    for i, v in enumerate(p):
-        if v > 0:
-            out.append(p[:i] + (v - 1,) + p[i + 1 :])
-    return out
-
-
-def dominates(a: Point, b: Point) -> bool:
-    """Componentwise b <= a."""
-    return all(x <= y for x, y in zip(b, a))
-
-
-def is_downward_closed(points: Iterable[Point]) -> bool:
-    s = set(points)
-    return all(c in s for p in s for c in lower_covers(p))
-
-
-def is_antichain(points: Sequence[Point]) -> bool:
-    return not any(
-        a != b and dominates(a, b) for a, b in itertools.permutations(points, 2)
-    )
-
-
-class _PointSet(NamedTuple):
-    """The fields of Partition and AdmissibleSet, whose __new__ checks them."""
-
-    ambient_dim: int
-    points: tuple[Point, ...]
-
-
-def _canonical_points(ambient_dim: int, points: Iterable[Point]) -> tuple[Point, ...]:
-    """The distinct points sorted by (degree, lex); ValueError for a point
-    outside N^ambient_dim."""
-    pts = tuple(sorted(set(points), key=point_key))
-    for p in pts:
-        if len(p) != ambient_dim or any(v < 0 for v in p):
-            raise ValueError(f"bad point {p} for ambient dimension {ambient_dim}")
-    return pts
-
-
-class Partition(_PointSet):
-    """A downward-closed subset of N^ambient_dim, canonically sorted."""
-
-    __slots__ = ()
-
-    def __new__(cls, ambient_dim: int, points: Iterable[Point]):
-        pts = _canonical_points(ambient_dim, points)
-        if not is_downward_closed(pts):
-            raise ValueError("point set is not downward closed")
-        return super().__new__(cls, ambient_dim, pts)
-
-    @property
-    def size(self) -> int:
-        return len(self.points)
-
-    @property
-    def length(self) -> Optional[int]:
-        """Maximal degree of a point; None for the empty partition."""
-        if not self.points:
-            return None
-        return degree(self.points[-1])
-
-    def layer(self, k: int) -> tuple[Point, ...]:
-        return tuple(p for p in self.points if degree(p) == k)
-
-
-class AdmissibleSet(_PointSet):
-    """An antichain in N^ambient_dim (the possible socles)."""
-
-    __slots__ = ()
-
-    def __new__(cls, ambient_dim: int, points: Iterable[Point]):
-        pts = _canonical_points(ambient_dim, points)
-        if not is_antichain(pts):
-            raise ValueError("point set is not an antichain")
-        return super().__new__(cls, ambient_dim, pts)
-
-
-def apolar_closure(points: Iterable[Point], ambient_dim: int) -> Partition:
-    """Downward closure: all lattice points below some element of the input."""
-    seen: set[Point] = set()
-    stack = [tuple(p) for p in points]
-    while stack:
-        p = stack.pop()
-        if p in seen:
-            continue
-        seen.add(p)
-        stack.extend(lower_covers(p))
-    return Partition(ambient_dim, seen)
-
-
-def socle(part: Partition) -> AdmissibleSet:
-    """Maximal elements; together with apolar_closure this is a bijection."""
-    pts = set(part.points)
-    out = []
-    for p in part.points:
-        if not any(
-            p[:i] + (p[i] + 1,) + p[i + 1 :] in pts for i in range(part.ambient_dim)
-        ):
-            out.append(p)
-    return AdmissibleSet(part.ambient_dim, out)
-
-
-def hilbert_samuel(part: Partition) -> tuple[int, ...]:
-    """Layer sizes (h_0, ..., h_length); empty tuple for the empty partition."""
-    if not part.points:
-        return ()
-    length = degree(part.points[-1])
-    counts = [0] * (length + 1)
-    for p in part.points:
-        counts[degree(p)] += 1
-    return tuple(counts)
 
 
 class ConstraintSpec(NamedTuple):
@@ -196,7 +71,6 @@ class ConstraintSpec(NamedTuple):
     min_socle_degree: Optional[int] = None
     hilbert_samuel: Optional[tuple[int, ...]] = None
     quadric_count: Optional[int] = None
-    tail_mass: Optional[int] = None  # sum of layer sizes in degrees >= 3
     length: Optional[int] = None
 
 
@@ -250,15 +124,6 @@ class _Universe(NamedTuple):
     start: tuple[int, ...]  # index of the first point of each degree
     cover: tuple[tuple[int, tuple[tuple[int, int], ...]], ...]
     chains: tuple[tuple[int, ...], ...]
-
-    def decode(self, chosen: int) -> tuple[Point, ...]:
-        """The points of a chosen-set mask, in enumeration order."""
-        out = []
-        while chosen:
-            low = chosen & -chosen
-            out.append(self.points[low.bit_length() - 1])
-            chosen ^= low
-        return tuple(out)
 
 
 @functools.lru_cache(maxsize=16)
@@ -323,7 +188,6 @@ class _ConstraintChecker:
         # the spec's fields, read once rather than per candidate or per leaf
         self.length = spec.length
         self.hilbert_samuel = hs = spec.hilbert_samuel
-        self.tail_mass = spec.tail_mass
         # equality targets (degree, size) of single layers, by degree; a degree may repeat
         pairs = [(1, spec.embedding_dim), (2, spec.quadric_count), *enumerate(hs or ())]
         self.targets = sorted(p for p in pairs if p[1] is not None)
@@ -371,9 +235,6 @@ class _ConstraintChecker:
             # the layer below g is settled: layer g can gain only its candidates from c on
             if i == g and not have < target <= have + (cands >> c & (1 << end - c) - 1).bit_count():
                 return None
-        tail = self.tail_mass
-        if tail is not None and g >= 3 and sum(layers[3:]) + 1 > tail:
-            return None
         if not self.settled(layers, g):
             return None
         # c covers its lower covers and, if low, waits for a cover of its own
@@ -389,9 +250,6 @@ class _ConstraintChecker:
         hs = self.hilbert_samuel
         if hs is not None and len(hs) != (0 if length is None else length + 1):
             return False
-        tail = self.tail_mass
-        if tail is not None and sum(layers[3:]) != tail:
-            return False
         # every low point has a chosen upper cover
         return pending == 0 and self.settled(layers, len(layers))
 
@@ -406,19 +264,14 @@ def _count_dfs(
     layers: list[int],
     cands: int,
     pending: int = 0,
-    visitor: Optional[Callable[[tuple[Point, ...]], None]] = None,
 ) -> int:
     """Count the leaves below a state: `chosen` is a mask of universe indices,
     `layers` its points per degree, `cands` the mask of addable indices and
     `pending` the checker's low points with no chosen upper cover (0 without one)."""
     if size == target_size:
-        if checker is None or checker.accepts_leaf(chosen, layers, pending):
-            if visitor is not None:
-                visitor(universe.decode(chosen))
-            return 1
-        return 0
+        return int(checker is None or checker.accepts_leaf(chosen, layers, pending))
     cover = universe.cover
-    if checker is None and visitor is None and size == target_size - 2:
+    if checker is None and size == target_size - 2:
         # the child of the i-th of R candidates keeps the R - 1 - i above it
         # and gains its fresh covers, and each of its candidates is one leaf:
         # C(R, 2) + the fresh covers of all children, after one node per child
@@ -436,8 +289,8 @@ def _count_dfs(
         budget.spend(children + leaves)
         return leaves
     degrees = universe.degrees
-    # one point short with no visitor: each admitted child is a leaf, tested in place
-    last = visitor is None and size == target_size - 1
+    # one point short: each admitted child is a leaf, tested in place
+    last = size == target_size - 1
     total = 0
     rest = cands
     while rest:
@@ -461,36 +314,10 @@ def _count_dfs(
                 if need & below == need:
                     child |= bit
             total += _count_dfs(
-                universe, target_size, checker, budget, mask, size + 1, layers, child,
-                child_pending, visitor,
+                universe, target_size, checker, budget, mask, size + 1, layers, child, child_pending
             )
         layers[g] -= 1
     return total
-
-
-def _count(
-    n: int,
-    spec: Optional[ConstraintSpec],
-    target_size: int,
-    max_nodes: Optional[int] = None,
-    visitor: Optional[Callable[[tuple[Point, ...]], None]] = None,
-) -> int:
-    # a checker can prune below one node per point: only an unconstrained walk
-    # may refuse a universe larger than its ceiling
-    universe = _universe(n, target_size, max_nodes if spec is None else None)
-    checker = _ConstraintChecker(spec, universe) if spec is not None else None
-    return _count_dfs(
-        universe,
-        target_size,
-        checker,
-        _Budget(max_nodes),
-        0,
-        0,
-        [0] * max(target_size + 2, 3),  # the leaf test reads layers 0..2
-        1 if universe.points else 0,
-        0,
-        visitor,
-    )
 
 
 def _sorted_lengths(axes: int, room: int, least: int = 1) -> Iterator[tuple[int, ...]]:
@@ -523,7 +350,11 @@ def count_partitions(n: int, d: int, max_nodes: Optional[int] = None) -> int:
     if n < 0 or d < 0:
         raise ValueError("dimension and size must be nonnegative")
     if d < 2:
-        return _count(n, None, d, max_nodes=max_nodes)
+        # no point or the origin alone: one partition, one node per point
+        budget = _Budget(max_nodes)
+        if d:
+            budget.spend()
+        return 1
     axes = min(n, d - 1)
     universe = _universe(axes, d, max_nodes)
     # firsts[j]: the points e_a + e_b of the first j unit points, the candidates of
@@ -553,12 +384,10 @@ def count_constrained(n: int, spec: ConstraintSpec, max_nodes: Optional[int] = N
     """Partitions in N^n matching every active constraint of the spec (one serial walk)."""
     if n < 0:
         raise ValueError("dimension must be nonnegative")
-    return _count(n, spec, spec.size, max_nodes=max_nodes)
-
-
-def iter_partitions(n: int, size: int) -> Iterator[tuple[Point, ...]]:
-    """Yield every partition of the exact size as a sorted point tuple."""
-    found: list[tuple[Point, ...]] = []
-    _count(n, None, size, visitor=found.append)
-    return iter(found)
+    # a checker can prune below one node per point, so the universe takes no ceiling
+    universe = _universe(n, spec.size, None)
+    checker = _ConstraintChecker(spec, universe)
+    layers = [0] * max(spec.size + 2, 3)  # the leaf test reads layers 0..2
+    origin = 1 if universe.points else 0
+    return _count_dfs(universe, spec.size, checker, _Budget(max_nodes), 0, 0, layers, origin)
 

@@ -521,12 +521,12 @@ class AlphaQuery(_AlphaQuery):
         return cls(k, q, sum(h[3:]), length=len(h) - 1, profile=h)
 
     def constraint_spec(self) -> ConstraintSpec:
-        """The same count for the brute-force oracle in dimension k."""
+        """The same count for the brute-force oracle in dimension k; the size and
+        the two layer targets leave m points above degree 2."""
         return ConstraintSpec(
             size=1 + self.k + self.q + self.m,
             embedding_dim=self.k,
             quadric_count=self.q,
-            tail_mass=self.m,
             min_socle_degree=3 if self.k else None,
             length=self.length,
             hilbert_samuel=self.profile,

@@ -2,6 +2,9 @@
 
 No count, table or command of `hdpart` calls these. Each one gives a second
 reading that a test compares with the pipeline:
+- the partition objects (`Partition`, `AdmissibleSet`) with the apolar
+  closure, the socle and the Hilbert-Samuel function, and `iter_partitions`,
+  an enumerator on tuples and sets that shares no code with the oracle walk;
 - the subset scan over every stable quadric set, with no orbits and no
   exponential formula (`is_m_stable`, `alpha_without_orbit_reduction`);
 - the refinement identities that the socle sum and the inversions already
@@ -18,11 +21,11 @@ from __future__ import annotations
 
 import itertools
 import math
-from typing import Iterable, NamedTuple, Optional, Sequence
+from typing import Iterable, Iterator, NamedTuple, Optional, Sequence
 
 from hdpart.hydral import _triple_factor, head_block_series
 from hdpart.intmath import binom, double_factorial
-from hdpart.lattice import Partition, Point, _Budget, degree, lower_covers, point_key, socle
+from hdpart.lattice import Point, _Budget
 from hdpart.macmahon import ProductTable
 from hdpart.mpart import (
     DEFAULT_NODE_CEILING,
@@ -36,6 +39,160 @@ from hdpart.mpart import (
 from hdpart.refine import Count, Resolver
 from hdpart.series import IntegrityError, PowerSeries, Q
 from hdpart.socle import MissingDataError
+
+# --- partition objects and an independent enumerator (lattice) -----------------------
+
+
+def degree(p: Point) -> int:
+    return sum(p)
+
+
+def point_key(p: Point) -> tuple[int, Point]:
+    return (sum(p), p)
+
+
+def lower_covers(p: Point) -> list[Point]:
+    """Points directly below p (one coordinate decremented)."""
+    out = []
+    for i, v in enumerate(p):
+        if v > 0:
+            out.append(p[:i] + (v - 1,) + p[i + 1 :])
+    return out
+
+
+def dominates(a: Point, b: Point) -> bool:
+    """Componentwise b <= a."""
+    return all(x <= y for x, y in zip(b, a))
+
+
+def is_downward_closed(points: Iterable[Point]) -> bool:
+    s = set(points)
+    return all(c in s for p in s for c in lower_covers(p))
+
+
+def is_antichain(points: Sequence[Point]) -> bool:
+    return not any(
+        a != b and dominates(a, b) for a, b in itertools.permutations(points, 2)
+    )
+
+
+class _PointSet(NamedTuple):
+    """The fields of Partition and AdmissibleSet, whose __new__ checks them."""
+
+    ambient_dim: int
+    points: tuple[Point, ...]
+
+
+def _canonical_points(ambient_dim: int, points: Iterable[Point]) -> tuple[Point, ...]:
+    """The distinct points sorted by (degree, lex); ValueError for a point
+    outside N^ambient_dim."""
+    pts = tuple(sorted(set(points), key=point_key))
+    for p in pts:
+        if len(p) != ambient_dim or any(v < 0 for v in p):
+            raise ValueError(f"bad point {p} for ambient dimension {ambient_dim}")
+    return pts
+
+
+class Partition(_PointSet):
+    """A downward-closed subset of N^ambient_dim, canonically sorted."""
+
+    __slots__ = ()
+
+    def __new__(cls, ambient_dim: int, points: Iterable[Point]):
+        pts = _canonical_points(ambient_dim, points)
+        if not is_downward_closed(pts):
+            raise ValueError("point set is not downward closed")
+        return super().__new__(cls, ambient_dim, pts)
+
+    @property
+    def size(self) -> int:
+        return len(self.points)
+
+    @property
+    def length(self) -> Optional[int]:
+        """Maximal degree of a point; None for the empty partition."""
+        if not self.points:
+            return None
+        return degree(self.points[-1])
+
+    def layer(self, k: int) -> tuple[Point, ...]:
+        return tuple(p for p in self.points if degree(p) == k)
+
+
+class AdmissibleSet(_PointSet):
+    """An antichain in N^ambient_dim (the possible socles)."""
+
+    __slots__ = ()
+
+    def __new__(cls, ambient_dim: int, points: Iterable[Point]):
+        pts = _canonical_points(ambient_dim, points)
+        if not is_antichain(pts):
+            raise ValueError("point set is not an antichain")
+        return super().__new__(cls, ambient_dim, pts)
+
+
+def apolar_closure(points: Iterable[Point], ambient_dim: int) -> Partition:
+    """Downward closure: all lattice points below some element of the input."""
+    seen: set[Point] = set()
+    stack = [tuple(p) for p in points]
+    while stack:
+        p = stack.pop()
+        if p in seen:
+            continue
+        seen.add(p)
+        stack.extend(lower_covers(p))
+    return Partition(ambient_dim, seen)
+
+
+def socle(part: Partition) -> AdmissibleSet:
+    """Maximal elements; together with apolar_closure this is a bijection."""
+    pts = set(part.points)
+    out = []
+    for p in part.points:
+        if not any(
+            p[:i] + (p[i] + 1,) + p[i + 1 :] in pts for i in range(part.ambient_dim)
+        ):
+            out.append(p)
+    return AdmissibleSet(part.ambient_dim, out)
+
+
+def hilbert_samuel(part: Partition) -> tuple[int, ...]:
+    """Layer sizes (h_0, ..., h_length); empty tuple for the empty partition."""
+    if not part.points:
+        return ()
+    length = degree(part.points[-1])
+    counts = [0] * (length + 1)
+    for p in part.points:
+        counts[degree(p)] += 1
+    return tuple(counts)
+
+
+def iter_partitions(n: int, size: int) -> Iterator[tuple[Point, ...]]:
+    """Yield every partition of N^n with exactly `size` points, as its point
+    tuple in (degree, lex) order.
+
+    A partition grows by one point at a time: a point past its last point in
+    (degree, lex) order whose lower covers it holds. Each partition has one such
+    build order, its sorted points, so each is yielded once. This walk reads
+    neither the oracle's universe nor its bit masks.
+    """
+
+    def grow(points: tuple[Point, ...], held: set[Point]) -> Iterator[tuple[Point, ...]]:
+        if len(points) == size:
+            yield points
+            return
+        last = point_key(points[-1])
+        above = {p[:i] + (v + 1,) + p[i + 1 :] for p in points for i, v in enumerate(p)}
+        for p in sorted(above, key=point_key):
+            if point_key(p) > last and all(c in held for c in lower_covers(p)):
+                yield from grow(points + (p,), held | {p})
+
+    if size == 0:
+        yield ()
+    elif size > 0:
+        origin = (0,) * n
+        yield from grow((origin,), {origin})
+
 
 # --- the subset scan (mpart) ---------------------------------------------------
 
@@ -54,7 +211,7 @@ def is_m_stable(U: Iterable[Point], k: int) -> bool:
 
     This is the constructive stability criterion: the closure of such
     certifying cubics is itself a partition with quadric layer exactly U and
-    socle in degree 3. It reads `lattice.lower_covers` and no region, so it
+    socle in degree 3. It reads `lower_covers` and no region, so it
     stays the reference that the looped-graph test `mpart._certifiable` is
     checked against.
     """

@@ -4,11 +4,8 @@ throughout), with wall-clock budgets where the contract states one.
 Each test prints one PASS line; a failed assertion marks the criterion FAIL.
 """
 
-import math
 import time
 from fractions import Fraction as Q
-
-import pytest
 
 from hdpart.cache import load_golden_c6, load_golden_records
 from hdpart.hydral import hydral_count, hydral_series
@@ -22,7 +19,6 @@ from hdpart.series import (
     ONE,
     Polynomial,
     expand_half_power,
-    one_minus_t_power,
     parse_polynomial,
     series_of,
 )

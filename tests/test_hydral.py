@@ -2,7 +2,6 @@
 
 import math
 from collections import Counter
-from fractions import Fraction as Q
 
 import pytest
 
@@ -33,7 +32,6 @@ from reference import (
 )
 from hdpart.series import (
     Polynomial,
-    borel,
     format_factored_rational,
     one_minus_t_power,
     parse_polynomial,

@@ -11,23 +11,22 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from hdpart import lattice
-from hdpart.lattice import (
+from hdpart.lattice import ConstraintSpec, ResourceCeilingError, count_constrained, count_partitions
+from hdpart.mpart import AlphaQuery
+from hdpart.refine import Resolver
+from reference import (
     AdmissibleSet,
-    ConstraintSpec,
     Partition,
-    ResourceCeilingError,
     apolar_closure,
-    count_constrained,
-    count_partitions,
+    embedding_dimension,
     hilbert_samuel,
     is_antichain,
     is_downward_closed,
     iter_partitions,
+    permute_point,
     socle,
+    socle_type,
 )
-from hdpart.mpart import AlphaQuery
-from hdpart.refine import Resolver
-from reference import embedding_dimension, permute_point, socle_type
 
 CLASSICAL = [1, 1, 2, 3, 5, 7, 11, 15, 22, 30]  # dimension 2
 PLANE = [1, 1, 3, 6, 13, 24, 48, 86, 160]  # dimension 3
@@ -104,7 +103,6 @@ def test_count_constrained_examples():
                 size=6,
                 embedding_dim=2,
                 quadric_count=2,
-                tail_mass=1,
                 min_socle_degree=3,
             ),
         )
@@ -135,12 +133,16 @@ def test_resource_guard():
         pytest.param(3, 9, 623, 282, id="1"),
         # 131,090 nodes: the last two levels are counted, each leaf still one node
         pytest.param(5, 12, 131090, 76965, id="1-n5-d12"),
+        # below two points no walk runs: the empty partition costs nothing and
+        # the origin alone one node, in any dimension
+        *(pytest.param(n, d, d, 1, id=f"n{n}-d{d}") for n in (0, 3) for d in (0, 1)),
     ],
 )
 def test_counted_last_level_keeps_node_accounting(n, d, nodes, value):
     assert count_partitions(n, d, max_nodes=nodes) == value
-    with pytest.raises(ResourceCeilingError):
-        count_partitions(n, d, max_nodes=nodes - 1)
+    if nodes:  # a walk of no nodes cannot pass a ceiling
+        with pytest.raises(ResourceCeilingError):
+            count_partitions(n, d, max_nodes=nodes - 1)
 
 
 @pytest.mark.parametrize(
@@ -161,12 +163,19 @@ def test_counted_last_level_keeps_node_accounting(n, d, nodes, value):
             706,
             id="1-c-4-5",
         ),
+        # the empty partition costs nothing and the origin alone one node
+        *(
+            pytest.param(n, ConstraintSpec(size=d), d, 1, id=f"n{n}-size{d}")
+            for n in (0, 3)
+            for d in (0, 1)
+        ),
     ],
 )
 def test_dead_layer_prune_node_total(dim, spec, nodes, value):
     assert count_constrained(dim, spec, max_nodes=nodes) == value
-    with pytest.raises(ResourceCeilingError):
-        count_constrained(dim, spec, max_nodes=nodes - 1)
+    if nodes:  # a walk of no nodes cannot pass a ceiling
+        with pytest.raises(ResourceCeilingError):
+            count_constrained(dim, spec, max_nodes=nodes - 1)
 
 
 @pytest.mark.parametrize(
@@ -227,8 +236,8 @@ def test_axis_length_orbits_count_compositions():
 
 
 def test_visitor_sees_every_counted_partition():
-    # the visitor walks every leaf: the bulk count of the last two levels
-    # must never stand in for it
+    # the reference enumerator builds every partition point by point, with no
+    # bit mask and no bulk count of the last two levels
     for n in range(5):
         for d in range(9):
             parts = list(iter_partitions(n, d))
@@ -337,7 +346,6 @@ def _matches(part: Partition, spec: ConstraintSpec) -> bool:
         (spec.embedding_dim, embedding_dimension(part)),
         (spec.hilbert_samuel, hs),
         (spec.quadric_count, hs[2] if len(hs) > 2 else 0),
-        (spec.tail_mass, sum(hs[3:])),
         (spec.length, part.length),
     ]
     if any(want is not None and got != want for want, got in checks):
@@ -357,7 +365,6 @@ def small_specs(draw):
             st.none() | st.lists(st.integers(min_value=0, max_value=3), max_size=5).map(tuple)
         ),
         quadric_count=draw(st.none() | st.integers(min_value=0, max_value=4)),
-        tail_mass=draw(st.none() | st.integers(min_value=0, max_value=4)),
         length=draw(st.none() | st.integers(min_value=0, max_value=5)),
     )
     return n, spec
@@ -376,7 +383,7 @@ def test_oracle_matches_subset_brute_force(data):
 
 @functools.cache
 def _visited(n: int, size: int) -> tuple[Partition, ...]:
-    """Every partition the unpruned visitor walk yields, as Partition objects."""
+    """Every partition the reference enumerator yields, as Partition objects."""
     return tuple(Partition(n, pts) for pts in iter_partitions(n, size))
 
 
@@ -399,8 +406,9 @@ def _grid_specs():
 
 
 def test_socle_lookahead_matches_the_visitor_walk():
-    # the pending-cover prune cuts states the visitor walk still enters: every
-    # count must equal the filtered list of partitions that walk yields
+    # the pending-cover prune cuts states that an unpruned walk still enters:
+    # every count must equal the filtered list of partitions that the reference
+    # enumerator yields
     for n, spec in _grid_specs():
         expected = sum(_matches(p, spec) for p in _visited(n, spec.size))
         assert count_constrained(n, spec) == expected, (n, spec)

@@ -15,7 +15,6 @@ from hdpart.macmahon import (
     partition_numbers,
     plane_partition_numbers,
     product_series,
-    refined_product_diagonal,
     search_value_collisions,
     stirling_denominator,
 )

@@ -14,13 +14,7 @@ from hypothesis import strategies as st
 
 from hdpart.cache import CheckpointedAlphaRun
 from hdpart.hydral import hydral_count
-from hdpart.lattice import (
-    ConstraintSpec,
-    ResourceCeilingError,
-    _Budget,
-    count_constrained,
-    lower_covers,
-)
+from hdpart.lattice import ConstraintSpec, ResourceCeilingError, _Budget, count_constrained
 from hdpart.mpart import (
     AlphaQuery,
     _RegionSearch,
@@ -44,7 +38,14 @@ from hdpart.mpart import (
     select,
     weighted_table,
 )
-from reference import all_points, alpha_without_orbit_reduction, is_m_stable
+from reference import (
+    Partition,
+    all_points,
+    alpha_without_orbit_reduction,
+    is_m_stable,
+    iter_partitions,
+    lower_covers,
+)
 
 
 def test_quadric_points():
@@ -262,8 +263,6 @@ def test_bounding_region_is_union_of_admissible_members():
     # the region cut at length 4 and size s is the union of the partitions
     # with that quadric layer, whose cubics cover it, of length <= 4 and with
     # at most s cells above the layer
-    from hdpart.lattice import Partition, iter_partitions
-
     U = [(2, 0), (1, 1)]
     members = [Partition(2, pts) for n in range(1, 10) for pts in iter_partitions(2, n)]
     for size in range(1, 5):
@@ -501,7 +500,6 @@ def test_alpha_against_oracle_full_range():
                     size=1 + k + q + m,
                     embedding_dim=k,
                     quadric_count=q,
-                    tail_mass=m,
                     min_socle_degree=3,
                 )
                 assert alpha_count(k, q, m) == count_constrained(k, spec), (k, q, m)

@@ -6,11 +6,11 @@ from fractions import Fraction
 import pytest
 
 from hdpart.cache import CacheRecord
-from hdpart.lattice import AdmissibleSet, ConstraintSpec, Partition
+from hdpart.lattice import ConstraintSpec
 from hdpart.macmahon import ConjectureReport
 from hdpart.mpart import AlphaQuery, bounding_region, orbit_reps
 from hdpart.series import HalfPower
-from reference import DiscrepancyRecord
+from reference import AdmissibleSet, DiscrepancyRecord, Partition
 
 
 def _records():
@@ -67,5 +67,5 @@ def test_record_repr_is_unchanged():
     assert repr(AlphaQuery(3, 5, 13)) == "AlphaQuery(k=3, q=5, m=13, length=None, profile=None)"
     assert repr(ConstraintSpec(size=4)) == (
         "ConstraintSpec(size=4, embedding_dim=None, min_socle_degree=None, "
-        "hilbert_samuel=None, quadric_count=None, tail_mass=None, length=None)"
+        "hilbert_samuel=None, quadric_count=None, length=None)"
     )

@@ -2,14 +2,11 @@
 
 import functools
 
-import pytest
-
 from hdpart.intmath import binom, double_factorial
 from hdpart.lattice import ConstraintSpec, count_constrained
-from hdpart.mpart import alpha_count
 from hdpart.refine import Resolver
 from hdpart.socle import c_from_alpha, contributing_triples, refined_count, y_from_alpha
-from reference import y_from_c
+from reference import Partition, hilbert_samuel, iter_partitions, socle, y_from_c
 
 R = Resolver()
 
@@ -70,8 +67,6 @@ def test_zero_type_counts_socle_exactly_in_degree_two():
     for e, a in [(2, 2), (2, 3), (3, 2), (3, 3)]:
         got = refined_count(e, (0, 0, 0), a, alpha_of)
         manual = 0
-        from hdpart.lattice import Partition, hilbert_samuel, iter_partitions, socle
-
         for pts in iter_partitions(a, 1 + a + e):
             part = Partition(a, pts)
             hs = hilbert_samuel(part)
