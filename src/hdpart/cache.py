@@ -187,8 +187,8 @@ class CheckpointedAlphaRun(dict):
 
     with the bucket table as space-separated `profile:value` items (comma-joined
     profile). A component table depends only on its pair, its size and the
-    cap, so the checksum and the file name (`alpha-v4-cap4.tsv`,
-    `alpha-v4-nocap.tsv`) are keyed by the search-format version and the cap
+    cap, so the checksum and the file name (`alpha-v5-cap4.tsv`,
+    `alpha-v5-nocap.tsv`) are keyed by the search-format version and the cap
     alone, and one log serves every query with that cap.
     A pair logged twice keeps its larger size on load. A line that is torn,
     corrupt, or written under another version or cap fails its check and its

@@ -79,11 +79,13 @@ class ConstraintSpec(NamedTuple):
 
 class _Budget:
     """Node counter of a walk, the oracle's or the search's; raises once it
-    passes its ceiling."""
+    passes its ceiling, which is None or at least 0."""
 
     __slots__ = ("nodes", "ceiling")
 
     def __init__(self, ceiling: Optional[int]):
+        if ceiling is not None and ceiling < 0:
+            raise ValueError(f"a node ceiling needs at least 0, not {ceiling}")
         self.nodes = 0
         self.ceiling = ceiling
 

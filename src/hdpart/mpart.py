@@ -42,9 +42,11 @@ layer, the cubics too: a cubic set counts once it covers the quadric layer, and
 the layers above it are counted by the transfer-matrix method (Stanley,
 EC1, §4.7): what can stand above a chosen degree-g layer depends only on the
 degree-(g+1) cells it allows, so the tails above are memoised per sweep on
-(allowed mask, size left). It buckets the subsets by layer profile
-(h_3, ..., h_length), which fixes their size and length, so one sweep to size
-m_max holds every count with m <= m_max. Every alpha count selects from the
+(allowed mask, size left). Under a length cap it buckets the subsets by layer
+profile (h_3, ..., h_length), which fixes their size and length, for the
+queries that select a length or a profile; with no cap, by size alone, as every
+count the chain reads is one. Either way one sweep to size m_max holds every
+count with m <= m_max. Every alpha count selects from the
 exponential formula over the orbit-weighted sums of connected tables, which
 `alpha_tables` memoises per component pair; a checkpointed run in `cache`
 passes a memo that persists itself as a log. One task per component pair
@@ -356,7 +358,9 @@ class BoundingRegion(NamedTuple):
     n_cubics cubics come first and the cells of one degree are a run of local
     indices. covers[i] masks the quadric entries below cubic i (0 above the
     cubics); parent_mask[i] has bit j for each lower cover j of cell i above
-    the cubics (0 for a cubic); upper[i] lists the cells that cover cell i.
+    the cubics (0 for a cubic); upper[i] lists the cells whose highest lower
+    cover is cell i, as a layer set walked in index order holds all the lower
+    covers of such a cell only once it holds that one.
     cover_order pairs each quadric bit of the layer with its highest covering
     cubic, -1 for none, ascending. size is the bound: each cell's down-set
     holds at most size cells of degree >= 3 less the cubics that the layer
@@ -388,7 +392,7 @@ def bounding_region(
     Each degree grows from the upper neighbours of the last one's cells, the
     layer's quadrics first, listing the kept lower covers of each as they are
     found: a cubic's give its cover mask and the highest cubic over each
-    quadric, a higher cell's its parent mask and its entries in upper. A point
+    quadric, a higher cell's its parent mask and its entry in upper. A point
     c with support s and t exponents >= 2 has prod(c_i + 1) points in its
     down-set, of which 1 + s + t + s(s - 1)/2 have degree <= 2, and t + s(s -
     1)/2 of those are quadrics, t of them loops. So the test reads only a
@@ -450,8 +454,7 @@ def bounding_region(
             else:
                 covers.append(0)
                 parent_mask.append(mask)
-                for j in low:
-                    upper[j].append(len(cells))
+                upper[max(low)].append(len(cells))
             cells.append(c)
             upper.append([])
         ids, below = range(first, len(cells)), cells[first:]
@@ -477,7 +480,8 @@ class _AlphaQuery(NamedTuple):
 
 class AlphaQuery(_AlphaQuery):
     """A request for one count: type (k, q, m) of nonnegative indices,
-    optionally refined by length or by the full layer-size profile.
+    optionally refined by length or by the full layer-size profile, which
+    fixes the length.
 
     Socles lie in degree >= 3, save one convention: the zero type (0, 0, 0)
     counts the origin-only partition once (socle.y_from_alpha needs
@@ -510,6 +514,7 @@ class AlphaQuery(_AlphaQuery):
                 raise ValueError("profile tail must sum to m")
             if length is not None and length != len(h) - 1:
                 raise ValueError("length must match the profile")
+            length = len(h) - 1  # a profile fixes the length, so it sweeps under a cap
         return super().__new__(cls, k, q, m, length, profile)
 
     @classmethod
@@ -518,7 +523,7 @@ class AlphaQuery(_AlphaQuery):
         h = tuple(h)  # __new__ validates it
         k = h[1] if len(h) > 1 else 0
         q = h[2] if len(h) > 2 else 0
-        return cls(k, q, sum(h[3:]), length=len(h) - 1, profile=h)
+        return cls(k, q, sum(h[3:]), profile=h)
 
     def constraint_spec(self) -> ConstraintSpec:
         """The same count for the brute-force oracle in dimension k; the size and
@@ -549,14 +554,16 @@ class AlphaQuery(_AlphaQuery):
 
 
 BucketTable = dict[tuple[int, ...], int]
-# key: the layer profile (h_3, ..., h_length), so size m is its sum and the
-# length is 2 + its length; value: the count for one representative
+# key: under a length cap, the layer profile (h_3, ..., h_length), so size m is
+# its sum and the length is 2 + its length; with no cap, the size alone, (m,);
+# value: the count for one representative, or the orbit-weighted sum
 
 # Bump when the meaning of a component pair, of the size a component table is
 # swept to, or of a BucketTable changes: checkpoints store orbit-weighted
 # component tables by (j, q1) and size, and the cache sweeps again any pair
-# logged under another version.
-SEARCH_FORMAT_VERSION = 4
+# logged under another version. Since version 5 a log with no cap holds size
+# tables, one under a cap profile tables.
+SEARCH_FORMAT_VERSION = 5
 
 
 class _RegionSearch:
@@ -573,8 +580,10 @@ class _RegionSearch:
     def nodes(self) -> int:
         return self.budget.nodes
 
-    def sweep(self, m_max: int) -> BucketTable:
-        """Count every valid subset of size <= m_max, bucketed by layer profile.
+    def sweep(self, m_max: int, by_profile: bool = True) -> BucketTable:
+        """Count every valid subset of size <= m_max, bucketed by layer profile,
+        or by size alone (keys (m,)) when not by_profile; the two differ only
+        in how `stack` joins a layer's size to a tail from `above`.
 
         One walker, `layers`, takes each layer set by set. It ORs the chosen
         cells' quadric covers into the set's cover and counts a set only when
@@ -584,7 +593,9 @@ class _RegionSearch:
         cubics (`_cubics_needed`, from their loops and their number) than the
         cells it may still add; a child cut by either bound reaches no
         covering set. Above the cubics nothing is missing, and neither bound
-        is read. What can follow a chosen
+        is read. A chosen cell c allows each cell of upper[c], whose highest
+        lower cover it is, when the set holds all that cell's lower covers.
+        What can follow a chosen
         degree-g layer depends only on the degree-(g+1) cells whose lower
         covers it holds, so `above` is memoised for this sweep on (allowed
         mask, size left): the transfer-matrix method over the graded region
@@ -603,28 +614,37 @@ class _RegionSearch:
         memo: dict[tuple[int, int], BucketTable] = {}
         # one shared tuple per profile tail keeps the memo small
         profiles: dict[tuple[int, ...], tuple[int, ...]] = {}
+        sizes = [(m,) for m in range(m_max + 1)]
 
         def stack(steps: dict[tuple[int, int], int], left: int) -> BucketTable:
-            """Profile tails of the layers in steps, (size, allowed mask above
-            it) -> ways, with at most left cells in all."""
+            """Profile tails (or sizes) of the layers in steps, (size, allowed
+            mask above it) -> ways, with at most left cells in all."""
             tails: BucketTable = {}
             for (size, allowed), ways in steps.items():
-                tails[(size,)] = tails.get((size,), 0) + ways
+                tails[sizes[size]] = tails.get(sizes[size], 0) + ways
                 if allowed and size < left:
                     for tail, n in above(allowed, left - size).items():
-                        key = (size, *tail)
-                        key = profiles.setdefault(key, key)
+                        if by_profile:
+                            key = (size, *tail)
+                            key = profiles.setdefault(key, key)
+                        else:
+                            key = sizes[size + tail[0]]
                         tails[key] = tails.get(key, 0) + ways * n
             return tails
 
         def above(allowed: int, left: int) -> BucketTable:
-            """Profile tails of the non-empty layers that can follow a layer
-            allowing these cells, with at most left cells in all."""
+            """Profile tails (or sizes) of the non-empty layers that can follow
+            a layer allowing these cells, with at most left cells in all."""
             tails = memo.get((allowed, left))
             if tails is not None:
                 return tails
             spend()
-            cells = [j for j in range(allowed.bit_length()) if allowed >> j & 1]
+            cells = []
+            rest = allowed
+            while rest:
+                bit = rest & -rest
+                cells.append(bit.bit_length() - 1)
+                rest ^= bit
             tails = memo[allowed, left] = stack(layers(cells, 0, left), left)
             return tails
 
@@ -666,17 +686,21 @@ class _RegionSearch:
 
     def count(self, m: int) -> int:
         """Count valid subsets of exactly m cells (all lengths)."""
-        return select(self.sweep(m), m)
+        return select(self.sweep(m, by_profile=False), m)
 
 
 def weighted_table(
     reps: Sequence[QuadricOrbit], m_max: int, length_cap: Optional[int], budget: _Budget
 ) -> BucketTable:
     """Sum of the representatives' sweeps to size m_max over their bounding
-    regions to length_cap, if any, each weighted by its orbit size."""
+    regions to length_cap, if any, each weighted by its orbit size: by
+    profile under a cap, by size with none, since only a query that selects
+    a length or a profile reads a profile, and it always comes with a cap."""
     out: BucketTable = {}
+    by_profile = length_cap is not None
     for orbit in reps:
-        table = _RegionSearch(bounding_region(orbit.rep, m_max, length_cap), budget).sweep(m_max)
+        region = bounding_region(orbit.rep, m_max, length_cap)
+        table = _RegionSearch(region, budget).sweep(m_max, by_profile)
         for key, val in sorted(table.items()):
             out[key] = out.get(key, 0) + orbit.orbit_size * val
     return out
@@ -721,7 +745,8 @@ def select(
     profile: Optional[tuple[int, ...]] = None,
 ) -> int:
     """Total of the buckets of size m, optionally of one length and one
-    layer profile (h_0, ..., h_length)."""
+    layer profile (h_0, ..., h_length), which only a table swept under a
+    length cap holds."""
     return sum(
         val
         for tail, val in table.items()
@@ -777,8 +802,8 @@ def exponential_table(
 ) -> BucketTable:
     """A_k(q) to size m_max from the connected tables in components, which
     hold every size `component_needs` reads. Profile tails add position by
-    position: the components' cells lie in disjoint variables, so their
-    regions and down-sets multiply."""
+    position, and so do the 1-tuple keys of size tables: the components'
+    cells lie in disjoint variables, so their regions and down-sets multiply."""
     memo: dict[tuple[int, int, int], BucketTable] = {}
 
     def table(k: int, q: int, m: int) -> BucketTable:
@@ -840,13 +865,13 @@ def alpha(
 ) -> int:
     """Exact number of partitions matching the query (socle degree >= 3 built in);
     components is the memo of connected tables that `alpha_tables` takes."""
+    budget = _Budget(node_ceiling)  # checks the ceiling, also for a trivial count
     trivial = query.trivial_count()
     if trivial is not None:
         return trivial
     k, q, m = query.k, query.q, query.m
     table = alpha_tables(
-        k, q, m, length_cap=query.length, workers=workers, budget=_Budget(node_ceiling),
-        components=components,
+        k, q, m, length_cap=query.length, workers=workers, budget=budget, components=components
     )
     return select(table, m, query.length, query.profile)
 

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from hdpart import lattice
+from hdpart import lattice, mpart
 from hdpart.lattice import ConstraintSpec, ResourceCeilingError, count_constrained, count_partitions
 from hdpart.mpart import AlphaQuery
 from hdpart.refine import Resolver
@@ -219,6 +219,29 @@ def test_axis_fold_exact_ceiling():
     with pytest.raises(ResourceCeilingError, match="exceeded the 1231777-node ceiling"):
         count_partitions(12, 9, max_nodes=1231777)
     assert Resolver().p(12, 9) == 956055
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        pytest.param(lambda: count_partitions(3, 0, max_nodes=-1), id="p-size-0"),
+        pytest.param(lambda: count_partitions(3, 1, max_nodes=-1), id="p-size-1"),
+        pytest.param(lambda: count_partitions(3, 5, max_nodes=-1), id="p-size-5"),
+        pytest.param(
+            lambda: count_constrained(3, ConstraintSpec(size=0), max_nodes=-1), id="spec-size-0"
+        ),
+        pytest.param(
+            lambda: count_constrained(3, ConstraintSpec(size=4), max_nodes=-1), id="spec-size-4"
+        ),
+        pytest.param(lambda: mpart.alpha_count(0, 0, 0, node_ceiling=-1), id="alpha-trivial"),
+        pytest.param(lambda: mpart.alpha_count(3, 4, 8, node_ceiling=-1), id="alpha-search"),
+        pytest.param(lambda: Resolver(node_ceiling=-1), id="resolver"),
+    ],
+)
+def test_negative_node_ceiling_is_refused(call):
+    # one check in the node counter, whatever the size or the walk
+    with pytest.raises(ValueError, match="a node ceiling needs at least 0, not -1"):
+        call()
 
 
 def test_axis_length_orbits_count_compositions():

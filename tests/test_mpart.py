@@ -404,8 +404,7 @@ def test_region_holds_the_arrays_its_sweep_walks():
                 else:
                     covers.append(0)
                     parents.append(sum(1 << local[p] for p in low))
-                    for p in low:
-                        upper[local[p]].append(i)
+                    upper[max(local[p] for p in low)].append(i)
             quads = [u for u in range(len(index)) if region.quadric_mask >> u & 1]
             last = [max((i for i in range(n) if covers[i] >> u & 1), default=-1) for u in quads]
             assert region.covers == tuple(covers), o
@@ -462,6 +461,7 @@ def small_queries(draw):
 @example(AlphaQuery.from_profile((1, 2)))
 @example(AlphaQuery(3, 2, 5))
 @example(AlphaQuery(3, 6, 5))
+@example(AlphaQuery(3, 4, 5, profile=(1, 3, 4, 3, 2)))  # 33: a profile fixes the length
 @settings(max_examples=300, deadline=None)
 def test_region_search_matches_oracle(query):
     assert alpha(query) == count_constrained(query.k, query.constraint_spec())
@@ -479,14 +479,22 @@ def _sweep_record() -> dict[tuple[int, int, int], list[str]]:
 
 
 def test_sweep_tables_match_record():
-    # every representative's bucket table, sizes far past the oracle's reach
+    # every representative's bucket table, sizes far past the oracle's reach;
+    # its sweep by size is that table summed by size, at the same node total
     record = _sweep_record()
     assert len(record) == 19
     for (k, q, m), hashes in record.items():
-        tables = [
-            _RegionSearch(bounding_region(o.rep, m), _Budget(None)).sweep(m)
-            for o in orbit_reps(k, q)
-        ]
+        tables = []
+        for o in orbit_reps(k, q):
+            region = bounding_region(o.rep, m)
+            by_profile, by_size = _Budget(None), _Budget(None)
+            table = _RegionSearch(region, by_profile).sweep(m)
+            sizes = _RegionSearch(region, by_size).sweep(m, by_profile=False)
+            summed = Counter()
+            for tail, v in table.items():
+                summed[sum(tail),] += v
+            assert sizes == summed and by_size.nodes == by_profile.nodes, (o, m)
+            tables.append(table)
         got = [hashlib.sha256(repr(sorted(t.items())).encode()).hexdigest() for t in tables]
         assert got == hashes, (k, q, m)
 
