@@ -4,8 +4,8 @@ A partition with k variables, k quadrics and deep socle decomposes into
 independent blocks, one per part of a classical partition of k: chains,
 headstrong blocks, and square-free-cubic triples. A classical (linear)
 partition is always a weakly decreasing `Parts` tuple, and its block
-statistics and term weights are plain integers; rationals appear only in the
-generating functions.
+statistics, term weights and generating functions are all in integers: each
+generating function is an integer numerator over (1 - t^a) factors.
 """
 
 from __future__ import annotations
@@ -16,12 +16,11 @@ from typing import Iterator, Sequence
 
 from .intmath import binom
 from .series import (
-    ONE,
     IntegrityError,
     Polynomial,
     PowerSeries,
     RationalFunction,
-    one_minus_t_power,
+    one_minus_powers,
     series_of,
 )
 
@@ -87,15 +86,13 @@ def head_block_closed(n: int) -> RationalFunction:
     if n < 1:
         raise ValueError("block width must be positive")
     if n == 1:
-        return RationalFunction(Polynomial([0, 1]), one_minus_t_power(1))
-    total = RationalFunction(Polynomial(), ONE)
+        return RationalFunction(Polynomial([0, 1]), {1: 1})
+    total = RationalFunction(Polynomial())
     for k in range(1, n + 1):
         sign = (-1) ** (k + 1)
         num = Polynomial([0] * k + [sign * binom(n - 1, k - 1)])
-        total = total + RationalFunction(num, one_minus_t_power(k))
-    pref = RationalFunction(
-        Polynomial([0] * (n - 2) + [1]), one_minus_t_power(1) ** (n - 1)
-    )
+        total = total + RationalFunction(num, one_minus_powers([k]))
+    pref = RationalFunction(Polynomial([0] * (n - 2) + [1]), {1: n - 1})
     return (pref * total).reduced()
 
 
@@ -196,16 +193,21 @@ def hydral_count(n: int, m: int) -> int:
 
 
 def hydral_series(n: int, order: int | None = None) -> RationalFunction:
-    """The rational generating function of hydral_count(n, .) in m, reduced."""
+    """The rational generating function of hydral_count(n, .) in m, reduced.
+
+    Every term's denominator is a product of the blocks' Psi_j powers, so
+    the sum is taken over their common denominator in integers and reduced
+    once at the end."""
     if n < 1:
         raise ValueError("dimension must be positive")
-    total = RationalFunction(Polynomial(), ONE)
+    total = RationalFunction(Polynomial())
     closed = {p: head_block_closed(p) for p in range(1, n + 1)}
     for i, rho, w in _terms(n):
-        term = RationalFunction(Polynomial([0] * i + [w]), ONE)
+        term = RationalFunction(Polynomial([0] * i + [w]))
         for p in rho:
             term = term * closed[p]
-        total = (total + term).reduced()
+        total = total + term
+    total = total.reduced()
     if order is not None:
         got = series_of(total, order)
         want = PowerSeries([hydral_count(n, m) for m in range(order + 1)], order)

@@ -114,7 +114,7 @@ def check_refined_rationality(k: int, order: int) -> ConjectureReport:
             {"reason": f"degree bound {bound} is negative"},
         )
     diag = refined_product_diagonal(k, order)
-    series = PowerSeries([Q(v) for v in diag], order)
+    series = PowerSeries(diag, order)
     negatives = [(i, v) for i, v in enumerate(diag) if v < 0]
     if negatives:
         i, v = negatives[0]
@@ -135,38 +135,39 @@ def check_refined_rationality(k: int, order: int) -> ConjectureReport:
         return ConjectureReport(
             "andrews-rationality", descriptor, "inconclusive", {"reason": str(exc)}
         )
-    if any(c.denominator != 1 for c in num.coeffs):
-        evidence_num = [str(c) for c in num.coeffs]
-    else:
-        evidence_num = [int(c) for c in num.coeffs]
+    # an integer series times an integer denominator: the numerator is integral
     return ConjectureReport(
         "andrews-rationality", descriptor, "holds",
-        {"numerator": evidence_num, "degree_bound": bound, "den_degree": den.degree},
+        {"numerator": list(num.coeffs), "degree_bound": bound, "den_degree": den.degree},
     )
 
 
 # --- exponent-level checker ------------------------------------------------------
 
 
-def lagrange_interpolation(points: list[tuple[int, int]]) -> Polynomial:
-    """Exact interpolating polynomial through integer points."""
-    total = Polynomial()
-    for i, (xi, yi) in enumerate(points):
-        term = Polynomial([yi])
-        for j, (xj, _) in enumerate(points):
-            if i == j:
-                continue
-            term = term * Polynomial([Q(-xj, 1), Q(1)]).scale(Q(1, xi - xj))
-        total = total + term
-    return total
+def interpolate(values: list[int]) -> tuple[Polynomial, int]:
+    """(N, s) such that N/s is the polynomial of least degree through the
+    points (n, values[n - 1]), n = 1, 2, ..., with N an integer polynomial.
 
-
-def binomial_in_n(k: int) -> Polynomial:
-    """C(n, k) as a polynomial in n."""
-    num = ONE
-    for i in range(k):
-        num = num * Polynomial([-i, 1])
-    return num.scale(Q(1, math.factorial(k)))
+    Newton's form in the binomial basis: integer values have integer forward
+    differences a_k at n = 1, and the polynomial is sum_k a_k C(n - 1, k).
+    Over s = K! for its degree K, the term a_k (K!/k!) (n-1)...(n-k) has
+    integer coefficients.
+    """
+    diffs = []
+    row = list(values)
+    while row:
+        diffs.append(row[0])
+        row = [b - a for a, b in zip(row, row[1:])]
+    while diffs and not diffs[-1]:
+        diffs.pop()
+    scale = math.factorial(max(len(diffs) - 1, 0))
+    num, basis = Polynomial(), ONE
+    for k, a in enumerate(diffs):
+        # basis is (n - 1)(n - 2)...(n - k)
+        num = num + basis.scale(a * (scale // math.factorial(k)))
+        basis = basis * Polynomial([-k - 1, 1])
+    return num, scale
 
 
 def check_exponent_divisibility(
@@ -185,27 +186,29 @@ def check_exponent_divisibility(
         raise ValueError(f"extra_points must be nonnegative, not {extra_points}")
     resolver = resolver or Resolver()
     descriptor = f"m={m}, samples=n=1..{m + 1 + extra_points}"
-    samples = []
-    for n in range(1, m + 2 + extra_points):
-        samples.append((n, epsilon_value(m, n, resolver)))
-    poly = lagrange_interpolation(samples)
-    if poly.degree > m - 1:
+    values = [epsilon_value(m, n, resolver) for n in range(1, m + 2 + extra_points)]
+    # the discrepancy is poly = num/scale
+    num, scale = interpolate(values)
+    if num.degree > m - 1:
         raise IntegrityError(
-            f"exponent discrepancy has degree {poly.degree} > {m - 1} in the dimension"
+            f"exponent discrepancy has degree {num.degree} > {m - 1} in the dimension"
         )
-    if poly.is_zero():
+    if num.is_zero():
         return ConjectureReport(
             "epsilon-divisibility", descriptor, "holds",
             {"polynomial": "0", "quotient": "0", "irreducibility": "not checked"},
         )
-    divisor = binomial_in_n(4)
-    quot, rem = poly.divmod(divisor)
+    # C(n, 4) = n(n-1)(n-2)(n-3)/24 divides poly iff the monic integer
+    # n(n-1)(n-2)(n-3) divides num, and then the quotient is 24*q/scale
+    q, rem = num.divmod(Polynomial([0, -6, 11, -6, 1]))
     if not rem.is_zero():
+        poly = num.scale(Q(1, scale))
         return ConjectureReport(
             "epsilon-divisibility", descriptor, "fails",
             {"remainder_degree": rem.degree},
             witness={"kind": "divisibility-failure", "polynomial": [str(c) for c in poly.coeffs]},
         )
+    quot = q.scale(Q(24, scale))
     if quot.degree > m - 6:
         return ConjectureReport(
             "epsilon-divisibility", descriptor, "fails",

@@ -678,11 +678,22 @@ class _RegionSearch:
                     ):
                         layer(x + 1, size + 1, s, got, n)
 
-            if left:
-                layer(0, 0, 0, 0, 0)
-            return steps
+            try:
+                if left:
+                    layer(0, 0, 0, 0, 0)
+                return steps
+            finally:
+                # layer calls itself, a reference cycle that would keep steps
+                # until the cyclic collector runs: break it
+                del layer
 
-        return stack(layers(range(region.n_cubics), region.quadric_mask, m_max), m_max)
+        try:
+            return stack(layers(range(region.n_cubics), region.quadric_mask, m_max), m_max)
+        finally:
+            # stack and above call each other, a reference cycle that would
+            # keep the memo until the cyclic collector runs: break it, so
+            # the memo is freed as the sweep returns
+            del above
 
     def count(self, m: int) -> int:
         """Count valid subsets of exactly m cells (all lengths)."""

@@ -196,7 +196,7 @@ def y_diagonal_numerator(e: int, seed: Sequence[int]) -> Polynomial:
 
 
 def y_diagonal_series(e: int, seed: Sequence[int]) -> RationalFunction:
-    return RationalFunction(y_diagonal_numerator(e, seed), one_minus_t_power(1) ** (2 * e + 1))
+    return RationalFunction(y_diagonal_numerator(e, seed), {1: 2 * e + 1})
 
 
 def c_diagonal_exponent(x: int) -> Fraction:

@@ -1,7 +1,14 @@
 """Exact univariate polynomial / rational function / truncated power series arithmetic.
 
-Everything is carried over arbitrary-precision rationals (fractions.Fraction);
-there is no floating point anywhere. Truncation orders are always explicit.
+Coefficients are Python ints wherever they are integers, and
+fractions.Fraction only where a division leaves a remainder: a constructor
+stores an integral Fraction as its int, and every division returns an int
+when it is exact. There is no floating point anywhere. Truncation orders are
+always explicit.
+
+A rational function keeps its denominator as the multiplicities of the
+factors Psi_j of 1 - t^a (`RationalFunction`), so that sums, products and
+reduction need only integer polynomial products and exact trial division.
 """
 
 from __future__ import annotations
@@ -11,7 +18,7 @@ import math
 import operator
 import re
 from fractions import Fraction
-from typing import Callable, Iterable, NamedTuple, Sequence
+from typing import Callable, Iterable, Mapping, NamedTuple, Sequence
 
 Q = Fraction
 
@@ -20,19 +27,33 @@ class IntegrityError(RuntimeError):
     """Two supposedly equal routes disagreed, or a structural identity failed."""
 
 
-def _normalize(coeffs: Iterable) -> tuple[Fraction, ...]:
-    cs = [Q(c) for c in coeffs]
-    while cs and cs[-1] == 0:
-        cs.pop()
-    return tuple(cs)
+def _exact(c):
+    """c as an exact rational: an int when it is integral, else a Fraction."""
+    if type(c) is not Fraction:
+        c = Q(c)
+    return c.numerator if c.denominator == 1 else c
 
 
-def _product(a: Sequence, b: Sequence, n: int) -> list[Fraction]:
+def _normalize(coeffs: Iterable) -> list:
+    return [c if type(c) is int else _exact(c) for c in coeffs]
+
+
+def _quotient(a, b):
+    """a / b: an int when both are ints and b divides a, else a Fraction (an
+    int again when that Fraction is integral)."""
+    if type(a) is int and type(b) is int:
+        q, r = divmod(a, b)
+        if not r:
+            return q
+    return _exact(Q(a, b))
+
+
+def _product(a: Sequence, b: Sequence, n: int) -> list:
     """Coefficients 0..n of the product of the coefficient lists a and b.
 
     Zero coefficients of a are skipped, so a sparse factor belongs first.
     """
-    out = [Q(0)] * (n + 1)
+    out = [0] * (n + 1)
     for i, x in enumerate(a[: n + 1]):
         if x:
             for j, y in enumerate(b[: n + 1 - i]):
@@ -46,7 +67,10 @@ class Polynomial:
     __slots__ = ("coeffs",)
 
     def __init__(self, coeffs: Iterable = ()):
-        self.coeffs = _normalize(coeffs)
+        cs = _normalize(coeffs)
+        while cs and cs[-1] == 0:
+            cs.pop()
+        self.coeffs = tuple(cs)
 
     @property
     def degree(self) -> int:
@@ -56,10 +80,10 @@ class Polynomial:
     def is_zero(self) -> bool:
         return not self.coeffs
 
-    def __getitem__(self, i: int) -> Fraction:
+    def __getitem__(self, i: int):
         if 0 <= i < len(self.coeffs):
             return self.coeffs[i]
-        return Q(0)
+        return 0
 
     def __eq__(self, other) -> bool:
         if isinstance(other, Polynomial):
@@ -77,8 +101,8 @@ class Polynomial:
         return Polynomial(_product(self.coeffs, other.coeffs, self.degree + other.degree))
 
     def scale(self, c) -> "Polynomial":
-        c = Q(c)
-        return Polynomial([a * c for a in self.coeffs])
+        """c * self for a rational c, each coefficient divided exactly where it can be."""
+        return Polynomial([_quotient(a * c.numerator, c.denominator) for a in self.coeffs])
 
     def __pow__(self, n: int) -> "Polynomial":
         result = Polynomial([1])
@@ -90,8 +114,8 @@ class Polynomial:
             n >>= 1
         return result
 
-    def __call__(self, x) -> Fraction:
-        acc = Q(0)
+    def __call__(self, x):
+        acc = 0
         for c in reversed(self.coeffs):
             acc = acc * x + c
         return acc
@@ -103,10 +127,10 @@ class Polynomial:
         dq = len(rem) - len(other.coeffs)
         if dq < 0:
             return Polynomial(), self
-        quot = [Q(0)] * (dq + 1)
+        quot = [0] * (dq + 1)
         lead = other.coeffs[-1]
         for i in range(dq, -1, -1):
-            c = rem[i + other.degree] / lead
+            c = _quotient(rem[i + other.degree], lead)
             quot[i] = c
             if c:
                 for j, b in enumerate(other.coeffs):
@@ -124,13 +148,6 @@ class Polynomial:
         return f"Polynomial({format_polynomial(self)!r})"
 
 
-def poly_gcd(a: Polynomial, b: Polynomial) -> Polynomial:
-    """Monic gcd over Q by the Euclidean algorithm (the zero polynomial for two zeros)."""
-    while not b.is_zero():
-        a, b = b, a.divmod(b)[1]
-    return a.scale(1 / a.coeffs[-1]) if a.coeffs else a
-
-
 ONE = Polynomial([1])
 
 
@@ -139,45 +156,116 @@ def one_minus_t_power(a: int) -> Polynomial:
     return Polynomial([1] + [0] * (a - 1) + [-1]) if a > 0 else ONE
 
 
-class RationalFunction:
-    """Quotient num/den with den(0) != 0 so it expands at t = 0.
+# --- rational functions over (1 - t^a) factors ----------------------------------
 
-    Stored as given (no forced gcd reduction); equality is cross-multiplication.
+
+@functools.cache
+def _divisors(n: int) -> tuple[int, ...]:
+    """The divisors of n in increasing order, trial-divided once per n."""
+    return tuple(m for m in range(1, n + 1) if n % m == 0)
+
+
+@functools.cache
+def _psi(j: int) -> Polynomial:
+    """Psi_j: 1 - t for j = 1, the cyclotomic polynomial Phi_j for j > 1.
+
+    1 - t^a is the product of Psi_j over the divisors j of a, so Psi_a is
+    1 - t^a divided exactly by the Psi of its proper divisors. Each Psi_j is
+    irreducible over Q, with constant term 1 and leading coefficient +-1.
+    """
+    out = one_minus_t_power(j)
+    for d in _divisors(j)[:-1]:
+        out = out.divmod(_psi(d))[0]
+    return out
+
+
+def _times_psi(p: Polynomial, multiplicities: Mapping[int, int]) -> Polynomial:
+    """p times prod_j Psi_j^(e_j)."""
+    for j, e in multiplicities.items():
+        for _ in range(e):
+            p = _psi(j) * p
+    return p
+
+
+def one_minus_powers(parts: Iterable[int]) -> dict[int, int]:
+    """The multiplicities {j: e_j} of prod (1 - t^a) over the parts a >= 1."""
+    out: dict[int, int] = {}
+    for a in parts:
+        for j in _divisors(a):
+            out[j] = out.get(j, 0) + 1
+    return out
+
+
+class RationalFunction:
+    """num / prod_j Psi_j^(e_j), the denominator kept as its multiplicities.
+
+    Psi_1 = 1 - t and Psi_j = Phi_j for j > 1, so 1 - t^a = prod_(j | a) Psi_j
+    and every product of (1 - t^a) factors is one such denominator. It has
+    constant term 1, so the function expands at t = 0 with integer
+    arithmetic. A sum lifts both numerators to the larger multiplicity of
+    each Psi_j; `reduced` trial-divides the numerator by each Psi_j present.
+    Stored as given (no forced reduction); equality compares the numerators
+    over the common denominator.
     """
 
-    __slots__ = ("num", "den")
+    __slots__ = ("num", "multiplicities")
 
-    def __init__(self, num: Polynomial, den: Polynomial = ONE):
-        if den.is_zero() or den[0] == 0:
-            raise ValueError("denominator must have nonzero constant term")
+    def __init__(self, num: Polynomial, multiplicities: Mapping[int, int] | None = None):
+        mults = {}
+        for j, e in sorted((multiplicities or {}).items()):
+            if j < 1 or e < 0:
+                raise ValueError(f"Psi_{j}^{e} is no denominator factor: need j >= 1 and e >= 0")
+            if e:
+                mults[j] = e
         self.num = num
-        self.den = den
+        self.multiplicities = mults
+
+    @property
+    def den(self) -> Polynomial:
+        """The denominator, multiplied out."""
+        return _times_psi(ONE, self.multiplicities)
+
+    def _over(self, multiplicities: Mapping[int, int]) -> Polynomial:
+        """The numerator over a denominator this one divides."""
+        m = self.multiplicities
+        return _times_psi(self.num, {j: e - m.get(j, 0) for j, e in multiplicities.items()})
+
+    def _common(self, other: "RationalFunction") -> dict[int, int]:
+        m, n = self.multiplicities, other.multiplicities
+        return {j: max(m.get(j, 0), n.get(j, 0)) for j in m.keys() | n.keys()}
 
     def __eq__(self, other) -> bool:
         if isinstance(other, RationalFunction):
-            return self.num * other.den == other.num * self.den
+            common = self._common(other)
+            return self._over(common) == other._over(common)
         return NotImplemented
 
     def __add__(self, other: "RationalFunction") -> "RationalFunction":
-        return RationalFunction(
-            self.num * other.den + other.num * self.den, self.den * other.den
-        )
+        common = self._common(other)
+        return RationalFunction(self._over(common) + other._over(common), common)
 
     def __mul__(self, other: "RationalFunction") -> "RationalFunction":
-        return RationalFunction(self.num * other.num, self.den * other.den)
+        m, n = self.multiplicities, other.multiplicities
+        mults = {j: m.get(j, 0) + n.get(j, 0) for j in m.keys() | n.keys()}
+        return RationalFunction(self.num * other.num, mults)
 
     def reduced(self) -> "RationalFunction":
-        """Lowest terms, normalized so den(0) = 1."""
+        """Lowest terms: each Psi_j is irreducible, so the numerator is divided
+        by it as often as it divides exactly, up to its multiplicity."""
         if self.num.is_zero():
-            return RationalFunction(Polynomial(), ONE)
-        g = poly_gcd(self.num, self.den)
-        num = self.num.divmod(g)[0]
-        den = self.den.divmod(g)[0]
-        c = den[0]
-        return RationalFunction(num.scale(1 / c), den.scale(1 / c))
+            return RationalFunction(self.num)
+        num, mults = self.num, {}
+        for j, e in self.multiplicities.items():
+            while e:
+                q, rem = num.divmod(_psi(j))
+                if not rem.is_zero():
+                    break
+                num, e = q, e - 1
+            mults[j] = e
+        return RationalFunction(num, mults)
 
     def __repr__(self):
-        return f"RationalFunction({format_polynomial(self.num)!r}, {format_polynomial(self.den)!r})"
+        return f"RationalFunction({format_polynomial(self.num)!r}, {self.multiplicities!r})"
 
 
 class PowerSeries:
@@ -186,19 +274,19 @@ class PowerSeries:
     __slots__ = ("coeffs", "order")
 
     def __init__(self, coeffs: Iterable, order: int | None = None):
-        cs = [Q(c) for c in coeffs]
+        cs = _normalize(coeffs)
         if order is None:
             order = len(cs) - 1
         if order < 0:
             raise ValueError("order must be >= 0")
         cs = cs[: order + 1]
-        cs += [Q(0)] * (order + 1 - len(cs))
+        cs += [0] * (order + 1 - len(cs))
         self.coeffs = tuple(cs)
         self.order = order
 
-    def __getitem__(self, i: int) -> Fraction:
+    def __getitem__(self, i: int):
         if i < 0:
-            return Q(0)
+            return 0
         if i > self.order:
             raise IndexError(f"coefficient {i} beyond truncation order {self.order}")
         return self.coeffs[i]
@@ -223,20 +311,25 @@ class PowerSeries:
 
 
 def series_of(r: RationalFunction, order: int) -> PowerSeries:
-    """First order+1 Maclaurin coefficients of a rational function, exact."""
-    d0 = r.den[0]
-    out: list[Fraction] = []
+    """First order+1 Maclaurin coefficients of a rational function, exact.
+
+    The denominator has constant term 1, so coefficient k is num_k minus
+    sum_i den_i * out_(k-i), with no division.
+    """
+    den = r.den.coeffs
+    out: list = []
     for k in range(order + 1):
-        acc = r.num[k]
-        for i in range(1, min(k, r.den.degree) + 1):
-            acc -= r.den[i] * out[k - i]
-        out.append(acc / d0)
+        low = max(0, k - len(den) + 1)
+        # den_(k-low), ..., den_1 against out_low, ..., out_(k-1)
+        out.append(r.num[k] - sum(map(operator.mul, den[k - low : 0 : -1], out[low:])))
     return PowerSeries(out, order)
 
 
 def borel(s: PowerSeries) -> PowerSeries:
     """Divide coefficient k by k!."""
-    return PowerSeries([c / math.factorial(k) for k, c in enumerate(s.coeffs)], s.order)
+    return PowerSeries(
+        [_quotient(c, math.factorial(k)) for k, c in enumerate(s.coeffs)], s.order
+    )
 
 
 class _HalfPower(NamedTuple):
@@ -261,7 +354,7 @@ def binomial_series(exponent: Fraction, u_coeff, order: int) -> PowerSeries:
     """(1 + c*t)^m for rational m via the generalized binomial expansion."""
     m = Q(exponent)
     c = Q(u_coeff)
-    out = [Q(1)]
+    out = [1]
     term = Q(1)
     for i in range(1, order + 1):
         term = term * (m - (i - 1)) / i * c
@@ -304,12 +397,6 @@ def fit_numerator(s: PowerSeries, den: Polynomial, deg_bound: int) -> Polynomial
     return Polynomial(prod.coeffs[: deg_bound + 1])
 
 
-@functools.cache
-def _divisors(n: int) -> tuple[int, ...]:
-    """The divisors of n in increasing order, trial-divided once per n."""
-    return tuple(m for m in range(1, n + 1) if n % m == 0)
-
-
 def _exact_quotient(total, n: int):
     """total / n, kept in plain ints when total is an int (and then exact)."""
     if isinstance(total, int):
@@ -334,8 +421,8 @@ class EulerColumn:
 
     def __init__(self, weight: Callable[[int], int | Fraction]):
         self._weight = weight
-        self._w = [0]  # w_0 and s_0 are placeholders
-        self._s = [0]
+        self._w = [0]  # w_0 is a placeholder; _s holds s_1, s_2, ...
+        self._s = []
         self._a = [1]
 
     def __getitem__(self, n: int):
@@ -346,8 +433,8 @@ class EulerColumn:
             k = len(a)
             w.append(self._weight(k))
             s.append(sum(m * w[m] for m in _divisors(k)))
-            # s_1*a_{k-1} + ... + s_k*a_0, the products taken in C
-            a.append(_exact_quotient(sum(map(operator.mul, s[1:], reversed(a))), k))
+            # s_k*a_0 + ... + s_1*a_{k-1}, the products taken in C
+            a.append(_exact_quotient(sum(map(operator.mul, reversed(s), a)), k))
         return a[n]
 
     def head(self, order: int) -> list:
@@ -362,22 +449,23 @@ def euler_product(exponents: Sequence, order: int) -> PowerSeries:
     return PowerSeries(column.head(order), order)
 
 
-def inverse_euler(s: PowerSeries) -> list[Fraction]:
+def inverse_euler(s: PowerSeries) -> list:
     """Exponents w_1..w_N with s = prod (1-t^m)^(-w_m): the EulerColumn
     recurrence run backwards, s_n = n*a_n - sum_{k<n} s_k*a_{n-k} and
     n*w_n = s_n - sum_{j|n, j<n} j*w_j.
 
-    Requires s(0) = 1. Returns exact rationals; they are integers whenever the
-    input is an integer series that genuinely is such a product.
+    Requires s(0) = 1. Returns exact rationals, each an int where it is an
+    integer; for an integer series the running sums stay ints, and every w_n
+    is one when the series genuinely is such a product.
     """
     if s[0] != 1:
         raise ValueError("constant coefficient must be 1")
     a = s.coeffs
-    sums: list[Fraction] = [Q(0)]
-    ws: list[Fraction] = [Q(0)]
+    sums: list = [0]
+    ws: list = [0]
     for n in range(1, s.order + 1):
         sums.append(n * a[n] - sum(sums[k] * a[n - k] for k in range(1, n)))
-        ws.append(Q(sums[n] - sum(j * ws[j] for j in _divisors(n)[:-1]), n))
+        ws.append(_quotient(sums[n] - sum(j * ws[j] for j in _divisors(n)[:-1]), n))
     return ws[1:]
 
 
@@ -429,12 +517,13 @@ def parse_polynomial(text: str) -> Polynomial:
     if text == "0":
         return Polynomial()
     text = text.replace(" - ", " + -")
-    coeffs: dict[int, Fraction] = {}
+    coeffs: dict = {}
     for raw in text.split(" + "):
         m = _TERM_RE.match(raw.strip())
         if not m:
             raise ValueError(f"cannot parse polynomial term {raw!r}")
-        c = Q(m.group("num")) if m.group("num") else Q(1)
+        num = m.group("num") or "1"
+        c = Q(num) if "/" in num else int(num)
         if m.group("sign") == "-":
             c = -c
         tpart = m.group("tn") or m.group("tb")
@@ -443,13 +532,13 @@ def parse_polynomial(text: str) -> Polynomial:
         else:
             exp = m.group("en") or m.group("eb")
             k = int(exp) if exp else 1
-        coeffs[k] = coeffs.get(k, Q(0)) + c
+        coeffs[k] = coeffs.get(k, 0) + c
     n = max(coeffs) + 1
-    return Polynomial([coeffs.get(i, Q(0)) for i in range(n)])
+    return Polynomial([coeffs.get(i, 0) for i in range(n)])
 
 
 def format_rational(r: RationalFunction) -> str:
-    if r.den == ONE:
+    if not r.multiplicities:
         return format_polynomial(r.num)
     return f"({format_polynomial(r.num)}) / ({format_polynomial(r.den)})"
 
@@ -457,21 +546,24 @@ def format_rational(r: RationalFunction) -> str:
 # --- factored display forms -------------------------------------------------
 
 
-def factor_into_one_minus_powers(den: Polynomial) -> list[int] | None:
-    """Write den (with den(0)=1) as prod (1 - t^{a_i}), or None if impossible.
+def factor_into_one_minus_powers(multiplicities: Mapping[int, int]) -> dict[int, int] | None:
+    """The denominator prod_j Psi_j^(e_j) as prod_a (1 - t^a)^(c_a), {a: c_a}
+    in increasing a, or None when no such factorization exists.
 
-    1/den = prod (1-t^m)^(-w_m) has exactly one exponent sequence, so den
-    factors iff w_1..w_D (D = deg den) are nonnegative integers with
-    sum m*w_m = D; w_m is then the multiplicity of (1 - t^m).
+    1 - t^a holds Psi_j once for each divisor j of a, so e_j is the sum of c_a
+    over the multiples a of j. Read from the largest a down, c_a = e_a minus
+    the c of its proper multiples: the one candidate, valid when no c_a is
+    negative.
     """
-    if den.is_zero() or den[0] != 1:
-        return None
-    ws = inverse_euler(series_of(RationalFunction(ONE, den), den.degree))
-    if any(w < 0 or w.denominator != 1 for w in ws):
-        return None
-    if sum(m * w for m, w in enumerate(ws, 1)) != den.degree:
-        return None
-    return [m for m, w in enumerate(ws, 1) for _ in range(int(w))]
+    top = max(multiplicities, default=0)
+    counts: dict[int, int] = {}
+    for a in range(top, 0, -1):
+        c = multiplicities.get(a, 0) - sum(counts.get(b, 0) for b in range(2 * a, top + 1, a))
+        if c < 0:
+            return None
+        if c:
+            counts[a] = c
+    return dict(sorted(counts.items()))
 
 
 def format_factored_rational(r: RationalFunction) -> str:
@@ -488,16 +580,13 @@ def format_factored_rational(r: RationalFunction) -> str:
     else:
         tpow = "t" if v == 1 else f"t^{v}"
         num_str = f"{tpow}*({format_polynomial(body)})"
-    if red.den == ONE:
+    if not red.multiplicities:
         return num_str
-    factors = factor_into_one_minus_powers(red.den)
-    if factors is None:
+    counts = factor_into_one_minus_powers(red.multiplicities)
+    if counts is None:
         return format_rational(red)
-    counts: dict[int, int] = {}
-    for a in factors:
-        counts[a] = counts.get(a, 0) + 1
     pieces = []
-    for a in sorted(counts):
+    for a, c in counts.items():
         base = f"(1 - t^{a})" if a > 1 else "(1 - t)"
-        pieces.append(base if counts[a] == 1 else f"{base}^{counts[a]}")
+        pieces.append(base if c == 1 else f"{base}^{c}")
     return f"{num_str} / ({'*'.join(pieces)})"

@@ -11,7 +11,9 @@ reading that a test compares with the pipeline:
   satisfy (`y_from_c`, `y_recurrence`, `c_recurrence`);
 - invariants of a single partition (`socle_type`, `embedding_dimension`,
   `permute_point`);
-- the inverse Borel transform, which the diagonal identities read;
+- the inverse Borel transform, which the diagonal identities read, the
+  series of num/den over any denominator, and the factors Psi_j of a
+  polynomial denominator by trial division;
 - closed families of the minimal-quadric-layer counts, compared with the
   search (`compressed_count`, `colored_partition_count`, ...);
 - the y-level discrepancy table between the product and the true counts.
@@ -37,7 +39,7 @@ from hdpart.mpart import (
     quadric_points,
 )
 from hdpart.refine import Count, Resolver
-from hdpart.series import IntegrityError, PowerSeries, Q
+from hdpart.series import IntegrityError, Polynomial, PowerSeries, Q, RationalFunction
 from hdpart.socle import MissingDataError
 
 # --- partition objects and an independent enumerator (lattice) -----------------------
@@ -324,6 +326,36 @@ def permute_point(p: Point, perm: Sequence[int]) -> Point:
 def inverse_borel(s: PowerSeries) -> PowerSeries:
     """Multiply coefficient k by k!: the inverse of `series.borel`."""
     return PowerSeries([c * math.factorial(k) for k, c in enumerate(s.coeffs)], s.order)
+
+
+def series_quotient(num: Polynomial, den: Polynomial, order: int) -> PowerSeries:
+    """Coefficients 0..order of num/den for any den with den(0) != 0: the
+    Maclaurin recurrence, each coefficient divided by den(0) over Q."""
+    if den[0] == 0:
+        raise ValueError("denominator must have nonzero constant term")
+    out: list = []
+    for k in range(order + 1):
+        acc = Q(num[k])
+        for i in range(1, min(k, den.degree) + 1):
+            acc -= den[i] * out[k - i]
+        out.append(acc / den[0])
+    return PowerSeries(out, order)
+
+
+def psi_multiplicities(den: Polynomial) -> Optional[dict[int, int]]:
+    """{j: e_j} with den = prod_j Psi_j^(e_j), by trial division, or None
+    when den is no such product. Psi_j has degree phi(j) >= sqrt(j / 2), so
+    no j past 2 deg(den)^2 can divide it."""
+    mults: dict[int, int] = {}
+    for j in range(1, 2 * den.degree**2 + 1):
+        psi = RationalFunction(Polynomial([1]), {j: 1}).den
+        while den.degree > 0:
+            q, rem = den.divmod(psi)
+            if not rem.is_zero():
+                break
+            den = q
+            mults[j] = mults.get(j, 0) + 1
+    return mults if den == Polynomial([1]) else None
 
 
 # --- closed families of the minimal quadric layer (hydral) -----------------------------

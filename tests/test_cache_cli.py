@@ -328,6 +328,19 @@ def run_cli(*argv) -> tuple[int, str, str]:
     return proc.returncode, proc.stdout, proc.stderr
 
 
+_SERIES_OUTPUTS = json.loads(
+    (Path(__file__).parent / "data" / "series_cli_outputs.json").read_text()
+)["records"]
+
+
+@pytest.mark.parametrize("record", _SERIES_OUTPUTS, ids=lambda r: r["command"])
+def test_series_and_conjecture_stdout_is_pinned(record, capsys):
+    # byte for byte, as the file records it: every rendered form, expansion
+    # and verdict of the series layer
+    assert main(record["command"].split()) == record["exit"]
+    assert capsys.readouterr().out == record["stdout"]
+
+
 def test_cli_main_freezes_the_import_heap(capsys):
     gc.unfreeze()
     assert main(["count", "p", "--n", "3", "--d", "5"]) == 0

@@ -31,8 +31,10 @@ from reference import (
     profile_series,
 )
 from hdpart.series import (
+    ONE,
     Polynomial,
     format_factored_rational,
+    one_minus_powers,
     one_minus_t_power,
     parse_polynomial,
     series_of,
@@ -153,6 +155,19 @@ def test_hydral_series_known_forms():
         format_factored_rational(hydral_series(3, order=10))
         == "t*(1 + 8*t + 6*t^2 + 11*t^3 + 3*t^4 + 2*t^5 - t^6) / ((1 - t)*(1 - t^2)*(1 - t^3))"
     )
+
+
+@pytest.mark.parametrize("n", range(1, 13))
+def test_hydral_series_reduces_to_one_minus_t_powers(n):
+    # order=20 makes hydral_series compare its expansion with hydral_count,
+    # m = 0..20, and raise IntegrityError on any difference
+    rf = hydral_series(n, order=20)
+    den = ONE
+    for k in range(1, n + 1):
+        den = den * one_minus_t_power(k)
+    assert rf.den == den
+    assert rf.multiplicities == one_minus_powers(range(1, n + 1))
+    assert rf.reduced().num == rf.num
 
 
 def test_hydral_series_n4_numerator():

@@ -10,7 +10,7 @@ from hdpart.macmahon import (
     check_exponent_divisibility,
     check_refined_rationality,
     epsilon_value,
-    lagrange_interpolation,
+    interpolate,
     omega_exponents,
     partition_numbers,
     plane_partition_numbers,
@@ -19,7 +19,7 @@ from hdpart.macmahon import (
     stirling_denominator,
 )
 from hdpart.refine import IntegrityError, Resolver
-from hdpart.series import NumeratorFitError, PowerSeries, Q, fit_numerator
+from hdpart.series import NumeratorFitError, Polynomial, PowerSeries, Q, fit_numerator
 from reference import discrepancy_table, negative_discrepancies
 
 R = Resolver()
@@ -110,9 +110,15 @@ def test_epsilon_trivial_below_onset():
     assert report.evidence["polynomial"] == "0"
 
 
-def test_lagrange_interpolation_exact():
-    poly = lagrange_interpolation([(1, 1), (2, 4), (3, 9), (4, 16)])
-    assert [poly(n) for n in range(1, 8)] == [n * n for n in range(1, 8)]
+def test_interpolation_exact():
+    num, scale = interpolate([1, 4, 9, 16])
+    assert [num(n) / scale for n in range(1, 8)] == [n * n for n in range(1, 8)]
+    # C(n + 1, 3) has rational coefficients over the integer numerator
+    # 3! C(n + 1, 3) = (n + 1) n (n - 1), with no trailing difference
+    num, scale = interpolate([binom(n + 1, 3) for n in range(1, 9)])
+    assert scale == 6 and num.coeffs == (0, -1, 0, 1)
+    assert interpolate([0, 0, 0]) == (Polynomial(), 1)
+    assert type(interpolate([5, 7, 11])[0][2]) is int
 
 
 def test_refined_rationality_k1():

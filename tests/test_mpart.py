@@ -1,11 +1,13 @@
 """The deep-socle search engine: stability, orbits, regions, and exact counts."""
 
+import gc
 import hashlib
 import itertools
 import math
 import pathlib
 import subprocess
 import sys
+import tracemalloc
 from collections import Counter
 
 import pytest
@@ -378,6 +380,32 @@ def test_sweep_to_size_0_counts_no_set():
     budget = _Budget(None)
     assert _RegionSearch(region, budget).sweep(0) == {}
     assert budget.nodes == 0
+
+
+@pytest.mark.parametrize("by_profile", [False, True])
+def test_sweep_frees_what_it_allocates_when_it_returns(by_profile):
+    # the memo and each layer's steps sit in closures that call themselves or
+    # each other; with the collector off, nothing a sweep allocated may
+    # outlive it once its result is dropped
+    search = _RegionSearch(bounding_region(orbit_reps(3, 5)[1].rep, 13), _Budget(None))
+    want = search.sweep(13, by_profile)  # fills the process-wide caches first
+    enabled = gc.isenabled()
+    gc.disable()
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        table = search.sweep(13, by_profile)
+        assert table == want
+        del table
+        left, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+        if enabled:
+            gc.enable()
+    # freed small tuples stay on the interpreter's free lists, which
+    # tracemalloc still counts, so a few kB may remain
+    assert peak - start > 100_000
+    assert left - start < (peak - start) // 10
 
 
 def test_region_holds_the_arrays_its_sweep_walks():

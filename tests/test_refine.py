@@ -414,9 +414,10 @@ def test_frontier_row_23_gives_p():
 
 
 def test_golden_c6_diagonal_from_pinned_rows():
-    # c(2z+2, z+4) reads y(j, d) for d up to 3z + 7: the pinned rows give
-    # d >= 16 and a Resolver the rest, so z = 0..7 is recomputed (z = 8
-    # needs d = 31, which is not pinned)
+    # c(2z+2, z+4) reads the y diagonal y(j, j + z + 5), j <= 2z + 2, so up to
+    # d = 3z + 7: the pinned rows give d = 16..30 and a Resolver the rest, so
+    # z = 0..7 is recomputed here (z = 8 reads d = 31, past the pinned rows;
+    # a Resolver reaches it without any row, as the test below shows)
     rows, resolver = _frontier_rows(), Resolver()
 
     def y(k, d):
@@ -424,6 +425,13 @@ def test_golden_c6_diagonal_from_pinned_rows():
 
     _, diag = load_golden_c6()
     assert [c_from_y(y, 2 * z + 2, z + 4) for z in range(8)] == diag[:8]
+
+
+def test_golden_c6_diagonal_from_a_cold_resolver():
+    # the socle sum gives each entry y(j, j + e + 1) of a y diagonal from the
+    # same alpha values, with no row: all ten shipped values, z = 0..9
+    _, diag = load_golden_c6()
+    assert Resolver().c_diagonal(6, 10) == diag
 
 
 @pytest.mark.parametrize("d, p4, p5", [(25, 65715094, 2569270050), (26, 120256653, 5427963902)])

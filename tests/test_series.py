@@ -3,7 +3,7 @@ product expansions, numerator fitting, and the grammar."""
 
 import random
 from fractions import Fraction as Q
-from math import comb, factorial
+from math import comb, factorial, gcd
 
 import pytest
 from hypothesis import given, settings
@@ -29,11 +29,12 @@ from hdpart.series import (
     format_polynomial,
     format_rational,
     inverse_euler,
+    one_minus_powers,
     one_minus_t_power,
     parse_polynomial,
     series_of,
 )
-from reference import inverse_borel
+from reference import inverse_borel, psi_multiplicities, series_quotient
 
 
 def test_binom_conventions():
@@ -52,18 +53,31 @@ def test_double_factorial_conventions():
 
 
 def test_series_of_examples():
-    geom = RationalFunction(ONE, one_minus_t_power(1))
+    geom = RationalFunction(ONE, {1: 1})
     assert series_of(geom, 4).coeffs == (1, 1, 1, 1, 1)
     num = Polynomial([0, 2, 1, 1])  # t*(2 + t + t^2)
-    den = one_minus_t_power(1) * one_minus_t_power(2)
+    den = one_minus_powers([1, 2])
     assert series_of(RationalFunction(num, den), 5).coeffs == (0, 2, 3, 6, 7, 10)
-    cube = RationalFunction(ONE, one_minus_t_power(1) ** 3)
+    cube = RationalFunction(ONE, {1: 3})
     assert series_of(cube, 3).coeffs == (1, 3, 6, 10)
 
 
 def test_series_of_rejects_vanishing_constant_term():
-    with pytest.raises(ValueError):
-        RationalFunction(ONE, Polynomial([0, 1]))
+    # every Psi_j has constant term 1, so a denominator can only be malformed
+    # by a factor index below 1 or a negative multiplicity
+    for bad in ({0: 1}, {-2: 1}, {1: -1}):
+        with pytest.raises(ValueError):
+            RationalFunction(ONE, bad)
+    assert RationalFunction(ONE, {1: 0, 2: 2}).multiplicities == {2: 2}
+
+
+@pytest.mark.parametrize("j", range(1, 31))
+def test_psi_factors_one_minus_t_powers(j):
+    # 1 - t^a = prod of Psi_d over the divisors d of a, for every a <= j,
+    # fixes each Psi_j; Phi_j has degree phi(j)
+    assert RationalFunction(ONE, one_minus_powers([j])).den == one_minus_t_power(j)
+    psi = RationalFunction(ONE, {j: 1}).den
+    assert psi[0] == 1 and psi.degree == sum(gcd(i, j) == 1 for i in range(1, j + 1))
 
 
 def test_borel_inverse_borel():
@@ -135,9 +149,8 @@ def test_fit_recovers_random_rational_functions():
         den = ONE
         for _ in range(rng.randint(1, 3)):
             den = den * Polynomial([1, rng.randint(-3, 3)])
-        r = RationalFunction(num, den)
         bound = max(num.degree, 0)
-        series = series_of(r, den.degree + bound + 4)
+        series = series_quotient(num, den, den.degree + bound + 4)
         assert fit_numerator(series, den, bound) == num
 
 
@@ -146,7 +159,7 @@ def test_euler_product_examples():
     assert [int(c) for c in classical.coeffs] == [1, 1, 2, 3, 5, 7, 11, 15, 22, 30]
     planes = euler_product(list(range(1, 8)), 7)
     assert [int(c) for c in planes.coeffs] == [1, 1, 3, 6, 13, 24, 48, 86]
-    geom = series_of(RationalFunction(ONE, one_minus_t_power(1)), 8)
+    geom = series_of(RationalFunction(ONE, {1: 1}), 8)
     assert inverse_euler(geom) == [1] + [0] * 7
     # negative exponents: prod (1 - t^m) is Euler's pentagonal series
     pentagonal = [0] * 41
@@ -185,36 +198,49 @@ def test_polynomial_arithmetic_basics():
 
 
 def test_rational_equality_is_cross_multiplication():
-    a = RationalFunction(Polynomial([1, 1]), one_minus_t_power(2))
-    b = RationalFunction(ONE, one_minus_t_power(1))
+    a = RationalFunction(Polynomial([1, 1]), one_minus_powers([2]))
+    b = RationalFunction(ONE, {1: 1})
     assert a == b  # (1+t)/(1-t^2) = 1/(1-t)
     assert a.reduced().den == one_minus_t_power(1)
+    assert a.reduced().multiplicities == {1: 1}
+
+
+def _factor(den: Polynomial):
+    """The (1 - t^a) factors of a polynomial denominator, as a sorted list."""
+    mults = psi_multiplicities(den)
+    if mults is None:
+        return None
+    counts = factor_into_one_minus_powers(mults)
+    return None if counts is None else [a for a, c in counts.items() for _ in range(c)]
 
 
 def test_factor_into_one_minus_powers():
     den = one_minus_t_power(2) * one_minus_t_power(3) * one_minus_t_power(4)
-    assert factor_into_one_minus_powers(den) == [2, 3, 4]
-    assert factor_into_one_minus_powers(one_minus_t_power(1) ** 3) == [1, 1, 1]
-    assert factor_into_one_minus_powers(Polynomial([1, 1])) is None
-    # exponents [1, 1] are nonnegative integers, but 1*1 + 2*1 != deg 2
-    assert factor_into_one_minus_powers(Polynomial([1, -1, -1])) is None
-    assert factor_into_one_minus_powers(ONE) == []
-    assert factor_into_one_minus_powers(Polynomial([2, 1])) is None
+    assert _factor(den) == [2, 3, 4]
+    assert _factor(one_minus_t_power(1) ** 3) == [1, 1, 1]
+    # 1 + t is Psi_2 alone, which needs a 1 - t beside it
+    assert _factor(Polynomial([1, 1])) is None
+    assert factor_into_one_minus_powers({2: 1}) is None
+    # neither is a product of Psi_j, so neither can be a denominator at all
+    assert _factor(Polynomial([1, -1, -1])) is None
+    assert _factor(Polynomial([2, 1])) is None
+    assert _factor(ONE) == []
     den = one_minus_t_power(2) ** 2 * one_minus_t_power(5)
-    assert factor_into_one_minus_powers(den) == [2, 2, 5]
+    assert _factor(den) == [2, 2, 5]
     rng = random.Random(13)
     for _ in range(40):
         parts = sorted(rng.randint(1, 9) for _ in range(rng.randint(0, 5)))
         den = ONE
         for a in parts:
             den = den * one_minus_t_power(a)
-        assert factor_into_one_minus_powers(den) == parts
+        assert _factor(den) == parts
+        assert psi_multiplicities(den) == one_minus_powers(parts)
 
 
 def test_format_examples():
     assert format_polynomial(Polynomial([11, 0, Q(-1, 2)])) == "11 - 1/2*t^2"
     assert format_polynomial(Polynomial()) == "0"
-    r = RationalFunction(Polynomial([0, 2, 1, 1]), one_minus_t_power(1) * one_minus_t_power(2))
+    r = RationalFunction(Polynomial([0, 2, 1, 1]), one_minus_powers([1, 2]))
     assert format_factored_rational(r) == "t*(2 + t + t^2) / ((1 - t)*(1 - t^2))"
     assert "/" in format_rational(r)
 
@@ -222,12 +248,12 @@ def test_format_examples():
 @pytest.mark.parametrize(
     "num, den, text",
     [
-        (Polynomial(), ONE, "0"),
-        (Polynomial([1, 2]), one_minus_t_power(1), "(1 + 2*t) / ((1 - t))"),
-        (Polynomial([0, 0, 3]), ONE, "t^2*(3)"),
-        (Polynomial([5]), ONE, "5"),
-        # 1 + t + t^2 is no product of (1 - t^a) factors: the plain quotient
-        (ONE, Polynomial([1, 1, 1]), "(1) / (1 + t + t^2)"),
+        (Polynomial(), {}, "0"),
+        (Polynomial([1, 2]), {1: 1}, "(1 + 2*t) / ((1 - t))"),
+        (Polynomial([0, 0, 3]), {}, "t^2*(3)"),
+        (Polynomial([5]), {}, "5"),
+        # 1 + t + t^2 = Psi_3 is no product of (1 - t^a) factors: the plain quotient
+        (ONE, {3: 1}, "(1) / (1 + t + t^2)"),
     ],
 )
 def test_format_factored_rational_branches(num, den, text):
